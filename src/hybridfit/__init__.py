@@ -37,8 +37,6 @@ from .hybrid import (
     alias_matrix,
     assemble,
     covariance_of_solution,
-    estimability_matrix,
-    fitted_values,
     solve,
     variance_of_fit,
 )
@@ -58,14 +56,7 @@ from .inference import (
     r_squared,
     residual_diagnostics,
 )
-from .linalg import (
-    Projector,
-    RankedMatrix,
-    generalized_inverse,
-    matrix_rank,
-    ols_solve,
-    projector_onto_columns,
-)
+from .linalg import matrix_rank, ols_solve
 
 __version__ = "0.1.0"
 
@@ -80,9 +71,7 @@ __all__ = [
     "HybridFit",
     "HybridSystem",
     "MlrPartition",
-    "Projector",
     "PureErrorDecomposition",
-    "RankedMatrix",
     "SSPartition",
     "TableSchema",
     "TheoryVector",
@@ -93,21 +82,17 @@ __all__ = [
     "code",
     "covariance_of_solution",
     "decode",
-    "estimability_matrix",
     "f_cdf",
     "f_critical",
     "f_statistics",
-    "fitted_values",
     "flow_factor_adiabatic",
     "flow_factor_isochoric",
-    "generalized_inverse",
     "lack_of_fit_test",
     "load_table",
     "matrix_rank",
     "mlr_partition",
     "ols_solve",
     "partition",
-    "projector_onto_columns",
     "pure_error",
     "r_squared",
     "replicate_groups",

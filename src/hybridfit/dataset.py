@@ -179,7 +179,8 @@ def load_table(
 
     Natural units are preserved verbatim and rows keep file order.  Raises
     :class:`SchemaError` when a named column is missing and
-    :class:`TableParseError` (with row and column) on a non-numeric cell.
+    :class:`TableParseError` (with row and column) on a non-numeric or
+    non-finite cell.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
@@ -211,18 +212,28 @@ def load_table(
                 f"row {row}, column {name!r}: cannot parse {token!r} as a number"
             ) from None
 
-    parsed: dict[str, list[float]] = {name: [] for name in wanted}
+    parsed: dict[str, list[float]] = {name: [] for name in col_index}
     for i, line in enumerate(rows, start=1):
         cells = _split_line(line.rstrip("\n"), delimiter)
-        for name in wanted:
-            idx = col_index[name]
+        for name, idx in col_index.items():
             if idx >= len(cells):
                 raise TableParseError(f"row {i}: missing cell for column {name!r}")
             parsed[name].append(parse_cell(cells[idx].strip(), i, name))
 
-    naturals = np.column_stack([parsed[f.name] for f in schema.factors])
-    response = np.asarray(parsed[schema.response])
-    extras = {name: np.asarray(parsed[name]) for name in schema.extras}
+    names = list(parsed)
+    table = np.array([parsed[name] for name in names])
+    # float() accepts "nan" and "inf": reject them in one pass over the table.
+    bad = np.argwhere(~np.isfinite(table.T))
+    if bad.size:
+        row, col = bad[0]
+        raise TableParseError(
+            f"row {row + 1}, column {names[col]!r}: non-finite value "
+            f"{float(table[col, row])!r}"
+        )
+    column = dict(zip(names, table))
+    naturals = np.column_stack([column[f.name] for f in schema.factors])
+    response = column[schema.response]
+    extras = {name: column[name] for name in schema.extras}
     return Dataset(
         factors=tuple(schema.factors),
         naturals=naturals,

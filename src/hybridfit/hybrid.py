@@ -8,11 +8,17 @@ response z computed for the same runs:
 Writing D = diag(z), the scaled model y = D X theta + e splits into the plain
 polynomial part X theta plus the excess (D - I) X theta that the theory
 scaling adds.  Stacking the two blocks side by side gives an augmented
-least-squares system whose rank may fall short of its column count, so the
-solver works through generalized inverses.  The solution is computed twice on
-every call, once by the partitioned (block) route and once directly from the
-augmented normal equations; the fitted values from the two routes must agree,
-which guards the generalized-inverse algebra.
+least-squares system whose rank may fall short of its column count.
+
+The system is represented by two thin orthonormal bases taken from truncated
+SVDs: Q_X spans the design columns, and Q_E spans the part of the excess
+block the design cannot explain.  Both are cut with the one rank tolerance of
+:mod:`hybridfit.linalg`, so the rank, the solution, the sums of squares and
+the covariances all rest on the same decision, and memory stays O(n p): no
+n x n matrix is formed unless a caller asks for a projector.  Every solve is
+cross-checked: the fitted values from the coefficients (augmented @ coef)
+must agree with the projection Q_X Q_X'y + Q_E Q_E'y, and the sums of
+squares must add up to y'y.
 
 Setting z identically to one recovers ordinary multiple linear regression
 exactly: the excess block vanishes and the excess coefficients are zero.
@@ -26,10 +32,10 @@ import numpy as np
 
 from .dataset import DesignMatrix
 from .errors import InconsistencyError, RankError, ShapeError
-from .linalg import generalized_inverse, matrix_rank, projector_onto_columns
+from .linalg import thin_svd
 
-# Agreement required between the two solution routes, relative to the
-# response scale.
+# Agreement required between the coefficient and projection routes, and of
+# the sum-of-squares additivity, relative to the magnitudes involved.
 CROSS_CHECK_TOL = 1e-8
 
 
@@ -60,6 +66,9 @@ class HybridSystem:
     beyond the plain polynomial.  ``excess_ortho`` is the part of that block
     the plain polynomial cannot explain (its residual after projecting onto
     the design columns); its rank is what the theory data genuinely add.
+    ``coef_map`` turns the basis coordinates ``[Q_X'y; Q_E'y]`` into the
+    stacked least-squares coefficients, so it is also the factor of their
+    covariance.
     """
 
     design: DesignMatrix
@@ -67,9 +76,10 @@ class HybridSystem:
     excess: np.ndarray          # (diag(z) - I) @ X
     augmented: np.ndarray       # [X | excess]
     excess_ortho: np.ndarray    # (I - P_X) @ excess
-    proj_design: np.ndarray     # projector onto col(X)
-    proj_excess: np.ndarray     # projector onto col(excess_ortho)
-    rank: int                   # rank(X) + rank(excess_ortho)
+    basis_design: np.ndarray    # Q_X: orthonormal basis of col(X)
+    basis_excess: np.ndarray    # Q_E: orthonormal basis of col(excess_ortho)
+    coef_map: np.ndarray        # 2(p+1) x rank
+    rank: int                   # cols(Q_X) + cols(Q_E)
 
     @property
     def n_runs(self) -> int:
@@ -79,6 +89,16 @@ class HybridSystem:
     def n_coef(self) -> int:
         """Coefficients per block (p + 1)."""
         return self.design.n_coef
+
+    @property
+    def proj_design(self) -> np.ndarray:
+        """Projector onto col(X), formed on demand (n x n)."""
+        return self.basis_design @ self.basis_design.T
+
+    @property
+    def proj_excess(self) -> np.ndarray:
+        """Projector onto col(excess_ortho), formed on demand (n x n)."""
+        return self.basis_excess @ self.basis_excess.T
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,6 @@ class HybridFit:
     residuals: np.ndarray
     sigma2: float | None        # residual-variance estimate; None if saturated
     coef_cov: np.ndarray | None
-    fitted_cov: np.ndarray | None
 
     @property
     def saturated(self) -> bool:
@@ -113,91 +132,107 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     x = design.values
     excess = (theory.values - 1.0)[:, None] * x
     augmented = np.hstack([x, excess])
-    p_design = projector_onto_columns(x).matrix
-    excess_ortho = excess - p_design @ excess
-    p_excess = projector_onto_columns(excess_ortho).matrix
-    rank = matrix_rank(x) + matrix_rank(excess_ortho)
+    svd_x = thin_svd(x)
+    q_x = svd_x.basis
+    # Project twice: one pass leaves a component in col(X) of the order of
+    # roundoff times |excess|, which is not small next to the weakest
+    # direction the rank tolerance keeps.
+    excess_ortho = excess - q_x @ (q_x.T @ excess)
+    excess_ortho -= q_x @ (q_x.T @ excess_ortho)
+    # Cut against the scale of the whole system, so an excess block that the
+    # design explains up to roundoff (z constant) has rank zero.
+    svd_e = thin_svd(excess_ortho, scale=np.linalg.norm(augmented, 2))
+
+    w_x = svd_x.coef_map
+    w_e = svd_e.coef_map
+    # Excess coefficients come from Q_E alone; the design block then fits
+    # what is left, y - excess @ coef_excess, through Q_X.
+    carry = w_x @ ((q_x.T @ excess) @ w_e)
+    coef_map = np.block([
+        [w_x, -carry],
+        [np.zeros((design.n_coef, svd_x.rank)), w_e],
+    ])
     return HybridSystem(
         design=design,
         theory=theory,
         excess=excess,
         augmented=augmented,
         excess_ortho=excess_ortho,
-        proj_design=p_design,
-        proj_excess=p_excess,
-        rank=rank,
+        basis_design=q_x,
+        basis_excess=svd_e.basis,
+        coef_map=coef_map,
+        rank=svd_x.rank + svd_e.rank,
     )
 
 
 def _require_full_rank_design(sys: HybridSystem) -> None:
-    if not sys.design.is_full_column_rank():
+    if sys.basis_design.shape[1] < sys.n_coef:
         raise RankError(
             "hybrid solve needs a full-column-rank design matrix; got shape "
-            f"{sys.design.values.shape} with rank {matrix_rank(sys.design.values)}"
+            f"{sys.design.values.shape} with rank {sys.basis_design.shape[1]}"
         )
 
 
 def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     """Least-squares solution of the augmented system.
 
-    The excess block is solved first against the orthogonalized excess
-    columns (via the Moore-Penrose inverse, so a vanishing excess gives a
-    zero block), then the design block picks up the remainder.  The direct
-    normal-equations route is evaluated as a cross-check: both routes must
-    produce the same fitted values, which is invariant to the choice of
-    generalized inverse.
+    The fitted values are the projection of y onto the two orthonormal
+    bases.  The coefficients are the minimum-norm solution taken from the
+    same truncated SVD factors: the excess block against the orthogonalized
+    excess columns (a vanishing excess gives a zero block), then the design
+    block for the remainder.  Raises :class:`InconsistencyError` when the
+    fitted values of the two routes disagree or the sums of squares do not
+    add up to y'y.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != sys.n_runs:
         raise ShapeError(f"{sys.n_runs} runs but {y.shape[0]} responses")
     _require_full_rank_design(sys)
 
-    x = sys.design.values
-    z_mat = sys.excess_ortho
-    coef_excess = generalized_inverse(z_mat.T @ z_mat) @ (z_mat.T @ y)
-    coef_design = np.linalg.solve(x.T @ x, x.T @ (y - sys.excess @ coef_excess))
-    coef = np.concatenate([coef_design, coef_excess])
-    fitted = sys.augmented @ coef
+    coords_design = sys.basis_design.T @ y
+    coords_excess = sys.basis_excess.T @ y
+    fitted = sys.basis_design @ coords_design + sys.basis_excess @ coords_excess
+    coef = sys.coef_map @ np.concatenate([coords_design, coords_excess])
+    residuals = y - fitted
 
-    direct = sys.augmented @ (
-        generalized_inverse(sys.augmented.T @ sys.augmented)
-        @ (sys.augmented.T @ y)
-    )
-    scale = max(1.0, float(np.max(np.abs(y))))
-    gap = float(np.max(np.abs(direct - fitted)))
-    if gap > CROSS_CHECK_TOL * scale:
+    # Roundoff in augmented @ coef is relative to the magnitudes it sums,
+    # which grow without bound as the excess block nears rank deficiency.
+    scale = max(1.0, float(np.max(np.abs(sys.augmented) @ np.abs(coef))))
+    gap = float(np.max(np.abs(sys.augmented @ coef - fitted)))
+    if not gap <= CROSS_CHECK_TOL * scale:
         raise InconsistencyError(
-            f"partitioned and direct solutions disagree on fitted values "
+            f"coefficient and projection routes disagree on fitted values "
             f"by {gap:.3e} (scale {scale:.3e})"
         )
+    ss_total = float(y @ y)
+    defect = abs(
+        float(coords_design @ coords_design)
+        + float(coords_excess @ coords_excess)
+        + float(residuals @ residuals)
+        - ss_total
+    )
+    if not defect <= CROSS_CHECK_TOL * max(ss_total, 1.0):
+        raise InconsistencyError(
+            f"sums of squares miss y'y = {ss_total:.6g} by {defect:.3e}"
+        )
 
-    residuals = y - fitted
     df_residual = sys.n_runs - sys.rank
     if df_residual > 0:
         sigma2 = float(residuals @ residuals) / df_residual
         coef_cov, _ = covariance_of_solution(sys, sigma2)
-        fitted_cov = variance_of_fit(sys, sigma2)
     else:
         sigma2 = None
         coef_cov = None
-        fitted_cov = None
+    p1 = sys.n_coef
     return HybridFit(
-        coef_design=coef_design,
-        coef_excess=coef_excess,
+        coef_design=coef[:p1],
+        coef_excess=coef[p1:],
         coef=coef,
         fitted=fitted,
         residuals=residuals,
         sigma2=sigma2,
         coef_cov=coef_cov,
-        fitted_cov=fitted_cov,
     )
-
-
-def fitted_values(sys: HybridSystem, fit: HybridFit) -> np.ndarray:
-    """Fitted values recomputed by projecting the observations onto the
-    augmented column space; invariant to the generalized inverse used."""
-    y = fit.fitted + fit.residuals
-    return (sys.proj_design + sys.proj_excess) @ y
 
 
 def alias_matrix(sys: HybridSystem) -> np.ndarray:
@@ -208,16 +243,18 @@ def alias_matrix(sys: HybridSystem) -> np.ndarray:
     theta.  It is zero exactly when the theory column is identically one.
     """
     _require_full_rank_design(sys)
-    x = sys.design.values
-    return np.linalg.solve(x.T @ x, x.T @ sys.excess)
+    p1 = sys.n_coef
+    # With X of full rank the leading block of coef_map is V S^-1 of X.
+    return sys.coef_map[:p1, :p1] @ (sys.basis_design.T @ sys.excess)
 
 
 def covariance_of_solution(
     sys: HybridSystem, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance of the stacked coefficient vector, from the partitioned
-    generalized inverse of the augmented normal equations.
+    """Covariance of the stacked coefficient vector.
 
+    The solution is ``coef_map @ [Q_X'y; Q_E'y]`` and the bases are
+    orthonormal, so its covariance is ``coef_map @ coef_map' * sigma2``.
     Returns the full 2(p+1) x 2(p+1) matrix and the off-diagonal
     (design block, excess block) cross-covariance.  When the augmented
     normal-equations matrix is invertible this equals its inverse times
@@ -226,37 +263,15 @@ def covariance_of_solution(
     if sigma2 < 0.0:
         raise ShapeError(f"sigma2 must be nonnegative, got {sigma2}")
     _require_full_rank_design(sys)
-    x = sys.design.values
-    q = sys.excess_ortho.T @ sys.excess_ortho
-    q_inv = generalized_inverse(q)
-    g_inv = np.linalg.inv(x.T @ x)
-    b = x.T @ sys.excess
-    gb = g_inv @ b
-
-    p1 = sys.n_coef
-    r = np.empty((2 * p1, 2 * p1))
-    r[:p1, :p1] = g_inv + gb @ q_inv @ gb.T
-    r[:p1, p1:] = -gb @ q_inv
-    r[p1:, :p1] = r[:p1, p1:].T
-    r[p1:, p1:] = q_inv
-
-    normal = sys.augmented.T @ sys.augmented
-    cov = (r @ normal @ r.T) * sigma2
+    cov = (sys.coef_map @ sys.coef_map.T) * sigma2
     cov = 0.5 * (cov + cov.T)
+    p1 = sys.n_coef
     return cov, cov[:p1, p1:]
 
 
 def variance_of_fit(sys: HybridSystem, sigma2: float) -> np.ndarray:
     """Covariance of the fitted values: the sum of the two orthogonal
-    projectors, scaled by sigma2."""
+    projectors, scaled by sigma2.  Forms an n x n matrix."""
     if sigma2 < 0.0:
         raise ShapeError(f"sigma2 must be nonnegative, got {sigma2}")
     return (sys.proj_design + sys.proj_excess) * sigma2
-
-
-def estimability_matrix(sys: HybridSystem) -> np.ndarray:
-    """The idempotent matrix mapping the stacked parameter vector to what the
-    solution actually estimates; the identity exactly when the augmented
-    normal-equations matrix is invertible.  Exposed for inspection."""
-    normal = sys.augmented.T @ sys.augmented
-    return generalized_inverse(normal) @ normal

@@ -90,13 +90,15 @@ def partition(sys: HybridSystem, y: np.ndarray) -> SSPartition:
     if y.shape[0] != sys.n_runs:
         raise ShapeError(f"{sys.n_runs} runs but {y.shape[0]} responses")
     ss_total = float(y @ y)
-    ss_design = float(y @ sys.proj_design @ y)
-    ss_theory_gain = float(y @ sys.proj_excess @ y)
+    coords_design = sys.basis_design.T @ y
+    coords_excess = sys.basis_excess.T @ y
+    ss_design = float(coords_design @ coords_design)
+    ss_theory_gain = float(coords_excess @ coords_excess)
     ss_residual = ss_total - ss_design - ss_theory_gain
     scale = max(ss_total, 1.0)
-    if ss_residual < -SS_REL_TOL * scale:
+    if not ss_residual >= -SS_REL_TOL * scale:
         raise InconsistencyError(
-            f"negative residual sum of squares {ss_residual:.3e}"
+            f"residual sum of squares {ss_residual:.3e} is negative or not a number"
         )
     ss_residual = max(ss_residual, 0.0)
     p1 = sys.n_coef
@@ -166,7 +168,7 @@ def pure_error(
     resid = y - fitted
     ss_residual = float(resid @ resid)
     ss_lof = ss_residual - ss_pe
-    if ss_lof < -SS_REL_TOL * max(ss_residual, 1.0):
+    if not ss_lof >= -SS_REL_TOL * max(ss_residual, 1.0):
         raise InconsistencyError(
             f"pure error {ss_pe:.6g} exceeds the residual sum of squares "
             f"{ss_residual:.6g}"
@@ -218,7 +220,7 @@ def r_squared(
     if n < 2:
         raise ConstantResponseError("R-squared needs at least two runs")
     ss_about_mean = float(y @ y - n * y.mean() ** 2)
-    if ss_about_mean <= SS_REL_TOL * max(float(y @ y), 1.0):
+    if not ss_about_mean > SS_REL_TOL * max(float(y @ y), 1.0):
         raise ConstantResponseError(
             "response is constant; R-squared is undefined"
         )
@@ -277,13 +279,16 @@ def residual_diagnostics(fit) -> ResidualDiagnostics:
     return ResidualDiagnostics(normal_plot=normal_plot, scatter=scatter)
 
 
-def box_wetz_ratio(f_observed: float, f_critical: float) -> tuple[float, bool]:
-    """Ratio of an observed F to its critical value, with the rule-of-thumb
-    verdict that a regression is only a useful predictor when the ratio is
-    at least four."""
-    if not f_critical > 0.0:
-        raise ShapeError(f"critical value must be positive, got {f_critical}")
-    ratio = f_observed / f_critical
+def box_wetz_ratio(f_critical: float, f_lack_of_fit: float) -> tuple[float, bool]:
+    """Prediction margin: the critical F value over the observed
+    lack-of-fit F, with the verdict of the Box & Wetz (1973) rule that a
+    fitted model is only a useful predictor when the margin is at least
+    four."""
+    if not f_lack_of_fit > 0.0:
+        raise ShapeError(
+            f"lack-of-fit F must be positive, got {f_lack_of_fit}"
+        )
+    ratio = f_critical / f_lack_of_fit
     return ratio, ratio >= 4.0
 
 

@@ -1,11 +1,16 @@
 """Rank-aware dense linear algebra used by every fitting routine.
 
-All rank decisions in the package flow through :func:`matrix_rank` so that a
-single relative tolerance governs what counts as numerically zero.  The
-generalized inverse is realized as the Moore-Penrose pseudoinverse: every
-downstream quantity (fitted values, residual sums of squares, projectors) is
-invariant to the choice of generalized inverse, so the most stable
-representative is used throughout.
+All rank decisions in the package compare singular values against the single
+relative tolerance :data:`RANK_TOL`.  Rank-deficient systems are handled
+through thin, truncated singular value decompositions: the kept left
+singular vectors are an orthonormal basis of the numerical column space, and
+``V S^-1 U'`` is the Moore-Penrose inverse.  Every downstream quantity
+(fitted values, residual sums of squares, projectors) is invariant to the
+choice of generalized inverse, so the most stable representative is used.
+The SVD is taken of the matrix itself, not of its normal-equations matrix,
+which would square the condition number and with it the smallest singular
+value the tolerance can resolve (Golub & Van Loan, *Matrix Computations*,
+section 5.3).
 """
 
 from __future__ import annotations
@@ -18,11 +23,6 @@ from .errors import RankError, ShapeError
 
 # Relative cutoff on singular values when deciding rank.
 RANK_TOL = 1e-10
-
-# Absolute tolerances for the self-checks on unit-scaled data.
-TOL_SYM = 1e-8
-TOL_IDEM = 1e-8
-TOL_GINV = 1e-8
 
 
 def matrix_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -37,76 +37,51 @@ def matrix_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
 
 
 @dataclass(frozen=True)
-class RankedMatrix:
-    """A matrix bundled with its numerical rank and the tolerance that
-    produced it."""
+class ThinSvd:
+    """Truncated thin SVD of an n x p matrix M: ``basis @ diag(s) @ right.T``
+    reproduces M up to the singular values cut as numerically zero.
 
-    values: np.ndarray
-    rank: int
-    rank_tolerance: float = RANK_TOL
-
-    @classmethod
-    def of(cls, values: np.ndarray, tol: float = RANK_TOL) -> "RankedMatrix":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        return cls(values=values, rank=matrix_rank(values, tol), rank_tolerance=tol)
-
-
-@dataclass(frozen=True)
-class Projector:
-    """An orthogonal projector (symmetric, idempotent matrix)."""
-
-    matrix: np.ndarray
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T), initial=0.0))
-
-    def idempotency_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix), initial=0.0))
-
-    def is_valid(self, tol_sym: float = TOL_SYM, tol_idem: float = TOL_IDEM) -> bool:
-        return self.symmetry_defect() <= tol_sym and self.idempotency_defect() <= tol_idem
-
-
-def generalized_inverse(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a square symmetric matrix.
-
-    The result G satisfies M G M = M, G M G = G and the two symmetry
-    conditions (M G and G M symmetric) to within roundoff.
+    ``basis`` (n x r) has orthonormal columns spanning the numerical column
+    space of M; ``right`` (p x r) holds the matching right singular vectors.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m), initial=0.0)
-    if np.max(np.abs(m - m.T), initial=0.0) > TOL_SYM * max(scale, 1.0):
-        raise ShapeError("expected a symmetric matrix")
-    if scale == 0.0:
-        return np.zeros_like(m)
-    g = np.linalg.pinv(m, rcond=tol, hermitian=True)
-    # pinv of a symmetric matrix is symmetric; enforce exactly.
-    return 0.5 * (g + g.T)
+
+    basis: np.ndarray
+    singular_values: np.ndarray
+    right: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.singular_values.size)
+
+    @property
+    def coef_map(self) -> np.ndarray:
+        """``V S^-1`` (p x r): maps basis coordinates ``basis' w`` to the
+        minimum-norm coefficients c with ``M c`` the projection of w."""
+        return self.right / self.singular_values
 
 
-def projector_onto_columns(m: np.ndarray, tol: float = RANK_TOL) -> Projector:
-    """Orthogonal projector onto the column space of ``m``.
+def thin_svd(
+    m: np.ndarray, scale: float | None = None, tol: float = RANK_TOL
+) -> ThinSvd:
+    """Thin SVD of ``m`` keeping the singular values above ``tol * scale``.
 
-    Equals M (M'M)^- M'; computed from an orthonormal basis of the column
-    space so that trace(P) = rank(M) holds to roundoff.
+    ``scale`` defaults to the largest singular value of ``m``.  Pass the
+    scale of a larger system when ``m`` is a piece of it, so that a piece
+    made only of roundoff counts as rank zero.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[1] < 1:
-        raise ShapeError("need at least one column")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if m.size == 0 or s[0] == 0.0:
-        return Projector(np.zeros((m.shape[0], m.shape[0])))
-    basis = u[:, s > tol * s[0]]
-    return Projector(basis @ basis.T)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if scale is None:
+        scale = s[0]
+    keep = s > tol * scale
+    return ThinSvd(basis=u[:, keep], singular_values=s[keep], right=vt[keep].T)
 
 
 def ols_solve(design: np.ndarray, y: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Least-squares coefficients (X'X)^{-1} X'y for a full-column-rank design.
 
     Raises :class:`RankError` when the design is rank deficient; the
-    generalized-inverse path for that case lives in :mod:`hybridfit.hybrid`.
+    rank-deficient path lives in :mod:`hybridfit.hybrid`.
     """
     x = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

@@ -181,6 +181,33 @@ class TestFit:
         assert rc == 1
         assert "constant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "model_args",
+        [["--model", "hybrid", "--theory", "column:P_isochoric"], ["--model", "mlr1"]],
+        ids=["hybrid", "mlr1"],
+    )
+    def test_non_finite_response_fails(
+        self, data_dir, tmp_path, capsys, model_args, token
+    ):
+        src = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
+        col = src[0].split("\t").index("P_obs")
+        cells = src[3].split("\t")
+        cells[col] = token
+        src[3] = "\t".join(cells)
+        data = tmp_path / "nonfinite.tsv"
+        data.write_text("\n".join(src) + "\n")
+        out = tmp_path / "out"
+        rc = main([
+            "fit", "--data", str(data),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--out", str(out),
+        ] + model_args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "row 3" in err and "'P_obs'" in err and "non-finite" in err
+        assert not (out / "summary.txt").exists()
+
     def test_saturated_model_fails_with_explanation(self, tmp_path, capsys):
         data = tmp_path / "tiny.tsv"
         data.write_text(

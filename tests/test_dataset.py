@@ -87,6 +87,13 @@ class TestLoadTable:
         with pytest.raises(TableParseError, match="row 2.*'y'"):
             dataset.load_table(io.StringIO("A\ty\n0.5\t2.0\n0.6\toops\n"), schema)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_position(self, token):
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        text = f"A\ty\n0.5\t2.0\n0.6\t3.0\n{token}\t{token}\n"
+        with pytest.raises(TableParseError, match="row 3, column 'A': non-finite"):
+            dataset.load_table(io.StringIO(text), schema)
+
     def test_comma_delimited(self):
         schema = TableSchema(factors=(spec_a(),), response="y")
         ds = dataset.load_table(io.StringIO("A,y\n0.5,2.0\n"), schema)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hybridfit import hybrid, linalg
+from hybridfit import hybrid, inference, linalg
 from hybridfit.dataset import DesignMatrix
-from hybridfit.errors import RankError, ShapeError
+from hybridfit.errors import InconsistencyError, RankError, ShapeError
 from hybridfit.hybrid import TheoryVector
 
 # Recorded stacked solutions and fitted columns of the case study's two
@@ -50,6 +54,20 @@ class TestAssemble:
         sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
         assert np.allclose(sys.excess, [[1.0], [2.0]], atol=1e-14)
         assert np.allclose(sys.excess_ortho, [[-0.5], [0.5]], atol=1e-14)
+
+    def test_fit_path_stores_no_run_by_run_matrix(self, rng):
+        n = 50
+        x = DesignMatrix(
+            np.column_stack([np.ones(n), rng.uniform(-1, 1, (n, 2))]),
+            ("1", "x1", "x2"),
+        )
+        sys = hybrid.assemble(x, TheoryVector(rng.uniform(0.5, 3.0, n)))
+        fit = hybrid.solve(sys, rng.normal(size=n))
+        for obj in (sys, fit):
+            for f in dataclasses.fields(obj):
+                assert np.shape(getattr(obj, f.name)) != (n, n), f.name
+        assert sys.basis_design.shape == (n, 3)
+        assert sys.basis_excess.shape == (n, 3)
 
     def test_length_mismatch(self, factorial_design):
         with pytest.raises(ShapeError):
@@ -106,6 +124,36 @@ class TestSolve:
         with pytest.raises(RankError):
             hybrid.solve(sys, np.zeros(3))
 
+    def test_cross_check_catches_wrong_coefficients(self, factorial, factorial_design):
+        sys = hybrid.assemble(
+            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+        )
+        bad = dataclasses.replace(sys, coef_map=sys.coef_map * (1.0 + 1e-6))
+        with pytest.raises(InconsistencyError, match="coefficient and projection"):
+            hybrid.solve(bad, factorial.response)
+
+    def test_cross_check_catches_overlapping_bases(self, factorial, factorial_design):
+        sys = hybrid.assemble(
+            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+        )
+        # one design direction repeated in the excess basis is counted twice;
+        # the coefficient map follows it, so the fitted values still agree
+        q = sys.basis_design[:, 0]
+        basis = np.column_stack([sys.basis_excess, q])
+        coef_map = np.column_stack([sys.coef_map, np.linalg.pinv(sys.augmented) @ q])
+        bad = dataclasses.replace(sys, basis_excess=basis, coef_map=coef_map)
+        with pytest.raises(InconsistencyError, match="sums of squares"):
+            hybrid.solve(bad, factorial.response)
+
+    def test_non_finite_response_fails_the_cross_check(self, factorial, factorial_design):
+        sys = hybrid.assemble(
+            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+        )
+        y = factorial.response.copy()
+        y[4] = np.nan
+        with pytest.raises(InconsistencyError):
+            hybrid.solve(sys, y)
+
     def test_saturated_fit_flagged(self):
         sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
         fit = hybrid.solve(sys, np.array([1.0, 4.0]))
@@ -114,13 +162,46 @@ class TestSolve:
         assert fit.coef_cov is None
 
 
+class TestRankEdge:
+    """z = 1.5 + 0.2 x1 + eps x2^2 on a random first-order design: one
+    direction of the orthogonalized excess block has size of order eps, so
+    sweeping eps walks the system across the rank tolerance."""
+
+    @given(
+        log_eps=st.floats(min_value=-9.0, max_value=-3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(log_eps=-5.0, seed=40)
+    @example(log_eps=-6.0, seed=40)
+    @example(log_eps=-7.0, seed=40)
+    @example(log_eps=-8.0, seed=40)
+    @example(log_eps=-9.0, seed=40)
+    @settings(max_examples=60, deadline=None)
+    def test_solve_and_partition_agree(self, log_eps, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        coded = rng.uniform(-1.0, 1.0, size=(n, 3))
+        design = DesignMatrix(
+            np.column_stack([np.ones(n), coded]), ("1", "x1", "x2", "x3")
+        )
+        z = 1.5 + 0.2 * coded[:, 0] + 10.0**log_eps * coded[:, 1] ** 2
+        y = rng.normal(10.0, 3.0, size=n)
+        sys = hybrid.assemble(design, TheoryVector(z))
+        fit = hybrid.solve(sys, y)  # a valid input: no InconsistencyError
+        part = inference.partition(sys, y)
+        assert fit.ss_residual == pytest.approx(part.ss_residual, rel=1e-8)
+        assert fit.sigma2 == pytest.approx(part.ss_residual / part.df_residual, rel=1e-8)
+
+
 class TestFittedValues:
     def test_projection_route_agrees(self, factorial, factorial_design):
         sys = hybrid.assemble(
             factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
         )
         fit = hybrid.solve(sys, factorial.response)
-        assert np.allclose(hybrid.fitted_values(sys, fit), fit.fitted, atol=1e-8)
+        assert np.allclose(sys.augmented @ fit.coef, fit.fitted, atol=1e-8)
+        projected = (sys.proj_design + sys.proj_excess) @ factorial.response
+        assert np.allclose(projected, fit.fitted, atol=1e-8)
 
 
 class TestAliasMatrix:
@@ -253,18 +334,25 @@ class TestVarianceOfFit:
         assert np.allclose(hybrid.variance_of_fit(sys, 1.0), direct, atol=1e-8)
 
 
+def coefficient_operator(sys) -> np.ndarray:
+    """The generalized inverse the solve applies to y: coef = G @ y."""
+    return sys.coef_map @ np.vstack([sys.basis_design.T, sys.basis_excess.T])
+
+
 class TestEstimability:
     def test_idempotent(self, factorial, factorial_design):
         sys = hybrid.assemble(
             factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
         )
-        j = hybrid.estimability_matrix(sys)
+        j = coefficient_operator(sys) @ sys.augmented
         assert np.allclose(j @ j, j, atol=1e-8)
         # full-rank augmented system: everything is estimable
         assert np.allclose(j, np.eye(8), atol=1e-8)
 
     def test_rank_deficient_case(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        j = hybrid.estimability_matrix(sys)
+        g = coefficient_operator(sys)
+        j = g @ sys.augmented
         assert np.allclose(j @ j, j, atol=1e-10)
         assert np.trace(j) == pytest.approx(4.0, abs=1e-9)
+        assert np.allclose(sys.augmented @ j, sys.augmented, atol=1e-10)

@@ -339,18 +339,20 @@ class TestResidualDiagnostics:
 
 
 class TestBoxWetz:
+    # the margin is critical F over observed lack-of-fit F
     def test_equal_values_not_useful(self):
-        ratio, useful = inference.box_wetz_ratio(9.12, 9.12)
+        ratio, useful = inference.box_wetz_ratio(f_critical=9.12, f_lack_of_fit=9.12)
         assert ratio == 1.0
         assert not useful
 
     def test_threshold(self):
-        assert inference.box_wetz_ratio(40.0, 10.0) == (4.0, True)
-        assert inference.box_wetz_ratio(39.9, 10.0)[1] is False
+        assert inference.box_wetz_ratio(f_critical=40.0, f_lack_of_fit=10.0) == (4.0, True)
+        assert inference.box_wetz_ratio(f_critical=39.9, f_lack_of_fit=10.0)[1] is False
 
     def test_rejects_bad_critical(self):
+        # a zero lack-of-fit F leaves the margin undefined
         with pytest.raises(ShapeError):
-            inference.box_wetz_ratio(1.0, 0.0)
+            inference.box_wetz_ratio(f_critical=1.0, f_lack_of_fit=0.0)
 
 
 class TestMlrPartition:

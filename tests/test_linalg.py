@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridfit import linalg
-from hybridfit.errors import RankError, ShapeError
+from hybridfit.errors import RankError
 
 # Coefficients of the two recorded plain polynomial fits of the case study,
 # used here as ground truth for the least-squares path.
@@ -21,20 +21,31 @@ def mp_defects(m: np.ndarray, g: np.ndarray) -> float:
     )
 
 
+def pinv_from(m: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse assembled from the truncated thin SVD factors."""
+    svd = linalg.thin_svd(m)
+    return svd.coef_map @ svd.basis.T
+
+
+def projector_from(m: np.ndarray) -> np.ndarray:
+    basis = linalg.thin_svd(m).basis
+    return basis @ basis.T
+
+
 class TestGeneralizedInverse:
     def test_identity(self):
-        assert np.array_equal(linalg.generalized_inverse(np.eye(3)), np.eye(3))
+        assert np.allclose(pinv_from(np.eye(3)), np.eye(3), atol=1e-15)
 
     def test_zero(self):
-        assert np.array_equal(
-            linalg.generalized_inverse(np.zeros((4, 4))), np.zeros((4, 4))
-        )
+        svd = linalg.thin_svd(np.zeros((4, 4)))
+        assert svd.rank == 0
+        assert np.array_equal(pinv_from(np.zeros((4, 4))), np.zeros((4, 4)))
 
     def test_rank_one_diagonal(self):
         m = np.array([[2.0, 0.0], [0.0, 0.0]])
-        g = linalg.generalized_inverse(m)
+        g = pinv_from(m)
         assert np.allclose(g, [[0.5, 0.0], [0.0, 0.0]], atol=1e-14)
-        assert mp_defects(m, g) < linalg.TOL_GINV
+        assert mp_defects(m, g) < 1e-12
 
     def test_random_symmetric_psd(self, rng):
         for _ in range(25):
@@ -42,61 +53,79 @@ class TestGeneralizedInverse:
             r = rng.integers(1, n + 1)
             a = rng.normal(size=(n, r))
             m = a @ a.T
-            g = linalg.generalized_inverse(m)
-            assert mp_defects(m, g) < linalg.TOL_GINV * max(1.0, np.abs(m).max())
+            g = pinv_from(m)
+            assert mp_defects(m, g) < 1e-8 * max(1.0, np.abs(m).max())
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            linalg.generalized_inverse(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ShapeError):
-            linalg.generalized_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_random_rectangular_low_rank(self, rng):
+        for _ in range(25):
+            n, p = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+            r = int(rng.integers(1, min(n, p) + 1))
+            m = rng.normal(size=(n, r)) @ rng.normal(size=(r, p))
+            g = pinv_from(m)
+            assert linalg.thin_svd(m).rank == r
+            assert mp_defects(m, g) < 1e-8 * max(1.0, np.abs(m).max())
 
 
 class TestProjector:
     def test_ones_column_gives_mean_projector(self):
-        p = linalg.projector_onto_columns(np.ones((4, 1)))
-        assert np.allclose(p.matrix, np.full((4, 4), 0.25), atol=1e-14)
+        p = projector_from(np.ones((4, 1)))
+        assert np.allclose(p, np.full((4, 4), 0.25), atol=1e-14)
 
     def test_invertible_matrix_gives_identity(self, rng):
         m = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        p = linalg.projector_onto_columns(m)
-        assert np.allclose(p.matrix, np.eye(5), atol=1e-10)
+        p = projector_from(m)
+        assert np.allclose(p, np.eye(5), atol=1e-10)
 
     def test_factorial_design_trace_equals_rank(self, factorial_design):
-        p = linalg.projector_onto_columns(factorial_design.values)
-        assert np.trace(p.matrix) == pytest.approx(4.0, abs=1e-10)
-        assert p.is_valid()
+        p = projector_from(factorial_design.values)
+        assert np.trace(p) == pytest.approx(4.0, abs=1e-10)
+        assert np.max(np.abs(p - p.T)) < 1e-12
+        assert np.max(np.abs(p @ p - p)) < 1e-12
 
     def test_projects_own_columns(self, rng):
         m = rng.normal(size=(8, 3))
-        p = linalg.projector_onto_columns(m)
-        assert np.allclose(p.matrix @ m, m, atol=1e-10)
-        assert p.is_valid()
+        basis = linalg.thin_svd(m).basis
+        assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+        assert np.allclose(basis @ (basis.T @ m), m, atol=1e-10)
 
     def test_invariant_to_column_recombination(self, rng):
         m = rng.normal(size=(9, 4))
         c = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        p1 = linalg.projector_onto_columns(m)
-        p2 = linalg.projector_onto_columns(m @ c)
-        assert np.allclose(p1.matrix, p2.matrix, atol=1e-9)
+        p1 = projector_from(m)
+        p2 = projector_from(m @ c)
+        assert np.allclose(p1, p2, atol=1e-9)
 
     def test_zero_matrix(self):
-        p = linalg.projector_onto_columns(np.zeros((3, 2)))
-        assert np.array_equal(p.matrix, np.zeros((3, 3)))
+        svd = linalg.thin_svd(np.zeros((3, 2)))
+        assert svd.basis.shape == (3, 0)
+        assert np.array_equal(projector_from(np.zeros((3, 2))), np.zeros((3, 3)))
 
 
 class TestRank:
     def test_rank_counts_singular_values(self):
         m = np.diag([1.0, 1e-3, 0.0])
         assert linalg.matrix_rank(m) == 2
-        assert linalg.RankedMatrix.of(m).rank == 2
+        assert linalg.thin_svd(m).rank == 2
 
     def test_rank_respects_tolerance(self):
         m = np.diag([1.0, 1e-12])
         assert linalg.matrix_rank(m) == 1
         assert linalg.matrix_rank(m, tol=1e-14) == 2
+        assert linalg.thin_svd(m).rank == 1
+        assert linalg.thin_svd(m, tol=1e-14).rank == 2
+
+    def test_condition_number_is_not_squared(self):
+        # 1e-7 is well above RANK_TOL; on the normal equations it would be
+        # 1e-14 and fall below it
+        m = np.diag([1.0, 1e-7])
+        assert linalg.thin_svd(m).rank == 2
+        assert np.allclose(pinv_from(m), np.diag([1.0, 1e7]), rtol=1e-12)
+
+    def test_external_scale_cuts_roundoff_piece(self):
+        # a block that is pure roundoff next to the system it belongs to
+        piece = np.array([[3e-16, 0.0], [0.0, 1e-16]])
+        assert linalg.thin_svd(piece).rank == 2
+        assert linalg.thin_svd(piece, scale=10.0).rank == 0
 
 
 class TestOlsSolve:
@@ -132,17 +161,17 @@ class TestOlsSolve:
             x = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             coef = linalg.ols_solve(x, y)
-            via_ginv = linalg.generalized_inverse(x.T @ x) @ (x.T @ y)
+            via_ginv = pinv_from(x) @ y
             assert np.allclose(coef, via_ginv, rtol=1e-9, atol=1e-12)
 
 
 class TestGinvProperty:
     def test_design_recovery_on_random_low_rank(self, rng):
-        # M (M'M)^- M'M = M for arbitrary rank
+        # M M^+ M = M for arbitrary rank
         for _ in range(30):
             n = int(rng.integers(2, 13))
             p = int(rng.integers(1, min(n, 7)))
             r = int(rng.integers(1, p + 1))
             m = rng.normal(size=(n, r)) @ rng.normal(size=(r, p))
-            g = linalg.generalized_inverse(m.T @ m)
-            assert np.allclose(m @ g @ (m.T @ m), m, atol=1e-8 * max(1.0, np.abs(m).max()))
+            basis = linalg.thin_svd(m).basis
+            assert np.allclose(basis @ (basis.T @ m), m, atol=1e-8 * max(1.0, np.abs(m).max()))
