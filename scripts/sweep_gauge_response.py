@@ -12,53 +12,43 @@ from pathlib import Path
 
 import numpy as np
 
-from hybridfit.gauge import (
-    GaugeConstants,
-    GaugeInputs,
-    solve_backpressure_adiabatic,
-    solve_backpressure_isochoric,
-)
+from hybridfit.gauge import GaugeConstants, solve_backpressures
 from hybridfit.report import scatter_svg
 
-SOLVERS = {
-    "adiabatic": solve_backpressure_adiabatic,
-    "isochoric": solve_backpressure_isochoric,
-}
+SVG_SUPPLY = 0.248  # MPa; the supply pressure of the plotted curve
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/gauge_sweep")
     parser.add_argument("--orifice-area", type=float, default=0.817)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     constants = GaugeConstants()
     areas = np.linspace(0.15, 1.6, 60)
-    supplies = (0.199, 0.248, 0.297)
+    supplies = (0.199, SVG_SUPPLY, 0.297)
+    grid = np.array([(a, ps, args.orifice_area) for ps in supplies for a in areas])
 
-    for name, solver in SOLVERS.items():
+    models = ("adiabatic", "isochoric")
+    pressures = {name: solve_backpressures(name, grid, constants) for name in models}
+    for name, values in pressures.items():
         lines = ["area_sensor\tpressure_supply\tbackpressure"]
-        for ps in supplies:
-            for a in areas:
-                p = solver(GaugeInputs(a, ps, args.orifice_area), constants)
-                lines.append(f"{a:.6f}\t{ps:.3f}\t{p:.3f}")
+        lines += [f"{a:.6f}\t{ps:.3f}\t{p:.3f}" for (a, ps, _), p in zip(grid, values)]
         path = out / f"sweep_{name}.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 
-    points = [
-        (a, solve_backpressure_adiabatic(GaugeInputs(a, 0.248, args.orifice_area), constants))
-        for a in areas
-    ]
+    curve = grid[:, 1] == SVG_SUPPLY
+    points = list(zip(grid[curve, 0].tolist(), pressures["adiabatic"][curve].tolist()))
     svg = out / "sweep_adiabatic.svg"
     svg.write_text(
         scatter_svg(
             points,
             "sensor area (mm^2)",
             "back-pressure (kPa)",
-            "Adiabatic back-pressure vs sensor area (Ps = 0.248 MPa)",
+            f"Adiabatic back-pressure vs sensor area (Ps = {SVG_SUPPLY} MPa)",
         ),
         encoding="utf-8",
     )

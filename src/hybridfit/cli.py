@@ -261,7 +261,9 @@ def _fit_hybrid(run: RunConfig, ds: dataset.Dataset, cfg: dict[str, str]) -> _Fi
     part = inference.partition(system, y)
     fstats = inference.f_statistics(part)
 
-    groups = dataset.replicate_groups(ds)
+    # Pure error needs equal fitted values within a group: group the rows
+    # of the augmented system, which share settings and theory value.
+    groups = dataset.row_groups(system.augmented)
     pe, lof_lines = _lof_summary(y, groups, fit.fitted, part.df_residual, run.alpha)
     r2, r2_max = inference.r_squared(fit, y, pe.ss_pure_error)
 

@@ -294,12 +294,34 @@ def build_design(
     return DesignMatrix(np.column_stack(columns), tuple(labels))
 
 
+def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a 2-D array by exact equality of their values.
+
+    Returns ``(first, group)``: ``group[i]`` numbers row i's group and
+    ``first[g]`` is the index of group g's first row.  Groups are numbered
+    in order of first appearance, so ``first`` is increasing.
+    """
+    _, first, inverse = np.unique(
+        values, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[inverse.ravel()]
+
+
+def row_groups(values: np.ndarray) -> list[list[int]]:
+    """Row indices grouped by identical rows of ``values``.  Singleton
+    groups are included, so the groups partition the rows; groups are in
+    order of first appearance and indices ascend within each group."""
+    _, group = identical_rows(values)
+    members = np.argsort(group, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(group)).tolist()
+    return [members[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def replicate_groups(ds: Dataset) -> list[list[int]]:
     """Row indices grouped by identical settings (exact equality of coded
     values).  Singleton groups are included, so the groups partition the
     run list; order is by first appearance."""
-    coded = code(ds)
-    seen: dict[tuple[float, ...], list[int]] = {}
-    for i in range(coded.shape[0]):
-        seen.setdefault(tuple(coded[i]), []).append(i)
-    return list(seen.values())
+    return row_groups(code(ds))

@@ -3,13 +3,14 @@
 A jet of air flows from a supply chamber through an orifice of area B, then
 out of a nozzle whose effective exit area A is set by the nozzle-to-workpiece
 clearance.  In steady state the weight flow rates through the two restrictors
-are equal, which pins the back-pressure between them.  Two flow idealizations
-are provided (adiabatic and isochoric); each yields a flow-equality equation
-solved for the back-pressure by bisection.
+are equal, which pins the back-pressure between them.  Both flow
+idealizations are solved over arrays of operating points: the isochoric
+equality in closed form, the adiabatic one by bisecting all points in
+lockstep; the one-point solvers wrap the array solver.
 
 The sqrt(2g/RT) factor common to both sides of the flow equality cancels, so
-gravity, the gas constant, and temperature never enter.  Likewise only the
-area ratio A/B matters, so areas may be given in any common unit (mm^2 in the
+gravity, the gas constant, and temperature never enter.  Only the products of
+discharge coefficient and area matter, in any common unit (mm^2 in the
 bundled data).  Supply pressure is absolute MPa; all other pressures are kPa.
 """
 
@@ -17,21 +18,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .dataset import Dataset
+import numpy as np
+
+from .dataset import Dataset, identical_rows
 from .errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
 from .hybrid import TheoryVector
 
-# The root solve bisects until the bracket collapses to adjacent floats,
-# then requires the flow-equality residual to be this small relative to the
-# orifice-side flow.  A collapsed bracket with a sign change is accepted
-# regardless: no representable value can do better when the equality is very
-# steep (roots within a few ulp of the bracket edge).
+# A root must leave a flow-equality residual this small relative to the
+# orifice-side flow, unless bisection collapsed its bracket to adjacent floats
+# with a sign change: no representable value can do better there.
 RESIDUAL_REL_TOL = 1e-9
 
 # Continuity of the two-branch flow factors at their regime boundary.
 BRANCH_CONTINUITY_TOL = 1e-9
+
+# A closed-form isochoric root within this of a ratio-1/2 boundary counts as on
+# either side: the flows meet there continuously, and rounding may cross it.
+REGIME_SLACK = 1e-12
+
+_INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class GaugeInputs:
     area_orifice: float
 
     def __post_init__(self) -> None:
-        for name in ("area_sensor", "pressure_supply", "area_orifice"):
+        for name in _INPUT_NAMES:
             v = getattr(self, name)
             if not v > 0.0:
                 raise AnalysisError(f"{name} must be positive, got {v}")
@@ -79,175 +85,167 @@ def critical_pressure_ratio(gamma: float) -> float:
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
-def flow_factor_adiabatic(pressure_ratio: float, gamma: float) -> float:
-    """Dimensionless adiabatic flow factor as a function of the
-    downstream/upstream pressure ratio.
-
-    Subsonic branch above the critical ratio, constant (choked) below it;
-    the two branches join continuously at the critical ratio.
-    """
-    if not 0.0 < pressure_ratio <= 1.0:
-        raise AnalysisError(
-            f"pressure ratio must lie in (0, 1], got {pressure_ratio}"
-        )
-    r = pressure_ratio
-    if r >= critical_pressure_ratio(gamma):
-        inner = r ** (2.0 / gamma) - r ** ((gamma + 1.0) / gamma)
-        return math.sqrt(gamma / (gamma - 1.0) * max(inner, 0.0))
-    return math.sqrt(
-        gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0))
-    )
+def flow_factor_adiabatic(pressure_ratio, gamma: float):
+    """Dimensionless adiabatic flow factor at a downstream/upstream pressure
+    ratio (a float or an array): subsonic above the critical ratio, constant
+    (choked) below it, and continuous where the two branches join."""
+    r = np.asarray(pressure_ratio, dtype=float)
+    if not np.all((r > 0.0) & (r <= 1.0)):
+        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {pressure_ratio}")
+    inner = r ** (2.0 / gamma) - r ** ((gamma + 1.0) / gamma)
+    subsonic = np.sqrt(gamma / (gamma - 1.0) * np.maximum(inner, 0.0))
+    choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
+    out = np.where(r >= critical_pressure_ratio(gamma), subsonic, choked)
+    return out if out.ndim else float(out)
 
 
-def flow_factor_isochoric(p_up: float, p_down: float) -> float:
+def flow_factor_isochoric(p_up, p_down):
     """Isochoric flow factor (kPa-scaled) for flow from ``p_up`` down to
-    ``p_down``; chokes at a pressure ratio of one half."""
-    if not 0.0 < p_down <= p_up:
-        raise AnalysisError(
-            f"need 0 < downstream <= upstream, got {p_down}, {p_up}"
-        )
-    if p_down / p_up >= 0.5:
-        return math.sqrt(p_down * (p_up - p_down))
-    return p_up / 2.0
+    ``p_down`` (floats or arrays); chokes at a pressure ratio of one half."""
+    p_up, p_down = np.asarray(p_up, dtype=float), np.asarray(p_down, dtype=float)
+    if not np.all((p_down > 0.0) & (p_down <= p_up)):
+        raise AnalysisError(f"need 0 < downstream <= upstream, got {p_down}, {p_up}")
+    out = np.where(p_down / p_up >= 0.5, np.sqrt(p_down * (p_up - p_down)), p_up / 2.0)
+    return out if out.ndim else float(out)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Bisection until the bracket collapses to adjacent floats.
-
-    The flow-equality residual is continuous and strictly decreasing in the
-    back-pressure, so bisection converges unconditionally.  Returns the final
-    bracket, whose endpoints carry residuals of opposite sign (or zero).
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, lo
-    if fhi == 0.0:
-        return hi, hi
-    if flo * fhi > 0.0:
-        raise RootBracketError(
-            "flow equality has no sign change on the bracket: "
-            f"residual {flo:.6g} at {lo:.6g} kPa and {fhi:.6g} at {hi:.6g} kPa"
-        )
+def _bisect(residual, lo, hi, flo) -> None:
+    """Bisect in place, in lockstep, every row's bracket [lo, hi] with lo < hi
+    (``flo`` = residual at lo), until it collapses to adjacent floats or hits
+    an exact zero (then lo = hi)."""
+    active = lo < hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # adjacent floats
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid, mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return lo, hi
+        active &= (mid > lo) & (mid < hi)
+        if not active.any():
+            break
+        fmid = residual(mid)
+        below = flo * fmid < 0.0        # the sign changes below mid
+        np.copyto(hi, mid, where=active & (below | (fmid == 0.0)))
+        above = active & ~below
+        np.copyto(lo, mid, where=above)
+        np.copyto(flo, fmid, where=above)
 
 
-def _solve_equality(
-    inputs: GaugeInputs,
-    constants: GaugeConstants,
-    orifice_side: Callable[[float], float],
-    sensor_side: Callable[[float], float],
-) -> float:
-    p_s = inputs.pressure_supply_kpa
-    p_a = constants.p_atm
-    if p_s <= p_a:
-        raise AnalysisError(
-            f"supply pressure {p_s} kPa must exceed outlet pressure {p_a} kPa"
-        )
+def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
+    """Closed-form isochoric back-pressure: the root of the first of the four
+    regimes (orifice, sensor each subsonic or choked at ratio 1/2) that is
+    self-consistent, NaN where none is."""
+    a2, b2, pa2 = a * a, b * b, p_atm * p_atm
+    lin = b2 * ps - a2 * p_atm
+    disc = np.sqrt(lin * lin + 4.0 * a2 * b2 * pa2)
+    candidates = (
+        # positive root of b2 p^2 - lin p - a2 pa^2 = 0, without cancellation
+        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), 2.0 * a2 * pa2 / (disc + np.abs(lin))),
+        p_atm + b2 * ps * ps / (4.0 * a2 * p_atm),    # orifice choked
+        b2 * ps / (b2 + 0.25 * a2),                   # sensor choked
+        b * ps / a,                                   # both choked
+    )
 
-    def residual(p: float) -> float:
-        return orifice_side(p) - sensor_side(p)
+    def on_side(ratio, choked):
+        return ((ratio < 0.5) == choked) | (np.abs(ratio - 0.5) <= REGIME_SLACK)
 
-    eps = 1e-9 * (p_s - p_a)
-    lo, hi = _bisect(residual, p_a + eps, p_s - eps)
-    root = hi if abs(residual(hi)) < abs(residual(lo)) else lo
-    reference = orifice_side(root)
-    collapsed = math.nextafter(lo, math.inf) >= hi
-    if not collapsed and abs(residual(root)) > RESIDUAL_REL_TOL * max(reference, 1e-300):
-        raise InconsistencyError(
-            f"flow-equality residual {residual(root):.3e} at the returned "
-            f"root exceeds {RESIDUAL_REL_TOL:g} of the orifice-side flow "
-            f"{reference:.6g}"
-        )
+    consistent = [on_side(p / ps, orifice) & on_side(p_atm / p, sensor) for p, orifice, sensor
+                  in zip(candidates, (False, True, False, True), (False, False, True, True))]
+    return np.select(consistent, candidates, default=np.nan)
+
+
+def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
+    """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
+    flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
+    ``points``.  Each row is checked for positive inputs, supply above p_atm,
+    a sign change on the bracket (:class:`RootBracketError`) and the residual
+    at the root (:class:`InconsistencyError`); the earliest failing row is
+    named ``row k``, k being its entry in ``rows`` (default 1..n)."""
+    if model not in ("adiabatic", "isochoric"):
+        raise AnalysisError(f"unknown gauge model {model!r}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ShapeError(f"operating points must be n x 3, got shape {points.shape}")
+    rows = np.arange(1, len(points) + 1) if rows is None else rows
+    p_atm, gamma = constants.p_atm, constants.gamma
+    scaled = [constants.c_sensor, 1000.0, constants.c_orifice] * points
+    nonpositive, low_supply = ~(points > 0.0), ~(scaled[:, 1] > p_atm)
+    # Rows failing these checks are solved at a harmless stand-in point, so
+    # the other rows still run and the earliest failure can be named.
+    invalid = (nonpositive.any(axis=1) | low_supply)[:, None]
+    a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
+
+    def flows(p):
+        if model == "adiabatic":
+            return (b * ps * flow_factor_adiabatic(p / ps, gamma),
+                    a * p * flow_factor_adiabatic(p_atm / p, gamma))
+        return b * flow_factor_isochoric(ps, p), a * flow_factor_isochoric(p, p_atm)
+
+    def residual(p):
+        return np.subtract(*flows(p))
+
+    eps = 1e-9 * (ps - p_atm)
+    bracket = p_atm + eps, ps - eps
+    flo, fhi = residual(bracket[0]), residual(bracket[1])
+    no_sign_change = flo * fhi > 0.0
+    no_regime = collapsed = np.zeros(len(points), dtype=bool)
+    if model == "adiabatic":
+        hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
+        lo = np.where(fhi == 0.0, hi, bracket[0])
+        _bisect(residual, lo, hi, flo.copy())
+        (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
+        take_hi = np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo)
+        root = np.where(take_hi, hi, lo)
+        orifice, sensor = np.where(take_hi, o_hi, o_lo), np.where(take_hi, s_hi, s_lo)
+        collapsed = np.nextafter(lo, np.inf) >= hi
+    else:
+        root = _isochoric_root(a, ps, b, p_atm)
+        no_regime = np.isnan(root)
+        root = np.fmin(np.fmax(root, bracket[0]), bracket[1])  # NaN -> bracket[0]
+        orifice, sensor = flows(root)
+    gap = orifice - sensor
+    bad_residual = ~collapsed & ~(np.abs(gap) <= RESIDUAL_REL_TOL * np.maximum(orifice, 1e-300))
+
+    checks = [
+        (nonpositive.any(axis=1), AnalysisError, lambda i: "{} must be positive, got {}".format(
+            *next((n, v) for n, v in zip(_INPUT_NAMES, points[i]) if not v > 0.0))),
+        (low_supply, AnalysisError, lambda i: (
+            f"supply pressure {scaled[i, 1]} kPa must exceed outlet pressure {p_atm} kPa")),
+        (no_sign_change, RootBracketError, lambda i: (
+            f"flow equality has no sign change on the bracket: residual {flo[i]:.6g} "
+            f"at {bracket[0][i]:.6g} kPa and {fhi[i]:.6g} at {bracket[1][i]:.6g} kPa")),
+        (no_regime, InconsistencyError, lambda i: "no isochoric flow regime is self-consistent"),
+        (bad_residual, InconsistencyError, lambda i: (
+            f"flow-equality residual {gap[i]:.3e} at the returned root exceeds "
+            f"{RESIDUAL_REL_TOL:g} of the orifice-side flow {orifice[i]:.6g}")),
+    ]
+    i = min((int(np.argmax(mask)) for mask, _, _ in checks if mask.any()), default=None)
+    if i is not None:
+        _, error, message = next(check for check in checks if check[0][i])
+        raise error(f"row {rows[i]}: {message(i)}")
     return root
 
 
-def solve_backpressure_adiabatic(
-    inputs: GaugeInputs, constants: GaugeConstants
-) -> float:
+def solve_backpressure_adiabatic(inputs: GaugeInputs, constants: GaugeConstants) -> float:
     """Back-pressure (kPa) balancing adiabatic flow through orifice and
     sensor.  Unique root of the flow equality in (p_atm, supply)."""
-    p_s = inputs.pressure_supply_kpa
-    g = constants.gamma
-
-    def orifice_side(p: float) -> float:
-        return (
-            constants.c_orifice
-            * inputs.area_orifice
-            * p_s
-            * flow_factor_adiabatic(p / p_s, g)
-        )
-
-    def sensor_side(p: float) -> float:
-        return (
-            constants.c_sensor
-            * inputs.area_sensor
-            * p
-            * flow_factor_adiabatic(constants.p_atm / p, g)
-        )
-
-    return _solve_equality(inputs, constants, orifice_side, sensor_side)
+    point = [[inputs.area_sensor, inputs.pressure_supply, inputs.area_orifice]]
+    return float(solve_backpressures("adiabatic", point, constants)[0])
 
 
-def solve_backpressure_isochoric(
-    inputs: GaugeInputs, constants: GaugeConstants
-) -> float:
+def solve_backpressure_isochoric(inputs: GaugeInputs, constants: GaugeConstants) -> float:
     """Back-pressure (kPa) balancing isochoric flow through orifice and
     sensor."""
-    p_s = inputs.pressure_supply_kpa
-
-    def orifice_side(p: float) -> float:
-        return constants.c_orifice * inputs.area_orifice * flow_factor_isochoric(p_s, p)
-
-    def sensor_side(p: float) -> float:
-        return constants.c_sensor * inputs.area_sensor * flow_factor_isochoric(
-            p, constants.p_atm
-        )
-
-    return _solve_equality(inputs, constants, orifice_side, sensor_side)
+    point = [[inputs.area_sensor, inputs.pressure_supply, inputs.area_orifice]]
+    return float(solve_backpressures("isochoric", point, constants)[0])
 
 
-_SOLVERS = {
-    "adiabatic": solve_backpressure_adiabatic,
-    "isochoric": solve_backpressure_isochoric,
-}
-
-
-def simulate_design(
-    ds: Dataset, model: str, constants: GaugeConstants
-) -> TheoryVector:
+def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> TheoryVector:
     """Run the chosen flow solver at every row of the design.
 
     The dataset's factors must be (sensor area mm^2, supply pressure MPa,
-    orifice area mm^2) in that order.  The simulation is deterministic:
-    identical rows give bit-identical back-pressures.
+    orifice area mm^2) in that order.  Each distinct row is solved once and
+    its value copied to its repeats, so identical rows get bit-identical
+    back-pressures.  Errors name the first row that fails.
     """
-    if model not in _SOLVERS:
-        raise AnalysisError(f"unknown gauge model {model!r}")
     if ds.n_factors != 3:
-        raise ShapeError(
-            f"gauge simulation needs the three factors (A, Ps, B), got "
-            f"{ds.n_factors}"
-        )
-    solver = _SOLVERS[model]
-    values = []
-    cache: dict[tuple[float, ...], float] = {}
-    for i, row in enumerate(ds.naturals):
-        key = tuple(row)
-        if key not in cache:
-            try:
-                cache[key] = solver(GaugeInputs(*row), constants)
-            except AnalysisError as exc:
-                raise type(exc)(f"row {i + 1}: {exc}") from exc
-        values.append(cache[key])
-    return TheoryVector(values=values, source_label=model)
+        raise ShapeError(f"gauge simulation needs the three factors (A, Ps, B), got {ds.n_factors}")
+    first, group = identical_rows(ds.naturals)
+    values = solve_backpressures(model, ds.naturals[first], constants, rows=first + 1)
+    return TheoryVector(values=values[group], source_label=model)

@@ -152,7 +152,10 @@ def pure_error(
 
     Pure error pools the squared deviations of replicate observations from
     their group means; its degrees of freedom are the pooled (group size - 1).
-    Lack of fit is the remainder of the residual sum of squares.
+    Lack of fit is the remainder of the residual sum of squares.  The split
+    is valid only if the fitted values are equal within each group: group
+    runs whose model-matrix rows are identical (for the hybrid model, the
+    same settings and the same theory value).
     """
     y = np.asarray(y, dtype=float).ravel()
     fitted = np.asarray(fitted, dtype=float).ravel()

@@ -194,7 +194,8 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
         _check_vector(checks, f"{label}.fitted", fitted_ref, fit.fitted, 0.5, "abs")
         part = inference.partition(system, y5)
         fstats = inference.f_statistics(part)
-        pe = inference.pure_error(y5, groups5, fit.fitted, part.df_residual)
+        groups = dataset.row_groups(system.augmented)
+        pe = inference.pure_error(y5, groups, fit.fitted, part.df_residual)
         f_lof, _ = inference.lack_of_fit_test(pe)
         lof_stats[label] = (f_lof, pe)
         checks.append(CheckResult(f"{label}.ss_design", 5.007e5, part.ss_design, 0.005, "rel"))

@@ -142,6 +142,21 @@ class TestFit:
         assert "gauge constants" in summary
         assert "theory source: adiabatic" in summary
 
+    def test_hybrid_theory_varying_within_replicates(self, data_dir, tmp_path):
+        # z = P_obs differs across the three centre runs, so their augmented
+        # rows differ: no pure-error group, and the verdict is reported
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--model", "hybrid",
+            "--theory", "column:P_obs",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "lack of fit: test unavailable (no replicate runs)" in summary
+
     def test_hybrid_with_ones_column_reproduces_mlr1(self, data_dir, tmp_path):
         src = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
         augmented = [src[0] + "\tones"] + [ln + "\t1.0" for ln in src[1:]]

@@ -215,3 +215,28 @@ class TestReplicateGroups:
             groups = dataset.replicate_groups(ds)
             flat = sorted(i for g in groups for i in g)
             assert flat == list(range(ds.n_runs))
+
+
+class TestIdenticalRows:
+    def test_numbered_by_first_appearance(self):
+        rows = np.array([[2.0, 1.0], [0.0, 5.0], [2.0, 1.0], [-1.0, 0.0], [0.0, 5.0]])
+        first, group = dataset.identical_rows(rows)
+        assert first.tolist() == [0, 1, 3]
+        assert group.tolist() == [0, 1, 0, 2, 1]
+        assert dataset.row_groups(rows) == [[0, 2], [1, 4], [3]]
+
+    def test_groups_by_value(self):
+        # signed zeros compare equal, as tuple keys do
+        first, group = dataset.identical_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        assert first.tolist() == [0] and group.tolist() == [0, 0]
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5]),
+                              st.sampled_from([1.0, 2.0])), min_size=1, max_size=30))
+    @settings(deadline=None)
+    def test_matches_brute_force(self, rows):
+        rows = np.array(rows)
+        groups = dataset.row_groups(rows)
+        assert {frozenset(g) for g in groups} == brute_force_groups(rows)
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        assert all(g == sorted(g) for g in groups)
+

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridfit import gauge
-from hybridfit.errors import AnalysisError, RootBracketError, ShapeError
+from hybridfit.dataset import Dataset, FactorSpec
+from hybridfit.errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
 from hybridfit.gauge import GaugeConstants, GaugeInputs
 
 # Recorded back-pressure columns of the case-study factorial design,
@@ -17,6 +18,69 @@ BACKPRESSURE_ISOCHORIC = (187.410, 116.513, 279.595, 136.175, 196.582,
                           155.431, 293.388, 226.924, 204.463, 204.463, 204.463)
 
 DEFAULTS = GaugeConstants()
+
+
+# ---------------------------------------------------------------------------
+# Reference solver: scalar bisection of the flow equality, one point at a
+# time, written with the math module and independent of the array solver.
+# ---------------------------------------------------------------------------
+
+def oracle_factor_adiabatic(r, gamma):
+    if r >= (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0)):
+        inner = r ** (2.0 / gamma) - r ** ((gamma + 1.0) / gamma)
+        return math.sqrt(gamma / (gamma - 1.0) * max(inner, 0.0))
+    return math.sqrt(
+        gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0))
+    )
+
+
+def oracle_factor_isochoric(p_up, p_down):
+    if p_down / p_up >= 0.5:
+        return math.sqrt(p_down * (p_up - p_down))
+    return p_up / 2.0
+
+
+def oracle_residual(model, inputs, k):
+    """Orifice-side minus sensor-side flow as a function of back-pressure."""
+    a = k.c_sensor * inputs.area_sensor
+    b = k.c_orifice * inputs.area_orifice
+    ps = inputs.pressure_supply_kpa
+    if model == "adiabatic":
+        return lambda p: (b * ps * oracle_factor_adiabatic(p / ps, k.gamma)
+                          - a * p * oracle_factor_adiabatic(k.p_atm / p, k.gamma))
+    return lambda p: (b * oracle_factor_isochoric(ps, p)
+                      - a * oracle_factor_isochoric(p, k.p_atm))
+
+
+def oracle_bisect(f, lo, hi):
+    """Bisection until the bracket collapses to adjacent floats."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo, lo
+    if fhi == 0.0:
+        return hi, hi
+    if flo * fhi > 0.0:
+        raise RootBracketError(f"no sign change: {flo:.6g}, {fhi:.6g}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return lo, hi
+
+
+def oracle_backpressure(model, inputs, k):
+    f = oracle_residual(model, inputs, k)
+    ps = inputs.pressure_supply_kpa
+    eps = 1e-9 * (ps - k.p_atm)
+    lo, hi = oracle_bisect(f, k.p_atm + eps, ps - eps)
+    return hi if abs(f(hi)) < abs(f(lo)) else lo
 
 
 class TestFlowFactorAdiabatic:
@@ -153,8 +217,12 @@ class TestBackpressureSolvers:
             assert abs(pa - pv) < 2.5
 
     def test_bracket_error_reports_residuals(self):
-        with pytest.raises(RootBracketError, match="residual"):
-            gauge._bisect(lambda p: 1.0 + p * 0.0, 1.0, 2.0)
+        # so nearly dead-ended that the root lies within the bracket's 1e-9
+        # margin below the supply: the residual is positive at both ends
+        inputs = GaugeInputs(area_sensor=1e-9, pressure_supply=0.199, area_orifice=0.503)
+        for solver in (gauge.solve_backpressure_adiabatic, gauge.solve_backpressure_isochoric):
+            with pytest.raises(RootBracketError, match="no sign change.*residual"):
+                solver(inputs, DEFAULTS)
 
 
 class TestMonotonicity:
@@ -188,6 +256,18 @@ class TestSimulateDesign:
         theory = gauge.simulate_design(factorial, "adiabatic", DEFAULTS)
         assert theory.values[8] == theory.values[9] == theory.values[10]
 
+    def test_each_distinct_row_solved_once(self, factorial, monkeypatch):
+        sizes = []
+        solve = gauge.solve_backpressures
+
+        def counting(model, points, *args, **kwargs):
+            sizes.append(len(points))
+            return solve(model, points, *args, **kwargs)
+
+        monkeypatch.setattr(gauge, "solve_backpressures", counting)
+        gauge.simulate_design(factorial, "adiabatic", DEFAULTS)
+        assert sizes == [9]  # 11 runs, three of them the same centre point
+
     def test_row_index_in_errors(self, factorial):
         bad = GaugeConstants(p_atm=500.0)
         with pytest.raises(AnalysisError, match="row 1"):
@@ -217,3 +297,120 @@ class TestConstants:
             GaugeConstants(c_orifice=0.0)
         with pytest.raises(AnalysisError):
             GaugeInputs(-1.0, 0.2, 0.5)
+
+
+# operating points and constants well inside the solvers' domain
+AREAS = st.floats(0.05, 5.0)
+SUPPLIES = st.floats(0.12, 1.5)
+POINTS = st.lists(st.tuples(AREAS, SUPPLIES, AREAS), min_size=1, max_size=12)
+CONSTANTS = st.builds(
+    GaugeConstants,
+    gamma=st.floats(1.1, 1.7),
+    p_atm=st.floats(90.0, 110.0),
+    c_orifice=st.floats(0.05, 1.0),
+    c_sensor=st.floats(0.05, 1.0),
+)
+
+
+class TestAgainstOracle:
+    @given(points=POINTS, k=CONSTANTS)
+    @settings(deadline=None, max_examples=60)
+    def test_adiabatic(self, points, k):
+        got = gauge.solve_backpressures("adiabatic", np.array(points), k)
+        for point, p in zip(points, got):
+            inputs = GaugeInputs(*point)
+            assert p == pytest.approx(oracle_backpressure("adiabatic", inputs, k), rel=1e-9)
+            f = oracle_residual("adiabatic", inputs, k)
+            below = max(p * (1.0 - 1e-9), k.p_atm)
+            above = min(p * (1.0 + 1e-9), inputs.pressure_supply_kpa)
+            assert f(below) >= 0.0 >= f(above)
+
+    @given(points=POINTS, k=CONSTANTS)
+    @settings(deadline=None, max_examples=60)
+    def test_isochoric(self, points, k):
+        got = gauge.solve_backpressures("isochoric", np.array(points), k)
+        for point, p in zip(points, got):
+            ref = oracle_backpressure("isochoric", GaugeInputs(*point), k)
+            assert p == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "point, orifice_choked, sensor_choked",
+        [
+            ((0.251, 0.199, 0.503), False, False),
+            ((1.0, 1.0, 0.1), True, False),
+            ((0.5, 1.0, 1.0), False, True),
+            ((1.0, 1.0, 0.3), True, True),
+        ],
+    )
+    def test_isochoric_regimes(self, point, orifice_choked, sensor_choked):
+        inputs = GaugeInputs(*point)
+        p = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
+        ps = inputs.pressure_supply_kpa
+        assert (p / ps < 0.5) == orifice_choked
+        assert (DEFAULTS.p_atm / p < 0.5) == sensor_choked
+        assert p == pytest.approx(oracle_backpressure("isochoric", inputs, DEFAULTS), rel=1e-12)
+        if orifice_choked and sensor_choked:
+            a, b = inputs.area_sensor, inputs.area_orifice
+            assert p == pytest.approx(b * ps / a, rel=1e-15)
+
+    # roots that sit on a ratio-1/2 regime boundary, where rounding can push
+    # every closed-form candidate just over its own side of the line
+    BOUNDARY_POINTS = [
+        (1.4384333625697947, 0.9907541834560916, 0.7192166812848975),
+        (0.8122841069606476, 0.6074332131592693, 0.2709917250316942),
+        (2.6253208695280716, 1.0989937039598459, 0.48409856425283243),
+    ]
+
+    @pytest.mark.parametrize("point", BOUNDARY_POINTS)
+    def test_isochoric_root_on_regime_boundary(self, point):
+        inputs = GaugeInputs(*point)
+        p = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
+        assert p == pytest.approx(oracle_backpressure("isochoric", inputs, DEFAULTS), rel=1e-12)
+
+    def test_no_consistent_regime_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(gauge, "REGIME_SLACK", 0.0)
+        with pytest.raises(InconsistencyError, match="no isochoric flow regime"):
+            gauge.solve_backpressure_isochoric(GaugeInputs(*self.BOUNDARY_POINTS[0]), DEFAULTS)
+
+
+def design(rows):
+    specs = (FactorSpec("A", 0.1, 2.0), FactorSpec("Ps", 0.05, 1.0), FactorSpec("B", 0.1, 2.0))
+    return Dataset(factors=specs, naturals=np.array(rows), response=np.zeros(len(rows)))
+
+
+class TestManyRows:
+    GOOD = [(0.2 + 0.1 * i, 0.199 + 0.01 * i, 0.5 + 0.05 * i) for i in range(12)]
+
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_first_bad_row_is_named(self, model):
+        rows = list(self.GOOD)
+        rows[6] = (0.5, 0.09, 0.5)          # row 7: supply below atmosphere
+        rows[9] = (-0.5, 0.2, 0.5)          # row 10: negative area
+        rows[11] = rows[6]
+        with pytest.raises(AnalysisError, match=r"^row 7: supply pressure"):
+            gauge.simulate_design(design(rows), model, DEFAULTS)
+
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_earliest_row_wins_across_checks(self, model):
+        # row 7 fails only after its bracket is evaluated; row 9 fails the
+        # input check that runs first: the error is still about row 7
+        rows = list(self.GOOD)
+        rows[6] = (1e-9, 0.199, 0.503)
+        rows[8] = (0.5, 0.2, 0.0)
+        with pytest.raises(RootBracketError, match=r"^row 7: flow equality"):
+            gauge.simulate_design(design(rows), model, DEFAULTS)
+        with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive"):
+            gauge.simulate_design(design(self.GOOD[:7] + rows[7:]), model, DEFAULTS)
+
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_distant_replicates_bit_identical(self, model):
+        rng = np.random.default_rng(7)
+        rows = np.column_stack([
+            rng.uniform(0.251, 1.257, 60), rng.uniform(0.199, 0.297, 60),
+            rng.uniform(0.503, 1.131, 60),
+        ])
+        rows[59], rows[41] = rows[0], rows[3]
+        values = gauge.simulate_design(design(rows), model, DEFAULTS).values
+        assert values[59] == values[0] and values[41] == values[3]
+        alone = gauge.solve_backpressures(model, rows[:1], DEFAULTS)[0]
+        assert values[0] == pytest.approx(alone, rel=1e-15)
