@@ -23,11 +23,11 @@ def run(argv: list[str]) -> None:
         sys.exit(rc)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data-dir", default=str(REPO / "data"))
     parser.add_argument("--out", default=str(REPO / "out"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     data_dir = Path(args.data_dir)
     out = Path(args.out)

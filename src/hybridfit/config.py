@@ -1,4 +1,5 @@
-"""Key-value config files: factor definitions, gauge constants, run defaults.
+"""Key-value config files: factor definitions, gauge constants, run defaults,
+and :func:`load_case`, which loads a data table with the spec describing it.
 
 The format is one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  Factor keys look like ``factor.<name>.low``; factors keep the order
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .dataset import FactorSpec
+from .dataset import Dataset, FactorSpec, TableSchema, load_table
 from .errors import SchemaError
 from .gauge import GaugeConstants
 
@@ -106,6 +107,25 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
             kwargs[name] = default
             defaulted.append(name)
     return GaugeConstants(**kwargs), tuple(defaulted)
+
+
+def load_case(
+    data_path: str | Path, spec_path: str | Path, extras: tuple[str, ...] = ()
+) -> tuple[Dataset, dict[str, str]]:
+    """Read a spec file and the data table it describes.
+
+    The spec names the factor and response columns; ``extras`` names further
+    columns to carry along (for example a recorded theory column).  Returns
+    the dataset and the parsed spec, whose gauge constants and run defaults
+    the caller may still need.
+    """
+    cfg = read_keyvalues(spec_path)
+    response, units = response_column(cfg)
+    schema = TableSchema(
+        factors=factor_specs(cfg), response=response, extras=tuple(extras),
+        response_units=units,
+    )
+    return load_table(data_path, schema), cfg
 
 
 def run_default(cfg: dict[str, str], name: str) -> str | None:

@@ -299,10 +299,15 @@ def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(first, group)``: ``group[i]`` numbers row i's group and
     ``first[g]`` is the index of group g's first row.  Groups are numbered
-    in order of first appearance, so ``first`` is increasing.
+    in order of first appearance, so ``first`` is increasing.  Signed zeros
+    compare equal, as they do as numbers.
     """
+    # Adding 0.0 folds -0.0 into 0.0, so each row's bytes are a key for its
+    # values; one sort of the byte keys is much cheaper than np.unique(axis=0).
+    rows = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)) + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
     _, first, inverse = np.unique(
-        values, axis=0, return_index=True, return_inverse=True
+        keys.ravel(), return_index=True, return_inverse=True
     )
     order = np.argsort(first)
     number = np.empty_like(order)

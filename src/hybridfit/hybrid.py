@@ -168,8 +168,9 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
 def _require_full_rank_design(sys: HybridSystem) -> None:
     if sys.basis_design.shape[1] < sys.n_coef:
         raise RankError(
-            "hybrid solve needs a full-column-rank design matrix; got shape "
-            f"{sys.design.values.shape} with rank {sys.basis_design.shape[1]}"
+            f"design matrix of shape {sys.design.values.shape} is rank "
+            f"deficient (rank {sys.basis_design.shape[1]} of {sys.n_coef} "
+            "columns); its coefficients are not estimable"
         )
 
 

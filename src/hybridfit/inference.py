@@ -94,13 +94,15 @@ def partition(sys: HybridSystem, y: np.ndarray) -> SSPartition:
     coords_excess = sys.basis_excess.T @ y
     ss_design = float(coords_design @ coords_design)
     ss_theory_gain = float(coords_excess @ coords_excess)
-    ss_residual = ss_total - ss_design - ss_theory_gain
-    scale = max(ss_total, 1.0)
-    if not ss_residual >= -SS_REL_TOL * scale:
+    # The norm of the residual itself, not y'y less the fitted part: that
+    # difference loses every digit when the fit is close to exact.
+    fitted = sys.basis_design @ coords_design + sys.basis_excess @ coords_excess
+    resid = y - fitted
+    ss_residual = float(resid @ resid)
+    if not np.isfinite(ss_residual):
         raise InconsistencyError(
-            f"residual sum of squares {ss_residual:.3e} is negative or not a number"
+            f"residual sum of squares is not a number: {ss_residual}"
         )
-    ss_residual = max(ss_residual, 0.0)
     p1 = sys.n_coef
     return SSPartition(
         ss_total=ss_total,
@@ -293,38 +295,3 @@ def box_wetz_ratio(f_critical: float, f_lack_of_fit: float) -> tuple[float, bool
         )
     ratio = f_critical / f_lack_of_fit
     return ratio, ratio >= 4.0
-
-
-@dataclass(frozen=True)
-class MlrPartition:
-    """Classical about-the-mean decomposition for a plain polynomial fit."""
-
-    ss_regression: float
-    ss_residual: float
-    ss_total_about_mean: float
-    df_regression: int
-    df_residual: int
-    df_total: int
-    n_runs: int
-
-
-def mlr_partition(y: np.ndarray, fitted: np.ndarray, n_coef: int) -> MlrPartition:
-    """About-the-mean ANOVA decomposition for an ordinary least-squares fit
-    with ``n_coef`` coefficients including the intercept."""
-    y = np.asarray(y, dtype=float).ravel()
-    fitted = np.asarray(fitted, dtype=float).ravel()
-    if y.shape != fitted.shape:
-        raise ShapeError("y and fitted values must have the same length")
-    n = y.shape[0]
-    resid = y - fitted
-    ss_residual = float(resid @ resid)
-    ss_total = float(y @ y - n * y.mean() ** 2)
-    return MlrPartition(
-        ss_regression=ss_total - ss_residual,
-        ss_residual=ss_residual,
-        ss_total_about_mean=ss_total,
-        df_regression=n_coef - 1,
-        df_residual=n - n_coef,
-        df_total=n - 1,
-        n_runs=n,
-    )

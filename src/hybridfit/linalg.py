@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ShapeError
 
 # Relative cutoff on singular values when deciding rank.
 RANK_TOL = 1e-10
@@ -75,22 +74,3 @@ def thin_svd(
         scale = s[0]
     keep = s > tol * scale
     return ThinSvd(basis=u[:, keep], singular_values=s[keep], right=vt[keep].T)
-
-
-def ols_solve(design: np.ndarray, y: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Least-squares coefficients (X'X)^{-1} X'y for a full-column-rank design.
-
-    Raises :class:`RankError` when the design is rank deficient; the
-    rank-deficient path lives in :mod:`hybridfit.hybrid`.
-    """
-    x = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"{x.shape[0]} design rows but {y.shape[0]} responses")
-    if matrix_rank(x, tol) < x.shape[1]:
-        raise RankError(
-            f"design matrix of shape {x.shape} is rank deficient "
-            f"(rank {matrix_rank(x, tol)})"
-        )
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    return coef

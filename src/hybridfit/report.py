@@ -1,5 +1,6 @@
-"""Report rendering: ANOVA tables (text and delimited rows), coefficient
-files, residual-plot point files, and standalone SVG plots.
+"""Report rendering: the summary lines and the three ANOVA tables of an
+:class:`~hybridfit.analysis.Analysis`, ANOVA tables as text and delimited
+rows, coefficient files, residual-plot point files, and standalone SVG plots.
 
 All output is plain text with fixed float formatting, so identical analyses
 produce byte-identical files.  Text tables print sums of squares and mean
@@ -15,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .analysis import Analysis, FTest
+from .gauge import GaugeConstants
 from .inference import (
-    MlrPartition,
     PureErrorDecomposition,
     ResidualDiagnostics,
     SSPartition,
@@ -108,8 +110,10 @@ def _f_and_p(ms_num: float | None, df_num: int, ms_den: float | None, df_den: in
     return f, 1.0 - f_cdf(f, df_num, df_den)
 
 
-def hybrid_anova_overall(part: SSPartition) -> AnovaReport:
-    """Overall fit table: regression on all ranked directions vs residual."""
+def anova_overall(part: SSPartition) -> AnovaReport:
+    """Overall fit table: regression on all ranked directions vs residual,
+    uncorrected for the mean (for a plain polynomial the intercept stays in
+    the regression row)."""
     ms_res = _mean_square(part.ss_residual, part.df_residual)
     ms_reg = _mean_square(part.ss_regression, part.df_regression)
     f, p = _f_and_p(ms_reg, part.df_regression, ms_res, part.df_residual)
@@ -189,64 +193,115 @@ def _lof_rows(pe: PureErrorDecomposition | None) -> list[AnovaRow]:
     ]
 
 
-def mlr_anova_uncorrected(
-    y: np.ndarray, fitted: np.ndarray, n_coef: int
-) -> AnovaReport:
-    """Uncorrected overall table for a plain polynomial fit (intercept kept
-    in the regression row)."""
-    y = np.asarray(y, dtype=float).ravel()
-    fitted = np.asarray(fitted, dtype=float).ravel()
-    n = y.shape[0]
-    ss_total = float(y @ y)
-    ss_reg = float(fitted @ y)
-    ss_res = ss_total - ss_reg
-    df_res = n - n_coef
-    ms_res = _mean_square(ss_res, df_res)
-    ms_reg = _mean_square(ss_reg, n_coef)
-    f, p = _f_and_p(ms_reg, n_coef, ms_res, df_res)
-    return AnovaReport(
-        title="Analysis of variance: overall fit",
-        rows=(
-            AnovaRow("Regression", ss_reg, n_coef, ms_reg, f, p),
-            AnovaRow("Residual", ss_res, df_res, ms_res),
-            AnovaRow("Total", ss_total, n),
-        ),
-    )
-
-
-def mlr_anova_corrected(
-    part: MlrPartition, pe: PureErrorDecomposition | None
-) -> AnovaReport:
-    """Classical about-the-mean ANOVA for a plain polynomial fit, with the
-    lack-of-fit breakdown when replicates exist."""
+def _about_mean_rows(part: SSPartition, ss_about_mean: float) -> list[AnovaRow]:
+    """Regression, residual and total rows about the mean for a plain
+    polynomial fit (z = 1): the intercept leaves the regression row, and the
+    total is y'y - n ybar^2 on n - 1 df."""
+    ss_reg = ss_about_mean - part.ss_residual
+    df_reg = part.df_design - 1
     ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_reg = _mean_square(part.ss_regression, part.df_regression)
-    f0, p0 = _f_and_p(ms_reg, part.df_regression, ms_res, part.df_residual)
-    rows = [
-        AnovaRow("Regression", part.ss_regression, part.df_regression, ms_reg, f0, p0),
+    ms_reg = _mean_square(ss_reg, df_reg)
+    f0, p0 = _f_and_p(ms_reg, df_reg, ms_res, part.df_residual)
+    return [
+        AnovaRow("Regression", ss_reg, df_reg, ms_reg, f0, p0),
         AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
+        AnovaRow("Total (about mean)", ss_about_mean, part.n_runs - 1),
     ]
-    rows += _lof_rows(pe)
-    rows.append(AnovaRow("Total (about mean)", part.ss_total_about_mean, part.df_total))
-    return AnovaReport(
-        title="Analysis of variance about the mean",
-        rows=tuple(rows),
+
+
+def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
+    """The three ANOVA tables of a fit, keyed by their file stem.  A plain
+    polynomial fit gets classical about-the-mean tables in place of the
+    split into linear term and theory correction."""
+    if a.is_mlr:
+        regression, residual, total = _about_mean_rows(a.part, a.ss_about_mean)
+        detail = AnovaReport(
+            "Analysis of variance about the mean",
+            (regression, residual, *_lof_rows(a.pure_error), total),
+        )
+        brief = AnovaReport(
+            "Analysis of variance about the mean (abbreviated)",
+            (regression, residual, total),
+        )
+    else:
+        detail = hybrid_anova_partitioned(a.part, a.pure_error)
+        brief = hybrid_anova_corrected(a.part)
+    return {
+        "anova_table2": anova_overall(a.part),
+        "anova_table3": detail,
+        "anova_table4": brief,
+    }
+
+
+def constants_line(constants: GaugeConstants, defaulted: tuple[str, ...]) -> str:
+    """Echo of the gauge constants a simulation used."""
+    line = (
+        f"gauge constants: gamma={constants.gamma:g}, "
+        f"p_atm={constants.p_atm:g} kPa, c_orifice={constants.c_orifice:g}, "
+        f"c_sensor={constants.c_sensor:g}"
+    )
+    if defaulted:
+        line += f" (defaults applied for: {', '.join(defaulted)})"
+    return line
+
+
+def _f_line(name: str, test: FTest, alpha: float, with_p: bool) -> str:
+    p = f"p = {test.p:.4g}, " if with_p else ""
+    return (
+        f"{name}: F({test.df_num},{test.df_den}) = {test.f:.6g}, {p}"
+        f"critical at alpha={alpha:g}: {test.critical:.6g}"
     )
 
 
-def mlr_anova_regression_only(part: MlrPartition) -> AnovaReport:
-    """Abbreviated about-the-mean table without the lack-of-fit breakdown."""
-    ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_reg = _mean_square(part.ss_regression, part.df_regression)
-    f0, p0 = _f_and_p(ms_reg, part.df_regression, ms_res, part.df_residual)
-    return AnovaReport(
-        title="Analysis of variance about the mean (abbreviated)",
-        rows=(
-            AnovaRow("Regression", part.ss_regression, part.df_regression, ms_reg, f0, p0),
-            AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
-            AnovaRow("Total (about mean)", part.ss_total_about_mean, part.df_total),
-        ),
-    )
+def summary_lines(a: Analysis) -> list[str]:
+    """The body of ``summary.txt``: sizes, error variance, R-squared, the F
+    tests, and the lack-of-fit verdict with its prediction margin."""
+    part = a.part
+    if a.is_mlr:
+        lines = [f"runs: {part.n_runs}; coefficients: {part.df_design}"]
+        tests = [("significance of regression", a.regression, True)]
+    else:
+        lines = [
+            f"theory source: {a.system.theory.source_label}",
+            f"runs: {part.n_runs}; coefficients per block: {part.df_design}; "
+            f"model rank: {a.system.rank}",
+        ]
+        tests = [
+            ("linear term", a.regression, False),
+            ("theory correction", a.theory_gain, False),
+        ]
+    lines += [
+        f"residual degrees of freedom: {part.df_residual}",
+        f"residual variance estimate: {a.fit.sigma2:.4g}",
+        "residual sample standard deviation (about-mean df): "
+        f"{np.sqrt(part.ss_residual / (part.n_runs - 1)):.3f}",
+        f"R^2 = {a.r2:.6f}, attainable maximum = {a.r2_max:.6f}",
+    ]
+    lines += [
+        _f_line(name, test, a.alpha, with_p)
+        + (" -> significant" if test.significant else " -> not significant")
+        for name, test, with_p in tests
+        if test is not None
+    ]
+    lof = a.lack_of_fit
+    if lof is None:
+        lines.append("lack of fit: test unavailable (no replicate runs)")
+    else:
+        lines += [
+            _f_line("lack of fit", lof, a.alpha, with_p=True),
+            "model adequacy verdict: "
+            + ("inadequate" if lof.significant else "adequate"),
+        ]
+    if a.box_wetz is not None:
+        margin, useful = a.box_wetz
+        lines += [
+            f"prediction margin (critical / observed lack-of-fit F): {margin:.3f}",
+            "useful predictor by the four-to-five-times rule: "
+            + ("yes" if useful else "no"),
+        ]
+    if a.constants is not None:
+        lines.append(constants_line(*a.constants))
+    return lines
 
 
 def render_coefficients(

@@ -5,21 +5,24 @@ two-level factorial with replicated center runs, and a 15-run Box-Behnken
 design) together with known-good reference outputs for every analysis this
 package performs on them: plain polynomial fits of first and second order,
 the two theory-scaled fits, the flow solvers, and the headline adequacy
-verdicts.  :func:`run_validation` recomputes everything from the bundled
-files and compares number by number, which makes it both an install check
-and a regression test for the numerical core.
+verdicts.  :func:`run_validation` loads the bundled files with
+:func:`hybridfit.config.load_case`, runs the four fits through
+:func:`hybridfit.analysis.analyze` -- the pipeline behind ``hybridfit fit``,
+so the numbers checked are the numbers ``fit`` prints -- and compares number
+by number, which makes it both an install check and a regression test for
+the numerical core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import config, dataset, gauge, hybrid, inference
+from . import analysis, config, gauge
 from .errors import AnalysisError
-from .linalg import ols_solve
 
 FACTORIAL_BASENAME = "gauge_factorial"
 BOXBEHNKEN_BASENAME = "gauge_boxbehnken"
@@ -96,17 +99,6 @@ def default_data_dir() -> Path:
     )
 
 
-def _load(data_dir: Path, basename: str, extras: tuple[str, ...] = ()):
-    cfg = config.read_keyvalues(data_dir / f"{basename}_spec.txt")
-    specs = config.factor_specs(cfg)
-    response, units = config.response_column(cfg)
-    schema = dataset.TableSchema(
-        factors=specs, response=response, extras=extras, response_units=units
-    )
-    ds = dataset.load_table(data_dir / f"{basename}.tsv", schema)
-    return ds, cfg
-
-
 def _check_vector(checks, name, expected, got, tol, tol_kind):
     for i, (e, g) in enumerate(zip(expected, got)):
         checks.append(CheckResult(f"{name}[{i}]", float(e), float(g), tol, tol_kind))
@@ -127,99 +119,73 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
                 raise AnalysisError(f"bundled case-study file missing: {path}")
     checks: list[CheckResult] = []
 
-    # --- first-order plain fit on the factorial design -------------------
-    ds5, cfg5 = _load(
-        data_dir, FACTORIAL_BASENAME, extras=("P_adiabatic", "P_isochoric")
-    )
-    coded5 = dataset.code(ds5)
-    design1 = dataset.build_design(coded5, "first")
-    y5 = ds5.response
-    groups5 = dataset.replicate_groups(ds5)
+    def load(basename: str, extras: tuple[str, ...] = ()):
+        return config.load_case(
+            data_dir / f"{basename}.tsv", data_dir / f"{basename}_spec.txt", extras
+        )
 
-    q1 = ols_solve(design1.values, y5)
-    _check_vector(checks, "mlr1.coef", COEF_FIRST_ORDER, q1, 1e-3, "abs")
-    fitted1 = design1.values @ q1
-    part1 = inference.mlr_partition(y5, fitted1, design1.n_coef)
-    pe1 = inference.pure_error(y5, groups5, fitted1, part1.df_residual)
-    f0_1 = (part1.ss_regression / part1.df_regression) / (
-        part1.ss_residual / part1.df_residual
-    )
-    f_lof1, _ = inference.lack_of_fit_test(pe1)
-    checks.append(CheckResult("mlr1.ss_regression", 2.287e4, part1.ss_regression, 0.005, "rel"))
-    checks.append(CheckResult("mlr1.ss_residual", 2.99e3, part1.ss_residual, 0.005, "rel"))
-    checks.append(CheckResult("mlr1.ss_pure_error", 0.949, pe1.ss_pure_error, 0.005, "rel"))
-    checks.append(CheckResult("mlr1.f_regression", 17.85, f0_1, 0.005, "rel"))
-    checks.append(CheckResult("mlr1.f_lack_of_fit", 1260.0, f_lof1, 0.02, "rel"))
+    def lof(a: analysis.Analysis) -> float:
+        return a.lack_of_fit.f if a.lack_of_fit is not None else math.nan
+
+    # --- first-order plain fit on the factorial design -------------------
+    ds5, cfg5 = load(FACTORIAL_BASENAME, extras=("P_adiabatic", "P_isochoric"))
+    mlr1 = analysis.analyze(ds5, cfg5, "mlr1")
+    _check_vector(checks, "mlr1.coef", COEF_FIRST_ORDER, mlr1.coef, 1e-3, "abs")
+    checks.append(CheckResult("mlr1.ss_regression", 2.287e4, mlr1.ss_regression_about_mean, 0.005, "rel"))
+    checks.append(CheckResult("mlr1.ss_residual", 2.99e3, mlr1.part.ss_residual, 0.005, "rel"))
+    checks.append(CheckResult("mlr1.ss_pure_error", 0.949, mlr1.pure_error.ss_pure_error, 0.005, "rel"))
+    checks.append(CheckResult("mlr1.f_regression", 17.85, mlr1.regression.f, 0.005, "rel"))
+    checks.append(CheckResult("mlr1.f_lack_of_fit", 1260.0, lof(mlr1), 0.02, "rel"))
     for name, expected, got in [
-        ("mlr1.df_regression", 3, part1.df_regression),
-        ("mlr1.df_residual", 7, part1.df_residual),
-        ("mlr1.df_lack_of_fit", 5, pe1.df_lack_of_fit),
-        ("mlr1.df_pure_error", 2, pe1.df_pure_error),
+        ("mlr1.df_regression", 3, mlr1.regression.df_num),
+        ("mlr1.df_residual", 7, mlr1.part.df_residual),
+        ("mlr1.df_lack_of_fit", 5, mlr1.pure_error.df_lack_of_fit),
+        ("mlr1.df_pure_error", 2, mlr1.pure_error.df_pure_error),
     ]:
         checks.append(CheckResult(name, expected, got, 0.0, "abs"))
 
     # --- second-order plain fit on the Box-Behnken design ----------------
-    ds7, _ = _load(data_dir, BOXBEHNKEN_BASENAME)
-    coded7 = dataset.code(ds7)
-    design2 = dataset.build_design(coded7, "second")
-    y7 = ds7.response
-    groups7 = dataset.replicate_groups(ds7)
-
-    q2 = ols_solve(design2.values, y7)
-    _check_vector(checks, "mlr2.coef", COEF_SECOND_ORDER, q2, 1e-3, "abs")
-    fitted2 = design2.values @ q2
-    part2 = inference.mlr_partition(y7, fitted2, design2.n_coef)
-    pe2 = inference.pure_error(y7, groups7, fitted2, part2.df_residual)
-    f0_2 = (part2.ss_regression / part2.df_regression) / (
-        part2.ss_residual / part2.df_residual
-    )
-    f_lof2, _ = inference.lack_of_fit_test(pe2)
-    checks.append(CheckResult("mlr2.ss_regression", 2.624e4, part2.ss_regression, 0.005, "rel"))
-    checks.append(CheckResult("mlr2.ss_residual", 123.114, part2.ss_residual, 0.005, "rel"))
-    checks.append(CheckResult("mlr2.f_regression", 118.419, f0_2, 0.02, "rel"))
-    checks.append(CheckResult("mlr2.f_lack_of_fit", 85.831, f_lof2, 0.02, "rel"))
+    ds7, cfg7 = load(BOXBEHNKEN_BASENAME)
+    mlr2 = analysis.analyze(ds7, cfg7, "mlr2")
+    _check_vector(checks, "mlr2.coef", COEF_SECOND_ORDER, mlr2.coef, 1e-3, "abs")
+    checks.append(CheckResult("mlr2.ss_regression", 2.624e4, mlr2.ss_regression_about_mean, 0.005, "rel"))
+    checks.append(CheckResult("mlr2.ss_residual", 123.114, mlr2.part.ss_residual, 0.005, "rel"))
+    checks.append(CheckResult("mlr2.f_regression", 118.419, mlr2.regression.f, 0.02, "rel"))
+    checks.append(CheckResult("mlr2.f_lack_of_fit", 85.831, lof(mlr2), 0.02, "rel"))
 
     # --- theory-scaled fits on the factorial design ----------------------
-    lof_stats = {}
-    for label, column, coef_ref, fitted_ref, ss_gain_ref, f_design_ref, f_gain_ref in [
-        ("adiabatic", "P_adiabatic", COEF_ADIABATIC, FITTED_ADIABATIC,
-         2986.0, 84730.0, 505.0),
-        ("isochoric", "P_isochoric", COEF_ISOCHORIC, FITTED_ISOCHORIC,
-         2987.0, 145200.0, 866.0),
+    hybrids = {}
+    for label, coef_ref, fitted_ref, ss_gain_ref, f_design_ref, f_gain_ref in [
+        ("adiabatic", COEF_ADIABATIC, FITTED_ADIABATIC, 2986.0, 84730.0, 505.0),
+        ("isochoric", COEF_ISOCHORIC, FITTED_ISOCHORIC, 2987.0, 145200.0, 866.0),
     ]:
-        theory = hybrid.TheoryVector(ds5.extras[column], f"column:{column}")
-        system = hybrid.assemble(design1, theory)
-        fit = hybrid.solve(system, y5)
-        _check_vector(checks, f"{label}.coef", coef_ref, fit.coef, 5e-3, "abs")
-        _check_vector(checks, f"{label}.fitted", fitted_ref, fit.fitted, 0.5, "abs")
-        part = inference.partition(system, y5)
-        fstats = inference.f_statistics(part)
-        groups = dataset.row_groups(system.augmented)
-        pe = inference.pure_error(y5, groups, fit.fitted, part.df_residual)
-        f_lof, _ = inference.lack_of_fit_test(pe)
-        lof_stats[label] = (f_lof, pe)
-        checks.append(CheckResult(f"{label}.ss_design", 5.007e5, part.ss_design, 0.005, "rel"))
-        checks.append(CheckResult(f"{label}.ss_theory_gain", ss_gain_ref, part.ss_theory_gain, 0.005, "rel"))
-        checks.append(CheckResult(f"{label}.f_design", f_design_ref, fstats.f_design, 0.02, "rel"))
-        checks.append(CheckResult(f"{label}.f_theory_gain", f_gain_ref, fstats.f_theory_gain, 0.02, "rel"))
+        a = analysis.analyze(ds5, cfg5, "hybrid", f"column:P_{label}")
+        hybrids[label] = a
+        f_gain = a.theory_gain.f if a.theory_gain is not None else 0.0
+        _check_vector(checks, f"{label}.coef", coef_ref, a.coef, 5e-3, "abs")
+        _check_vector(checks, f"{label}.fitted", fitted_ref, a.fit.fitted, 0.5, "abs")
+        checks.append(CheckResult(f"{label}.ss_design", 5.007e5, a.part.ss_design, 0.005, "rel"))
+        checks.append(CheckResult(f"{label}.ss_theory_gain", ss_gain_ref, a.part.ss_theory_gain, 0.005, "rel"))
+        checks.append(CheckResult(f"{label}.f_design", f_design_ref, a.regression.f, 0.02, "rel"))
+        checks.append(CheckResult(f"{label}.f_theory_gain", f_gain_ref, f_gain, 0.02, "rel"))
         if label == "adiabatic":
-            checks.append(CheckResult("adiabatic.ss_residual", 4.432, part.ss_residual, 0.005, "rel"))
-            checks.append(CheckResult("adiabatic.ss_lack_of_fit", 3.483, pe.ss_lack_of_fit, 0.005, "rel"))
-            checks.append(CheckResult("adiabatic.ss_pure_error", 0.949, pe.ss_pure_error, 0.005, "rel"))
-            checks.append(CheckResult("adiabatic.f_lack_of_fit", 7.342, f_lof, 0.02, "rel"))
+            checks.append(CheckResult("adiabatic.ss_residual", 4.432, a.part.ss_residual, 0.005, "rel"))
+            checks.append(CheckResult("adiabatic.ss_lack_of_fit", 3.483, a.pure_error.ss_lack_of_fit, 0.005, "rel"))
+            checks.append(CheckResult("adiabatic.ss_pure_error", 0.949, a.pure_error.ss_pure_error, 0.005, "rel"))
+            checks.append(CheckResult("adiabatic.f_lack_of_fit", 7.342, lof(a), 0.02, "rel"))
         else:
-            checks.append(CheckResult("isochoric.ss_residual", 2.586, part.ss_residual, 0.005, "rel"))
-            checks.append(CheckResult("isochoric.f_lack_of_fit", 3.45, f_lof, 0.02, "rel"))
-            iso_ss_res = part.ss_residual
+            checks.append(CheckResult("isochoric.ss_residual", 2.586, a.part.ss_residual, 0.005, "rel"))
+            checks.append(CheckResult("isochoric.f_lack_of_fit", 3.45, lof(a), 0.02, "rel"))
 
     # headline comparisons between the second-order plain fit and the
     # isochoric theory-scaled fit
+    iso_ss_res = hybrids["isochoric"].part.ss_residual
     checks.append(CheckResult(
-        "headline.ss_residual_ratio", 47.6, part2.ss_residual / iso_ss_res, 0.02, "rel"
+        "headline.ss_residual_ratio", 47.6, mlr2.part.ss_residual / iso_ss_res, 0.02, "rel"
     ))
     checks.append(CheckResult(
         "headline.sample_sd_mlr2", 2.965,
-        float(np.sqrt(part2.ss_residual / (ds7.n_runs - 1))), 0.02, "rel",
+        float(np.sqrt(mlr2.part.ss_residual / (ds7.n_runs - 1))), 0.02, "rel",
     ))
     checks.append(CheckResult(
         "headline.sample_sd_isochoric", 0.509,
@@ -232,9 +198,7 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
         ("adiabatic", 2.5, False),
         ("isochoric", 5.4, True),
     ]:
-        f_lof, pe = lof_stats[label]
-        crit = inference.f_critical(0.05, pe.df_lack_of_fit, pe.df_pure_error)
-        margin, useful = inference.box_wetz_ratio(crit, f_lof)
+        margin, useful = hybrids[label].box_wetz or (math.nan, math.nan)
         checks.append(CheckResult(f"{label}.box_wetz_margin", margin_ref, margin, 0.05, "rel"))
         checks.append(CheckResult(
             f"{label}.box_wetz_useful", float(useful_ref), float(useful), 0.0, "abs"

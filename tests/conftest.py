@@ -9,13 +9,9 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def load_case(basename: str, extras: tuple[str, ...] = ()):
-    cfg = config.read_keyvalues(DATA_DIR / f"{basename}_spec.txt")
-    specs = config.factor_specs(cfg)
-    response, units = config.response_column(cfg)
-    schema = dataset.TableSchema(
-        factors=specs, response=response, extras=extras, response_units=units
+    return config.load_case(
+        DATA_DIR / f"{basename}.tsv", DATA_DIR / f"{basename}_spec.txt", extras
     )
-    return dataset.load_table(DATA_DIR / f"{basename}.tsv", schema), cfg
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +38,12 @@ def boxbehnken():
     """The 15-run Box-Behnken gauge design (coded factors)."""
     ds, _ = load_case("gauge_boxbehnken")
     return ds
+
+
+@pytest.fixture(scope="session")
+def boxbehnken_config():
+    _, cfg = load_case("gauge_boxbehnken")
+    return cfg
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ the solver must hold.  One test per criterion; each prints a pass line."""
 import numpy as np
 import pytest
 
-from hybridfit import dataset, gauge, hybrid, inference, linalg
+from hybridfit import dataset, gauge, hybrid, inference, report
+from hybridfit.analysis import analyze
 from hybridfit.dataset import DesignMatrix
 from hybridfit.gauge import GaugeConstants, GaugeInputs
 from hybridfit.hybrid import TheoryVector
@@ -34,54 +35,37 @@ def hybrid_fit(factorial, first_order, column):
     return fit, part, fstats, pe, f_lof
 
 
-def test_criterion_1_first_order_plain_fit(factorial, first_order):
-    design, y, groups = first_order
-    coef = linalg.ols_solve(design.values, y)
-    assert np.allclose(coef, (208.423, -34.409, 36.616, 18.277), atol=1e-3)
+def test_criterion_1_first_order_plain_fit(factorial, factorial_config):
+    a = analyze(factorial, factorial_config, "mlr1")
+    assert np.allclose(a.coef, (208.423, -34.409, 36.616, 18.277), atol=1e-3)
 
-    fitted = design.values @ coef
-    part = inference.mlr_partition(y, fitted, design.n_coef)
-    pe = inference.pure_error(y, groups, fitted, part.df_residual)
-    f0 = (part.ss_regression / part.df_regression) / (
-        part.ss_residual / part.df_residual
-    )
-    f_lof, _ = inference.lack_of_fit_test(pe)
-
-    assert part.ss_regression == approx_rel(2.287e4, 0.005)
-    assert part.ss_residual == approx_rel(2.99e3, 0.005)
+    pe = a.pure_error
+    assert a.ss_regression_about_mean == approx_rel(2.287e4, 0.005)
+    assert a.part.ss_residual == approx_rel(2.99e3, 0.005)
     assert pe.ss_pure_error == approx_rel(0.949, 0.005)
-    assert f0 == approx_rel(17.85, 0.005)
-    assert f_lof == approx_rel(1260.0, 0.02)
-    assert (part.df_regression, part.df_residual) == (3, 7)
+    assert a.regression.f == approx_rel(17.85, 0.005)
+    assert a.lack_of_fit.f == approx_rel(1260.0, 0.02)
+    assert (a.regression.df_num, a.part.df_residual) == (3, 7)
     assert (pe.df_lack_of_fit, pe.df_pure_error) == (5, 2)
     # computed total df is n - 1 = 10; the reference table's printed 14 is a
     # known discrepancy and is not matched
-    assert part.df_total == 10
+    total = report.anova_tables(a)["anova_table3"].rows[-1]
+    assert (total.source, total.df) == ("Total (about mean)", 10)
     print("[criterion 1] PASS - first-order plain fit reproduces reference table")
 
 
-def test_criterion_2_second_order_plain_fit(boxbehnken):
-    design = dataset.build_design(dataset.code(boxbehnken), "second")
-    y = boxbehnken.response
-    coef = linalg.ols_solve(design.values, y)
+def test_criterion_2_second_order_plain_fit(boxbehnken, boxbehnken_config):
+    a = analyze(boxbehnken, boxbehnken_config, "mlr2")
     assert np.allclose(
-        coef,
+        a.coef,
         (212.598, -34.274, 38.221, 21.697, 0.286, -2.362, -6.333, -9.561,
          13.288, 6.227),
         atol=1e-3,
     )
-    fitted = design.values @ coef
-    part = inference.mlr_partition(y, fitted, design.n_coef)
-    groups = dataset.replicate_groups(boxbehnken)
-    pe = inference.pure_error(y, groups, fitted, part.df_residual)
-    f0 = (part.ss_regression / part.df_regression) / (
-        part.ss_residual / part.df_residual
-    )
-    f_lof, _ = inference.lack_of_fit_test(pe)
-    assert part.ss_regression == approx_rel(2.624e4, 0.005)
-    assert part.ss_residual == approx_rel(123.114, 0.005)
-    assert f0 == approx_rel(118.419, 0.02)
-    assert f_lof == approx_rel(85.831, 0.02)
+    assert a.ss_regression_about_mean == approx_rel(2.624e4, 0.005)
+    assert a.part.ss_residual == approx_rel(123.114, 0.005)
+    assert a.regression.f == approx_rel(118.419, 0.02)
+    assert a.lack_of_fit.f == approx_rel(85.831, 0.02)
     print("[criterion 2] PASS - second-order plain fit reproduces reference table")
 
 
@@ -108,25 +92,23 @@ def test_criterion_3_adiabatic_hybrid_fit(factorial, first_order):
     print("[criterion 3] PASS - adiabatic theory-scaled fit reproduces reference")
 
 
-def test_criterion_4_isochoric_hybrid_fit(factorial, boxbehnken, first_order):
-    fit, part, fstats, pe, f_lof = hybrid_fit(factorial, first_order, "P_isochoric")
+def test_criterion_4_isochoric_hybrid_fit(
+    factorial, factorial_config, boxbehnken, boxbehnken_config
+):
+    a = analyze(factorial, factorial_config, "hybrid", "column:P_isochoric")
     assert np.allclose(
-        fit.coef, (15.429, 5.647, 7.694, 2.555, 0.971, -0.006, -0.026, -0.013),
+        a.coef, (15.429, 5.647, 7.694, 2.555, 0.971, -0.006, -0.026, -0.013),
         atol=5e-3,
     )
-    assert part.ss_residual == approx_rel(2.586, 0.005)
-    assert fstats.f_theory_gain == approx_rel(866.0, 0.02)
-    assert f_lof == approx_rel(3.45, 0.02)
+    assert a.part.ss_residual == approx_rel(2.586, 0.005)
+    assert a.theory_gain.f == approx_rel(866.0, 0.02)
+    assert a.lack_of_fit.f == approx_rel(3.45, 0.02)
 
     # headline ratios against the second-order plain fit
-    design2 = dataset.build_design(dataset.code(boxbehnken), "second")
-    coef2 = linalg.ols_solve(design2.values, boxbehnken.response)
-    part2 = inference.mlr_partition(
-        boxbehnken.response, design2.values @ coef2, design2.n_coef
-    )
-    assert part2.ss_residual / part.ss_residual == approx_rel(47.6, 0.02)
-    sd_mlr2 = np.sqrt(part2.ss_residual / (boxbehnken.n_runs - 1))
-    sd_hybrid = np.sqrt(part.ss_residual / (factorial.n_runs - 1))
+    mlr2 = analyze(boxbehnken, boxbehnken_config, "mlr2")
+    assert mlr2.part.ss_residual / a.part.ss_residual == approx_rel(47.6, 0.02)
+    sd_mlr2 = np.sqrt(mlr2.part.ss_residual / (boxbehnken.n_runs - 1))
+    sd_hybrid = np.sqrt(a.part.ss_residual / (factorial.n_runs - 1))
     assert sd_mlr2 == approx_rel(2.965, 0.02)
     assert sd_hybrid == approx_rel(0.509, 0.02)
     print("[criterion 4] PASS - isochoric theory-scaled fit reproduces reference")
@@ -182,7 +164,7 @@ def test_criterion_6_randomized_property_suite():
         # identity-theory reduction to ordinary least squares
         ones_sys = hybrid.assemble(design, TheoryVector(np.ones(n)))
         ones_fit = hybrid.solve(ones_sys, y)
-        ols = linalg.ols_solve(x, y)
+        ols = np.linalg.lstsq(x, y, rcond=None)[0]
         assert np.max(np.abs(ones_fit.coef_design - ols)) < 1e-9 * max(
             1.0, np.abs(ols).max()
         )

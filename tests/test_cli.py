@@ -239,6 +239,22 @@ class TestFit:
         assert rc == 1
         assert "not estimable" in capsys.readouterr().err
 
+    def test_rank_deficient_design_fails(self, data_dir, tmp_path, capsys):
+        # the factorial has 9 distinct settings: the 10 second-order columns
+        # have rank 8 there
+        out = tmp_path / "out"
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--model", "mlr2",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "rank deficient" in err and "rank 8" in err
+        assert not (out / "summary.txt").exists()
+
     def test_format_subset(self, data_dir, tmp_path):
         rc = main([
             "fit",

@@ -230,6 +230,36 @@ class TestIdenticalRows:
         first, group = dataset.identical_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
         assert first.tolist() == [0] and group.tolist() == [0, 0]
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324]),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                    ),
+                    min_size=k, max_size=k,
+                ),
+                min_size=1, max_size=40,
+            )
+        )
+    )
+    @settings(deadline=None)
+    def test_matches_tuple_key_numbering(self, rows):
+        # oracle: a dict keyed by row tuples, numbered by first appearance;
+        # -0.0 == 0.0 with equal hashes, so signed zeros share a key
+        numbers: dict[tuple, int] = {}
+        first, group = [], []
+        for i, row in enumerate(rows):
+            key = tuple(row)
+            if key not in numbers:
+                numbers[key] = len(first)
+                first.append(i)
+            group.append(numbers[key])
+        got_first, got_group = dataset.identical_rows(np.array(rows))
+        assert got_first.tolist() == first
+        assert got_group.tolist() == group
+
     @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5]),
                               st.sampled_from([1.0, 2.0])), min_size=1, max_size=30))
     @settings(deadline=None)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridfit import dataset, hybrid, inference
+from hybridfit.analysis import analyze
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import (
     ConstantResponseError,
@@ -53,6 +54,16 @@ class TestPartition:
         assert part.ss_total == 0.0
         assert part.ss_design == pytest.approx(0.0, abs=1e-12)
         assert part.ss_residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_exact_fit_keeps_its_residual(self, adiabatic_case, rng):
+        # y'y is about 1e7 times the residual here: y'y less the fitted sum
+        # of squares would leave only roundoff
+        sys, _, _ = adiabatic_case
+        y = sys.augmented @ np.linspace(1.0, 2.0, 8) + 1e-6 * rng.normal(size=11)
+        coef = np.linalg.lstsq(sys.augmented, y, rcond=None)[0]
+        resid = y - sys.augmented @ coef
+        part = inference.partition(sys, y)
+        assert part.ss_residual == pytest.approx(float(resid @ resid), rel=1e-6)
 
     def test_additivity(self, adiabatic_case, isochoric_case):
         for _, _, part in (adiabatic_case, isochoric_case):
@@ -154,31 +165,18 @@ class TestPureError:
 
 
 class TestLackOfFit:
-    def test_first_order_plain_fit_is_inadequate(self, factorial, factorial_design):
-        from hybridfit.linalg import ols_solve
-
-        coef = ols_solve(factorial_design.values, factorial.response)
-        fitted = factorial_design.values @ coef
-        part = inference.mlr_partition(factorial.response, fitted, 4)
-        groups = dataset.replicate_groups(factorial)
-        pe = inference.pure_error(factorial.response, groups, fitted, part.df_residual)
-        f_lof, p = inference.lack_of_fit_test(pe)
-        assert f_lof == pytest.approx(1260.0, rel=0.02)
-        assert f_lof > inference.f_critical(0.05, pe.df_lack_of_fit, pe.df_pure_error)
-
-    def test_second_order_plain_fit_is_inadequate(self, boxbehnken):
-        from hybridfit.linalg import ols_solve
-
-        design = dataset.build_design(dataset.code(boxbehnken), "second")
-        coef = ols_solve(design.values, boxbehnken.response)
-        fitted = design.values @ coef
-        part = inference.mlr_partition(boxbehnken.response, fitted, 10)
-        groups = dataset.replicate_groups(boxbehnken)
-        pe = inference.pure_error(
-            boxbehnken.response, groups, fitted, part.df_residual
+    def test_first_order_plain_fit_is_inadequate(self, factorial, factorial_config):
+        a = analyze(factorial, factorial_config, "mlr1")
+        pe = a.pure_error
+        assert a.lack_of_fit.f == pytest.approx(1260.0, rel=0.02)
+        assert a.lack_of_fit.f > inference.f_critical(
+            0.05, pe.df_lack_of_fit, pe.df_pure_error
         )
-        f_lof, _ = inference.lack_of_fit_test(pe)
-        assert f_lof == pytest.approx(85.831, rel=0.02)
+        assert a.lack_of_fit.significant
+
+    def test_second_order_plain_fit_is_inadequate(self, boxbehnken, boxbehnken_config):
+        a = analyze(boxbehnken, boxbehnken_config, "mlr2")
+        assert a.lack_of_fit.f == pytest.approx(85.831, rel=0.02)
 
     def test_isochoric_fit_is_adequate(self, factorial, isochoric_case):
         _, fit, part = isochoric_case
@@ -356,14 +354,17 @@ class TestBoxWetz:
 
 
 class TestMlrPartition:
-    def test_first_order_reference(self, factorial, factorial_design):
-        from hybridfit.linalg import ols_solve
+    """The about-mean figures of a plain fit, derived from the z = 1
+    partition: y'y - n ybar^2 with df n - 1, regression df p."""
 
-        coef = ols_solve(factorial_design.values, factorial.response)
-        fitted = factorial_design.values @ coef
-        part = inference.mlr_partition(factorial.response, fitted, 4)
-        assert part.ss_regression == pytest.approx(2.287e4, rel=0.005)
+    def test_first_order_reference(self, factorial, factorial_config):
+        a = analyze(factorial, factorial_config, "mlr1")
+        part = a.part
+        assert a.ss_regression_about_mean == pytest.approx(2.287e4, rel=0.005)
         assert part.ss_residual == pytest.approx(2.99e3, rel=0.005)
-        assert (part.df_regression, part.df_residual, part.df_total) == (3, 7, 10)
-        f0 = (part.ss_regression / 3) / (part.ss_residual / 7)
+        assert (a.regression.df_num, part.df_residual, part.n_runs - 1) == (3, 7, 10)
+        assert a.system.rank == 4
+        assert part.df_theory_gain == 0 and part.ss_theory_gain == 0.0
+        f0 = (a.ss_regression_about_mean / 3) / (part.ss_residual / 7)
         assert f0 == pytest.approx(17.85, rel=0.005)
+        assert a.regression.f == f0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hybridfit import linalg
+from hybridfit import dataset, hybrid, linalg
+from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import RankError
+from hybridfit.hybrid import TheoryVector
 
 # Coefficients of the two recorded plain polynomial fits of the case study,
 # used here as ground truth for the least-squares path.
@@ -128,40 +130,56 @@ class TestRank:
         assert linalg.thin_svd(piece, scale=10.0).rank == 0
 
 
+def ols_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ordinary least squares as the augmented solve with z = 1: the excess
+    block vanishes and its coefficients are zero."""
+    design = DesignMatrix(x, tuple(f"c{j}" for j in range(x.shape[1])))
+    fit = hybrid.solve(hybrid.assemble(design, TheoryVector(np.ones(len(y)))), y)
+    assert np.array_equal(fit.coef_excess, np.zeros(x.shape[1]))
+    return fit.coef_design
+
+
+def with_intercept(x: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
 class TestOlsSolve:
     def test_factorial_first_order_fit(self, factorial, factorial_design):
-        coef = linalg.ols_solve(factorial_design.values, factorial.response)
+        coef = ols_solve(factorial_design.values, factorial.response)
         assert np.allclose(coef, FIRST_ORDER_COEF, atol=1e-3)
 
     def test_boxbehnken_second_order_fit(self, boxbehnken):
-        from hybridfit import dataset
-
         design = dataset.build_design(dataset.code(boxbehnken), "second")
-        coef = linalg.ols_solve(design.values, boxbehnken.response)
+        coef = ols_solve(design.values, boxbehnken.response)
         assert np.allclose(coef, SECOND_ORDER_COEF, atol=1e-3)
 
     def test_identity_design_returns_y(self, rng):
+        # a square nonsingular design (intercept, then unit columns) fits
+        # every response exactly
         y = rng.normal(size=6)
-        assert np.allclose(linalg.ols_solve(np.eye(6), y), y, atol=1e-12)
+        x = with_intercept(np.eye(6)[:, 1:])
+        coef = ols_solve(x, y)
+        assert np.allclose(x @ coef, y, atol=1e-12)
+        assert np.allclose(coef, np.r_[y[0], y[1:] - y[0]], atol=1e-12)
 
     def test_residual_orthogonal_to_columns(self, rng):
-        x = rng.normal(size=(10, 3))
+        x = with_intercept(rng.normal(size=(10, 2)))
         y = rng.normal(size=10)
-        coef = linalg.ols_solve(x, y)
+        coef = ols_solve(x, y)
         assert np.max(np.abs(x.T @ (y - x @ coef))) < 1e-9
 
     def test_rank_deficient_raises(self):
         x = np.column_stack([np.ones(5), np.ones(5)])
-        with pytest.raises(RankError):
-            linalg.ols_solve(x, np.zeros(5))
+        with pytest.raises(RankError, match="rank deficient"):
+            ols_solve(x, np.zeros(5))
 
     def test_matches_generalized_inverse_path(self, rng):
         for _ in range(20):
             n, p = rng.integers(4, 13), rng.integers(1, 4)
-            x = rng.normal(size=(n, p))
+            x = with_intercept(rng.normal(size=(n, p)))
             y = rng.normal(size=n)
-            coef = linalg.ols_solve(x, y)
-            via_ginv = pinv_from(x) @ y
+            coef = ols_solve(x, y)
+            via_ginv = np.linalg.pinv(x) @ y
             assert np.allclose(coef, via_ginv, rtol=1e-9, atol=1e-12)
 
 
