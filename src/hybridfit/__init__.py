@@ -40,14 +40,13 @@ from .hybrid import (
     variance_of_fit,
 )
 from .inference import (
-    FStatistics,
+    FTest,
     PureErrorDecomposition,
     SSPartition,
     box_wetz_ratio,
-    f_cdf,
     f_critical,
-    f_statistics,
-    lack_of_fit_test,
+    f_sf,
+    f_test,
     partition,
     pure_error,
     r_squared,
@@ -68,7 +67,7 @@ __all__ = [
     "Dataset",
     "DesignMatrix",
     "FactorSpec",
-    "FStatistics",
+    "FTest",
     "GaugeConstants",
     "GaugeInputs",
     "HybridFit",
@@ -85,10 +84,9 @@ __all__ = [
     "code",
     "covariance_of_solution",
     "decode",
-    "f_cdf",
     "f_critical",
-    "f_statistics",
-    "lack_of_fit_test",
+    "f_sf",
+    "f_test",
     "load_case",
     "load_table",
     "partition",

@@ -3,7 +3,9 @@
 :func:`analyze` fits one model to a dataset and computes every number the
 reports print: coefficients and their standard errors, the sum-of-squares
 partition, pure error and lack of fit, R-squared and its attainable maximum,
-the F tests and the prediction-usefulness margin.
+the F tests and the prediction-usefulness margin.  Every tested row of the
+ANOVA tables is one of its :class:`~hybridfit.inference.FTest` results, each
+built by :func:`hybridfit.inference.f_test`; the reports only render them.
 
 All three models go through the same augmented solve.  ``hybrid`` scales a
 first-order polynomial by a theory column z, taken from the data file
@@ -21,26 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, dataset, gauge, hybrid, inference
-from .errors import AnalysisError, ConstantResponseError, NoReplicatesError
+from .errors import AnalysisError, ConstantResponseError, SaturatedModelError
 
 # Polynomial order of each model's design.
 ORDERS = {"mlr1": "first", "mlr2": "second", "hybrid": "first"}
-
-
-@dataclass(frozen=True)
-class FTest:
-    """An F ratio with its degrees of freedom, p-value, and critical value
-    at the analysis level."""
-
-    f: float
-    df_num: int
-    df_den: int
-    p: float
-    critical: float
-
-    @property
-    def significant(self) -> bool:
-        return self.f > self.critical
 
 
 @dataclass(frozen=True)
@@ -56,11 +42,13 @@ class Analysis:
     ss_about_mean: float            # y'y - n ybar^2
     r2: float
     r2_max: float
+    # every ranked direction, uncorrected for the mean: F(rank, n-rank)
+    overall: inference.FTest
     # mlr: the regression about the mean, F(p, n-p-1); hybrid: the linear
     # term, F(p+1, n-rank).
-    regression: FTest
-    theory_gain: FTest | None       # hybrid, when the theory adds rank
-    lack_of_fit: FTest | None       # None without replicate scatter
+    regression: inference.FTest
+    theory_gain: inference.FTest | None  # hybrid, when the theory adds rank
+    lack_of_fit: inference.FTest | None  # None without replicate scatter
     box_wetz: tuple[float, bool] | None  # margin and verdict, when F_lof > 0
     # gauge constants and the keys that fell back to defaults, when the
     # theory column was simulated
@@ -136,48 +124,48 @@ def analyze(
     z, constants = _theory(ds, cfg, model, theory)
     system = hybrid.assemble(design, z)
     fit = hybrid.solve(system, y)
-    part = inference.partition(system, y)
-    # raises when the model is saturated or the residual is zero
-    fstats = inference.f_statistics(part)
+    part = inference.partition(system, fit)
+    if part.df_residual <= 0:
+        raise SaturatedModelError(
+            "no residual degrees of freedom: the error variance is not "
+            "estimable; add replicate runs"
+        )
+    if part.ss_residual <= 0.0:
+        raise SaturatedModelError(
+            "residual sum of squares is zero; F statistics are undefined"
+        )
 
     # Pure error needs equal fitted values within a group: group the runs
     # that share coded settings and theory value (for z = 1, the replicates).
     groups = dataset.row_groups(np.column_stack([coded, z.values]))
-    pe = inference.pure_error(y, groups, fit.fitted, part.df_residual)
+    pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
     r2, r2_max = inference.r_squared(fit, y, pe.ss_pure_error)
 
-    def f_test(f: float, df: int) -> FTest:
-        return FTest(
-            f, df, part.df_residual,
-            1.0 - inference.f_cdf(f, df, part.df_residual),
-            inference.f_critical(alpha, df, part.df_residual),
-        )
+    def against_residual(ss: float, df: int) -> inference.FTest:
+        return inference.f_test(ss, df, part.ss_residual, part.df_residual, alpha)
 
+    overall = against_residual(part.ss_regression, part.df_regression)
     if model == "hybrid":
-        regression = f_test(fstats.f_design, part.df_design)
+        regression = against_residual(part.ss_design, part.df_design)
         theory_gain = (
-            f_test(fstats.f_theory_gain, part.df_theory_gain)
+            against_residual(part.ss_theory_gain, part.df_theory_gain)
             if part.df_theory_gain > 0
             else None
         )
     else:
-        df_about_mean = part.df_design - 1
-        ms_about_mean = (ss_about_mean - part.ss_residual) / df_about_mean
-        regression = f_test(
-            ms_about_mean / (part.ss_residual / part.df_residual), df_about_mean
+        regression = against_residual(
+            ss_about_mean - part.ss_residual, part.df_design - 1
         )
         theory_gain = None
 
-    try:
-        f_lof, p_lof = inference.lack_of_fit_test(pe)
-    except NoReplicatesError:
-        lack_of_fit, box_wetz = None, None
-    else:
-        crit = inference.f_critical(
-            alpha, max(pe.df_lack_of_fit, 1), pe.df_pure_error
+    lack_of_fit, box_wetz = None, None
+    if pe.df_pure_error > 0 and pe.ss_pure_error > 0.0:
+        lack_of_fit = inference.f_test(
+            pe.ss_lack_of_fit, pe.df_lack_of_fit,
+            pe.ss_pure_error, pe.df_pure_error, alpha,
         )
-        lack_of_fit = FTest(f_lof, pe.df_lack_of_fit, pe.df_pure_error, p_lof, crit)
-        box_wetz = inference.box_wetz_ratio(crit, f_lof) if f_lof > 0.0 else None
+        if lack_of_fit.f > 0.0:
+            box_wetz = inference.box_wetz_ratio(lack_of_fit.critical, lack_of_fit.f)
 
     return Analysis(
         model=model,
@@ -189,6 +177,7 @@ def analyze(
         ss_about_mean=ss_about_mean,
         r2=r2,
         r2_max=r2_max,
+        overall=overall,
         regression=regression,
         theory_gain=theory_gain,
         lack_of_fit=lack_of_fit,

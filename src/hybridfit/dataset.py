@@ -17,7 +17,6 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateFactorError, SchemaError, ShapeError, TableParseError
-from .linalg import RANK_TOL, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -141,12 +140,6 @@ class DesignMatrix:
     @property
     def n_coef(self) -> int:
         return self.values.shape[1]
-
-    def is_full_column_rank(self, tol: float = RANK_TOL) -> bool:
-        return (
-            self.n_rows >= self.n_coef
-            and matrix_rank(self.values, tol) == self.n_coef
-        )
 
 
 def _split_line(line: str, delimiter: str | None) -> list[str]:

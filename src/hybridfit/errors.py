@@ -30,11 +30,6 @@ class SaturatedModelError(AnalysisError):
     cannot be estimated and F-tests are unavailable."""
 
 
-class NoReplicatesError(AnalysisError):
-    """The design has no replicate runs, so pure error (and with it the
-    lack-of-fit test) is unavailable."""
-
-
 class ConstantResponseError(AnalysisError):
     """The response has no variation about its mean; R-squared is undefined."""
 

@@ -103,13 +103,23 @@ class HybridSystem:
 
 @dataclass(frozen=True)
 class HybridFit:
-    """Solved system: coefficient blocks, error variance, covariances."""
+    """Solved system: coefficient blocks, sums of squares, error variance,
+    covariances.
+
+    The four sums of squares are the ones the solve checks for additivity:
+    ``ss_total`` = ``ss_design`` + ``ss_excess`` + ``ss_residual`` up to
+    roundoff.  :func:`hybridfit.inference.partition` reports them.
+    """
 
     coef_design: np.ndarray     # block multiplying X
     coef_excess: np.ndarray     # block multiplying (diag(z) - I) X
     coef: np.ndarray            # the two blocks stacked; the canonical report
     fitted: np.ndarray
     residuals: np.ndarray
+    ss_total: float             # y'y
+    ss_design: float            # |Q_X'y|^2
+    ss_excess: float            # |Q_E'y|^2
+    ss_residual: float          # |y - fitted|^2
     sigma2: float | None        # residual-variance estimate; None if saturated
     coef_cov: np.ndarray | None
 
@@ -117,10 +127,6 @@ class HybridFit:
     def saturated(self) -> bool:
         """True when the residual has no degrees of freedom."""
         return self.sigma2 is None
-
-    @property
-    def ss_residual(self) -> float:
-        return float(self.residuals @ self.residuals)
 
 
 def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
@@ -137,7 +143,8 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     # Project twice: one pass leaves a component in col(X) of the order of
     # roundoff times |excess|, which is not small next to the weakest
     # direction the rank tolerance keeps.
-    excess_ortho = excess - q_x @ (q_x.T @ excess)
+    excess_coords = q_x.T @ excess
+    excess_ortho = excess - q_x @ excess_coords
     excess_ortho -= q_x @ (q_x.T @ excess_ortho)
     # Cut against the scale of the whole system, so an excess block that the
     # design explains up to roundoff (z constant) has rank zero.
@@ -147,7 +154,7 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     w_e = svd_e.coef_map
     # Excess coefficients come from Q_E alone; the design block then fits
     # what is left, y - excess @ coef_excess, through Q_X.
-    carry = w_x @ ((q_x.T @ excess) @ w_e)
+    carry = w_x @ (excess_coords @ w_e)
     coef_map = np.block([
         [w_x, -carry],
         [np.zeros((design.n_coef, svd_x.rank)), w_e],
@@ -181,9 +188,10 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     bases.  The coefficients are the minimum-norm solution taken from the
     same truncated SVD factors: the excess block against the orthogonalized
     excess columns (a vanishing excess gives a zero block), then the design
-    block for the remainder.  Raises :class:`InconsistencyError` when the
-    fitted values of the two routes disagree or the sums of squares do not
-    add up to y'y.
+    block for the remainder.  The squared norms of the two coordinate
+    vectors and of the residual are the model's sums of squares.  Raises
+    :class:`InconsistencyError` when the fitted values of the two routes
+    disagree or the sums of squares do not add up to y'y.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != sys.n_runs:
@@ -206,12 +214,12 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
             f"by {gap:.3e} (scale {scale:.3e})"
         )
     ss_total = float(y @ y)
-    defect = abs(
-        float(coords_design @ coords_design)
-        + float(coords_excess @ coords_excess)
-        + float(residuals @ residuals)
-        - ss_total
-    )
+    ss_design = float(coords_design @ coords_design)
+    ss_excess = float(coords_excess @ coords_excess)
+    # The norm of the residual itself, not y'y less the fitted part: that
+    # difference loses every digit when the fit is close to exact.
+    ss_residual = float(residuals @ residuals)
+    defect = abs(ss_design + ss_excess + ss_residual - ss_total)
     if not defect <= CROSS_CHECK_TOL * max(ss_total, 1.0):
         raise InconsistencyError(
             f"sums of squares miss y'y = {ss_total:.6g} by {defect:.3e}"
@@ -219,7 +227,7 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
 
     df_residual = sys.n_runs - sys.rank
     if df_residual > 0:
-        sigma2 = float(residuals @ residuals) / df_residual
+        sigma2 = ss_residual / df_residual
         coef_cov, _ = covariance_of_solution(sys, sigma2)
     else:
         sigma2 = None
@@ -231,6 +239,10 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
         coef=coef,
         fitted=fitted,
         residuals=residuals,
+        ss_total=ss_total,
+        ss_design=ss_design,
+        ss_excess=ss_excess,
+        ss_residual=ss_residual,
         sigma2=sigma2,
         coef_cov=coef_cov,
     )

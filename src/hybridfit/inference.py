@@ -1,10 +1,16 @@
-"""Sums of squares, F-tests, lack of fit, R-squared, residual diagnostics.
+"""Sums of squares, F tests, lack of fit, R-squared, residual diagnostics.
 
 The augmented model's total sum of squares splits orthogonally into the part
 explained by the plain polynomial, the part added by the theory scaling, and
-the residual.  When the design carries replicate runs the residual further
-splits into pure error (within-replicate scatter, a model-free estimate of
-the error variance) and lack of fit.
+the residual.  :func:`partition` reports these as the solve computed them;
+nothing here projects y again.  When the design carries replicate runs the
+residual further splits into pure error (within-replicate scatter, a
+model-free estimate of the error variance) and lack of fit.
+
+:func:`f_test` is the one place an F ratio and its p-value are computed.
+The p-value is the upper tail :func:`f_sf` taken directly from the
+regularized incomplete beta function, not one minus the CDF, which would
+cancel to zero for p below about 1e-16.
 """
 
 from __future__ import annotations
@@ -16,14 +22,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .errors import (
-    ConstantResponseError,
-    InconsistencyError,
-    NoReplicatesError,
-    SaturatedModelError,
-    ShapeError,
-)
-from .hybrid import HybridSystem
+from .errors import ConstantResponseError, InconsistencyError, ShapeError
+from .hybrid import HybridFit, HybridSystem
 
 # Relative slack allowed before a negative sum of squares is treated as a
 # genuine inconsistency rather than roundoff.
@@ -64,10 +64,19 @@ class PureErrorDecomposition:
 
 
 @dataclass(frozen=True)
-class FStatistics:
-    f_regression: float
-    f_design: float
-    f_theory_gain: float
+class FTest:
+    """An F ratio with its degrees of freedom, p-value, and critical value
+    at the analysis level."""
+
+    f: float
+    df_num: int
+    df_den: int
+    p: float
+    critical: float
+
+    @property
+    def significant(self) -> bool:
+        return self.f > self.critical
 
 
 @dataclass(frozen=True)
@@ -84,33 +93,21 @@ class ResidualDiagnostics:
     scatter: tuple[tuple[float, float], ...]
 
 
-def partition(sys: HybridSystem, y: np.ndarray) -> SSPartition:
-    """Partition y'y over the orthogonal pieces of the augmented model."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != sys.n_runs:
-        raise ShapeError(f"{sys.n_runs} runs but {y.shape[0]} responses")
-    ss_total = float(y @ y)
-    coords_design = sys.basis_design.T @ y
-    coords_excess = sys.basis_excess.T @ y
-    ss_design = float(coords_design @ coords_design)
-    ss_theory_gain = float(coords_excess @ coords_excess)
-    # The norm of the residual itself, not y'y less the fitted part: that
-    # difference loses every digit when the fit is close to exact.
-    fitted = sys.basis_design @ coords_design + sys.basis_excess @ coords_excess
-    resid = y - fitted
-    ss_residual = float(resid @ resid)
-    if not np.isfinite(ss_residual):
+def partition(sys: HybridSystem, fit: HybridFit) -> SSPartition:
+    """Partition y'y over the orthogonal pieces of the augmented model, from
+    the sums of squares :func:`hybridfit.hybrid.solve` formed for ``fit``."""
+    if not np.isfinite(fit.ss_residual):
         raise InconsistencyError(
-            f"residual sum of squares is not a number: {ss_residual}"
+            f"residual sum of squares is not a number: {fit.ss_residual}"
         )
     p1 = sys.n_coef
     return SSPartition(
-        ss_total=ss_total,
-        ss_regression=ss_design + ss_theory_gain,
-        ss_design=ss_design,
-        ss_theory_gain=ss_theory_gain,
-        ss_residual=ss_residual,
-        ss_total_corrected=ss_total - ss_design,
+        ss_total=fit.ss_total,
+        ss_regression=fit.ss_design + fit.ss_excess,
+        ss_design=fit.ss_design,
+        ss_theory_gain=fit.ss_excess,
+        ss_residual=fit.ss_residual,
+        ss_total_corrected=fit.ss_total - fit.ss_design,
         df_regression=sys.rank,
         df_design=p1,
         df_theory_gain=sys.rank - p1,
@@ -119,50 +116,22 @@ def partition(sys: HybridSystem, y: np.ndarray) -> SSPartition:
     )
 
 
-def f_statistics(part: SSPartition) -> FStatistics:
-    """F ratios of the three regression mean squares to the residual mean
-    square.  Unavailable when the residual has no degrees of freedom or no
-    magnitude (saturated or perfectly fitting model)."""
-    if part.df_residual <= 0:
-        raise SaturatedModelError(
-            "no residual degrees of freedom: the error variance is not "
-            "estimable; add replicate runs"
-        )
-    if part.ss_residual <= 0.0:
-        raise SaturatedModelError(
-            "residual sum of squares is zero; F statistics are undefined"
-        )
-    ms_residual = part.ss_residual / part.df_residual
-    if part.df_theory_gain > 0:
-        f_theory = (part.ss_theory_gain / part.df_theory_gain) / ms_residual
-    else:
-        f_theory = 0.0
-    return FStatistics(
-        f_regression=(part.ss_regression / part.df_regression) / ms_residual,
-        f_design=(part.ss_design / part.df_design) / ms_residual,
-        f_theory_gain=f_theory,
-    )
-
-
 def pure_error(
     y: np.ndarray,
     groups: Sequence[Sequence[int]],
-    fitted: np.ndarray,
+    ss_residual: float,
     df_residual: int,
 ) -> PureErrorDecomposition:
     """Split the residual sum of squares into pure error and lack of fit.
 
     Pure error pools the squared deviations of replicate observations from
     their group means; its degrees of freedom are the pooled (group size - 1).
-    Lack of fit is the remainder of the residual sum of squares.  The split
-    is valid only if the fitted values are equal within each group: group
-    runs whose model-matrix rows are identical (for the hybrid model, the
-    same settings and the same theory value).
+    Lack of fit is the remainder of ``ss_residual``, the fit's residual sum
+    of squares.  The split is valid only if the fitted values are equal
+    within each group: group runs whose model-matrix rows are identical (for
+    the hybrid model, the same settings and the same theory value).
     """
     y = np.asarray(y, dtype=float).ravel()
-    fitted = np.asarray(fitted, dtype=float).ravel()
-    if y.shape != fitted.shape:
-        raise ShapeError("y and fitted values must have the same length")
     ss_pe = 0.0
     df_pe = 0
     for group in groups:
@@ -170,8 +139,6 @@ def pure_error(
             vals = y[list(group)]
             ss_pe += float(np.sum((vals - vals.mean()) ** 2))
             df_pe += len(group) - 1
-    resid = y - fitted
-    ss_residual = float(resid @ resid)
     ss_lof = ss_residual - ss_pe
     if not ss_lof >= -SS_REL_TOL * max(ss_residual, 1.0):
         raise InconsistencyError(
@@ -191,24 +158,21 @@ def pure_error(
     )
 
 
-def lack_of_fit_test(pe: PureErrorDecomposition) -> tuple[float, float]:
-    """Lack-of-fit F statistic and its p-value.
+def f_test(
+    ss_num: float, df_num: int, ss_den: float, df_den: int, alpha: float
+) -> FTest:
+    """F test of the mean square ``ss_num / df_num`` against
+    ``ss_den / df_den`` at level ``alpha``.
 
-    Requires replicates (pure-error df > 0) and a nonzero pure-error mean
-    square; a zero lack-of-fit df means the model fits the distinct settings
-    exactly, reported as F = 0 with p = 1.
+    A numerator without degrees of freedom tests nothing (for lack of fit:
+    the model fits every distinct setting exactly); it is reported as F = 0
+    with p = 1, against the critical value for one numerator df.
     """
-    if pe.df_pure_error <= 0 or pe.ss_pure_error <= 0.0:
-        raise NoReplicatesError(
-            "lack-of-fit test needs replicate runs with scatter; none found"
-        )
-    if pe.df_lack_of_fit <= 0:
-        return 0.0, 1.0
-    f = (pe.ss_lack_of_fit / pe.df_lack_of_fit) / (
-        pe.ss_pure_error / pe.df_pure_error
-    )
-    p = 1.0 - f_cdf(f, pe.df_lack_of_fit, pe.df_pure_error)
-    return f, p
+    critical = f_critical(alpha, max(df_num, 1), df_den)
+    if df_num == 0:
+        return FTest(0.0, 0, df_den, 1.0, critical)
+    f = (ss_num / df_num) / (ss_den / df_den)
+    return FTest(f, df_num, df_den, f_sf(f, df_num, df_den), critical)
 
 
 def r_squared(
@@ -235,18 +199,20 @@ def r_squared(
     return r2, r2_max
 
 
-def f_cdf(x: float, df1: int, df2: int) -> float:
-    """F-distribution CDF via the regularized incomplete beta function."""
+def f_sf(x: float, df1: int, df2: int) -> float:
+    """Upper tail P(F > x) of the F distribution, from the regularized
+    incomplete beta function I_t(df2/2, df1/2) at t = df2 / (df2 + df1 x)."""
     if df1 < 1 or df2 < 1:
         raise ShapeError(f"degrees of freedom must be >= 1, got {df1}, {df2}")
     if x <= 0.0:
-        return 0.0
-    t = df1 * x / (df1 * x + df2)
-    return float(special.betainc(df1 / 2.0, df2 / 2.0, t))
+        return 1.0
+    t = df2 / (df2 + df1 * x)
+    return float(special.betainc(df2 / 2.0, df1 / 2.0, t))
 
 
 def f_critical(alpha: float, df1: int, df2: int) -> float:
-    """Upper alpha-point of the F distribution (inverse of :func:`f_cdf`)."""
+    """Upper alpha-point of the F distribution: the x with
+    ``f_sf(x, df1, df2) == alpha``."""
     if not 0.0 < alpha < 1.0:
         raise ShapeError(f"alpha must lie in (0, 1), got {alpha}")
     if df1 < 1 or df2 < 1:

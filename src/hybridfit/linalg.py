@@ -24,17 +24,6 @@ import numpy as np
 RANK_TOL = 1e-10
 
 
-def matrix_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 @dataclass(frozen=True)
 class ThinSvd:
     """Truncated thin SVD of an n x p matrix M: ``basis @ diag(s) @ right.T``

@@ -2,6 +2,11 @@
 :class:`~hybridfit.analysis.Analysis`, ANOVA tables as text and delimited
 rows, coefficient files, residual-plot point files, and standalone SVG plots.
 
+Rendering computes nothing statistical: sums of squares come from the
+analysis's partition and pure-error split, every F and p from its
+:class:`~hybridfit.inference.FTest` results; the tables only divide each sum
+of squares by its degrees of freedom for the MS column.
+
 All output is plain text with fixed float formatting, so identical analyses
 produce byte-identical files.  Text tables print sums of squares and mean
 squares at four significant figures and F statistics at six; the delimited
@@ -16,14 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import Analysis, FTest
+from .analysis import Analysis
 from .gauge import GaugeConstants
-from .inference import (
-    PureErrorDecomposition,
-    ResidualDiagnostics,
-    SSPartition,
-    f_cdf,
-)
+from .inference import FTest, ResidualDiagnostics
 
 
 @dataclass(frozen=True)
@@ -99,135 +99,93 @@ def render_anova_rows(report: AnovaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mean_square(ss: float, df: int) -> float | None:
-    return ss / df if df > 0 else None
+def _row(source: str, ss: float, df: int, test: FTest | None = None) -> AnovaRow:
+    """A row with its mean square, and the F and p of ``test``; a row without
+    degrees of freedom has neither."""
+    if df <= 0:
+        return AnovaRow(source, ss, df)
+    if test is None:
+        return AnovaRow(source, ss, df, ss / df)
+    return AnovaRow(source, ss, df, ss / df, test.f, test.p)
 
 
-def _f_and_p(ms_num: float | None, df_num: int, ms_den: float | None, df_den: int):
-    if ms_num is None or ms_den is None or ms_den <= 0.0 or df_den <= 0:
-        return None, None
-    f = ms_num / ms_den
-    return f, 1.0 - f_cdf(f, df_num, df_den)
-
-
-def anova_overall(part: SSPartition) -> AnovaReport:
-    """Overall fit table: regression on all ranked directions vs residual,
-    uncorrected for the mean (for a plain polynomial the intercept stays in
-    the regression row)."""
-    ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_reg = _mean_square(part.ss_regression, part.df_regression)
-    f, p = _f_and_p(ms_reg, part.df_regression, ms_res, part.df_residual)
-    return AnovaReport(
-        title="Analysis of variance: overall fit",
-        rows=(
-            AnovaRow("Regression", part.ss_regression, part.df_regression, ms_reg, f, p),
-            AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
-            AnovaRow("Total", part.ss_total, part.n_runs),
-        ),
-    )
-
-
-def hybrid_anova_partitioned(
-    part: SSPartition, pe: PureErrorDecomposition | None
-) -> AnovaReport:
-    """Full table separating the plain-polynomial term from the theory gain,
-    with the lack-of-fit / pure-error breakdown when replicates exist."""
-    ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_design = _mean_square(part.ss_design, part.df_design)
-    ms_gain = _mean_square(part.ss_theory_gain, part.df_theory_gain)
-    f_design, p_design = _f_and_p(ms_design, part.df_design, ms_res, part.df_residual)
-    f_gain, p_gain = _f_and_p(ms_gain, part.df_theory_gain, ms_res, part.df_residual)
-    rows = [
-        AnovaRow(
-            "Linear regression", part.ss_design, part.df_design, ms_design,
-            f_design, p_design,
-        ),
-        AnovaRow(
-            "Corrected regression", part.ss_theory_gain, part.df_theory_gain,
-            ms_gain, f_gain, p_gain,
-        ),
-        AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
-    ]
-    rows += _lof_rows(pe)
-    rows.append(AnovaRow("Total", part.ss_total, part.n_runs))
-    return AnovaReport(
-        title="Analysis of variance: linear term and theory correction",
-        rows=tuple(rows),
-    )
-
-
-def hybrid_anova_corrected(part: SSPartition) -> AnovaReport:
-    """Abbreviated table with the plain-polynomial part removed from the
-    total."""
-    ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_gain = _mean_square(part.ss_theory_gain, part.df_theory_gain)
-    f_gain, p_gain = _f_and_p(ms_gain, part.df_theory_gain, ms_res, part.df_residual)
-    return AnovaReport(
-        title="Analysis of variance: corrected for the linear term",
-        rows=(
-            AnovaRow(
-                "Corrected regression", part.ss_theory_gain, part.df_theory_gain,
-                ms_gain, f_gain, p_gain,
-            ),
-            AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
-            AnovaRow(
-                "Corrected total", part.ss_total_corrected,
-                part.n_runs - part.df_design,
-            ),
-        ),
-    )
-
-
-def _lof_rows(pe: PureErrorDecomposition | None) -> list[AnovaRow]:
-    if pe is None or pe.df_pure_error <= 0:
+def _lof_rows(a: Analysis) -> list[AnovaRow]:
+    pe = a.pure_error
+    if pe.df_pure_error <= 0:
         return []
-    ms_lof = _mean_square(pe.ss_lack_of_fit, pe.df_lack_of_fit)
-    ms_pe = _mean_square(pe.ss_pure_error, pe.df_pure_error)
-    f_lof, p_lof = _f_and_p(ms_lof, pe.df_lack_of_fit, ms_pe, pe.df_pure_error)
     return [
-        AnovaRow(
-            "Lack of fit", pe.ss_lack_of_fit, pe.df_lack_of_fit, ms_lof,
-            f_lof, p_lof,
-        ),
-        AnovaRow("Pure error", pe.ss_pure_error, pe.df_pure_error, ms_pe),
-    ]
-
-
-def _about_mean_rows(part: SSPartition, ss_about_mean: float) -> list[AnovaRow]:
-    """Regression, residual and total rows about the mean for a plain
-    polynomial fit (z = 1): the intercept leaves the regression row, and the
-    total is y'y - n ybar^2 on n - 1 df."""
-    ss_reg = ss_about_mean - part.ss_residual
-    df_reg = part.df_design - 1
-    ms_res = _mean_square(part.ss_residual, part.df_residual)
-    ms_reg = _mean_square(ss_reg, df_reg)
-    f0, p0 = _f_and_p(ms_reg, df_reg, ms_res, part.df_residual)
-    return [
-        AnovaRow("Regression", ss_reg, df_reg, ms_reg, f0, p0),
-        AnovaRow("Residual", part.ss_residual, part.df_residual, ms_res),
-        AnovaRow("Total (about mean)", ss_about_mean, part.n_runs - 1),
+        _row("Lack of fit", pe.ss_lack_of_fit, pe.df_lack_of_fit, a.lack_of_fit),
+        _row("Pure error", pe.ss_pure_error, pe.df_pure_error),
     ]
 
 
 def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
-    """The three ANOVA tables of a fit, keyed by their file stem.  A plain
-    polynomial fit gets classical about-the-mean tables in place of the
-    split into linear term and theory correction."""
+    """The three ANOVA tables of a fit, keyed by their file stem.
+
+    Table 2 is the overall fit: regression on all ranked directions against
+    the residual, uncorrected for the mean (for a plain polynomial the
+    intercept stays in the regression row).  For the theory-scaled model,
+    table 3 separates the plain-polynomial term from the theory gain, with
+    the lack-of-fit / pure-error breakdown when replicates exist, and table 4
+    removes the plain-polynomial part from the total.  A plain polynomial fit
+    gets classical about-the-mean tables instead: the intercept leaves the
+    regression row and the total is y'y - n ybar^2 on n - 1 df.
+    """
+    part = a.part
+    residual = _row("Residual", part.ss_residual, part.df_residual)
+    total = AnovaRow("Total", part.ss_total, part.n_runs)
+    overall = AnovaReport(
+        "Analysis of variance: overall fit",
+        (
+            _row("Regression", part.ss_regression, part.df_regression, a.overall),
+            residual,
+            total,
+        ),
+    )
     if a.is_mlr:
-        regression, residual, total = _about_mean_rows(a.part, a.ss_about_mean)
+        regression = _row(
+            "Regression", a.ss_regression_about_mean, a.regression.df_num,
+            a.regression,
+        )
+        about_mean = AnovaRow(
+            "Total (about mean)", a.ss_about_mean, part.n_runs - 1
+        )
         detail = AnovaReport(
             "Analysis of variance about the mean",
-            (regression, residual, *_lof_rows(a.pure_error), total),
+            (regression, residual, *_lof_rows(a), about_mean),
         )
         brief = AnovaReport(
             "Analysis of variance about the mean (abbreviated)",
-            (regression, residual, total),
+            (regression, residual, about_mean),
         )
     else:
-        detail = hybrid_anova_partitioned(a.part, a.pure_error)
-        brief = hybrid_anova_corrected(a.part)
+        gain = _row(
+            "Corrected regression", part.ss_theory_gain, part.df_theory_gain,
+            a.theory_gain,
+        )
+        detail = AnovaReport(
+            "Analysis of variance: linear term and theory correction",
+            (
+                _row("Linear regression", part.ss_design, part.df_design, a.regression),
+                gain,
+                residual,
+                *_lof_rows(a),
+                total,
+            ),
+        )
+        brief = AnovaReport(
+            "Analysis of variance: corrected for the linear term",
+            (
+                gain,
+                residual,
+                AnovaRow(
+                    "Corrected total", part.ss_total_corrected,
+                    part.n_runs - part.df_design,
+                ),
+            ),
+        )
     return {
-        "anova_table2": anova_overall(a.part),
+        "anova_table2": overall,
         "anova_table3": detail,
         "anova_table4": brief,
     }

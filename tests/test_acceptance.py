@@ -28,11 +28,19 @@ def hybrid_fit(factorial, first_order, column):
     design, y, groups = first_order
     sys = hybrid.assemble(design, TheoryVector(factorial.extras[column]))
     fit = hybrid.solve(sys, y)
-    part = inference.partition(sys, y)
-    fstats = inference.f_statistics(part)
-    pe = inference.pure_error(y, groups, fit.fitted, part.df_residual)
-    f_lof, _ = inference.lack_of_fit_test(pe)
-    return fit, part, fstats, pe, f_lof
+    part = inference.partition(sys, fit)
+    pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
+    f_design, f_theory_gain = (
+        inference.f_test(ss, df, part.ss_residual, part.df_residual, 0.05).f
+        for ss, df in [
+            (part.ss_design, part.df_design),
+            (part.ss_theory_gain, part.df_theory_gain),
+        ]
+    )
+    f_lof = inference.f_test(
+        pe.ss_lack_of_fit, pe.df_lack_of_fit, pe.ss_pure_error, pe.df_pure_error, 0.05
+    ).f
+    return fit, part, (f_design, f_theory_gain), pe, f_lof
 
 
 def test_criterion_1_first_order_plain_fit(factorial, factorial_config):
@@ -70,7 +78,9 @@ def test_criterion_2_second_order_plain_fit(boxbehnken, boxbehnken_config):
 
 
 def test_criterion_3_adiabatic_hybrid_fit(factorial, first_order):
-    fit, part, fstats, pe, f_lof = hybrid_fit(factorial, first_order, "P_adiabatic")
+    fit, part, (f_design, f_theory_gain), pe, f_lof = hybrid_fit(
+        factorial, first_order, "P_adiabatic"
+    )
     assert np.allclose(
         fit.coef, (27.044, 4.607, 6.614, 3.894, 0.907, -0.012, -0.010, -0.016),
         atol=5e-3,
@@ -80,8 +90,8 @@ def test_criterion_3_adiabatic_hybrid_fit(factorial, first_order):
     assert part.ss_residual == approx_rel(4.432, 0.005)
     assert pe.ss_lack_of_fit == approx_rel(3.483, 0.005)
     assert pe.ss_pure_error == approx_rel(0.949, 0.005)
-    assert fstats.f_design == approx_rel(84730.0, 0.02)
-    assert fstats.f_theory_gain == approx_rel(505.0, 0.02)
+    assert f_design == approx_rel(84730.0, 0.02)
+    assert f_theory_gain == approx_rel(505.0, 0.02)
     assert f_lof == approx_rel(7.342, 0.02)
     assert np.allclose(
         fit.fitted,
@@ -145,14 +155,14 @@ def test_criterion_6_randomized_property_suite():
         assert np.max(np.abs(sys.proj_design @ sys.proj_excess)) < 1e-8
 
         # sum-of-squares additivity
-        part = inference.partition(sys, y)
+        fit = hybrid.solve(sys, y)
+        part = inference.partition(sys, fit)
         assert part.ss_total == pytest.approx(
             part.ss_design + part.ss_theory_gain + part.ss_residual, rel=1e-6
         )
 
         # generalized-inverse route invariance of fitted values and
         # residual sum of squares
-        fit = hybrid.solve(sys, y)
         direct = p_aug @ y
         scale = max(1.0, np.abs(y).max())
         assert np.max(np.abs(fit.fitted - direct)) < 1e-8 * scale

@@ -83,7 +83,7 @@ class TestPlainFitIsTheUnitTheorySolve:
         a = analyze(factorial, factorial_config, "mlr1")
         groups = dataset.replicate_groups(factorial)
         pe = inference.pure_error(
-            factorial.response, groups, a.fit.fitted, a.part.df_residual
+            factorial.response, groups, a.part.ss_residual, a.part.df_residual
         )
         assert a.pure_error == pe
 
@@ -105,7 +105,7 @@ class TestPlainFitIsTheUnitTheorySolve:
         )
         fit = hybrid.solve(system, factorial.response)
         assert np.array_equal(a.coef, fit.coef)
-        assert a.part == inference.partition(system, factorial.response)
+        assert a.part == inference.partition(system, fit)
         assert a.std_errors == pytest.approx(np.sqrt(np.diag(fit.coef_cov)))
 
 

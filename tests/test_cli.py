@@ -1,6 +1,7 @@
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybridfit.cli import RunConfig, main
@@ -254,6 +255,37 @@ class TestFit:
         err = capsys.readouterr().err
         assert "rank deficient" in err and "rank 8" in err
         assert not (out / "summary.txt").exists()
+
+    def test_small_p_values_are_not_rounded_to_zero(self, tmp_path):
+        # n = 400 with a strong linear signal: every regression p-value lies
+        # far below 1e-16, where one minus the CDF reads 0.0
+        from scipy import stats
+
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(-1.0, 1.0, size=(400, 2))
+        y = 0.5 + 1.0 * x[:, 0] + 0.5 * x[:, 1] + rng.normal(size=400)
+        rows = ["\t".join(map(repr, row)) for row in np.column_stack([x, y]).tolist()]
+        data = tmp_path / "strong.tsv"
+        data.write_text("x1\tx2\ty\n" + "\n".join(rows) + "\n")
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "factor.x1.low = -1\nfactor.x1.high = 1\n"
+            "factor.x2.low = -1\nfactor.x2.high = 1\nresponse.column = y\n"
+        )
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(data), "--spec", str(spec),
+                     "--model", "mlr1", "--out", str(out)]) == 0
+        for table in ("anova_table2", "anova_table3", "anova_table4"):
+            rows = [ln.split("\t") for ln in (out / f"{table}.tsv").read_text().splitlines()[1:]]
+            residual_df = int(next(r for r in rows if r[0] == "Residual")[2])
+            tested = [r for r in rows if r[5]]
+            assert tested
+            for source, _, df, _, f, p in tested:
+                p = float(p)
+                assert np.isfinite(p) and 0.0 < p < 1e-16, (table, source, p)
+                assert p == pytest.approx(
+                    stats.f.sf(float(f), int(df), residual_df), rel=1e-12
+                )
 
     def test_format_subset(self, data_dir, tmp_path):
         rc = main([

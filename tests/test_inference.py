@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 from hybridfit import dataset, hybrid, inference
 from hybridfit.analysis import analyze
-from hybridfit.dataset import DesignMatrix
-from hybridfit.errors import (
-    ConstantResponseError,
-    NoReplicatesError,
-    SaturatedModelError,
-    ShapeError,
-)
+from hybridfit.dataset import Dataset, FactorSpec
+from hybridfit.errors import ConstantResponseError, SaturatedModelError, ShapeError
 from hybridfit.hybrid import TheoryVector
 
 
@@ -20,7 +15,7 @@ def adiabatic_case(factorial, factorial_design):
     theory = TheoryVector(factorial.extras["P_adiabatic"])
     sys = hybrid.assemble(factorial_design, theory)
     fit = hybrid.solve(sys, factorial.response)
-    part = inference.partition(sys, factorial.response)
+    part = inference.partition(sys, fit)
     return sys, fit, part
 
 
@@ -29,7 +24,7 @@ def isochoric_case(factorial, factorial_design):
     theory = TheoryVector(factorial.extras["P_isochoric"])
     sys = hybrid.assemble(factorial_design, theory)
     fit = hybrid.solve(sys, factorial.response)
-    part = inference.partition(sys, factorial.response)
+    part = inference.partition(sys, fit)
     return sys, fit, part
 
 
@@ -50,7 +45,7 @@ class TestPartition:
 
     def test_zero_response(self, adiabatic_case):
         sys, _, _ = adiabatic_case
-        part = inference.partition(sys, np.zeros(11))
+        part = inference.partition(sys, hybrid.solve(sys, np.zeros(11)))
         assert part.ss_total == 0.0
         assert part.ss_design == pytest.approx(0.0, abs=1e-12)
         assert part.ss_residual == pytest.approx(0.0, abs=1e-12)
@@ -62,7 +57,7 @@ class TestPartition:
         y = sys.augmented @ np.linspace(1.0, 2.0, 8) + 1e-6 * rng.normal(size=11)
         coef = np.linalg.lstsq(sys.augmented, y, rcond=None)[0]
         resid = y - sys.augmented @ coef
-        part = inference.partition(sys, y)
+        part = inference.partition(sys, hybrid.solve(sys, y))
         assert part.ss_residual == pytest.approx(float(resid @ resid), rel=1e-6)
 
     def test_additivity(self, adiabatic_case, isochoric_case):
@@ -79,7 +74,9 @@ class TestPartition:
 
     def test_residual_matches_quadratic_form(self, adiabatic_case, factorial):
         sys, fit, part = adiabatic_case
-        assert part.ss_residual == pytest.approx(fit.ss_residual, rel=1e-8)
+        assert part.ss_residual == pytest.approx(
+            float(fit.residuals @ fit.residuals), rel=1e-8
+        )
 
     def test_theory_gain_matches_coefficient_route(self, adiabatic_case, factorial):
         # quadratic-form value equals b2' Z' y from the solved coefficients
@@ -88,32 +85,44 @@ class TestPartition:
         assert part.ss_theory_gain == pytest.approx(via_coef, rel=1e-10)
 
 
+def residual_f(part, ss, df):
+    """F test of a regression mean square against the residual."""
+    return inference.f_test(ss, df, part.ss_residual, part.df_residual, 0.05)
+
+
 class TestFStatistics:
     def test_adiabatic(self, adiabatic_case):
         _, _, part = adiabatic_case
-        f = inference.f_statistics(part)
-        assert f.f_design == pytest.approx(84730.0, rel=0.02)
-        assert f.f_theory_gain == pytest.approx(505.0, rel=0.02)
+        f_design = residual_f(part, part.ss_design, part.df_design)
+        f_theory_gain = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
+        assert f_design.f == pytest.approx(84730.0, rel=0.02)
+        assert f_theory_gain.f == pytest.approx(505.0, rel=0.02)
 
     def test_isochoric(self, isochoric_case):
         _, _, part = isochoric_case
-        f = inference.f_statistics(part)
-        assert f.f_design == pytest.approx(145200.0, rel=0.02)
-        assert f.f_theory_gain == pytest.approx(866.0, rel=0.02)
+        f_design = residual_f(part, part.ss_design, part.df_design)
+        f_theory_gain = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
+        assert f_design.f == pytest.approx(145200.0, rel=0.02)
+        assert f_theory_gain.f == pytest.approx(866.0, rel=0.02)
 
     def test_identity_theory_gain_is_zero(self, factorial, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        part = inference.partition(sys, factorial.response)
-        f = inference.f_statistics(part)
+        part = inference.partition(sys, hybrid.solve(sys, factorial.response))
+        f = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
         assert part.ss_theory_gain == pytest.approx(0.0, abs=1e-6)
-        assert f.f_theory_gain == 0.0
+        assert f.f == 0.0
+        assert f.p == 1.0
 
     def test_saturated_raises(self):
-        design = DesignMatrix(np.ones((2, 1)), ("1",))
-        sys = hybrid.assemble(design, TheoryVector([2.0, 3.0]))
-        part = inference.partition(sys, np.array([1.0, 2.0]))
-        with pytest.raises(SaturatedModelError):
-            inference.f_statistics(part)
+        # four runs, rank 4: two design columns plus two excess columns
+        ds = Dataset(
+            (FactorSpec("x1", -1.0, 1.0),),
+            np.array([[-1.0], [-0.5], [0.5], [1.0]]),
+            np.array([1.0, 2.0, 4.0, 3.0]),
+            extras={"z": np.array([2.0, 3.0, 5.0, 7.0])},
+        )
+        with pytest.raises(SaturatedModelError, match="not estimable"):
+            analyze(ds, {}, "hybrid", "column:z")
 
 
 class TestPureError:
@@ -121,7 +130,7 @@ class TestPureError:
         _, fit, part = adiabatic_case
         groups = dataset.replicate_groups(factorial)
         pe = inference.pure_error(
-            factorial.response, groups, fit.fitted, part.df_residual
+            factorial.response, groups, part.ss_residual, part.df_residual
         )
         assert pe.ss_pure_error == pytest.approx(0.949, rel=0.005)
         assert pe.df_pure_error == 2
@@ -132,7 +141,8 @@ class TestPureError:
         y = rng.normal(size=5)
         fitted = y + rng.normal(size=5) * 0.1
         groups = [[i] for i in range(5)]
-        pe = inference.pure_error(y, groups, fitted, df_residual=3)
+        ss_residual = float(np.sum((y - fitted) ** 2))
+        pe = inference.pure_error(y, groups, ss_residual, df_residual=3)
         assert pe.ss_pure_error == 0.0
         assert pe.df_pure_error == 0
         assert pe.ss_lack_of_fit == pytest.approx(np.sum((y - fitted) ** 2))
@@ -141,7 +151,7 @@ class TestPureError:
         _, fit, part = isochoric_case
         groups = dataset.replicate_groups(factorial)
         pe = inference.pure_error(
-            factorial.response, groups, fit.fitted, part.df_residual
+            factorial.response, groups, part.ss_residual, part.df_residual
         )
         assert pe.ss_pure_error + pe.ss_lack_of_fit == pytest.approx(
             part.ss_residual, rel=1e-6
@@ -153,15 +163,16 @@ class TestPureError:
 
         y = np.array([1.0, 3.0, 2.0])
         with pytest.raises(InconsistencyError):
-            inference.pure_error(y, [[0, 1], [2]], y.copy(), df_residual=1)
+            inference.pure_error(y, [[0, 1], [2]], 0.0, df_residual=1)
 
     def test_df_mismatch_rejected(self):
         from hybridfit.errors import InconsistencyError
 
         y = np.array([1.0, 3.0, 2.0, 2.5])
         fitted = np.array([0.0, 4.0, 0.0, 5.0])
+        ss_residual = float(np.sum((y - fitted) ** 2))
         with pytest.raises(InconsistencyError):
-            inference.pure_error(y, [[0, 1], [2, 3]], fitted, df_residual=1)
+            inference.pure_error(y, [[0, 1], [2, 3]], ss_residual, df_residual=1)
 
 
 class TestLackOfFit:
@@ -182,19 +193,37 @@ class TestLackOfFit:
         _, fit, part = isochoric_case
         groups = dataset.replicate_groups(factorial)
         pe = inference.pure_error(
-            factorial.response, groups, fit.fitted, part.df_residual
+            factorial.response, groups, part.ss_residual, part.df_residual
         )
-        f_lof, p = inference.lack_of_fit_test(pe)
+        lof = inference.f_test(
+            pe.ss_lack_of_fit, pe.df_lack_of_fit,
+            pe.ss_pure_error, pe.df_pure_error, 0.05,
+        )
+        f_lof, p = lof.f, lof.p
         assert f_lof == pytest.approx(3.45, rel=0.05)
         crit = inference.f_critical(0.05, 1, 2)
         assert crit == pytest.approx(18.51, rel=1e-3)
+        assert lof.critical == crit
         assert f_lof < crit
         assert p > 0.05
 
-    def test_no_replicates_raises(self):
-        pe = inference.PureErrorDecomposition(0.0, 0, 1.5, 3)
-        with pytest.raises(NoReplicatesError):
-            inference.lack_of_fit_test(pe)
+    def test_no_replicate_scatter_gives_no_test(self):
+        factors = (FactorSpec("x1", -1.0, 1.0),)
+        distinct = Dataset(
+            factors, np.linspace(-1.0, 1.0, 6)[:, None],
+            np.array([1.0, 2.5, 2.0, 4.0, 4.5, 6.5]),
+        )
+        # replicated settings whose responses agree exactly
+        no_scatter = Dataset(
+            factors, np.array([[-1.0], [-1.0], [0.0], [1.0], [1.0]]),
+            np.array([1.0, 1.0, 2.5, 4.0, 4.0]),
+        )
+        for ds in (distinct, no_scatter):
+            a = analyze(ds, {}, "mlr1")
+            assert a.lack_of_fit is None
+            assert a.box_wetz is None
+        assert a.pure_error.df_pure_error == 2
+        assert a.pure_error.ss_pure_error == 0.0
 
 
 def saturated_replicated_case():
@@ -242,9 +271,9 @@ class TestRSquared:
         sys, y, corners = saturated_replicated_case()
         assert sys.rank == 6
         fit = hybrid.solve(sys, y)
-        part = inference.partition(sys, y)
+        part = inference.partition(sys, fit)
         groups = [[0], [1], [2], [3], [4], [5, 6, 7]]
-        pe = inference.pure_error(y, groups, fit.fitted, part.df_residual)
+        pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
         assert pe.ss_lack_of_fit == pytest.approx(0.0, abs=1e-9)
         assert part.ss_residual == pytest.approx(pe.ss_pure_error, rel=1e-8)
         r2, r2_max = inference.r_squared(fit, y, pe.ss_pure_error)
@@ -265,21 +294,23 @@ class TestRSquared:
 
 
 class TestFCdf:
+    """The F distribution through its upper tail f_sf = 1 - CDF."""
+
     def test_reference_quantiles(self):
-        assert inference.f_cdf(4.35, 3, 7) == pytest.approx(0.95, abs=5e-3)
-        assert inference.f_cdf(18.51, 1, 2) == pytest.approx(0.95, abs=5e-3)
+        assert inference.f_sf(4.35, 3, 7) == pytest.approx(0.05, abs=5e-3)
+        assert inference.f_sf(18.51, 1, 2) == pytest.approx(0.05, abs=5e-3)
 
     def test_zero(self):
-        assert inference.f_cdf(0.0, 3, 7) == 0.0
+        assert inference.f_sf(0.0, 3, 7) == 1.0
 
     def test_invalid_dof(self):
         with pytest.raises(ShapeError):
-            inference.f_cdf(1.0, 0, 7)
+            inference.f_sf(1.0, 0, 7)
 
     def test_critical_inverts_cdf(self):
         for alpha, d1, d2 in [(0.05, 3, 7), (0.05, 1, 2), (0.01, 4, 3), (0.2, 9, 5)]:
             crit = inference.f_critical(alpha, d1, d2)
-            assert inference.f_cdf(crit, d1, d2) == pytest.approx(1 - alpha, abs=1e-10)
+            assert inference.f_sf(crit, d1, d2) == pytest.approx(alpha, abs=1e-10)
 
     @given(
         x=st.floats(1e-3, 1e3),
@@ -288,8 +319,8 @@ class TestFCdf:
     )
     @settings(deadline=None)
     def test_reciprocal_identity(self, x, d1, d2):
-        lhs = inference.f_cdf(x, d1, d2)
-        rhs = 1.0 - inference.f_cdf(1.0 / x, d2, d1)
+        lhs = inference.f_sf(x, d1, d2)
+        rhs = 1.0 - inference.f_sf(1.0 / x, d2, d1)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @given(
@@ -301,7 +332,31 @@ class TestFCdf:
     @settings(deadline=None)
     def test_monotone(self, d1, d2, a, b):
         lo, hi = sorted((a, b))
-        assert inference.f_cdf(lo, d1, d2) <= inference.f_cdf(hi, d1, d2) + 1e-15
+        assert inference.f_sf(lo, d1, d2) >= inference.f_sf(hi, d1, d2) - 1e-15
+
+    @pytest.mark.parametrize(
+        "x, d1, d2",
+        [
+            (15.0, 9, 2990),    # 4.2e-24; one minus the CDF reads 0.0
+            (30.0, 9, 2990),
+            (1e-3, 1, 1),
+            (0.5, 3, 7),
+            (4.35, 3, 7),
+            (18.51, 1, 2),
+            (2.0, 40, 40),
+            (9.12, 4, 3),
+            (145125.0, 4, 3),
+            (85.809, 3, 2),
+            (100.0, 4, 396),
+            (1e6, 10, 5),
+        ],
+    )
+    def test_matches_scipy_upper_tail(self, x, d1, d2):
+        from scipy import stats
+
+        expected = stats.f.sf(x, d1, d2)
+        assert expected > 0.0
+        assert inference.f_sf(x, d1, d2) == pytest.approx(expected, rel=1e-12)
 
 
 class TestResidualDiagnostics:

@@ -106,13 +106,10 @@ class TestProjector:
 class TestRank:
     def test_rank_counts_singular_values(self):
         m = np.diag([1.0, 1e-3, 0.0])
-        assert linalg.matrix_rank(m) == 2
         assert linalg.thin_svd(m).rank == 2
 
     def test_rank_respects_tolerance(self):
         m = np.diag([1.0, 1e-12])
-        assert linalg.matrix_rank(m) == 1
-        assert linalg.matrix_rank(m, tol=1e-14) == 2
         assert linalg.thin_svd(m).rank == 1
         assert linalg.thin_svd(m, tol=1e-14).rank == 2
 
