@@ -9,6 +9,8 @@ ANOVA with lack-of-fit testing, residual diagnostics, the pneumatic-gauge
 flow simulators used as the theory source, and a CLI.
 """
 
+from .analysis import Analysis, analyze
+from .config import load_case
 from .dataset import (
     Dataset,
     DesignMatrix,
@@ -33,7 +35,6 @@ from .hybrid import (
     HybridFit,
     HybridSystem,
     TheoryVector,
-    alias_matrix,
     assemble,
     covariance_of_solution,
     solve,
@@ -53,12 +54,6 @@ from .inference import (
     residual_diagnostics,
 )
 
-# Imported after the layers on purpose: with these two first, `import
-# hybridfit` measured about 30 ms slower, the extra time showing up inside
-# scipy's own import (numpy.ma.core, charset_normalizer), not in this package.
-from .analysis import Analysis, analyze
-from .config import load_case
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -76,7 +71,6 @@ __all__ = [
     "SSPartition",
     "TableSchema",
     "TheoryVector",
-    "alias_matrix",
     "analyze",
     "assemble",
     "box_wetz_ratio",

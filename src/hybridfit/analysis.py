@@ -78,6 +78,12 @@ class Analysis:
     def ss_regression_about_mean(self) -> float:
         return self.ss_about_mean - self.part.ss_residual
 
+    @property
+    def residual_sample_sd(self) -> float:
+        """sqrt(SS_residual / (n - 1)): the residual scatter on the
+        about-mean degrees of freedom, the paper's headline comparison."""
+        return float(np.sqrt(self.part.ss_residual / (self.part.n_runs - 1)))
+
 
 def _theory(
     ds: dataset.Dataset, cfg: dict[str, str], model: str, theory: str

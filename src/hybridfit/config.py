@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .dataset import Dataset, FactorSpec, TableSchema, load_table
+from .dataset import Dataset, FactorSpec, TableSchema, load_table, read_text
 from .errors import SchemaError
 from .gauge import GaugeConstants
 
@@ -36,7 +36,7 @@ GAUGE_DEFAULTS = {
 def read_keyvalues(path: str | Path) -> dict[str, str]:
     """Parse a key-value file, preserving first-appearance order of keys."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

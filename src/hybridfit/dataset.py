@@ -16,7 +16,13 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFactorError, SchemaError, ShapeError, TableParseError
+from .errors import (
+    DegenerateFactorError,
+    InputFileError,
+    SchemaError,
+    ShapeError,
+    TableParseError,
+)
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,20 @@ def _sniff_delimiter(header: str) -> str | None:
     return None  # fall back to whitespace splitting
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 input file's text; a file that is missing or unreadable
+    raises :class:`InputFileError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputFileError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def peek_columns(source: str | Path) -> list[str]:
     """Column names from a delimited file's header row."""
-    for line in Path(source).read_text(encoding="utf-8").splitlines():
+    for line in read_text(source).splitlines():
         if line.strip():
             return [h.strip() for h in _split_line(line, _sniff_delimiter(line))]
     raise SchemaError(f"{source}: empty file, no header row")
@@ -171,12 +188,13 @@ def load_table(
     :class:`Dataset`.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
+    :class:`InputFileError` when a named file cannot be read,
     :class:`SchemaError` when a named column is missing and
     :class:`TableParseError` (with row and column) on a non-numeric or
     non-finite cell.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        text = read_text(source)
     else:
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw

@@ -5,6 +5,10 @@ class AnalysisError(Exception):
     """Base class for every error this package raises on bad input or state."""
 
 
+class InputFileError(AnalysisError):
+    """An input file does not exist or cannot be read as text."""
+
+
 class SchemaError(AnalysisError):
     """A required column is missing from an input table."""
 

@@ -248,19 +248,6 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     )
 
 
-def alias_matrix(sys: HybridSystem) -> np.ndarray:
-    """Bias operator on naive plain-polynomial estimates.
-
-    When the true model carries the theory diagonal, the expected value of
-    the ordinary least-squares estimate is theta plus this matrix times
-    theta.  It is zero exactly when the theory column is identically one.
-    """
-    _require_full_rank_design(sys)
-    p1 = sys.n_coef
-    # With X of full rank the leading block of coef_map is V S^-1 of X.
-    return sys.coef_map[:p1, :p1] @ (sys.basis_design.T @ sys.excess)
-
-
 def covariance_of_solution(
     sys: HybridSystem, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -232,7 +232,7 @@ def summary_lines(a: Analysis) -> list[str]:
         f"residual degrees of freedom: {part.df_residual}",
         f"residual variance estimate: {a.fit.sigma2:.4g}",
         "residual sample standard deviation (about-mean df): "
-        f"{np.sqrt(part.ss_residual / (part.n_runs - 1)):.3f}",
+        f"{a.residual_sample_sd:.3f}",
         f"R^2 = {a.r2:.6f}, attainable maximum = {a.r2_max:.6f}",
     ]
     lines += [

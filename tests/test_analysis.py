@@ -4,7 +4,7 @@ guards, and the figures ``fit`` prints."""
 import numpy as np
 import pytest
 
-from hybridfit import dataset, hybrid, inference
+from hybridfit import dataset, hybrid, inference, report
 from hybridfit.analysis import analyze
 from hybridfit.cli import main
 from hybridfit.dataset import Dataset, FactorSpec
@@ -107,6 +107,22 @@ class TestPlainFitIsTheUnitTheorySolve:
         assert np.array_equal(a.coef, fit.coef)
         assert a.part == inference.partition(system, fit)
         assert a.std_errors == pytest.approx(np.sqrt(np.diag(fit.coef_cov)))
+
+
+class TestResidualSampleSd:
+    """``fit`` prints and ``validate`` checks the same number."""
+
+    def test_about_mean_df(self, boxbehnken, boxbehnken_config):
+        a = analyze(boxbehnken, boxbehnken_config, "mlr2")
+        assert a.residual_sample_sd == pytest.approx(
+            np.sqrt(np.sum(a.fit.residuals ** 2) / 14), rel=1e-10
+        )
+        assert a.residual_sample_sd == pytest.approx(2.965, rel=0.02)
+        line = next(
+            ln for ln in report.summary_lines(a)
+            if ln.startswith("residual sample standard deviation")
+        )
+        assert line.endswith(f": {a.residual_sample_sd:.3f}")
 
 
 class TestGuards:

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +401,68 @@ class TestValidate:
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         rc = main(["validate", "--data-dir", str(tmp_path)])
         assert rc == 1
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize("missing", ["--data", "--spec"])
+    def test_unreadable_file_is_one_error_line(
+        self, command, missing, data_dir, tmp_path, capsys
+    ):
+        paths = {
+            "--data": str(data_dir / "gauge_factorial.tsv"),
+            "--spec": str(data_dir / "gauge_factorial_spec.txt"),
+        }
+        paths[missing] = str(tmp_path / "nope.txt")
+        extra = ["--model", "mlr1"] if command == "fit" else ["--theory", "adiabatic"]
+        rc = main([
+            command, "--data", paths["--data"], "--spec", paths["--spec"],
+            *extra, "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot read {paths[missing]}: No such file or directory"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_or_binary_given_as_data_file(self, data_dir, tmp_path, capsys):
+        binary = tmp_path / "binary.tsv"
+        binary.write_bytes(b"A\tPs\tB\tP_obs\n\xff\xfe\n")
+        for data, reason in ((tmp_path, "Is a directory"), (binary, "not UTF-8 text")):
+            rc = main([
+                "fit", "--data", str(data),
+                "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+                "--out", str(tmp_path / "out"),
+            ])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: cannot read {data}: {reason}\n"
+
+
+# Blocks scipy before the package is imported, so any import of it fails.
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+import hybridfit
+from hybridfit import cli
+rc = cli.main(["validate", "--data-dir", sys.argv[1]])
+loaded = sorted(
+    name for name, mod in sys.modules.items()
+    if mod is not None and name.split(".")[0] == "scipy"
+)
+print("scipy modules:", loaded)
+sys.exit(rc)
+"""
+
+
+def test_runtime_needs_no_scipy(data_dir):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, str(data_dir)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "case-study validation: 108/108 checks passed"
+    assert lines[-1] == "scipy modules: []"

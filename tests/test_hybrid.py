@@ -204,26 +204,6 @@ class TestFittedValues:
         assert np.allclose(projected, fit.fitted, atol=1e-8)
 
 
-class TestAliasMatrix:
-    def test_identity_theory_gives_zero(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        assert np.allclose(hybrid.alias_matrix(sys), np.zeros((4, 4)), atol=1e-14)
-
-    def test_scalar_theory_gives_scaled_identity(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.full(11, 2.5)))
-        assert np.allclose(hybrid.alias_matrix(sys), 1.5 * np.eye(4), atol=1e-12)
-
-    def test_first_diagonal_entry_is_mean_excess(self, factorial, factorial_design):
-        z = factorial.extras["P_adiabatic"]
-        sys = hybrid.assemble(factorial_design, TheoryVector(z))
-        alias = hybrid.alias_matrix(sys)
-        # brute-force oracle: (X'X)^{-1} X' (D - I) X
-        x = factorial_design.values
-        oracle = np.linalg.inv(x.T @ x) @ x.T @ (np.diag(z) - np.eye(11)) @ x
-        assert np.allclose(alias, oracle, atol=1e-9)
-        assert alias[0, 0] == pytest.approx(z.mean() - 1.0, rel=1e-12)
-
-
 class TestCovariance:
     def test_identity_theory_blocks(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridfit import dataset, hybrid, inference
@@ -357,6 +359,102 @@ class TestFCdf:
         expected = stats.f.sf(x, d1, d2)
         assert expected > 0.0
         assert inference.f_sf(x, d1, d2) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, d1, d2, expected",
+        [
+            # 60-digit evaluations (mpmath) of the incomplete beta continued
+            # fraction with exact log-gamma; scipy's F tail is off by 2.6e-3
+            # and 7.5e-6 on the first two, by 2.1e-12 on the third
+            (208796.45104185262, 64, 128, 6.293729237304106e-297),
+            (95.56822272529544, 38, 902, 1.393108882120598e-286),
+            (2.4844473416646906, 44, 77302, 1.7966614239902208e-07),
+            (13.437736951878566, 40, 98496, 4.5684893452683495e-88),
+            (3.0, 1, 100000, 0.08326760027014629),
+            (50.0, 3000, 3, 0.003840100665561819),
+        ],
+    )
+    def test_matches_high_precision_reference(self, x, d1, d2, expected):
+        assert inference.f_sf(x, d1, d2) == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        x=st.floats(1e-3, 1e6),
+        d1=st.integers(1, 3000),
+        d2=st.integers(1, 100_000),
+    )
+    @settings(deadline=None)
+    def test_matches_scipy_on_the_whole_grid(self, x, d1, d2):
+        from scipy import stats
+
+        expected = stats.f.sf(x, d1, d2)
+        # scipy's own tail loses digits below about 1e-250 (checked against
+        # 60-digit values)
+        assume(expected >= 1e-240)
+        # scipy rounds the beta argument t = d2/(d2 + d1 x) (or 1 - t)
+        # before the incomplete beta sees it; that rounding alone moves its
+        # answer by up to kappa * eps, kappa = |d ln sf / d ln t|
+        t = d2 / (d2 + d1 * x)
+        kappa = x * stats.f.pdf(x, d1, d2) / (expected * min(t, 1.0 - t))
+        assert inference.f_sf(x, d1, d2) == pytest.approx(
+            expected, rel=1e-12 + 4 * np.finfo(float).eps * kappa
+        )
+
+    @given(x=st.floats(1e-3, 1e6), d2=st.integers(1, 100_000))
+    @settings(deadline=None)
+    def test_two_numerator_df_closed_form(self, x, d2):
+        # P(F(2, d2) > x) = (1 + 2 x / d2)^(-d2 / 2), down to 1e-300
+        expected = math.exp(-0.5 * d2 * math.log1p(2.0 * x / d2))
+        assume(expected >= 1e-300)
+        assert inference.f_sf(x, 2, d2) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_argument(self):
+        assert inference.f_sf(math.inf, 3, 7) == 0.0
+        assert math.isnan(inference.f_sf(math.nan, 3, 7))
+
+    @pytest.mark.parametrize(
+        "alpha, d1, d2", [(0.05, 9, 2990), (0.05, 2843, 149), (0.01, 1, 100_000)]
+    )
+    def test_critical_round_trip_at_large_df(self, alpha, d1, d2):
+        from scipy import stats
+
+        crit = inference.f_critical(alpha, d1, d2)
+        assert inference.f_sf(crit, d1, d2) == pytest.approx(alpha, rel=1e-12)
+        assert crit == pytest.approx(stats.f.isf(alpha, d1, d2), rel=1e-12)
+
+    @given(
+        alpha=st.floats(1e-12, 0.999),
+        d1=st.integers(1, 100_000),
+        d2=st.integers(1, 100_000),
+    )
+    @settings(deadline=None)
+    def test_critical_round_trip(self, alpha, d1, d2):
+        crit = inference.f_critical(alpha, d1, d2)
+        assert inference.f_sf(crit, d1, d2) == pytest.approx(alpha, rel=1e-12)
+
+
+class TestNormalQuantile:
+    def test_plot_positions_match_scipy(self):
+        from scipy import special
+
+        n = 3000
+        probs = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
+        got = inference.normal_plot_positions(n)
+        assert np.max(np.abs(got - special.ndtri(probs))) <= 2e-15
+
+    def test_all_three_branches(self):
+        from scipy import special
+
+        p = np.concatenate([
+            np.logspace(-300, -12, 60),     # far tail, r > 5
+            np.logspace(-11, -1.2, 60),     # near tail
+            np.linspace(0.076, 0.924, 61),  # central
+            1.0 - np.logspace(-15, -2, 30),
+        ])
+        ref = special.ndtri(p)
+        got = inference._probit(p)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(np.abs(ref), 1.0))
+        scalar = float(inference._probit(0.975))
+        assert scalar == pytest.approx(1.959963984540054, rel=1e-15)
 
 
 class TestResidualDiagnostics:
