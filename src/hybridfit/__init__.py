@@ -50,7 +50,6 @@ from .inference import (
     f_test,
     partition,
     pure_error,
-    r_squared,
     residual_diagnostics,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "load_table",
     "partition",
     "pure_error",
-    "r_squared",
     "replicate_groups",
     "residual_diagnostics",
     "simulate_design",

@@ -39,9 +39,7 @@ class Analysis:
     fit: hybrid.HybridFit
     part: inference.SSPartition
     pure_error: inference.PureErrorDecomposition
-    ss_about_mean: float            # y'y - n ybar^2
-    r2: float
-    r2_max: float
+    ss_about_mean: float            # sum of (y - ybar)^2
     # every ranked direction, uncorrected for the mean: F(rank, n-rank)
     overall: inference.FTest
     # mlr: the regression about the mean, F(p, n-p-1); hybrid: the linear
@@ -79,6 +77,15 @@ class Analysis:
         return self.ss_about_mean - self.part.ss_residual
 
     @property
+    def r2(self) -> float:
+        return 1.0 - self.part.ss_residual / self.ss_about_mean
+
+    @property
+    def r2_max(self) -> float:
+        """The R-squared left after pure error, which no model explains."""
+        return 1.0 - self.pure_error.ss_pure_error / self.ss_about_mean
+
+    @property
     def residual_sample_sd(self) -> float:
         """sqrt(SS_residual / (n - 1)): the residual scatter on the
         about-mean degrees of freedom, the paper's headline comparison."""
@@ -111,19 +118,24 @@ def analyze(
     ``theory`` is read for ``model="hybrid"`` only: ``adiabatic`` or
     ``isochoric`` simulate z with the gauge constants of ``cfg``, and
     ``column:<name>`` takes it from an extra column of ``ds``.  Raises
-    :class:`AnalysisError` when the response is constant (checked first),
-    the design is rank deficient, the model is saturated, or the residual
-    is zero.  Statistical inadequacy is a reported verdict, not an error.
+    :class:`AnalysisError` when the response is constant or overflows
+    (checked first), the design is rank deficient, the model is saturated,
+    or the residual is zero.  Statistical inadequacy is a reported verdict,
+    not an error.
     """
     if model not in ORDERS:
         raise AnalysisError(f"unknown model {model!r}")
     y = ds.response
-    ss_total = float(y @ y)
-    ss_about_mean = float(ss_total - ds.n_runs * y.mean() ** 2)
-    if not ss_about_mean > inference.SS_REL_TOL * max(ss_total, 1.0):
+    if np.ptp(y) == 0:
         raise ConstantResponseError(
             "response is constant; R-squared and F tests are undefined"
         )
+    with np.errstate(over="ignore"):  # reported as one error just below
+        deviations = y - y.mean()
+        ss_about_mean = float(deviations @ deviations)
+    if not np.isfinite(ss_about_mean):
+        raise AnalysisError("response overflows: its sum of squares about "
+                            "the mean is not finite; rescale it")
 
     coded = dataset.code(ds)
     design = dataset.build_design(coded, ORDERS[model], [s.name for s in ds.factors])
@@ -145,7 +157,6 @@ def analyze(
     # that share coded settings and theory value (for z = 1, the replicates).
     groups = dataset.row_groups(np.column_stack([coded, z.values]))
     pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
-    r2, r2_max = inference.r_squared(fit, y, pe.ss_pure_error)
 
     def against_residual(ss: float, df: int) -> inference.FTest:
         return inference.f_test(ss, df, part.ss_residual, part.df_residual, alpha)
@@ -181,8 +192,6 @@ def analyze(
         part=part,
         pure_error=pe,
         ss_about_mean=ss_about_mean,
-        r2=r2,
-        r2_max=r2_max,
         overall=overall,
         regression=regression,
         theory_gain=theory_gain,

@@ -37,10 +37,6 @@ class RunConfig:
     report_formats: frozenset[str] = frozenset(ALL_FORMATS)
 
     def __post_init__(self) -> None:
-        if self.model not in analysis.ORDERS:
-            raise AnalysisError(f"unknown model {self.model!r}")
-        if self.model == "hybrid" and self.theory == "none":
-            raise AnalysisError("model=hybrid requires a theory source")
         if not 0.0 < self.alpha < 1.0:
             raise AnalysisError(f"alpha must lie in (0, 1), got {self.alpha}")
         unknown = self.report_formats - set(ALL_FORMATS)

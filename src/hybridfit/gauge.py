@@ -24,18 +24,7 @@ import numpy as np
 from .dataset import Dataset, identical_rows
 from .errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
 from .hybrid import TheoryVector
-
-# A root must leave a flow-equality residual this small relative to the
-# orifice-side flow, unless bisection collapsed its bracket to adjacent floats
-# with a sign change: no representable value can do better there.
-RESIDUAL_REL_TOL = 1e-9
-
-# Continuity of the two-branch flow factors at their regime boundary.
-BRANCH_CONTINUITY_TOL = 1e-9
-
-# A closed-form isochoric root within this of a ratio-1/2 boundary counts as on
-# either side: the flows meet there continuously, and rounding may cross it.
-REGIME_SLACK = 1e-12
+from .tolerances import BRACKET_INSET, REGIME_SLACK, RESIDUAL_REL_TOL
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
@@ -180,7 +169,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     def residual(p):
         return np.subtract(*flows(p))
 
-    eps = 1e-9 * (ps - p_atm)
+    eps = BRACKET_INSET * (ps - p_atm)
     bracket = p_atm + eps, ps - eps
     flo, fhi = residual(bracket[0]), residual(bracket[1])
     no_sign_change = flo * fhi > 0.0
@@ -200,7 +189,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         root = np.fmin(np.fmax(root, bracket[0]), bracket[1])  # NaN -> bracket[0]
         orifice, sensor = flows(root)
     gap = orifice - sensor
-    bad_residual = ~collapsed & ~(np.abs(gap) <= RESIDUAL_REL_TOL * np.maximum(orifice, 1e-300))
+    bad_residual = ~collapsed & ~(np.abs(gap) <= RESIDUAL_REL_TOL * orifice)
 
     checks = [
         (nonpositive.any(axis=1), AnalysisError, lambda i: "{} must be positive, got {}".format(

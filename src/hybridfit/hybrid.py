@@ -11,14 +11,15 @@ scaling adds.  Stacking the two blocks side by side gives an augmented
 least-squares system whose rank may fall short of its column count.
 
 The system is represented by two thin orthonormal bases taken from truncated
-SVDs: Q_X spans the design columns, and Q_E spans the part of the excess
-block the design cannot explain.  Both are cut with the one rank tolerance of
-:mod:`hybridfit.linalg`, so the rank, the solution, the sums of squares and
-the covariances all rest on the same decision, and memory stays O(n p): no
-n x n matrix is formed unless a caller asks for a projector.  Every solve is
-cross-checked: the fitted values from the coefficients (augmented @ coef)
-must agree with the projection Q_X Q_X'y + Q_E Q_E'y, and the sums of
-squares must add up to y'y.
+SVDs: Q_X spans the design columns, and Q_E the part of the excess block the
+design cannot explain, cut from the excess of z / max|z| so that it does not
+depend on the units of z.  Both are cut with the one rank tolerance, so the
+rank, the solution, the sums of squares and the covariances all rest on the
+same decision, and memory stays O(n p): no n x n matrix is formed unless a
+caller asks for a projector.  Every solve is cross-checked: the fitted values
+from the coefficients (augmented @ coef) must agree with the projection
+Q_X Q_X'y + Q_E Q_E'y, and the sums of squares must add up to y'y.  Both
+tolerances come from :mod:`hybridfit.tolerances`.
 
 Setting z identically to one recovers ordinary multiple linear regression
 exactly: the excess block vanishes and the excess coefficients are zero.
@@ -33,10 +34,7 @@ import numpy as np
 from .dataset import DesignMatrix
 from .errors import InconsistencyError, RankError, ShapeError
 from .linalg import thin_svd
-
-# Agreement required between the coefficient and projection routes, and of
-# the sum-of-squares additivity, relative to the magnitudes involved.
-CROSS_CHECK_TOL = 1e-8
+from .tolerances import CROSS_CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -136,27 +134,33 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
             f"{design.n_rows} design rows but {len(theory)} theory values"
         )
     x = design.values
-    excess = (theory.values - 1.0)[:, None] * x
+    z = theory.values
+    excess = (z - 1.0)[:, None] * x
     augmented = np.hstack([x, excess])
+    # Q_E is cut from (z/m - 1) X, m = max|z|: modulo col(X) the span of the
+    # excess block, but free of the units of z and exactly zero for constant z.
+    m = float(np.max(np.abs(z))) or 1.0
+    scaled = (z / m - 1.0)[:, None] * x
     svd_x = thin_svd(x)
     q_x = svd_x.basis
     # Project twice: one pass leaves a component in col(X) of the order of
-    # roundoff times |excess|, which is not small next to the weakest
+    # roundoff times |scaled|, which is not small next to the weakest
     # direction the rank tolerance keeps.
-    excess_coords = q_x.T @ excess
-    excess_ortho = excess - q_x @ excess_coords
-    excess_ortho -= q_x @ (q_x.T @ excess_ortho)
-    # Cut against the scale of the whole system, so an excess block that the
-    # design explains up to roundoff (z constant) has rank zero.
-    svd_e = thin_svd(excess_ortho, scale=np.linalg.norm(augmented, 2))
+    scaled_coords = q_x.T @ scaled
+    scaled_ortho = scaled - q_x @ scaled_coords
+    scaled_ortho -= q_x @ (q_x.T @ scaled_ortho)
+    # Cut against the scale of the whole system, so a block that the design
+    # explains up to roundoff (z constant up to rounding) has rank zero.
+    svd_e = thin_svd(scaled_ortho, scale=np.linalg.norm(np.hstack([x, scaled]), 2))
 
     w_x = svd_x.coef_map
-    w_e = svd_e.coef_map
-    # Excess coefficients come from Q_E alone; the design block then fits
-    # what is left, y - excess @ coef_excess, through Q_X.
-    carry = w_x @ (excess_coords @ w_e)
+    # Coefficients b' on (z/m - 1) X come from Q_E alone, and the design block
+    # fits the rest through Q_X.  As (D - I) X = m (z/m - 1) X + (m - 1) X, on
+    # [X | excess] that is b = b' / m and a design block larger by b (1 - m).
+    w_e = svd_e.coef_map / m
+    carry = w_x @ (scaled_coords @ svd_e.coef_map)
     coef_map = np.block([
-        [w_x, -carry],
+        [w_x, (1.0 - m) * w_e - carry],
         [np.zeros((design.n_coef, svd_x.rank)), w_e],
     ])
     return HybridSystem(
@@ -164,7 +168,7 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
         theory=theory,
         excess=excess,
         augmented=augmented,
-        excess_ortho=excess_ortho,
+        excess_ortho=m * scaled_ortho,
         basis_design=q_x,
         basis_excess=svd_e.basis,
         coef_map=coef_map,
@@ -206,7 +210,7 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
 
     # Roundoff in augmented @ coef is relative to the magnitudes it sums,
     # which grow without bound as the excess block nears rank deficiency.
-    scale = max(1.0, float(np.max(np.abs(sys.augmented) @ np.abs(coef))))
+    scale = float(np.max(np.abs(sys.augmented) @ np.abs(coef)))
     gap = float(np.max(np.abs(sys.augmented @ coef - fitted)))
     if not gap <= CROSS_CHECK_TOL * scale:
         raise InconsistencyError(
@@ -220,7 +224,7 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     # difference loses every digit when the fit is close to exact.
     ss_residual = float(residuals @ residuals)
     defect = abs(ss_design + ss_excess + ss_residual - ss_total)
-    if not defect <= CROSS_CHECK_TOL * max(ss_total, 1.0):
+    if not defect <= CROSS_CHECK_TOL * ss_total:
         raise InconsistencyError(
             f"sums of squares miss y'y = {ss_total:.6g} by {defect:.3e}"
         )

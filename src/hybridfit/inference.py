@@ -1,4 +1,4 @@
-"""Sums of squares, F tests, lack of fit, R-squared, residual diagnostics.
+"""Sums of squares, F tests, lack of fit, residual diagnostics.
 
 The augmented model's total sum of squares splits orthogonally into the part
 explained by the plain polynomial, the part added by the theory scaling, and
@@ -31,12 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantResponseError, InconsistencyError, ShapeError
+from .errors import InconsistencyError, ShapeError
 from .hybrid import HybridFit, HybridSystem
-
-# Relative slack allowed before a negative sum of squares is treated as a
-# genuine inconsistency rather than roundoff.
-SS_REL_TOL = 1e-8
+from .tolerances import SS_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -104,11 +101,8 @@ class ResidualDiagnostics:
 
 def partition(sys: HybridSystem, fit: HybridFit) -> SSPartition:
     """Partition y'y over the orthogonal pieces of the augmented model, from
-    the sums of squares :func:`hybridfit.hybrid.solve` formed for ``fit``."""
-    if not np.isfinite(fit.ss_residual):
-        raise InconsistencyError(
-            f"residual sum of squares is not a number: {fit.ss_residual}"
-        )
+    the sums of squares :func:`hybridfit.hybrid.solve` formed (and, by their
+    additivity check, found finite) for ``fit``."""
     p1 = sys.n_coef
     return SSPartition(
         ss_total=fit.ss_total,
@@ -138,7 +132,9 @@ def pure_error(
     Lack of fit is the remainder of ``ss_residual``, the fit's residual sum
     of squares.  The split is valid only if the fitted values are equal
     within each group: group runs whose model-matrix rows are identical (for
-    the hybrid model, the same settings and the same theory value).
+    the hybrid model, the same settings and the same theory value).  Pure
+    error above ``ss_residual`` by more than
+    :data:`hybridfit.tolerances.SS_REL_TOL` of it is an inconsistency.
     """
     y = np.asarray(y, dtype=float).ravel()
     ss_pe = 0.0
@@ -149,7 +145,7 @@ def pure_error(
             ss_pe += float(np.sum((vals - vals.mean()) ** 2))
             df_pe += len(group) - 1
     ss_lof = ss_residual - ss_pe
-    if not ss_lof >= -SS_REL_TOL * max(ss_residual, 1.0):
+    if not ss_lof >= -SS_REL_TOL * ss_residual:
         raise InconsistencyError(
             f"pure error {ss_pe:.6g} exceeds the residual sum of squares "
             f"{ss_residual:.6g}"
@@ -182,30 +178,6 @@ def f_test(
         return FTest(0.0, 0, df_den, 1.0, critical)
     f = (ss_num / df_num) / (ss_den / df_den)
     return FTest(f, df_num, df_den, f_sf(f, df_num, df_den), critical)
-
-
-def r_squared(
-    fit, y: np.ndarray, ss_pure_error: float = 0.0
-) -> tuple[float, float]:
-    """Multiple correlation coefficient and its attainable maximum.
-
-    ``fit`` is any solved fit exposing a ``fitted`` attribute.  The maximum
-    discounts pure error, which no model can explain.  Requires a response
-    with variation about its mean.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.shape[0]
-    if n < 2:
-        raise ConstantResponseError("R-squared needs at least two runs")
-    ss_about_mean = float(y @ y - n * y.mean() ** 2)
-    if not ss_about_mean > SS_REL_TOL * max(float(y @ y), 1.0):
-        raise ConstantResponseError(
-            "response is constant; R-squared is undefined"
-        )
-    explained = float(fit.fitted @ y - n * y.mean() ** 2)
-    r2 = explained / ss_about_mean
-    r2_max = (ss_about_mean - ss_pure_error) / ss_about_mean
-    return r2, r2_max
 
 
 # Stirling-series remainder del(x) = lgamma(x) - ((x - 1/2) ln x - x + ln

@@ -1,12 +1,13 @@
 """Rank-aware dense linear algebra used by every fitting routine.
 
 All rank decisions in the package compare singular values against the single
-relative tolerance :data:`RANK_TOL`.  Rank-deficient systems are handled
-through thin, truncated singular value decompositions: the kept left
-singular vectors are an orthonormal basis of the numerical column space, and
-``V S^-1 U'`` is the Moore-Penrose inverse.  Every downstream quantity
-(fitted values, residual sums of squares, projectors) is invariant to the
-choice of generalized inverse, so the most stable representative is used.
+relative tolerance :data:`hybridfit.tolerances.RANK_TOL`.  Rank-deficient
+systems are handled through thin, truncated singular value decompositions:
+the kept left singular vectors are an orthonormal basis of the numerical
+column space, and ``V S^-1 U'`` is the Moore-Penrose inverse.  Every
+downstream quantity (fitted values, residual sums of squares, projectors) is
+invariant to the choice of generalized inverse, so the most stable
+representative is used.
 The SVD is taken of the matrix itself, not of its normal-equations matrix,
 which would square the condition number and with it the smallest singular
 value the tolerance can resolve (Golub & Van Loan, *Matrix Computations*,
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-# Relative cutoff on singular values when deciding rank.
-RANK_TOL = 1e-10
+from .tolerances import RANK_TOL
 
 
 @dataclass(frozen=True)

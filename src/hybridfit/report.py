@@ -15,6 +15,7 @@ row files carry full precision for machine consumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -285,10 +286,16 @@ def render_points(
     return "\n".join(lines) + "\n"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float, count: int = 5) -> list[tuple[float, str]]:
+    """``count`` evenly spaced ticks from lo to hi, each labelled at four
+    significant digits of the spacing, so that a roundoff residue of zero
+    reads 0 (adding 0.0 turns -0 into 0)."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    step = (hi - lo) / (count - 1)
+    places = 3 - math.floor(math.log10(step))
+    ticks = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [(t, f"{round(float(t), places) + 0.0:.4g}") for t in ticks]
 
 
 def scatter_svg(
@@ -336,7 +343,7 @@ def scatter_svg(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 20 {height / 2:.1f})">{ylabel}</text>',
     ]
-    for t in _ticks(x_lo + x_pad, x_hi - x_pad):
+    for t, label in _ticks(x_lo + x_pad, x_hi - x_pad):
         parts.append(
             f'<line x1="{px(t):.2f}" y1="{height - margin}" x2="{px(t):.2f}" '
             f'y2="{height - margin + 5}" stroke="black"/>'
@@ -344,9 +351,9 @@ def scatter_svg(
         parts.append(
             f'<text x="{px(t):.2f}" y="{height - margin + 20}" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{t:.4g}</text>'
+            f'font-size="11">{label}</text>'
         )
-    for t in _ticks(y_lo + y_pad, y_hi - y_pad):
+    for t, label in _ticks(y_lo + y_pad, y_hi - y_pad):
         parts.append(
             f'<line x1="{margin - 5}" y1="{py(t):.2f}" x2="{margin}" '
             f'y2="{py(t):.2f}" stroke="black"/>'
@@ -354,7 +361,7 @@ def scatter_svg(
         parts.append(
             f'<text x="{margin - 8}" y="{py(t):.2f}" text-anchor="end" '
             f'dominant-baseline="middle" font-family="sans-serif" '
-            f'font-size="11">{t:.4g}</text>'
+            f'font-size="11">{label}</text>'
         )
     if y_lo < 0.0 < y_hi:
         parts.append(

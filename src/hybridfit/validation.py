@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import analysis, config, gauge
+from . import analysis, config, gauge, report
 from .errors import AnalysisError
 
 FACTORIAL_BASENAME = "gauge_factorial"
@@ -107,14 +107,10 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
 
     The result carries the individual check outcomes, notes on the known
     discrepancies in the reference tables (logged, never matched), and the
-    gauge constants used for the solver checks.
+    gauge constants used for the solver checks.  A bundled file that cannot
+    be read raises :class:`~hybridfit.errors.InputFileError` naming it.
     """
     data_dir = Path(data_dir) if data_dir is not None else default_data_dir()
-    for basename in (FACTORIAL_BASENAME, BOXBEHNKEN_BASENAME):
-        for suffix in (".tsv", "_spec.txt"):
-            path = data_dir / f"{basename}{suffix}"
-            if not path.is_file():
-                raise AnalysisError(f"bundled case-study file missing: {path}")
     checks: list[CheckResult] = []
 
     def load(basename: str, extras: tuple[str, ...] = ()):
@@ -218,12 +214,10 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
 def render_validation_report(result: ValidationResult) -> str:
     """Human-readable pass/fail table, one line per reference number."""
     n_pass = sum(c.passed for c in result.checks)
-    k = result.constants
     lines = [
         "case-study validation: "
         f"{n_pass}/{len(result.checks)} checks passed",
-        f"gauge constants: gamma={k.gamma:g}, p_atm={k.p_atm:g} kPa, "
-        f"c_orifice={k.c_orifice:g}, c_sensor={k.c_sensor:g}",
+        report.constants_line(result.constants, ()),
         "",
         f"{'status':6}  {'check':28}  {'expected':>12}  {'got':>14}  tolerance",
     ]

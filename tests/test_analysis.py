@@ -146,3 +146,71 @@ class TestGuards:
             analyze(factorial, factorial_config, "mlr3")
         with pytest.raises(AnalysisError, match="theory source"):
             analyze(factorial, factorial_config, "hybrid")
+
+
+def saturated_replicated_case() -> Dataset:
+    """Six distinct settings (rank-4 design), center triplicated, each
+    setting with its own theory value: the augmented system rank equals the
+    number of distinct settings, so the residual is pure error only."""
+    corners = np.array(
+        [
+            [-1, -1, -1],
+            [1, -1, -1],
+            [-1, 1, -1],
+            [-1, -1, 1],
+            [1, 1, 1],
+            [0, 0, 0],
+            [0, 0, 0],
+            [0, 0, 0],
+        ],
+        dtype=float,
+    )
+    z_by_setting = {}
+    z = []
+    for row in corners:
+        key = tuple(row)
+        z_by_setting.setdefault(key, 1.0 + 0.37 * len(z_by_setting))
+        z.append(z_by_setting[key])
+    y = np.array([10.0, 12.0, 9.0, 11.0, 14.0, 13.0, 13.4, 12.7])
+    factors = UNIT_FACTORS + (FactorSpec("x3", -1.0, 1.0),)
+    return Dataset(factors, corners, y, extras={"z": np.array(z)})
+
+
+class TestRSquared:
+    """R-squared and its attainable maximum, as ``analyze`` reports them."""
+
+    def test_perfect_fit(self, factorial, factorial_design, factorial_config):
+        sys = hybrid.assemble(
+            factorial_design, hybrid.TheoryVector(factorial.extras["P_adiabatic"])
+        )
+        beta = np.linspace(1.0, 2.0, 8)
+        y = sys.augmented @ beta
+        ds = Dataset(factorial.factors, factorial.naturals, y, extras=factorial.extras)
+        a = analyze(ds, factorial_config, "hybrid", "column:P_adiabatic")
+        assert a.r2 == pytest.approx(1.0, abs=1e-9)
+        assert a.r2_max == 1.0
+
+    def test_saturated_design_reaches_max(self):
+        a = analyze(saturated_replicated_case(), {}, "hybrid", "column:z")
+        assert a.system.rank == 6
+        pe = a.pure_error
+        assert pe.ss_lack_of_fit == pytest.approx(0.0, abs=1e-9)
+        assert a.part.ss_residual == pytest.approx(pe.ss_pure_error, rel=1e-8)
+        assert a.r2 == pytest.approx(a.r2_max, abs=1e-10)
+
+    def test_two_formula_agreement(self, factorial, factorial_config):
+        a = analyze(factorial, factorial_config, "hybrid", "column:P_adiabatic")
+        y = factorial.response
+        n = y.size
+        ss_about_mean = y @ y - n * y.mean() ** 2
+        assert a.r2 == pytest.approx(1.0 - a.part.ss_residual / ss_about_mean, abs=1e-9)
+        explained = a.fit.fitted @ y - n * y.mean() ** 2
+        assert a.r2 == pytest.approx(explained / ss_about_mean, abs=1e-9)
+
+    def test_constant_response_rejected(self, factorial, factorial_config):
+        ds = Dataset(
+            factorial.factors, factorial.naturals, np.full(11, 3.0),
+            extras=factorial.extras,
+        )
+        with pytest.raises(ConstantResponseError):
+            analyze(ds, factorial_config, "hybrid", "column:P_adiabatic")

@@ -339,12 +339,16 @@ class TestFit:
 
 
 class TestRunConfig:
-    def test_hybrid_requires_theory(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            RunConfig(
-                data_path=tmp_path, spec_path=tmp_path,
-                model="hybrid", theory="none",
-            )
+    def test_hybrid_requires_theory(self, data_dir, tmp_path, capsys):
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--model", "hybrid",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "theory source" in capsys.readouterr().err
 
     def test_alpha_range(self, tmp_path):
         with pytest.raises(AnalysisError):
@@ -401,6 +405,9 @@ class TestValidate:
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         rc = main(["validate", "--data-dir", str(tmp_path)])
         assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read {tmp_path}")
 
 
 class TestInputFiles:

@@ -43,6 +43,13 @@ class TestAssemble:
         assert np.array_equal(sys.augmented[:, :4], factorial_design.values)
         assert np.array_equal(sys.augmented[:, 4:], np.zeros((11, 4)))
 
+    @pytest.mark.parametrize("value", [0.0, 250.0, -3.0])
+    def test_constant_theory_adds_no_rank(self, factorial_design, value):
+        sys = hybrid.assemble(factorial_design, TheoryVector(np.full(11, value)))
+        assert sys.rank == 4
+        fit = hybrid.solve(sys, np.arange(11.0))
+        assert np.array_equal(fit.coef_excess, np.zeros(4))
+
     def test_factorial_adiabatic_rank(self, factorial, factorial_design):
         theory = TheoryVector(factorial.extras["P_adiabatic"])
         sys = hybrid.assemble(factorial_design, theory)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridfit import dataset, hybrid, inference
 from hybridfit.analysis import analyze
 from hybridfit.dataset import Dataset, FactorSpec
-from hybridfit.errors import ConstantResponseError, SaturatedModelError, ShapeError
+from hybridfit.errors import SaturatedModelError, ShapeError
 from hybridfit.hybrid import TheoryVector
 
 
@@ -226,73 +226,6 @@ class TestLackOfFit:
             assert a.box_wetz is None
         assert a.pure_error.df_pure_error == 2
         assert a.pure_error.ss_pure_error == 0.0
-
-
-def saturated_replicated_case():
-    """Six distinct settings (rank-4 design), center triplicated: the
-    augmented system rank equals the number of distinct settings, so the
-    residual is pure error only."""
-    corners = np.array(
-        [
-            [-1, -1, -1],
-            [1, -1, -1],
-            [-1, 1, -1],
-            [-1, -1, 1],
-            [1, 1, 1],
-            [0, 0, 0],
-            [0, 0, 0],
-            [0, 0, 0],
-        ],
-        dtype=float,
-    )
-    design = dataset.build_design(corners, "first")
-    z_by_setting = {}
-    z = []
-    for row in corners:
-        key = tuple(row)
-        z_by_setting.setdefault(key, 1.0 + 0.37 * len(z_by_setting))
-        z.append(z_by_setting[key])
-    y = np.array([10.0, 12.0, 9.0, 11.0, 14.0, 13.0, 13.4, 12.7])
-    sys = hybrid.assemble(design, TheoryVector(z))
-    return sys, y, corners
-
-
-class TestRSquared:
-    def test_perfect_fit(self, factorial, factorial_design):
-        sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
-        )
-        beta = np.linspace(1.0, 2.0, 8)
-        y = sys.augmented @ beta
-        fit = hybrid.solve(sys, y)
-        r2, r2_max = inference.r_squared(fit, y, ss_pure_error=0.0)
-        assert r2 == pytest.approx(1.0, abs=1e-9)
-        assert r2_max == 1.0
-
-    def test_saturated_design_reaches_max(self):
-        sys, y, corners = saturated_replicated_case()
-        assert sys.rank == 6
-        fit = hybrid.solve(sys, y)
-        part = inference.partition(sys, fit)
-        groups = [[0], [1], [2], [3], [4], [5, 6, 7]]
-        pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
-        assert pe.ss_lack_of_fit == pytest.approx(0.0, abs=1e-9)
-        assert part.ss_residual == pytest.approx(pe.ss_pure_error, rel=1e-8)
-        r2, r2_max = inference.r_squared(fit, y, pe.ss_pure_error)
-        assert r2 == pytest.approx(r2_max, abs=1e-10)
-
-    def test_two_formula_agreement(self, factorial, adiabatic_case):
-        _, fit, part = adiabatic_case
-        y = factorial.response
-        r2, _ = inference.r_squared(fit, y)
-        n = y.size
-        ss_about_mean = y @ y - n * y.mean() ** 2
-        assert r2 == pytest.approx(1.0 - part.ss_residual / ss_about_mean, abs=1e-9)
-
-    def test_constant_response_rejected(self, adiabatic_case):
-        _, fit, _ = adiabatic_case
-        with pytest.raises(ConstantResponseError):
-            inference.r_squared(fit, np.full(11, 3.0))
 
 
 class TestFCdf:
