@@ -41,11 +41,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {path}")
 
     curve = grid[:, 1] == SVG_SUPPLY
-    points = list(zip(grid[curve, 0].tolist(), pressures["adiabatic"][curve].tolist()))
     svg = out / "sweep_adiabatic.svg"
     svg.write_text(
         scatter_svg(
-            points,
+            grid[curve, 0],
+            pressures["adiabatic"][curve],
             "sensor area (mm^2)",
             "back-pressure (kPa)",
             f"Adiabatic back-pressure vs sensor area (Ps = {SVG_SUPPLY} MPa)",

@@ -61,7 +61,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     theory = gauge.simulate_design(ds, args.theory, constants)
 
     column = f"P_{args.theory}"
-    if column in extras:
+    while column in header:
         column += "_sim"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -72,13 +72,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         [ds.naturals[:, j] for j in range(ds.n_factors)]
         + [ds.response]
         + [ds.extras[name] for name in extras]
+        + [theory.values]
     )
-    lines = ["\t".join(names)]
-    for i in range(ds.n_runs):
-        cells = [repr(float(col[i])) for col in columns]
-        cells.append(f"{theory.values[i]:.3f}")
-        lines.append("\t".join(cells))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # carried cells round-trip exactly; the computed column prints at 3 decimals
+    row = "%r\t" * (len(columns) - 1) + "%.3f\n"
+    out_path.write_text(report.render_table(names, columns, row), encoding="utf-8")
 
     print(report.constants_line(constants, defaulted))
     print(f"wrote {out_path} with back-pressure column {column!r} ({args.theory})")

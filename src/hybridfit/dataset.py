@@ -180,6 +180,53 @@ def peek_columns(source: str | Path) -> list[str]:
     raise SchemaError(f"{source}: empty file, no header row")
 
 
+def _parse_block(
+    rows: list[str], delimiter: str | None, usecols: list[int]
+) -> np.ndarray | None:
+    """The cells ``usecols`` of every row as one (column, row) array, parsed
+    in one numpy call; None when :func:`_parse_cells` must decide.
+
+    numpy accepts a subset of the tokens ``float()`` accepts (not ``1_0`` or
+    non-ASCII digits) and gives the same double for each, and it splits on
+    whitespace as ``str.split`` does.  It knows no CSV quoting, so quoted
+    tables take the per-cell path, as does any table numpy rejects.
+    """
+    if delimiter is not None and '"' in "".join(rows):
+        return None
+    try:
+        block = np.loadtxt(
+            rows, delimiter=delimiter, usecols=usecols, comments=None,
+            quotechar=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if block.shape[0] != len(rows):  # numpy skipped a line it read as empty
+        return None
+    return np.ascontiguousarray(block.T)
+
+
+def _parse_cells(
+    rows: list[str], delimiter: str | None, usecols: list[int], names: list[str]
+) -> np.ndarray:
+    """The cells ``usecols`` of every row as one (column, row) array, one
+    ``float()`` per cell; the first cell that is missing or not a number
+    raises :class:`TableParseError` naming its row and column."""
+    parsed: list[list[float]] = [[] for _ in usecols]
+    for i, line in enumerate(rows, start=1):
+        cells = _split_line(line.rstrip("\n"), delimiter)
+        for values, idx, name in zip(parsed, usecols, names):
+            if idx >= len(cells):
+                raise TableParseError(f"row {i}: missing cell for column {name!r}")
+            token = cells[idx].strip()
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise TableParseError(
+                    f"row {i}, column {name!r}: cannot parse {token!r} as a number"
+                ) from None
+    return np.array(parsed)
+
+
 def load_table(
     source: str | Path | IO[str] | IO[bytes],
     schema: TableSchema,
@@ -189,7 +236,7 @@ def load_table(
 
     Natural units are preserved verbatim and rows keep file order.  Raises
     :class:`InputFileError` when a named file cannot be read,
-    :class:`SchemaError` when a named column is missing and
+    :class:`SchemaError` when a named column is missing or appears twice and
     :class:`TableParseError` (with row and column) on a non-numeric or
     non-finite cell.
     """
@@ -209,30 +256,21 @@ def load_table(
     for name in wanted:
         if name not in header:
             raise SchemaError(f"column {name!r} not found; header has {header}")
+        if header.count(name) > 1:
+            raise SchemaError(
+                f"column {name!r} appears {header.count(name)} times in the header"
+            )
         col_index[name] = header.index(name)
 
     rows = lines[1:]
     if not rows:
         raise SchemaError("no data rows after the header")
 
-    def parse_cell(token: str, row: int, name: str) -> float:
-        try:
-            return float(token)
-        except ValueError:
-            raise TableParseError(
-                f"row {row}, column {name!r}: cannot parse {token!r} as a number"
-            ) from None
-
-    parsed: dict[str, list[float]] = {name: [] for name in col_index}
-    for i, line in enumerate(rows, start=1):
-        cells = _split_line(line.rstrip("\n"), delimiter)
-        for name, idx in col_index.items():
-            if idx >= len(cells):
-                raise TableParseError(f"row {i}: missing cell for column {name!r}")
-            parsed[name].append(parse_cell(cells[idx].strip(), i, name))
-
-    names = list(parsed)
-    table = np.array([parsed[name] for name in names])
+    names = list(col_index)
+    usecols = list(col_index.values())
+    table = _parse_block(rows, delimiter, usecols)
+    if table is None:
+        table = _parse_cells(rows, delimiter, usecols, names)
     # float() accepts "nan" and "inf": reject them in one pass over the table.
     bad = np.argwhere(~np.isfinite(table.T))
     if bad.size:

@@ -87,16 +87,17 @@ class FTest:
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
-    """Point sets behind the two standard residual plots.
+    """Point sets behind the two standard residual plots, each an
+    ``(x, y)`` pair of equal-length arrays.
 
-    ``normal_plot`` pairs each ordered residual with its standard-normal
-    plotting position (Blom's (i - 3/8)/(n + 1/4) probability, mapped through
-    the inverse normal CDF).  ``scatter`` pairs fitted value with residual,
-    in run order.
+    ``normal_plot`` holds the standard-normal plotting positions (Blom's
+    (i - 3/8)/(n + 1/4) probability, mapped through the inverse normal CDF)
+    and the residuals in ascending order.  ``scatter`` holds the fitted
+    values and the residuals, in run order.
     """
 
-    normal_plot: tuple[tuple[float, float], ...]
-    scatter: tuple[tuple[float, float], ...]
+    normal_plot: tuple[np.ndarray, np.ndarray]
+    scatter: tuple[np.ndarray, np.ndarray]
 
 
 def partition(sys: HybridSystem, fit: HybridFit) -> SSPartition:
@@ -438,17 +439,13 @@ def residual_diagnostics(fit) -> ResidualDiagnostics:
     ``fit`` is any solved fit exposing ``fitted`` and ``residuals``.
     """
     resid = np.asarray(fit.residuals, dtype=float)
-    n = resid.shape[0]
+    fitted = np.asarray(fit.fitted, dtype=float)
     # stable sort: ties keep run order
-    order = np.argsort(resid, kind="stable")
-    quantiles = normal_plot_positions(n)
-    normal_plot = tuple(
-        (float(q), float(resid[idx])) for q, idx in zip(quantiles, order)
+    ordered = resid[np.argsort(resid, kind="stable")]
+    return ResidualDiagnostics(
+        normal_plot=(normal_plot_positions(resid.shape[0]), ordered),
+        scatter=(fitted, resid),
     )
-    scatter = tuple(
-        (float(f), float(r)) for f, r in zip(fit.fitted, resid)
-    )
-    return ResidualDiagnostics(normal_plot=normal_plot, scatter=scatter)
 
 
 def box_wetz_ratio(f_critical: float, f_lack_of_fit: float) -> tuple[float, bool]:

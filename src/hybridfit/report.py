@@ -1,6 +1,7 @@
 """Report rendering: the summary lines and the three ANOVA tables of an
 :class:`~hybridfit.analysis.Analysis`, ANOVA tables as text and delimited
-rows, coefficient files, residual-plot point files, and standalone SVG plots.
+rows, coefficient files, tab-separated column tables (residual-plot points,
+simulated designs), and standalone SVG plots.
 
 Rendering computes nothing statistical: sums of squares come from the
 analysis's partition and pure-error split, every F and p from its
@@ -276,30 +277,44 @@ def render_coefficients(
     return "\n".join(lines) + "\n"
 
 
-def render_points(
-    points: Sequence[tuple[float, float]], xname: str, yname: str
-) -> str:
+def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
+    """One line per row, formatted over whole columns at once: ``row`` is a
+    ``%``-template with one conversion per column, ending in a newline."""
+    values = np.column_stack(columns).ravel().tolist()
+    return (row * len(columns[0])) % tuple(values)
+
+
+def render_table(names: Sequence[str], columns: Sequence[np.ndarray], row: str) -> str:
+    """Tab-separated table: a header of ``names``, then each row through the
+    ``%``-template ``row`` (one conversion per column, ending in a newline)."""
+    return "\t".join(names) + "\n" + _format_rows(row, columns)
+
+
+def render_points(xs: np.ndarray, ys: np.ndarray, xname: str, yname: str) -> str:
     """Tab-separated two-column point file."""
-    lines = ["\t".join([xname, yname])]
-    for x, y in points:
-        lines.append(f"{x:.6f}\t{y:.6f}")
-    return "\n".join(lines) + "\n"
+    return render_table((xname, yname), (xs, ys), "%.6f\t%.6f\n")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[tuple[float, str]]:
     """``count`` evenly spaced ticks from lo to hi, each labelled at four
     significant digits of the spacing, so that a roundoff residue of zero
     reads 0 (adding 0.0 turns -0 into 0)."""
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # one unit, or one spacing of lo where a unit is below it
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
     step = (hi - lo) / (count - 1)
     places = 3 - math.floor(math.log10(step))
     ticks = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     return [(t, f"{round(float(t), places) + 0.0:.4g}") for t in ticks]
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(
-    points: Sequence[tuple[float, float]],
+    xs: np.ndarray,
+    ys: np.ndarray,
     xlabel: str,
     ylabel: str,
     title: str,
@@ -312,19 +327,20 @@ def scatter_svg(
     bytes depend only on the data.
     """
     margin = 70.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     x_pad = (x_hi - x_lo) * 0.08 or max(abs(x_lo), 1.0) * 0.08
     y_pad = (y_hi - y_lo) * 0.08 or max(abs(y_lo), 1.0) * 0.08
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    def px(x: float) -> float:
+    # pixel positions of a float or of a whole column
+    def px(x):
         return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
-    def py(y: float) -> float:
+    def py(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     parts = [
@@ -332,16 +348,16 @@ def scatter_svg(
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>',
+        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>',
         f'<text x="20" y="{height / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {height / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 20 {height / 2:.1f})">{_escape(ylabel)}</text>',
     ]
     for t, label in _ticks(x_lo + x_pad, x_hi - x_pad):
         parts.append(
@@ -351,7 +367,7 @@ def scatter_svg(
         parts.append(
             f'<text x="{px(t):.2f}" y="{height - margin + 20}" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     for t, label in _ticks(y_lo + y_pad, y_hi - y_pad):
         parts.append(
@@ -361,20 +377,19 @@ def scatter_svg(
         parts.append(
             f'<text x="{margin - 8}" y="{py(t):.2f}" text-anchor="end" '
             f'dominant-baseline="middle" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     if y_lo < 0.0 < y_hi:
         parts.append(
             f'<line x1="{margin}" y1="{py(0):.2f}" x2="{width - margin}" '
             f'y2="{py(0):.2f}" stroke="#bbbbbb" stroke-dasharray="4 3"/>'
         )
-    for x, y in points:
-        parts.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
-            f'fill="none" stroke="#1f4e9c" stroke-width="1.4"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    circles = _format_rows(
+        '<circle cx="%.2f" cy="%.2f" r="3.5" '
+        'fill="none" stroke="#1f4e9c" stroke-width="1.4"/>\n',
+        (px(xs), py(ys)),
+    )
+    return "\n".join(parts) + "\n" + circles + "</svg>\n"
 
 
 def write_diagnostic_files(
@@ -382,38 +397,24 @@ def write_diagnostic_files(
 ) -> list[Path]:
     """Write residual plot point files and SVG plots with stable names."""
     unit = f" ({response_units})" if response_units else ""
+    plots = (
+        (
+            "residuals_normal", diag.normal_plot, ("normal_quantile", "ordered_residual"),
+            ("standard normal quantile", f"ordered residual{unit}",
+             "Normal probability plot of residuals"),
+        ),
+        (
+            "residuals_fitted", diag.scatter, ("fitted", "residual"),
+            (f"fitted value{unit}", f"residual{unit}", "Residuals versus fitted values"),
+        ),
+    )
     written = []
-    normal_tsv = out_dir / "residuals_normal.tsv"
-    normal_tsv.write_text(
-        render_points(diag.normal_plot, "normal_quantile", "ordered_residual"),
-        encoding="utf-8",
-    )
-    written.append(normal_tsv)
-    normal_svg = out_dir / "residuals_normal.svg"
-    normal_svg.write_text(
-        scatter_svg(
-            diag.normal_plot,
-            "standard normal quantile",
-            f"ordered residual{unit}",
-            "Normal probability plot of residuals",
-        ),
-        encoding="utf-8",
-    )
-    written.append(normal_svg)
-    fitted_tsv = out_dir / "residuals_fitted.tsv"
-    fitted_tsv.write_text(
-        render_points(diag.scatter, "fitted", "residual"), encoding="utf-8"
-    )
-    written.append(fitted_tsv)
-    fitted_svg = out_dir / "residuals_fitted.svg"
-    fitted_svg.write_text(
-        scatter_svg(
-            diag.scatter,
-            f"fitted value{unit}",
-            f"residual{unit}",
-            "Residuals versus fitted values",
-        ),
-        encoding="utf-8",
-    )
-    written.append(fitted_svg)
+    for stem, (xs, ys), names, labels in plots:
+        for suffix, text in (
+            (".tsv", render_points(xs, ys, *names)),
+            (".svg", scatter_svg(xs, ys, *labels)),
+        ):
+            path = out_dir / f"{stem}{suffix}"
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
     return written

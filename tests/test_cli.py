@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,49 @@ class TestSimulate:
         assert "row 2" in err
 
 
+    def test_resimulating_adds_a_fresh_column(self, data_dir, tmp_path):
+        # simulating a simulated table once more must not repeat a column
+        # name, or a later column:<name> theory would read the stale copy
+        spec = str(data_dir / "gauge_factorial_spec.txt")
+        data = str(data_dir / "gauge_factorial.tsv")
+        for step in ("first", "second"):
+            rc = main([
+                "simulate", "--data", data, "--spec", spec,
+                "--theory", "adiabatic", "--out", str(tmp_path / step),
+            ])
+            assert rc == 0
+            data = str(tmp_path / step / "simulated.tsv")
+        lines = (tmp_path / "second" / "simulated.tsv").read_text().splitlines()
+        header = lines[0].split("\t")
+        assert len(set(header)) == len(header)
+        assert header[-2:] == ["P_adiabatic_sim", "P_adiabatic_sim_sim"]
+        for line in lines[1:]:
+            cells = line.split("\t")
+            assert cells[-1] == cells[-2]
+
+
 class TestFit:
+    def test_svg_text_with_markup_characters_is_well_formed(self, data_dir, tmp_path):
+        units = "kPa <gauge> & co"
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            (data_dir / "gauge_factorial_spec.txt").read_text().replace(
+                "response.units = kPa", f"response.units = {units}"
+            )
+        )
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec),
+            "--model", "mlr1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        for name in ("residuals_normal.svg", "residuals_fitted.svg"):
+            root = ET.parse(tmp_path / "out" / name).getroot()
+            texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert f"residual ({units})" in texts[2]
+
     def test_mlr1_matches_reference(self, data_dir, tmp_path):
         rc = main([
             "fit",

@@ -1,8 +1,9 @@
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridfit import dataset
@@ -99,6 +100,115 @@ class TestLoadTable:
         schema = TableSchema(factors=(spec_a(),), response="y")
         ds = dataset.load_table(io.StringIO("A,y\n0.5,2.0\n"), schema)
         assert ds.response[0] == 2.0
+
+    def test_duplicate_requested_column(self):
+        # a stale first copy of a column must not be read in silence
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        text = "A\ty\ty\n0.5\t2.0\t3.0\n"
+        with pytest.raises(SchemaError, match="'y' appears 2 times"):
+            dataset.load_table(io.StringIO(text), schema)
+
+    def test_duplicate_unrequested_column_is_ignored(self):
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        ds = dataset.load_table(io.StringIO("A\ty\tn\tn\n0.5\t2.0\t1\t2\n"), schema)
+        assert ds.response.tolist() == [2.0]
+
+
+# Cell tokens for the fast-path comparison: numbers in several spellings,
+# tokens float() reads and numpy does not, and tokens neither reads.
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3f}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6e}"),
+)
+ODD_TOKENS = st.sampled_from([
+    "1_0", "\u0661\u0662", "\uff11", "+.5", "-.5e-3", "-0", "0x10", "1.5.2",
+    "", " ", "  7  ", "\xa03\xa0", "\u30004", "#", "#1", "1#", '"1.5"', '"1,5"',
+    '"2;5"', '"7,8,9"', '"7;8;9"', '"7\t8\t9"', '"a b"', "'1'", "1e500",
+    "-1e500", "nan", "inf", "-Infinity", "1\x00", "1\r", "\r2", "1 2", "x",
+])
+# numbers three times as often as odd tokens, so that some tables parse
+TOKENS = st.one_of(NUMBER_TOKENS, NUMBER_TOKENS, NUMBER_TOKENS, ODD_TOKENS)
+
+
+@st.composite
+def tables(draw):
+    """A delimited table with header c0..c{k-1}, and a schema that asks for
+    some of its columns in any order."""
+    delimiter = draw(st.sampled_from(["\t", ",", ";", None]))
+    k = draw(st.integers(2, 5))
+    sep = " " if delimiter is None else delimiter
+    lines = [sep.join(f"c{j}" for j in range(k))]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        cells = draw(st.lists(TOKENS, min_size=k - 1, max_size=k + 1))
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        lines.append(pad + sep.join(cells))
+    order = draw(st.permutations(range(k)))
+    n_factors = draw(st.integers(1, k - 1))
+    n_extras = draw(st.integers(0, k - 1 - n_factors))
+    names = [f"c{j}" for j in order]
+    schema = TableSchema(
+        factors=tuple(FactorSpec(name, 0.0, 1.0) for name in names[:n_factors]),
+        response=names[n_factors],
+        extras=tuple(names[n_factors + 1 : n_factors + 1 + n_extras]),
+    )
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), schema
+
+
+QUOTED_SCHEMA = TableSchema((FactorSpec("c2", 0.0, 1.0),), "c1")
+
+
+def load_outcome(text: str, schema: TableSchema):
+    """The loaded arrays as bytes, or the error's type and message."""
+    try:
+        ds = dataset.load_table(io.StringIO(text), schema)
+    except Exception as exc:  # compared, not handled: any error must match
+        return type(exc), str(exc)
+    return (
+        ds.naturals.tobytes(),
+        ds.response.tobytes(),
+        {name: col.tobytes() for name, col in ds.extras.items()},
+    )
+
+
+class TestFastPath:
+    """``load_table`` parses the numeric block in one numpy call and falls
+    back to the per-cell parser, which names the bad cell; both must give
+    the same table or the same error."""
+
+    # a quoted cell holding delimiters shifts numpy's columns onto numbers
+    @given(tables())
+    @example(('c0,c1,c2\n"7,8,9,6",1,2\n', QUOTED_SCHEMA))
+    @example(('c0;c1;c2\n"7;8;9;6";1;2\n', QUOTED_SCHEMA))
+    @example(('c0\tc1\tc2\n"7\t8\t9\t6"\t1\t2\n', QUOTED_SCHEMA))
+    @settings(deadline=None, max_examples=300)
+    def test_same_result_as_per_cell_parser(self, case):
+        text, schema = case
+        fast = load_outcome(text, schema)
+        with patch.object(dataset, "_parse_block", lambda *args: None):
+            slow = load_outcome(text, schema)
+        assert fast == slow
+
+    @pytest.mark.parametrize("sep", ["\t", ",", ";", " "])
+    def test_clean_table_takes_the_fast_path(self, sep):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(3000, 4)) * 10.0 ** rng.integers(-5, 6, (3000, 4))
+        text = sep.join(["A", "y", "z", "w"]) + "\n" + "".join(
+            sep.join(map(repr, row)) + "\n" for row in values.tolist()
+        )
+        schema = TableSchema(factors=(spec_a(),), response="y", extras=("w",))
+
+        def per_cell(*args):
+            raise AssertionError("clean table fell back to the per-cell parser")
+
+        with patch.object(dataset, "_parse_cells", per_cell):
+            ds = dataset.load_table(io.StringIO(text), schema)
+        assert np.array_equal(ds.naturals[:, 0], values[:, 0])
+        assert np.array_equal(ds.response, values[:, 1])
+        assert np.array_equal(ds.extras["w"], values[:, 3])
 
 
 class TestCode:

@@ -1,8 +1,16 @@
-"""SVG axis labels."""
+"""Report writers: SVG axis labels and escaping, and the byte contract of the
+column-wise point, circle and table writers."""
 
 import re
+import xml.etree.ElementTree as ET
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridfit import inference, report
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def x_tick_labels(svg: str) -> list[str]:
@@ -14,7 +22,7 @@ def test_symmetric_points_label_the_middle_tick_zero():
     q = inference.normal_plot_positions(15)
     lo, hi = q.min(), q.max()
     assert lo + (hi - lo) * 2 / 4 != 0.0  # the tick itself is a roundoff residue
-    svg = report.scatter_svg([(x, x) for x in q], "x", "y", "t")
+    svg = report.scatter_svg(q, q, "x", "y", "t")
     labels = x_tick_labels(svg)
     assert labels == ["-1.739", "-0.8697", "0", "0.8697", "1.739"]
 
@@ -23,3 +31,84 @@ def test_no_negative_zero_label():
     ticks = report._ticks(-1e-20, 4.0)
     assert [t for t, _ in ticks] == [-1e-20, 1.0, 2.0, 3.0, 4.0]
     assert [label for _, label in ticks] == ["0", "1", "2", "3", "4"]
+
+
+def test_empty_range_beyond_unit_spacing():
+    # lo + 1 == lo here; the range must still be non-empty
+    for value in (2.0**60, -1e300):
+        ticks = report._ticks(value, value)
+        assert [t for t, _ in ticks][0] == value
+        assert len({label for _, label in ticks}) == 1
+
+
+# Floats at the edges of what the writers format: signed zeros, huge and
+# subnormal magnitudes.
+EDGE_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+POINTS = st.tuples(
+    st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=30),
+    st.booleans(),
+).map(lambda case: case[0][:1] * len(case[0]) if case[1] else case[0])
+
+
+def scalar_circles(points, width=640, height=480, margin=70.0):
+    """The circles of a scatter plot, one point at a time in Python floats:
+    the reference the column-wise writer must reproduce byte for byte."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    x_pad = (x_hi - x_lo) * 0.08 or max(abs(x_lo), 1.0) * 0.08
+    y_pad = (y_hi - y_lo) * 0.08 or max(abs(y_lo), 1.0) * 0.08
+    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+
+    def px(x):
+        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+
+    def py(y):
+        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+
+    return [
+        f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
+        f'fill="none" stroke="#1f4e9c" stroke-width="1.4"/>'
+        for x, y in points
+    ]
+
+
+@given(POINTS)
+@settings(deadline=None)
+def test_point_file_matches_scalar_formatting(points):
+    xs, ys = (np.array(col) for col in zip(*points))
+    expected = "x\ty\n" + "".join(f"{x:.6f}\t{y:.6f}\n" for x, y in points)
+    assert report.render_points(xs, ys, "x", "y") == expected
+
+
+@given(POINTS)
+@settings(deadline=None)
+def test_svg_circles_match_scalar_formatting(points):
+    xs, ys = (np.array(col) for col in zip(*points))
+    svg = report.scatter_svg(xs, ys, "x", "y", "t")
+    circles = [line for line in svg.splitlines() if line.startswith("<circle")]
+    assert circles == scalar_circles(points)
+    assert svg.endswith('stroke-width="1.4"/>\n</svg>\n')
+
+
+@given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=30))
+@settings(deadline=None)
+def test_simulated_rows_match_scalar_formatting(rows):
+    # the row writer of `simulate`: carried cells by repr, the computed one at 3 decimals
+    columns = [np.array(col) for col in zip(*rows)]
+    expected = "a\tb\tP\n" + "".join(f"{a!r}\t{b!r}\t{p:.3f}\n" for a, b, p in rows)
+    assert report.render_table(["a", "b", "P"], columns, "%r\t%r\t%.3f\n") == expected
+
+
+def test_svg_text_is_escaped():
+    svg = report.scatter_svg(
+        np.array([0.0, 1.0]), np.array([2.0, 3.0]),
+        "fitted (kPa <gauge> & co)", "residual <r>", "a & b > c",
+    )
+    texts = [el.text for el in ET.fromstring(svg).iter(f"{SVG}text")]
+    assert texts[:3] == ["a & b > c", "fitted (kPa <gauge> & co)", "residual <r>"]
