@@ -9,87 +9,47 @@ ANOVA with lack-of-fit testing, residual diagnostics, the pneumatic-gauge
 flow simulators used as the theory source, and a CLI.
 """
 
-from .analysis import Analysis, analyze
-from .config import load_case
-from .dataset import (
-    Dataset,
-    DesignMatrix,
-    FactorSpec,
-    TableSchema,
-    build_design,
-    code,
-    decode,
-    load_table,
-    replicate_groups,
-)
-from .errors import AnalysisError
-from .gauge import (
-    GaugeConstants,
-    GaugeInputs,
-    simulate_design,
-    solve_backpressure_adiabatic,
-    solve_backpressure_isochoric,
-    solve_backpressures,
-)
-from .hybrid import (
-    HybridFit,
-    HybridSystem,
-    TheoryVector,
-    assemble,
-    covariance_of_solution,
-    solve,
-    variance_of_fit,
-)
-from .inference import (
-    FTest,
-    PureErrorDecomposition,
-    SSPartition,
-    box_wetz_ratio,
-    f_critical,
-    f_sf,
-    f_test,
-    partition,
-    pure_error,
-    residual_diagnostics,
-)
+import importlib
+
+# Where each public name is defined.  The package imports nothing up front:
+# the first access to a name loads its module (PEP 562), so a command pays
+# only for the layers it runs and ``import hybridfit`` loads no numpy.
+_SOURCES = {
+    "analysis": ("Analysis", "analyze"),
+    "config": ("load_case",),
+    "dataset": (
+        "Dataset", "DesignMatrix", "FactorSpec", "TableSchema", "build_design",
+        "code", "decode", "load_table", "replicate_groups",
+    ),
+    "errors": ("AnalysisError",),
+    "gauge": (
+        "GaugeConstants", "GaugeInputs", "simulate_design",
+        "solve_backpressure_adiabatic", "solve_backpressure_isochoric",
+        "solve_backpressures",
+    ),
+    "hybrid": (
+        "HybridFit", "HybridSystem", "TheoryVector", "assemble",
+        "covariance_of_solution", "solve", "variance_of_fit",
+    ),
+    "inference": (
+        "FTest", "PureErrorDecomposition", "SSPartition", "box_wetz_ratio",
+        "f_critical", "f_sf", "f_test", "partition", "pure_error",
+        "residual_diagnostics",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Analysis",
-    "AnalysisError",
-    "Dataset",
-    "DesignMatrix",
-    "FactorSpec",
-    "FTest",
-    "GaugeConstants",
-    "GaugeInputs",
-    "HybridFit",
-    "HybridSystem",
-    "PureErrorDecomposition",
-    "SSPartition",
-    "TableSchema",
-    "TheoryVector",
-    "analyze",
-    "assemble",
-    "box_wetz_ratio",
-    "build_design",
-    "code",
-    "covariance_of_solution",
-    "decode",
-    "f_critical",
-    "f_sf",
-    "f_test",
-    "load_case",
-    "load_table",
-    "partition",
-    "pure_error",
-    "replicate_groups",
-    "residual_diagnostics",
-    "simulate_design",
-    "solve",
-    "solve_backpressure_adiabatic",
-    "solve_backpressure_isochoric",
-    "solve_backpressures",
-    "variance_of_fit",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,7 +18,7 @@ is sigma^2 (X'X)^-1, taken from the SVD of X rather than from X'X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .errors import AnalysisError, ConstantResponseError, SaturatedModelError
 ORDERS = {"mlr1": "first", "mlr2": "second", "hybrid": "first"}
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything ``fit`` reports and ``validate`` checks for one model."""
 
     model: str                      # mlr1 | mlr2 | hybrid

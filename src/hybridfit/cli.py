@@ -9,25 +9,28 @@ writes the coefficient, ANOVA, summary, and residual-plot files that
 :func:`hybridfit.validation.run_validation`, which checks the same
 ``analyze`` results against the bundled case study's reference numbers.
 All outputs are deterministic: identical inputs give byte-identical files.
+
+Each command imports the layers it runs when it runs, so ``--help`` loads
+no numpy, ``simulate`` loads neither the analysis, inference nor validation
+layer, and ``fit`` does not load validation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from . import analysis, config, dataset, gauge, inference, report, validation
 from .errors import AnalysisError
 
 ALL_FORMATS = ("text", "rows", "plots")
+# The keys of hybridfit.analysis.ORDERS, spelled out so that building the
+# parser loads no numerical layer.
+MODELS = ("mlr1", "mlr2", "hybrid")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fit invocation, after merging config-file defaults and flags."""
-
+class _RunConfigFields(NamedTuple):
     data_path: Path
     spec_path: Path
     model: str                      # mlr1 | mlr2 | hybrid
@@ -36,12 +39,20 @@ class RunConfig:
     output_dir: Path = Path("out")
     report_formats: frozenset[str] = frozenset(ALL_FORMATS)
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfigFields):
+    """One fit invocation, after merging config-file defaults and flags."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.alpha < 1.0:
             raise AnalysisError(f"alpha must lie in (0, 1), got {self.alpha}")
         unknown = self.report_formats - set(ALL_FORMATS)
         if unknown:
             raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +60,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import config, dataset, gauge, report
+
     cfg = config.read_keyvalues(args.spec)
     specs = config.factor_specs(cfg)
     response, _ = config.response_column(cfg)
@@ -89,6 +102,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def run_fit(run: RunConfig) -> list[Path]:
     """Execute a fit and write its report files; returns the paths written."""
+    from . import analysis, config, inference, report
+
     extras: tuple[str, ...] = ()
     if run.theory.startswith("column:"):
         extras = (run.theory.split(":", 1)[1],)
@@ -137,6 +152,8 @@ def run_fit(run: RunConfig) -> list[Path]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import config
+
     cfg = config.read_keyvalues(args.spec)
     model = args.model or config.run_default(cfg, "model") or "mlr1"
     theory = args.theory or config.run_default(cfg, "theory") or "none"
@@ -167,6 +184,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import validation
+
     data_dir = Path(args.data_dir) if args.data_dir else None
     result = validation.run_validation(data_dir)
     text = validation.render_validation_report(result)
@@ -208,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--spec", required=True)
     p_fit.add_argument(
-        "--model", choices=tuple(analysis.ORDERS),
+        "--model", choices=MODELS,
         help="polynomial order or theory-scaled model "
         "(default from config, else mlr1)",
     )
@@ -241,6 +260,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # every input is read through dataset.read_text, which raises
+        # InputFileError, so a file error here is an output that failed
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,28 +24,35 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class _FactorSpecFields(NamedTuple):
+    name: str
+    low: float
+    high: float
+    center: float
+    units: str
+
+
+class FactorSpec(_FactorSpecFields):
     """One explanatory variable: its name and coding anchors in natural units.
 
     ``center`` defaults to the midpoint of ``low`` and ``high``, which is
     where replicated center runs of the bundled designs sit.
     """
 
-    name: str
-    low: float
-    high: float
-    center: float | None = None
-    units: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.center is None:
-            object.__setattr__(self, "center", (self.low + self.high) / 2.0)
-        if not (self.low < self.center < self.high):
+    def __new__(
+        cls, name: str, low: float, high: float, center: float | None = None,
+        units: str = "",
+    ):
+        if center is None:
+            center = (low + high) / 2.0
+        if not (low < center < high):
             raise DegenerateFactorError(
-                f"factor {self.name!r} needs low < center < high, got "
-                f"{self.low}, {self.center}, {self.high}"
+                f"factor {name!r} needs low < center < high, got "
+                f"{low}, {center}, {high}"
             )
+        return super().__new__(cls, name, low, high, center, units)
 
     @property
     def half_range(self) -> float:
@@ -72,37 +78,43 @@ class FactorSpec:
         return natural if natural.ndim else float(natural)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _DatasetFields(NamedTuple):
+    factors: tuple[FactorSpec, ...]
+    naturals: np.ndarray
+    response: np.ndarray
+    response_units: str
+    extras: dict[str, np.ndarray]
+
+
+class Dataset(_DatasetFields):
     """Observed runs: natural factor settings, the response, and any extra
     named columns carried along from the source file (for example a
     precomputed theory column).  Row order is run order and is preserved."""
 
-    factors: tuple[FactorSpec, ...]
-    naturals: np.ndarray
-    response: np.ndarray
-    response_units: str = ""
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        naturals = np.atleast_2d(np.asarray(self.naturals, dtype=float))
-        response = np.asarray(self.response, dtype=float).ravel()
-        object.__setattr__(self, "naturals", naturals)
-        object.__setattr__(self, "response", response)
+    def __new__(
+        cls, factors: tuple[FactorSpec, ...], naturals, response,
+        response_units: str = "", extras: dict[str, np.ndarray] | None = None,
+    ):
+        naturals = np.atleast_2d(np.asarray(naturals, dtype=float))
+        response = np.asarray(response, dtype=float).ravel()
+        extras = {} if extras is None else extras
         if naturals.shape[0] == 0:
             raise ShapeError("dataset needs at least one row")
-        if naturals.shape[1] != len(self.factors):
+        if naturals.shape[1] != len(factors):
             raise ShapeError(
                 f"{naturals.shape[1]} factor columns but "
-                f"{len(self.factors)} factor specs"
+                f"{len(factors)} factor specs"
             )
         if response.shape[0] != naturals.shape[0]:
             raise ShapeError(
                 f"{naturals.shape[0]} rows but {response.shape[0]} responses"
             )
-        for name, col in self.extras.items():
+        for name, col in extras.items():
             if np.asarray(col).shape != (naturals.shape[0],):
                 raise ShapeError(f"extra column {name!r} has the wrong length")
+        return super().__new__(cls, factors, naturals, response, response_units, extras)
 
     @property
     def n_runs(self) -> int:
@@ -113,8 +125,7 @@ class Dataset:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class TableSchema:
+class TableSchema(NamedTuple):
     """Which named columns of a delimited file hold the factors, the
     response, and any extra columns to carry along."""
 
@@ -124,20 +135,23 @@ class TableSchema:
     response_units: str = ""
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Basis-expanded matrix of coded levels with a leading intercept column."""
-
+class _DesignMatrixFields(NamedTuple):
     values: np.ndarray
     column_labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", values)
-        if values.shape[1] != len(self.column_labels):
+
+class DesignMatrix(_DesignMatrixFields):
+    """Basis-expanded matrix of coded levels with a leading intercept column."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, column_labels: tuple[str, ...]):
+        values = np.atleast_2d(np.asarray(values, dtype=float))
+        if values.shape[1] != len(column_labels):
             raise ShapeError("one label per design column required")
         if not np.all(values[:, 0] == 1.0):
             raise ShapeError("first design column must be the intercept (all ones)")
+        return super().__new__(cls, values, column_labels)
 
     @property
     def n_rows(self) -> int:
@@ -148,10 +162,16 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def _split_line(line: str, delimiter: str | None) -> list[str]:
+def _split_line(line: str, delimiter: str | None, row: str) -> list[str]:
+    """The cells of ``line``; a line the CSV reader rejects (a carriage
+    return inside an unquoted cell) raises :class:`TableParseError` naming
+    ``row``."""
     if delimiter is None:
         return line.split()
-    return next(csv.reader([line], delimiter=delimiter))
+    try:
+        return next(csv.reader([line], delimiter=delimiter))
+    except csv.Error as exc:
+        raise TableParseError(f"{row}: {exc}") from None
 
 
 def _sniff_delimiter(header: str) -> str | None:
@@ -176,7 +196,7 @@ def peek_columns(source: str | Path) -> list[str]:
     """Column names from a delimited file's header row."""
     for line in read_text(source).splitlines():
         if line.strip():
-            return [h.strip() for h in _split_line(line, _sniff_delimiter(line))]
+            return [h.strip() for h in _split_line(line, _sniff_delimiter(line), "header row")]
     raise SchemaError(f"{source}: empty file, no header row")
 
 
@@ -213,7 +233,7 @@ def _parse_cells(
     raises :class:`TableParseError` naming its row and column."""
     parsed: list[list[float]] = [[] for _ in usecols]
     for i, line in enumerate(rows, start=1):
-        cells = _split_line(line.rstrip("\n"), delimiter)
+        cells = _split_line(line.rstrip("\n"), delimiter, f"row {i}")
         for values, idx, name in zip(parsed, usecols, names):
             if idx >= len(cells):
                 raise TableParseError(f"row {i}: missing cell for column {name!r}")
@@ -238,7 +258,7 @@ def load_table(
     :class:`InputFileError` when a named file cannot be read,
     :class:`SchemaError` when a named column is missing or appears twice and
     :class:`TableParseError` (with row and column) on a non-numeric or
-    non-finite cell.
+    non-finite cell, or (with the row) on a line the CSV reader rejects.
     """
     if isinstance(source, (str, Path)):
         text = read_text(source)
@@ -250,7 +270,9 @@ def load_table(
         raise SchemaError("empty file: no header row")
 
     delimiter = _sniff_delimiter(lines[0])
-    header = [h.strip() for h in _split_line(lines[0].rstrip("\n"), delimiter)]
+    header = [
+        h.strip() for h in _split_line(lines[0].rstrip("\n"), delimiter, "header row")
+    ]
     wanted = [f.name for f in schema.factors] + [schema.response] + list(schema.extras)
     col_index: dict[str, int] = {}
     for name in wanted:

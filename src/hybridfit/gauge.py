@@ -17,7 +17,7 @@ bundled data).  Supply pressure is absolute MPa; all other pressures are kPa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,16 +29,20 @@ from .tolerances import BRACKET_INSET, REGIME_SLACK, RESIDUAL_REL_TOL
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
 
-@dataclass(frozen=True)
-class GaugeConstants:
-    """Physical constants and discharge coefficients for the flow solvers."""
-
+class _GaugeConstantsFields(NamedTuple):
     gamma: float = 1.4          # ratio of specific heats (diatomic air)
     p_atm: float = 101.325      # outlet (atmosphere) pressure, kPa
     c_orifice: float = 1.0
     c_sensor: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class GaugeConstants(_GaugeConstantsFields):
+    """Physical constants and discharge coefficients for the flow solvers."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.gamma > 1.0:
             raise AnalysisError(f"gamma must exceed 1, got {self.gamma}")
         if not self.p_atm > 0.0:
@@ -47,22 +51,27 @@ class GaugeConstants:
             c = getattr(self, name)
             if not 0.0 < c <= 1.0:
                 raise AnalysisError(f"{name} must lie in (0, 1], got {c}")
+        return self
 
 
-@dataclass(frozen=True)
-class GaugeInputs:
-    """One gauge operating point: sensor exit area A (mm^2), absolute supply
-    pressure (MPa), and orifice area B (mm^2)."""
-
+class _GaugeInputsFields(NamedTuple):
     area_sensor: float
     pressure_supply: float
     area_orifice: float
 
-    def __post_init__(self) -> None:
-        for name in _INPUT_NAMES:
-            v = getattr(self, name)
+
+class GaugeInputs(_GaugeInputsFields):
+    """One gauge operating point: sensor exit area A (mm^2), absolute supply
+    pressure (MPa), and orifice area B (mm^2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(_INPUT_NAMES, self):
             if not v > 0.0:
                 raise AnalysisError(f"{name} must be positive, got {v}")
+        return self
 
     @property
     def pressure_supply_kpa(self) -> float:

@@ -27,7 +27,7 @@ exactly: the excess block vanishes and the excess coefficients are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,27 +37,30 @@ from .linalg import thin_svd
 from .tolerances import CROSS_CHECK_TOL
 
 
-@dataclass(frozen=True)
-class TheoryVector:
-    """Theory-model outputs for each run, in response units."""
-
+class _TheoryVectorFields(NamedTuple):
     values: np.ndarray
-    source_label: str = ""
+    source_label: str
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).ravel()
-        object.__setattr__(self, "values", values)
+
+class TheoryVector(_TheoryVectorFields):
+    """Theory-model outputs for each run, in response units.  Its ``len`` is
+    the number of runs, not of fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, source_label: str = ""):
+        values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ShapeError("theory vector is empty")
         if not np.all(np.isfinite(values)):
             raise ShapeError("theory vector has non-finite entries")
+        return super().__new__(cls, values, source_label)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class HybridSystem:
+class HybridSystem(NamedTuple):
     """Assembled matrices of the augmented system, fixed by design + theory.
 
     ``excess`` is (diag(z) - I) X, the regressors the theory scaling adds
@@ -99,8 +102,7 @@ class HybridSystem:
         return self.basis_excess @ self.basis_excess.T
 
 
-@dataclass(frozen=True)
-class HybridFit:
+class HybridFit(NamedTuple):
     """Solved system: coefficient blocks, sums of squares, error variance,
     covariances.
 

@@ -26,8 +26,7 @@ The probit is Wichura's AS241 (1988).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .hybrid import HybridFit, HybridSystem
 from .tolerances import SS_REL_TOL
 
 
-@dataclass(frozen=True)
-class SSPartition:
+class SSPartition(NamedTuple):
     """Sum-of-squares decomposition of the augmented model.
 
     ``ss_regression`` splits into ``ss_design`` (plain polynomial) plus
@@ -59,8 +57,7 @@ class SSPartition:
     n_runs: int
 
 
-@dataclass(frozen=True)
-class PureErrorDecomposition:
+class PureErrorDecomposition(NamedTuple):
     """Residual sum of squares split into pure error and lack of fit."""
 
     ss_pure_error: float
@@ -69,8 +66,7 @@ class PureErrorDecomposition:
     df_lack_of_fit: int
 
 
-@dataclass(frozen=True)
-class FTest:
+class FTest(NamedTuple):
     """An F ratio with its degrees of freedom, p-value, and critical value
     at the analysis level."""
 
@@ -85,8 +81,7 @@ class FTest:
         return self.f > self.critical
 
 
-@dataclass(frozen=True)
-class ResidualDiagnostics:
+class ResidualDiagnostics(NamedTuple):
     """Point sets behind the two standard residual plots, each an
     ``(x, y)`` pair of equal-length arrays.
 

@@ -16,15 +16,14 @@ section 5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .tolerances import RANK_TOL
 
 
-@dataclass(frozen=True)
-class ThinSvd:
+class ThinSvd(NamedTuple):
     """Truncated thin SVD of an n x p matrix M: ``basis @ diag(s) @ right.T``
     reproduces M up to the singular values cut as numerically zero.
 

@@ -17,19 +17,18 @@ row files carry full precision for machine consumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import Analysis
-from .gauge import GaugeConstants
-from .inference import FTest, ResidualDiagnostics
+if TYPE_CHECKING:  # annotations only: rendering needs none of these layers
+    from .analysis import Analysis
+    from .gauge import GaugeConstants
+    from .inference import FTest, ResidualDiagnostics
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     source: str
     ss: float
     df: int
@@ -38,8 +37,7 @@ class AnovaRow:
     p: float | None = None
 
 
-@dataclass(frozen=True)
-class AnovaReport:
+class AnovaReport(NamedTuple):
     title: str
     rows: tuple[AnovaRow, ...]
 

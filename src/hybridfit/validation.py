@@ -16,8 +16,8 @@ the numerical core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis, config, gauge, report
 from .errors import AnalysisError
@@ -55,8 +55,7 @@ KNOWN_DISCREPANCIES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: float
     got: float
@@ -70,8 +69,7 @@ class CheckResult:
         return abs(self.got - self.expected) <= self.tol * abs(self.expected)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     checks: tuple[CheckResult, ...]
     notes: tuple[str, ...]
     constants: gauge.GaugeConstants

@@ -489,6 +489,32 @@ class TestInputFiles:
             assert capsys.readouterr().err == f"error: cannot read {data}: {reason}\n"
 
 
+class TestOutputDirectory:
+    """An --out that cannot be created is one error line and exit status 1,
+    not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--theory", "adiabatic"],
+        ["fit", "--model", "mlr1"],
+        ["validate"],
+    ])
+    def test_unwritable_out_is_one_error_line(self, command, data_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out"
+        inputs = (
+            ["--data-dir", str(data_dir)] if command[0] == "validate" else [
+                "--data", str(data_dir / "gauge_factorial.tsv"),
+                "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            ]
+        )
+        rc = main([*command, *inputs, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {out}: Not a directory"
+        ]
+
+
 # Blocks scipy before the package is imported, so any import of it fails.
 SCIPY_BLOCKED = """
 import sys

@@ -113,6 +113,26 @@ class TestLoadTable:
         ds = dataset.load_table(io.StringIO("A\ty\tn\tn\n0.5\t2.0\t1\t2\n"), schema)
         assert ds.response.tolist() == [2.0]
 
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "per_cell"])
+    @pytest.mark.parametrize(
+        "stream", [io.StringIO, lambda text: io.BytesIO(text.encode())],
+        ids=["text", "bytes"],
+    )
+    def test_carriage_return_inside_a_cell_names_the_row(self, stream, fast_path):
+        # a stream is not read with universal newlines, so a bare \r reaches
+        # the CSV reader, which rejects it inside an unquoted cell
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        text = "A,y\n0.5,2\n0.5,\r2\n"
+        parse_block = dataset._parse_block if fast_path else (lambda *args: None)
+        with patch.object(dataset, "_parse_block", parse_block):
+            with pytest.raises(TableParseError, match="^row 2: new-line character"):
+                dataset.load_table(stream(text), schema)
+
+    def test_carriage_return_inside_a_header_cell(self):
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        with pytest.raises(TableParseError, match="^header row: new-line character"):
+            dataset.load_table(io.StringIO("A,\ry\n0.5,2\n"), schema)
+
 
 # Cell tokens for the fast-path comparison: numbers in several spellings,
 # tokens float() reads and numpy does not, and tokens neither reads.
