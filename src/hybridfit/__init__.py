@@ -19,22 +19,18 @@ _SOURCES = {
     "config": ("load_case",),
     "dataset": (
         "Dataset", "DesignMatrix", "FactorSpec", "TableSchema", "build_design",
-        "code", "decode", "load_table", "replicate_groups",
+        "code", "load_table",
     ),
     "errors": ("AnalysisError",),
     "gauge": (
-        "GaugeConstants", "GaugeInputs", "simulate_design",
-        "solve_backpressure_adiabatic", "solve_backpressure_isochoric",
-        "solve_backpressures",
+        "GaugeConstants", "simulate_design", "solve_backpressures",
     ),
     "hybrid": (
-        "HybridFit", "HybridSystem", "TheoryVector", "assemble",
-        "covariance_of_solution", "solve", "variance_of_fit",
+        "HybridFit", "HybridSystem", "TheoryVector", "assemble", "solve",
     ),
     "inference": (
-        "FTest", "PureErrorDecomposition", "SSPartition", "box_wetz_ratio",
-        "f_critical", "f_sf", "f_test", "partition", "pure_error",
-        "residual_diagnostics",
+        "FTest", "PureErrorDecomposition", "box_wetz_ratio", "f_critical",
+        "f_sf", "f_test", "pure_error", "residual_diagnostics",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -1,11 +1,13 @@
 """The one analysis pipeline behind ``fit`` and ``validate``.
 
 :func:`analyze` fits one model to a dataset and computes every number the
-reports print: coefficients and their standard errors, the sum-of-squares
-partition, pure error and lack of fit, R-squared and its attainable maximum,
-the F tests and the prediction-usefulness margin.  Every tested row of the
-ANOVA tables is one of its :class:`~hybridfit.inference.FTest` results, each
-built by :func:`hybridfit.inference.f_test`; the reports only render them.
+reports print: coefficients and their standard errors, pure error and lack
+of fit, R-squared and its attainable maximum, the F tests and the
+prediction-usefulness margin.  The sums of squares are the solved fit's and
+the degrees of freedom the system's; nothing copies them.  Every tested row
+of the ANOVA tables is one of its :class:`~hybridfit.inference.FTest`
+results, each built by :func:`hybridfit.inference.f_test`; the reports only
+render them.
 
 All three models go through the same augmented solve.  ``hybrid`` scales a
 first-order polynomial by a theory column z, taken from the data file
@@ -36,7 +38,6 @@ class Analysis(NamedTuple):
     alpha: float
     system: hybrid.HybridSystem
     fit: hybrid.HybridFit
-    part: inference.SSPartition
     pure_error: inference.PureErrorDecomposition
     ss_about_mean: float            # sum of (y - ybar)^2
     # every ranked direction, uncorrected for the mean: F(rank, n-rank)
@@ -64,7 +65,7 @@ class Analysis(NamedTuple):
 
     @property
     def coef(self) -> np.ndarray:
-        return self.fit.coef_design if self.is_mlr else self.fit.coef
+        return self.fit.coef[: len(self.labels)]
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -73,11 +74,11 @@ class Analysis(NamedTuple):
 
     @property
     def ss_regression_about_mean(self) -> float:
-        return self.ss_about_mean - self.part.ss_residual
+        return self.ss_about_mean - self.fit.ss_residual
 
     @property
     def r2(self) -> float:
-        return 1.0 - self.part.ss_residual / self.ss_about_mean
+        return 1.0 - self.fit.ss_residual / self.ss_about_mean
 
     @property
     def r2_max(self) -> float:
@@ -88,7 +89,7 @@ class Analysis(NamedTuple):
     def residual_sample_sd(self) -> float:
         """sqrt(SS_residual / (n - 1)): the residual scatter on the
         about-mean degrees of freedom, the paper's headline comparison."""
-        return float(np.sqrt(self.part.ss_residual / (self.part.n_runs - 1)))
+        return float(np.sqrt(self.fit.ss_residual / (self.system.n_runs - 1)))
 
 
 def _theory(
@@ -98,6 +99,11 @@ def _theory(
         return hybrid.TheoryVector(np.ones(ds.n_runs), "none"), None
     if theory.startswith("column:"):
         name = theory.split(":", 1)[1]
+        if name not in ds.extras:
+            raise AnalysisError(
+                f"theory column {name!r} is not in the dataset; its extra "
+                f"columns are {sorted(ds.extras)}"
+            )
         return hybrid.TheoryVector(ds.extras[name], theory), None
     if theory == "none":
         raise AnalysisError("model=hybrid requires a theory source")
@@ -118,9 +124,9 @@ def analyze(
     ``isochoric`` simulate z with the gauge constants of ``cfg``, and
     ``column:<name>`` takes it from an extra column of ``ds``.  Raises
     :class:`AnalysisError` when the response is constant or overflows
-    (checked first), the design is rank deficient, the model is saturated,
-    or the residual is zero.  Statistical inadequacy is a reported verdict,
-    not an error.
+    (checked first), the theory column is missing, the design is rank
+    deficient, the model is saturated (raised by the solve), or the residual
+    is zero.  Statistical inadequacy is a reported verdict, not an error.
     """
     if model not in ORDERS:
         raise AnalysisError(f"unknown model {model!r}")
@@ -141,36 +147,30 @@ def analyze(
     z, constants = _theory(ds, cfg, model, theory)
     system = hybrid.assemble(design, z)
     fit = hybrid.solve(system, y)
-    part = inference.partition(system, fit)
-    if part.df_residual <= 0:
-        raise SaturatedModelError(
-            "no residual degrees of freedom: the error variance is not "
-            "estimable; add replicate runs"
-        )
-    if part.ss_residual <= 0.0:
+    if fit.ss_residual <= 0.0:
         raise SaturatedModelError(
             "residual sum of squares is zero; F statistics are undefined"
         )
 
     # Pure error needs equal fitted values within a group: group the runs
     # that share coded settings and theory value (for z = 1, the replicates).
-    groups = dataset.row_groups(np.column_stack([coded, z.values]))
-    pe = inference.pure_error(y, groups, part.ss_residual, part.df_residual)
+    _, groups = dataset.identical_rows(np.column_stack([coded, z.values]))
+    pe = inference.pure_error(y, groups, fit, system.df_residual)
 
     def against_residual(ss: float, df: int) -> inference.FTest:
-        return inference.f_test(ss, df, part.ss_residual, part.df_residual, alpha)
+        return inference.f_test(ss, df, fit.ss_residual, system.df_residual, alpha)
 
-    overall = against_residual(part.ss_regression, part.df_regression)
+    overall = against_residual(fit.ss_regression, system.rank)
     if model == "hybrid":
-        regression = against_residual(part.ss_design, part.df_design)
+        regression = against_residual(fit.ss_design, system.n_coef)
         theory_gain = (
-            against_residual(part.ss_theory_gain, part.df_theory_gain)
-            if part.df_theory_gain > 0
+            against_residual(fit.ss_excess, system.df_theory_gain)
+            if system.df_theory_gain > 0
             else None
         )
     else:
         regression = against_residual(
-            ss_about_mean - part.ss_residual, part.df_design - 1
+            ss_about_mean - fit.ss_residual, system.n_coef - 1
         )
         theory_gain = None
 
@@ -188,7 +188,6 @@ def analyze(
         alpha=alpha,
         system=system,
         fit=fit,
-        part=part,
         pure_error=pe,
         ss_about_mean=ss_about_mean,
         overall=overall,

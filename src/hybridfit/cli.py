@@ -157,9 +157,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = config.read_keyvalues(args.spec)
     model = args.model or config.run_default(cfg, "model") or "mlr1"
     theory = args.theory or config.run_default(cfg, "theory") or "none"
-    alpha_default = config.run_default(cfg, "alpha")
     alpha = args.alpha if args.alpha is not None else (
-        float(alpha_default) if alpha_default else 0.05
+        config.as_float(cfg, "run.alpha") if config.run_default(cfg, "alpha") else 0.05
     )
     formats = (
         frozenset(args.format.split(",")) if args.format else frozenset(ALL_FORMATS)

@@ -47,7 +47,9 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _as_float(cfg: dict[str, str], key: str) -> float:
+def as_float(cfg: dict[str, str], key: str) -> float:
+    """The number at ``key``; a value that is not one raises
+    :class:`SchemaError` naming the key."""
     try:
         return float(cfg[key])
     except ValueError:
@@ -75,9 +77,9 @@ def factor_specs(cfg: dict[str, str]) -> tuple[FactorSpec, ...]:
         specs.append(
             FactorSpec(
                 name=name,
-                low=_as_float(cfg, f"factor.{name}.low"),
-                high=_as_float(cfg, f"factor.{name}.high"),
-                center=_as_float(cfg, center_key) if center_key in cfg else None,
+                low=as_float(cfg, f"factor.{name}.low"),
+                high=as_float(cfg, f"factor.{name}.high"),
+                center=as_float(cfg, center_key) if center_key in cfg else None,
                 units=cfg.get(f"factor.{name}.units", ""),
             )
         )
@@ -102,7 +104,7 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     for name, default in GAUGE_DEFAULTS.items():
         key = f"gauge.{name}"
         if key in cfg:
-            kwargs[name] = _as_float(cfg, key)
+            kwargs[name] = as_float(cfg, key)
         else:
             kwargs[name] = default
             defaulted.append(name)

@@ -1,9 +1,11 @@
-"""Experiment tables: ingestion, factor coding, design matrices, replicates.
+"""Experiment tables: ingestion, factor coding, design matrices, repeated rows.
 
 A :class:`Dataset` holds runs in natural units exactly as read from file.
 Fitting happens in coded units, where each factor's low/center/high settings
 sit at -1/0/+1; :func:`code` applies that affine transform, and
 :func:`build_design` expands coded levels into a polynomial basis matrix.
+:func:`identical_rows` numbers the groups of equal rows that pure error
+pools over.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,15 +69,6 @@ class FactorSpec(_FactorSpecFields):
         coded = np.where(natural == self.high, 1.0, coded)
         coded = np.where(natural == self.center, 0.0, coded)
         return coded if coded.ndim else float(coded)
-
-    def decode(self, coded):
-        """Inverse affine map from coded units back to natural units."""
-        coded = np.asarray(coded, dtype=float)
-        natural = self.center + coded * self.half_range
-        natural = np.where(coded == -1.0, self.low, natural)
-        natural = np.where(coded == 1.0, self.high, natural)
-        natural = np.where(coded == 0.0, self.center, natural)
-        return natural if natural.ndim else float(natural)
 
 
 class _DatasetFields(NamedTuple):
@@ -321,16 +314,6 @@ def code(ds: Dataset) -> np.ndarray:
     )
 
 
-def decode(factors: Sequence[FactorSpec], coded: np.ndarray) -> np.ndarray:
-    """Natural-unit values for a matrix of coded levels."""
-    coded = np.atleast_2d(np.asarray(coded, dtype=float))
-    if coded.shape[1] != len(factors):
-        raise ShapeError("one factor spec per coded column required")
-    return np.column_stack(
-        [spec.decode(coded[:, j]) for j, spec in enumerate(factors)]
-    )
-
-
 def build_design(
     coded: np.ndarray,
     order: str,
@@ -384,20 +367,3 @@ def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
     return first[order], number[inverse.ravel()]
-
-
-def row_groups(values: np.ndarray) -> list[list[int]]:
-    """Row indices grouped by identical rows of ``values``.  Singleton
-    groups are included, so the groups partition the rows; groups are in
-    order of first appearance and indices ascend within each group."""
-    _, group = identical_rows(values)
-    members = np.argsort(group, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(group)).tolist()
-    return [members[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def replicate_groups(ds: Dataset) -> list[list[int]]:
-    """Row indices grouped by identical settings (exact equality of coded
-    values).  Singleton groups are included, so the groups partition the
-    run list; order is by first appearance."""
-    return row_groups(code(ds))

@@ -6,7 +6,8 @@ clearance.  In steady state the weight flow rates through the two restrictors
 are equal, which pins the back-pressure between them.  Both flow
 idealizations are solved over arrays of operating points: the isochoric
 equality in closed form, the adiabatic one by bisecting all points in
-lockstep; the one-point solvers wrap the array solver.
+lockstep.  :func:`solve_backpressures` is the one solver entry point; a
+single operating point is a one-row array.
 
 The sqrt(2g/RT) factor common to both sides of the flow equality cancels, so
 gravity, the gas constant, and temperature never enter.  Only the products of
@@ -52,30 +53,6 @@ class GaugeConstants(_GaugeConstantsFields):
             if not 0.0 < c <= 1.0:
                 raise AnalysisError(f"{name} must lie in (0, 1], got {c}")
         return self
-
-
-class _GaugeInputsFields(NamedTuple):
-    area_sensor: float
-    pressure_supply: float
-    area_orifice: float
-
-
-class GaugeInputs(_GaugeInputsFields):
-    """One gauge operating point: sensor exit area A (mm^2), absolute supply
-    pressure (MPa), and orifice area B (mm^2)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, v in zip(_INPUT_NAMES, self):
-            if not v > 0.0:
-                raise AnalysisError(f"{name} must be positive, got {v}")
-        return self
-
-    @property
-    def pressure_supply_kpa(self) -> float:
-        return self.pressure_supply * 1000.0
 
 
 def critical_pressure_ratio(gamma: float) -> float:
@@ -218,20 +195,6 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         _, error, message = next(check for check in checks if check[0][i])
         raise error(f"row {rows[i]}: {message(i)}")
     return root
-
-
-def solve_backpressure_adiabatic(inputs: GaugeInputs, constants: GaugeConstants) -> float:
-    """Back-pressure (kPa) balancing adiabatic flow through orifice and
-    sensor.  Unique root of the flow equality in (p_atm, supply)."""
-    point = [[inputs.area_sensor, inputs.pressure_supply, inputs.area_orifice]]
-    return float(solve_backpressures("adiabatic", point, constants)[0])
-
-
-def solve_backpressure_isochoric(inputs: GaugeInputs, constants: GaugeConstants) -> float:
-    """Back-pressure (kPa) balancing isochoric flow through orifice and
-    sensor."""
-    point = [[inputs.area_sensor, inputs.pressure_supply, inputs.area_orifice]]
-    return float(solve_backpressures("isochoric", point, constants)[0])
 
 
 def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> TheoryVector:

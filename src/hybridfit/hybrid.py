@@ -15,11 +15,13 @@ SVDs: Q_X spans the design columns, and Q_E the part of the excess block the
 design cannot explain, cut from the excess of z / max|z| so that it does not
 depend on the units of z.  Both are cut with the one rank tolerance, so the
 rank, the solution, the sums of squares and the covariances all rest on the
-same decision, and memory stays O(n p): no n x n matrix is formed unless a
-caller asks for a projector.  Every solve is cross-checked: the fitted values
-from the coefficients (augmented @ coef) must agree with the projection
-Q_X Q_X'y + Q_E Q_E'y, and the sums of squares must add up to y'y.  Both
-tolerances come from :mod:`hybridfit.tolerances`.
+same decision, and memory stays O(n p): no n x n matrix is formed.  Every
+solve is cross-checked: the fitted values from the coefficients
+(augmented @ coef) must agree with the projection Q_X Q_X'y + Q_E Q_E'y, and
+the sums of squares must add up to y'y.  Both tolerances come from
+:mod:`hybridfit.tolerances`.  The solved :class:`HybridFit` is the one
+record of those sums of squares: the ANOVA tables, lack of fit and R-squared
+are all read off it.
 
 Setting z identically to one recovers ordinary multiple linear regression
 exactly: the excess block vanishes and the excess coefficients are zero.
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DesignMatrix
-from .errors import InconsistencyError, RankError, ShapeError
+from .errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
 from .linalg import thin_svd
 from .tolerances import CROSS_CHECK_TOL
 
@@ -63,22 +65,19 @@ class TheoryVector(_TheoryVectorFields):
 class HybridSystem(NamedTuple):
     """Assembled matrices of the augmented system, fixed by design + theory.
 
-    ``excess`` is (diag(z) - I) X, the regressors the theory scaling adds
-    beyond the plain polynomial.  ``excess_ortho`` is the part of that block
-    the plain polynomial cannot explain (its residual after projecting onto
-    the design columns); its rank is what the theory data genuinely add.
-    ``coef_map`` turns the basis coordinates ``[Q_X'y; Q_E'y]`` into the
-    stacked least-squares coefficients, so it is also the factor of their
-    covariance.
+    ``augmented`` is [X | (diag(z) - I) X]: the plain polynomial and the
+    excess regressors the theory scaling adds.  ``basis_excess`` spans the
+    part of the excess block the plain polynomial cannot explain; its rank
+    is what the theory data genuinely add.  ``coef_map`` turns the basis
+    coordinates ``[Q_X'y; Q_E'y]`` into the stacked least-squares
+    coefficients, so it is also the factor of their covariance.
     """
 
     design: DesignMatrix
     theory: TheoryVector
-    excess: np.ndarray          # (diag(z) - I) @ X
-    augmented: np.ndarray       # [X | excess]
-    excess_ortho: np.ndarray    # (I - P_X) @ excess
+    augmented: np.ndarray       # [X | (diag(z) - I) X]
     basis_design: np.ndarray    # Q_X: orthonormal basis of col(X)
-    basis_excess: np.ndarray    # Q_E: orthonormal basis of col(excess_ortho)
+    basis_excess: np.ndarray    # Q_E: the excess block outside col(X)
     coef_map: np.ndarray        # 2(p+1) x rank
     rank: int                   # cols(Q_X) + cols(Q_E)
 
@@ -92,41 +91,39 @@ class HybridSystem(NamedTuple):
         return self.design.n_coef
 
     @property
-    def proj_design(self) -> np.ndarray:
-        """Projector onto col(X), formed on demand (n x n)."""
-        return self.basis_design @ self.basis_design.T
+    def df_theory_gain(self) -> int:
+        """Ranked directions the theory scaling adds to the design's."""
+        return self.rank - self.n_coef
 
     @property
-    def proj_excess(self) -> np.ndarray:
-        """Projector onto col(excess_ortho), formed on demand (n x n)."""
-        return self.basis_excess @ self.basis_excess.T
+    def df_residual(self) -> int:
+        return self.n_runs - self.rank
 
 
 class HybridFit(NamedTuple):
-    """Solved system: coefficient blocks, sums of squares, error variance,
+    """Solved system: coefficients, sums of squares, error variance,
     covariances.
 
     The four sums of squares are the ones the solve checks for additivity:
     ``ss_total`` = ``ss_design`` + ``ss_excess`` + ``ss_residual`` up to
-    roundoff.  :func:`hybridfit.inference.partition` reports them.
+    roundoff.  ``ss_excess`` is the theory gain: what the theory scaling
+    explains beyond the plain polynomial.
     """
 
-    coef_design: np.ndarray     # block multiplying X
-    coef_excess: np.ndarray     # block multiplying (diag(z) - I) X
-    coef: np.ndarray            # the two blocks stacked; the canonical report
+    coef: np.ndarray            # design block, then the excess block
     fitted: np.ndarray
     residuals: np.ndarray
     ss_total: float             # y'y
     ss_design: float            # |Q_X'y|^2
     ss_excess: float            # |Q_E'y|^2
     ss_residual: float          # |y - fitted|^2
-    sigma2: float | None        # residual-variance estimate; None if saturated
-    coef_cov: np.ndarray | None
+    sigma2: float               # residual-variance estimate
+    coef_cov: np.ndarray        # sigma2 * coef_map @ coef_map'
 
     @property
-    def saturated(self) -> bool:
-        """True when the residual has no degrees of freedom."""
-        return self.sigma2 is None
+    def ss_regression(self) -> float:
+        """Every ranked direction: the plain polynomial and the theory gain."""
+        return self.ss_design + self.ss_excess
 
 
 def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
@@ -137,8 +134,7 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
         )
     x = design.values
     z = theory.values
-    excess = (z - 1.0)[:, None] * x
-    augmented = np.hstack([x, excess])
+    augmented = np.hstack([x, (z - 1.0)[:, None] * x])
     # Q_E is cut from (z/m - 1) X, m = max|z|: modulo col(X) the span of the
     # excess block, but free of the units of z and exactly zero for constant z.
     m = float(np.max(np.abs(z))) or 1.0
@@ -168,23 +164,12 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     return HybridSystem(
         design=design,
         theory=theory,
-        excess=excess,
         augmented=augmented,
-        excess_ortho=m * scaled_ortho,
         basis_design=q_x,
         basis_excess=svd_e.basis,
         coef_map=coef_map,
         rank=svd_x.rank + svd_e.rank,
     )
-
-
-def _require_full_rank_design(sys: HybridSystem) -> None:
-    if sys.basis_design.shape[1] < sys.n_coef:
-        raise RankError(
-            f"design matrix of shape {sys.design.values.shape} is rank "
-            f"deficient (rank {sys.basis_design.shape[1]} of {sys.n_coef} "
-            "columns); its coefficients are not estimable"
-        )
 
 
 def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
@@ -195,14 +180,28 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     same truncated SVD factors: the excess block against the orthogonalized
     excess columns (a vanishing excess gives a zero block), then the design
     block for the remainder.  The squared norms of the two coordinate
-    vectors and of the residual are the model's sums of squares.  Raises
-    :class:`InconsistencyError` when the fitted values of the two routes
+    vectors and of the residual are the model's sums of squares, and
+    ``coef_map`` is the factor of the coefficient covariance: the bases are
+    orthonormal, so it is sigma2 * coef_map @ coef_map'.  Raises
+    :class:`RankError` when the design is rank deficient,
+    :class:`SaturatedModelError` when the residual has no degrees of freedom
+    and :class:`InconsistencyError` when the fitted values of the two routes
     disagree or the sums of squares do not add up to y'y.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != sys.n_runs:
         raise ShapeError(f"{sys.n_runs} runs but {y.shape[0]} responses")
-    _require_full_rank_design(sys)
+    if sys.basis_design.shape[1] < sys.n_coef:
+        raise RankError(
+            f"design matrix of shape {sys.design.values.shape} is rank "
+            f"deficient (rank {sys.basis_design.shape[1]} of {sys.n_coef} "
+            "columns); its coefficients are not estimable"
+        )
+    if sys.df_residual <= 0:
+        raise SaturatedModelError(
+            "no residual degrees of freedom: the error variance is not "
+            "estimable; add replicate runs"
+        )
 
     coords_design = sys.basis_design.T @ y
     coords_excess = sys.basis_excess.T @ y
@@ -231,17 +230,9 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
             f"sums of squares miss y'y = {ss_total:.6g} by {defect:.3e}"
         )
 
-    df_residual = sys.n_runs - sys.rank
-    if df_residual > 0:
-        sigma2 = ss_residual / df_residual
-        coef_cov, _ = covariance_of_solution(sys, sigma2)
-    else:
-        sigma2 = None
-        coef_cov = None
-    p1 = sys.n_coef
+    sigma2 = ss_residual / sys.df_residual
+    coef_cov = (sys.coef_map @ sys.coef_map.T) * sigma2
     return HybridFit(
-        coef_design=coef[:p1],
-        coef_excess=coef[p1:],
         coef=coef,
         fitted=fitted,
         residuals=residuals,
@@ -250,34 +241,6 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
         ss_excess=ss_excess,
         ss_residual=ss_residual,
         sigma2=sigma2,
-        coef_cov=coef_cov,
+        coef_cov=0.5 * (coef_cov + coef_cov.T),
     )
 
-
-def covariance_of_solution(
-    sys: HybridSystem, sigma2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance of the stacked coefficient vector.
-
-    The solution is ``coef_map @ [Q_X'y; Q_E'y]`` and the bases are
-    orthonormal, so its covariance is ``coef_map @ coef_map' * sigma2``.
-    Returns the full 2(p+1) x 2(p+1) matrix and the off-diagonal
-    (design block, excess block) cross-covariance.  When the augmented
-    normal-equations matrix is invertible this equals its inverse times
-    sigma2.
-    """
-    if sigma2 < 0.0:
-        raise ShapeError(f"sigma2 must be nonnegative, got {sigma2}")
-    _require_full_rank_design(sys)
-    cov = (sys.coef_map @ sys.coef_map.T) * sigma2
-    cov = 0.5 * (cov + cov.T)
-    p1 = sys.n_coef
-    return cov, cov[:p1, p1:]
-
-
-def variance_of_fit(sys: HybridSystem, sigma2: float) -> np.ndarray:
-    """Covariance of the fitted values: the sum of the two orthogonal
-    projectors, scaled by sigma2.  Forms an n x n matrix."""
-    if sigma2 < 0.0:
-        raise ShapeError(f"sigma2 must be nonnegative, got {sigma2}")
-    return (sys.proj_design + sys.proj_excess) * sigma2

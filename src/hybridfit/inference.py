@@ -1,11 +1,11 @@
-"""Sums of squares, F tests, lack of fit, residual diagnostics.
+"""Pure error and lack of fit, F tests, residual diagnostics.
 
-The augmented model's total sum of squares splits orthogonally into the part
-explained by the plain polynomial, the part added by the theory scaling, and
-the residual.  :func:`partition` reports these as the solve computed them;
-nothing here projects y again.  When the design carries replicate runs the
-residual further splits into pure error (within-replicate scatter, a
-model-free estimate of the error variance) and lack of fit.
+The sums of squares of the augmented model are the ones
+:func:`hybridfit.hybrid.solve` formed and checked; nothing here projects y
+again.  When the design carries repeated runs the residual further splits
+into pure error (the scatter of y within each group of runs with equal
+fitted values, a model-free estimate of the error variance) and lack of fit
+(the group means of the residuals).
 
 :func:`f_test` is the one place an F ratio and its p-value are computed.
 The p-value is the upper tail :func:`f_sf` taken directly from the
@@ -26,35 +26,13 @@ The probit is Wichura's AS241 (1988).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistencyError, ShapeError
-from .hybrid import HybridFit, HybridSystem
+from .hybrid import HybridFit
 from .tolerances import SS_REL_TOL
-
-
-class SSPartition(NamedTuple):
-    """Sum-of-squares decomposition of the augmented model.
-
-    ``ss_regression`` splits into ``ss_design`` (plain polynomial) plus
-    ``ss_theory_gain`` (added by the theory scaling); ``ss_total`` is the
-    uncorrected total and ``ss_total_corrected`` is the total minus the
-    plain-polynomial part.
-    """
-
-    ss_total: float
-    ss_regression: float
-    ss_design: float
-    ss_theory_gain: float
-    ss_residual: float
-    ss_total_corrected: float
-    df_regression: int
-    df_design: int
-    df_theory_gain: int
-    df_residual: int
-    n_runs: int
 
 
 class PureErrorDecomposition(NamedTuple):
@@ -95,56 +73,39 @@ class ResidualDiagnostics(NamedTuple):
     scatter: tuple[np.ndarray, np.ndarray]
 
 
-def partition(sys: HybridSystem, fit: HybridFit) -> SSPartition:
-    """Partition y'y over the orthogonal pieces of the augmented model, from
-    the sums of squares :func:`hybridfit.hybrid.solve` formed (and, by their
-    additivity check, found finite) for ``fit``."""
-    p1 = sys.n_coef
-    return SSPartition(
-        ss_total=fit.ss_total,
-        ss_regression=fit.ss_design + fit.ss_excess,
-        ss_design=fit.ss_design,
-        ss_theory_gain=fit.ss_excess,
-        ss_residual=fit.ss_residual,
-        ss_total_corrected=fit.ss_total - fit.ss_design,
-        df_regression=sys.rank,
-        df_design=p1,
-        df_theory_gain=sys.rank - p1,
-        df_residual=sys.n_runs - sys.rank,
-        n_runs=sys.n_runs,
-    )
-
-
 def pure_error(
-    y: np.ndarray,
-    groups: Sequence[Sequence[int]],
-    ss_residual: float,
-    df_residual: int,
+    y: np.ndarray, groups: np.ndarray, fit: HybridFit, df_residual: int
 ) -> PureErrorDecomposition:
-    """Split the residual sum of squares into pure error and lack of fit.
+    """Split the residual sum of squares of ``fit`` into pure error and
+    lack of fit.
 
-    Pure error pools the squared deviations of replicate observations from
-    their group means; its degrees of freedom are the pooled (group size - 1).
-    Lack of fit is the remainder of ``ss_residual``, the fit's residual sum
-    of squares.  The split is valid only if the fitted values are equal
-    within each group: group runs whose model-matrix rows are identical (for
-    the hybrid model, the same settings and the same theory value).  Pure
-    error above ``ss_residual`` by more than
-    :data:`hybridfit.tolerances.SS_REL_TOL` of it is an inconsistency.
+    ``groups`` numbers each run's group 0, 1, ... (as
+    :func:`hybridfit.dataset.identical_rows` does); the fitted values must
+    be equal within a group, so group runs whose model-matrix rows are
+    identical (for the hybrid model, the same settings and the same theory
+    value).  Pure error pools the squared deviations of y from its group
+    means, on the pooled (group size - 1) degrees of freedom.  Lack of fit
+    is the sum over groups of the group size times the squared mean
+    residual, formed directly rather than as a difference, which would lose
+    digits when it is small.  The two parts must add up to
+    ``fit.ss_residual`` within :data:`hybridfit.tolerances.SS_REL_TOL` of
+    sqrt(SS_res * y'y), and their degrees of freedom to at most
+    ``df_residual``, or :class:`InconsistencyError` is raised.
     """
     y = np.asarray(y, dtype=float).ravel()
-    ss_pe = 0.0
-    df_pe = 0
-    for group in groups:
-        if len(group) > 1:
-            vals = y[list(group)]
-            ss_pe += float(np.sum((vals - vals.mean()) ** 2))
-            df_pe += len(group) - 1
-    ss_lof = ss_residual - ss_pe
-    if not ss_lof >= -SS_REL_TOL * ss_residual:
+    counts = np.bincount(groups)
+    deviations = y - (np.bincount(groups, y) / counts)[groups]
+    ss_pe = float(deviations @ deviations)
+    df_pe = int(groups.size - counts.size)
+    mean_residuals = np.bincount(groups, fit.residuals) / counts
+    ss_lof = float(counts @ (mean_residuals * mean_residuals))
+    # The fitted values of a group agree only up to roundoff relative to y,
+    # which moves each part by up to about sqrt(SS_res) times that roundoff.
+    defect = abs(ss_pe + ss_lof - fit.ss_residual)
+    if not defect <= SS_REL_TOL * math.sqrt(fit.ss_residual * fit.ss_total):
         raise InconsistencyError(
-            f"pure error {ss_pe:.6g} exceeds the residual sum of squares "
-            f"{ss_residual:.6g}"
+            f"pure error {ss_pe:.6g} and lack of fit {ss_lof:.6g} miss the "
+            f"residual sum of squares {fit.ss_residual:.6g} by {defect:.3e}"
         )
     df_lof = df_residual - df_pe
     if df_lof < 0:
@@ -154,7 +115,7 @@ def pure_error(
     return PureErrorDecomposition(
         ss_pure_error=ss_pe,
         df_pure_error=df_pe,
-        ss_lack_of_fit=max(ss_lof, 0.0),
+        ss_lack_of_fit=ss_lof,
         df_lack_of_fit=df_lof,
     )
 

@@ -4,9 +4,10 @@ rows, coefficient files, tab-separated column tables (residual-plot points,
 simulated designs), and standalone SVG plots.
 
 Rendering computes nothing statistical: sums of squares come from the
-analysis's partition and pure-error split, every F and p from its
-:class:`~hybridfit.inference.FTest` results; the tables only divide each sum
-of squares by its degrees of freedom for the MS column.
+analysis's solved fit and pure-error split, degrees of freedom from its
+system, every F and p from its :class:`~hybridfit.inference.FTest` results;
+the tables only divide each sum of squares by its degrees of freedom for the
+MS column.
 
 All output is plain text with fixed float formatting, so identical analyses
 produce byte-identical files.  Text tables print sums of squares and mean
@@ -131,13 +132,13 @@ def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
     gets classical about-the-mean tables instead: the intercept leaves the
     regression row and the total is y'y - n ybar^2 on n - 1 df.
     """
-    part = a.part
-    residual = _row("Residual", part.ss_residual, part.df_residual)
-    total = AnovaRow("Total", part.ss_total, part.n_runs)
+    fit, sys = a.fit, a.system
+    residual = _row("Residual", fit.ss_residual, sys.df_residual)
+    total = AnovaRow("Total", fit.ss_total, sys.n_runs)
     overall = AnovaReport(
         "Analysis of variance: overall fit",
         (
-            _row("Regression", part.ss_regression, part.df_regression, a.overall),
+            _row("Regression", fit.ss_regression, sys.rank, a.overall),
             residual,
             total,
         ),
@@ -148,7 +149,7 @@ def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
             a.regression,
         )
         about_mean = AnovaRow(
-            "Total (about mean)", a.ss_about_mean, part.n_runs - 1
+            "Total (about mean)", a.ss_about_mean, sys.n_runs - 1
         )
         detail = AnovaReport(
             "Analysis of variance about the mean",
@@ -160,13 +161,13 @@ def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
         )
     else:
         gain = _row(
-            "Corrected regression", part.ss_theory_gain, part.df_theory_gain,
+            "Corrected regression", fit.ss_excess, sys.df_theory_gain,
             a.theory_gain,
         )
         detail = AnovaReport(
             "Analysis of variance: linear term and theory correction",
             (
-                _row("Linear regression", part.ss_design, part.df_design, a.regression),
+                _row("Linear regression", fit.ss_design, sys.n_coef, a.regression),
                 gain,
                 residual,
                 *_lof_rows(a),
@@ -179,8 +180,8 @@ def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
                 gain,
                 residual,
                 AnovaRow(
-                    "Corrected total", part.ss_total_corrected,
-                    part.n_runs - part.df_design,
+                    "Corrected total", fit.ss_total - fit.ss_design,
+                    sys.n_runs - sys.n_coef,
                 ),
             ),
         )
@@ -214,22 +215,22 @@ def _f_line(name: str, test: FTest, alpha: float, with_p: bool) -> str:
 def summary_lines(a: Analysis) -> list[str]:
     """The body of ``summary.txt``: sizes, error variance, R-squared, the F
     tests, and the lack-of-fit verdict with its prediction margin."""
-    part = a.part
+    sys = a.system
     if a.is_mlr:
-        lines = [f"runs: {part.n_runs}; coefficients: {part.df_design}"]
+        lines = [f"runs: {sys.n_runs}; coefficients: {sys.n_coef}"]
         tests = [("significance of regression", a.regression, True)]
     else:
         lines = [
             f"theory source: {a.system.theory.source_label}",
-            f"runs: {part.n_runs}; coefficients per block: {part.df_design}; "
-            f"model rank: {a.system.rank}",
+            f"runs: {sys.n_runs}; coefficients per block: {sys.n_coef}; "
+            f"model rank: {sys.rank}",
         ]
         tests = [
             ("linear term", a.regression, False),
             ("theory correction", a.theory_gain, False),
         ]
     lines += [
-        f"residual degrees of freedom: {part.df_residual}",
+        f"residual degrees of freedom: {sys.df_residual}",
         f"residual variance estimate: {a.fit.sigma2:.4g}",
         "residual sample standard deviation (about-mean df): "
         f"{a.residual_sample_sd:.3f}",

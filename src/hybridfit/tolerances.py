@@ -11,8 +11,10 @@ RANK_TOL = 1e-10
 # sum-of-squares additivity, relative to y'y.
 CROSS_CHECK_TOL = 1e-8
 
-# Slack, relative to the residual sum of squares, before a pure error larger
-# than the residual is treated as a genuine inconsistency, not roundoff.
+# Agreement required between the residual sum of squares and the sum of its
+# pure-error and lack-of-fit parts, relative to sqrt(SS_res * y'y): the
+# residuals carry roundoff relative to y, so near an exact fit the parts can
+# miss SS_res by much more than a fixed fraction of it.
 SS_REL_TOL = 1e-8
 
 # A flow-solver root must leave a flow-equality residual this small relative

@@ -124,13 +124,13 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
     mlr1 = analysis.analyze(ds5, cfg5, "mlr1")
     _check_vector(checks, "mlr1.coef", COEF_FIRST_ORDER, mlr1.coef, 1e-3, "abs")
     checks.append(CheckResult("mlr1.ss_regression", 2.287e4, mlr1.ss_regression_about_mean, 0.005, "rel"))
-    checks.append(CheckResult("mlr1.ss_residual", 2.99e3, mlr1.part.ss_residual, 0.005, "rel"))
+    checks.append(CheckResult("mlr1.ss_residual", 2.99e3, mlr1.fit.ss_residual, 0.005, "rel"))
     checks.append(CheckResult("mlr1.ss_pure_error", 0.949, mlr1.pure_error.ss_pure_error, 0.005, "rel"))
     checks.append(CheckResult("mlr1.f_regression", 17.85, mlr1.regression.f, 0.005, "rel"))
     checks.append(CheckResult("mlr1.f_lack_of_fit", 1260.0, lof(mlr1), 0.02, "rel"))
     for name, expected, got in [
         ("mlr1.df_regression", 3, mlr1.regression.df_num),
-        ("mlr1.df_residual", 7, mlr1.part.df_residual),
+        ("mlr1.df_residual", 7, mlr1.system.df_residual),
         ("mlr1.df_lack_of_fit", 5, mlr1.pure_error.df_lack_of_fit),
         ("mlr1.df_pure_error", 2, mlr1.pure_error.df_pure_error),
     ]:
@@ -141,7 +141,7 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
     mlr2 = analysis.analyze(ds7, cfg7, "mlr2")
     _check_vector(checks, "mlr2.coef", COEF_SECOND_ORDER, mlr2.coef, 1e-3, "abs")
     checks.append(CheckResult("mlr2.ss_regression", 2.624e4, mlr2.ss_regression_about_mean, 0.005, "rel"))
-    checks.append(CheckResult("mlr2.ss_residual", 123.114, mlr2.part.ss_residual, 0.005, "rel"))
+    checks.append(CheckResult("mlr2.ss_residual", 123.114, mlr2.fit.ss_residual, 0.005, "rel"))
     checks.append(CheckResult("mlr2.f_regression", 118.419, mlr2.regression.f, 0.02, "rel"))
     checks.append(CheckResult("mlr2.f_lack_of_fit", 85.831, lof(mlr2), 0.02, "rel"))
 
@@ -156,24 +156,24 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
         f_gain = a.theory_gain.f if a.theory_gain is not None else 0.0
         _check_vector(checks, f"{label}.coef", coef_ref, a.coef, 5e-3, "abs")
         _check_vector(checks, f"{label}.fitted", fitted_ref, a.fit.fitted, 0.5, "abs")
-        checks.append(CheckResult(f"{label}.ss_design", 5.007e5, a.part.ss_design, 0.005, "rel"))
-        checks.append(CheckResult(f"{label}.ss_theory_gain", ss_gain_ref, a.part.ss_theory_gain, 0.005, "rel"))
+        checks.append(CheckResult(f"{label}.ss_design", 5.007e5, a.fit.ss_design, 0.005, "rel"))
+        checks.append(CheckResult(f"{label}.ss_theory_gain", ss_gain_ref, a.fit.ss_excess, 0.005, "rel"))
         checks.append(CheckResult(f"{label}.f_design", f_design_ref, a.regression.f, 0.02, "rel"))
         checks.append(CheckResult(f"{label}.f_theory_gain", f_gain_ref, f_gain, 0.02, "rel"))
         if label == "adiabatic":
-            checks.append(CheckResult("adiabatic.ss_residual", 4.432, a.part.ss_residual, 0.005, "rel"))
+            checks.append(CheckResult("adiabatic.ss_residual", 4.432, a.fit.ss_residual, 0.005, "rel"))
             checks.append(CheckResult("adiabatic.ss_lack_of_fit", 3.483, a.pure_error.ss_lack_of_fit, 0.005, "rel"))
             checks.append(CheckResult("adiabatic.ss_pure_error", 0.949, a.pure_error.ss_pure_error, 0.005, "rel"))
             checks.append(CheckResult("adiabatic.f_lack_of_fit", 7.342, lof(a), 0.02, "rel"))
         else:
-            checks.append(CheckResult("isochoric.ss_residual", 2.586, a.part.ss_residual, 0.005, "rel"))
+            checks.append(CheckResult("isochoric.ss_residual", 2.586, a.fit.ss_residual, 0.005, "rel"))
             checks.append(CheckResult("isochoric.f_lack_of_fit", 3.45, lof(a), 0.02, "rel"))
 
     # headline comparisons between the second-order plain fit and the
     # isochoric theory-scaled fit
-    iso_ss_res = hybrids["isochoric"].part.ss_residual
+    iso_ss_res = hybrids["isochoric"].fit.ss_residual
     checks.append(CheckResult(
-        "headline.ss_residual_ratio", 47.6, mlr2.part.ss_residual / iso_ss_res, 0.02, "rel"
+        "headline.ss_residual_ratio", 47.6, mlr2.fit.ss_residual / iso_ss_res, 0.02, "rel"
     ))
     checks.append(CheckResult(
         "headline.sample_sd_mlr2", 2.965, mlr2.residual_sample_sd, 0.02, "rel",

@@ -19,6 +19,14 @@ from hybridfit.errors import (
 UNIT_FACTORS = (FactorSpec("x1", -1.0, 1.0), FactorSpec("x2", -1.0, 1.0))
 
 
+def sums_of_squares(a):
+    """The four sums of squares of an analysis's fit and the ranks and
+    degrees of freedom of its system."""
+    fit, sys = a.fit, a.system
+    return (fit.ss_total, fit.ss_design, fit.ss_excess, fit.ss_residual,
+            sys.rank, sys.df_theory_gain, sys.df_residual)
+
+
 def near_collinear_case():
     """n = 40, x2 = x1 + 1e-7 u: condition number about 2e7, far inside the
     rank tolerance, so the design has full rank."""
@@ -74,17 +82,15 @@ class TestPlainFitIsTheUnitTheorySolve:
     def test_excess_block_vanishes(self, factorial, factorial_config):
         a = analyze(factorial, factorial_config, "mlr1")
         assert np.array_equal(a.system.theory.values, np.ones(factorial.n_runs))
-        assert a.system.rank == 4 and a.part.df_residual == 11 - 4
-        assert np.array_equal(a.fit.coef_excess, np.zeros(4))
+        assert a.system.rank == 4 and a.system.df_residual == 11 - 4
+        assert np.array_equal(a.fit.coef[4:], np.zeros(4))
         assert a.labels == ("1", "A", "Ps", "B")
         assert a.theory_gain is None
 
     def test_pure_error_groups_are_the_replicates(self, factorial, factorial_config):
         a = analyze(factorial, factorial_config, "mlr1")
-        groups = dataset.replicate_groups(factorial)
-        pe = inference.pure_error(
-            factorial.response, groups, a.part.ss_residual, a.part.df_residual
-        )
+        _, groups = dataset.identical_rows(dataset.code(factorial))
+        pe = inference.pure_error(factorial.response, groups, a.fit, a.system.df_residual)
         assert a.pure_error == pe
 
     def test_hybrid_on_unit_column_gives_the_plain_fit(self, factorial, factorial_config):
@@ -95,7 +101,7 @@ class TestPlainFitIsTheUnitTheorySolve:
         plain = analyze(ones, factorial_config, "mlr1")
         scaled = analyze(ones, factorial_config, "hybrid", "column:ones")
         assert scaled.coef[:4] == pytest.approx(plain.coef, abs=1e-9)
-        assert scaled.part == plain.part
+        assert sums_of_squares(scaled) == sums_of_squares(plain)
         assert scaled.pure_error == plain.pure_error
 
     def test_column_theory_matches_the_layers(self, factorial, factorial_config):
@@ -105,7 +111,10 @@ class TestPlainFitIsTheUnitTheorySolve:
         )
         fit = hybrid.solve(system, factorial.response)
         assert np.array_equal(a.coef, fit.coef)
-        assert a.part == inference.partition(system, fit)
+        assert sums_of_squares(a) == (
+            fit.ss_total, fit.ss_design, fit.ss_excess, fit.ss_residual,
+            system.rank, system.df_theory_gain, system.df_residual,
+        )
         assert a.std_errors == pytest.approx(np.sqrt(np.diag(fit.coef_cov)))
 
 
@@ -146,6 +155,14 @@ class TestGuards:
             analyze(factorial, factorial_config, "mlr3")
         with pytest.raises(AnalysisError, match="theory source"):
             analyze(factorial, factorial_config, "hybrid")
+
+    def test_missing_theory_column_names_the_extras(self, factorial, factorial_config):
+        with pytest.raises(AnalysisError) as info:
+            analyze(factorial, factorial_config, "hybrid", "column:P_nope")
+        assert str(info.value) == (
+            "theory column 'P_nope' is not in the dataset; its extra columns "
+            "are ['P_adiabatic', 'P_isochoric']"
+        )
 
 
 def saturated_replicated_case() -> Dataset:
@@ -190,12 +207,28 @@ class TestRSquared:
         assert a.r2 == pytest.approx(1.0, abs=1e-9)
         assert a.r2_max == 1.0
 
+    def test_near_exact_fit_with_replicates_is_reported(self):
+        # the replicates' fitted values agree only up to roundoff relative to
+        # y, which next to a residual of 1e-9 relative moves the pure-error
+        # and lack-of-fit sums far more than 1e-8 of SS_res
+        rng = np.random.default_rng(11)
+        settings = rng.uniform(-1.0, 1.0, size=(10, 2))
+        x = settings[np.r_[np.arange(10), 0, 0, 3, 7]]
+        y = 5.0 + 2.0 * x[:, 0] - x[:, 1] + 1e-9 * rng.normal(size=14)
+        for model in ("mlr1", "mlr2"):
+            a = analyze(Dataset(UNIT_FACTORS, x, y), {}, model)
+            pe = a.pure_error
+            assert pe.ss_pure_error + pe.ss_lack_of_fit == pytest.approx(
+                a.fit.ss_residual, rel=1e-5
+            )
+            assert a.r2 == pytest.approx(1.0, abs=1e-12)
+
     def test_saturated_design_reaches_max(self):
         a = analyze(saturated_replicated_case(), {}, "hybrid", "column:z")
         assert a.system.rank == 6
         pe = a.pure_error
         assert pe.ss_lack_of_fit == pytest.approx(0.0, abs=1e-9)
-        assert a.part.ss_residual == pytest.approx(pe.ss_pure_error, rel=1e-8)
+        assert a.fit.ss_residual == pytest.approx(pe.ss_pure_error, rel=1e-8)
         assert a.r2 == pytest.approx(a.r2_max, abs=1e-10)
 
     def test_two_formula_agreement(self, factorial, factorial_config):
@@ -203,7 +236,7 @@ class TestRSquared:
         y = factorial.response
         n = y.size
         ss_about_mean = y @ y - n * y.mean() ** 2
-        assert a.r2 == pytest.approx(1.0 - a.part.ss_residual / ss_about_mean, abs=1e-9)
+        assert a.r2 == pytest.approx(1.0 - a.fit.ss_residual / ss_about_mean, abs=1e-9)
         explained = a.fit.fitted @ y - n * y.mean() ** 2
         assert a.r2 == pytest.approx(explained / ss_about_mean, abs=1e-9)
 

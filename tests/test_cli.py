@@ -382,6 +382,20 @@ class TestFit:
 
 
 class TestRunConfig:
+    def test_non_numeric_alpha_in_spec_is_one_error_line(self, data_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text((data_dir / "gauge_factorial_spec.txt").read_text() + "\nrun.alpha = abc\n")
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'run.alpha' is not a number: 'abc'\n"
+        )
+
     def test_hybrid_requires_theory(self, data_dir, tmp_path, capsys):
         rc = main([
             "fit",

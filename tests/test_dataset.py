@@ -46,16 +46,20 @@ class TestFactorSpec:
         frac=st.floats(0.0, 1.0),
     )
     @settings(deadline=None)
-    def test_code_decode_roundtrip(self, low, width, frac):
+    def test_code_is_the_affine_map(self, low, width, frac):
         s = FactorSpec("f", low=low, high=low + width)
         natural = low + frac * width
-        assert s.decode(s.code(natural)) == pytest.approx(natural, abs=1e-9 * (1 + abs(natural)))
+        center, half_range = (low + (low + width)) / 2.0, ((low + width) - low) / 2.0
+        assert s.code(natural) == pytest.approx(
+            (natural - center) / half_range, abs=1e-9 * (1 + abs(natural))
+        )
 
     @given(coded=st.floats(-2.0, 2.0))
     @settings(deadline=None)
-    def test_decode_code_roundtrip(self, coded):
+    def test_code_of_a_coded_level_returns_it(self, coded):
         s = spec_a()
-        assert s.code(s.decode(coded)) == pytest.approx(coded, abs=1e-12)
+        natural = 0.754 + coded * (1.257 - 0.251) / 2.0
+        assert s.code(natural) == pytest.approx(coded, abs=1e-12)
 
 
 class TestLoadTable:
@@ -250,10 +254,12 @@ class TestCode:
         assert np.array_equal(coded[:8], corners)
         assert np.array_equal(coded[8:], np.zeros((3, 3)))
 
-    def test_decode_inverts(self, factorial):
+    def test_code_is_the_affine_map_of_each_column(self, factorial):
         coded = dataset.code(factorial)
-        naturals = dataset.decode(factorial.factors, coded)
-        assert np.allclose(naturals, factorial.naturals, rtol=0, atol=1e-12)
+        for j, spec in enumerate(factorial.factors):
+            x = factorial.naturals[:, j]
+            center, half_range = spec.center, (spec.high - spec.low) / 2.0
+            assert np.allclose(coded[:, j], (x - center) / half_range, rtol=0, atol=1e-12)
 
 
 class TestBuildDesign:
@@ -293,6 +299,16 @@ class TestBuildDesign:
             dataset.DesignMatrix(np.array([[2.0, 1.0]]), ("1", "x1"))
 
 
+def members(group: np.ndarray) -> list[list[int]]:
+    """Row indices of each group numbered in ``group``, group by group."""
+    return [np.flatnonzero(group == g).tolist() for g in range(group.max() + 1)]
+
+
+def replicate_groups(ds: Dataset) -> list[list[int]]:
+    """Runs grouped by identical coded settings."""
+    return members(dataset.identical_rows(dataset.code(ds))[1])
+
+
 def brute_force_groups(rows: np.ndarray) -> set[frozenset]:
     """Independent O(n^2) grouping by pairwise row equality."""
     n = rows.shape[0]
@@ -312,7 +328,7 @@ def brute_force_groups(rows: np.ndarray) -> set[frozenset]:
 
 class TestReplicateGroups:
     def test_factorial_center_triplet(self, factorial):
-        groups = dataset.replicate_groups(factorial)
+        groups = replicate_groups(factorial)
         sizes = sorted(len(g) for g in groups)
         assert sizes == [1] * 8 + [3]
         assert [8, 9, 10] in groups
@@ -323,7 +339,7 @@ class TestReplicateGroups:
             naturals=np.array([[0.3], [0.4], [0.5]]),
             response=np.array([1.0, 2.0, 3.0]),
         )
-        assert dataset.replicate_groups(ds) == [[0], [1], [2]]
+        assert replicate_groups(ds) == [[0], [1], [2]]
 
     def test_two_duplicated_pairs_against_oracle(self):
         naturals = np.array(
@@ -337,13 +353,13 @@ class TestReplicateGroups:
             naturals=naturals,
             response=np.arange(6.0),
         )
-        groups = dataset.replicate_groups(ds)
+        groups = replicate_groups(ds)
         assert sorted(len(g) for g in groups) == [1, 1, 2, 2]
         assert {frozenset(g) for g in groups} == brute_force_groups(dataset.code(ds))
 
     def test_groups_partition_rows(self, factorial, boxbehnken):
         for ds in (factorial, boxbehnken):
-            groups = dataset.replicate_groups(ds)
+            groups = replicate_groups(ds)
             flat = sorted(i for g in groups for i in g)
             assert flat == list(range(ds.n_runs))
 
@@ -354,7 +370,7 @@ class TestIdenticalRows:
         first, group = dataset.identical_rows(rows)
         assert first.tolist() == [0, 1, 3]
         assert group.tolist() == [0, 1, 0, 2, 1]
-        assert dataset.row_groups(rows) == [[0, 2], [1, 4], [3]]
+        assert members(group) == [[0, 2], [1, 4], [3]]
 
     def test_groups_by_value(self):
         # signed zeros compare equal, as tuple keys do
@@ -396,7 +412,7 @@ class TestIdenticalRows:
     @settings(deadline=None)
     def test_matches_brute_force(self, rows):
         rows = np.array(rows)
-        groups = dataset.row_groups(rows)
+        groups = members(dataset.identical_rows(rows)[1])
         assert {frozenset(g) for g in groups} == brute_force_groups(rows)
         assert [g[0] for g in groups] == sorted(g[0] for g in groups)
         assert all(g == sorted(g) for g in groups)

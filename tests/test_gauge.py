@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridfit import gauge
 from hybridfit.dataset import Dataset, FactorSpec
 from hybridfit.errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
-from hybridfit.gauge import GaugeConstants, GaugeInputs
+from hybridfit.gauge import GaugeConstants
 
 # Recorded back-pressure columns of the case-study factorial design,
 # computed with gamma=1.4, p_atm=101.325 kPa, ideal discharge coefficients.
@@ -43,11 +43,13 @@ def oracle_factor_isochoric(p_up, p_down):
     return p_up / 2.0
 
 
-def oracle_residual(model, inputs, k):
-    """Orifice-side minus sensor-side flow as a function of back-pressure."""
-    a = k.c_sensor * inputs.area_sensor
-    b = k.c_orifice * inputs.area_orifice
-    ps = inputs.pressure_supply_kpa
+def oracle_residual(model, point, k):
+    """Orifice-side minus sensor-side flow as a function of back-pressure, at
+    the operating point (sensor area, supply MPa, orifice area)."""
+    area_sensor, supply, area_orifice = point
+    a = k.c_sensor * area_sensor
+    b = k.c_orifice * area_orifice
+    ps = supply * 1000.0
     if model == "adiabatic":
         return lambda p: (b * ps * oracle_factor_adiabatic(p / ps, k.gamma)
                           - a * p * oracle_factor_adiabatic(k.p_atm / p, k.gamma))
@@ -78,9 +80,9 @@ def oracle_bisect(f, lo, hi):
     return lo, hi
 
 
-def oracle_backpressure(model, inputs, k):
-    f = oracle_residual(model, inputs, k)
-    ps = inputs.pressure_supply_kpa
+def oracle_backpressure(model, point, k):
+    f = oracle_residual(model, point, k)
+    ps = point[1] * 1000.0
     eps = 1e-9 * (ps - k.p_atm)
     lo, hi = oracle_bisect(f, k.p_atm + eps, ps - eps)
     return hi if abs(f(hi)) < abs(f(lo)) else lo
@@ -158,47 +160,45 @@ def factorial_inputs():
         (0.754, 0.248, 0.817),
         (0.754, 0.248, 0.817),
     ]
-    return [GaugeInputs(*row) for row in rows]
+    return rows
+
+
+def solve_one(model, point, k=DEFAULTS):
+    """The back-pressure at one operating point, as a one-row solve."""
+    return float(gauge.solve_backpressures(model, [point], k)[0])
 
 
 class TestBackpressureSolvers:
     def test_adiabatic_reference_rows(self):
-        for inputs, expected in zip(factorial_inputs(), BACKPRESSURE_ADIABATIC):
-            assert gauge.solve_backpressure_adiabatic(inputs, DEFAULTS) == (
-                pytest.approx(expected, abs=0.5)
-            )
+        for point, expected in zip(factorial_inputs(), BACKPRESSURE_ADIABATIC):
+            assert solve_one("adiabatic", point) == pytest.approx(expected, abs=0.5)
 
     def test_isochoric_reference_rows(self):
-        for inputs, expected in zip(factorial_inputs(), BACKPRESSURE_ISOCHORIC):
-            assert gauge.solve_backpressure_isochoric(inputs, DEFAULTS) == (
-                pytest.approx(expected, abs=0.5)
-            )
+        for point, expected in zip(factorial_inputs(), BACKPRESSURE_ISOCHORIC):
+            assert solve_one("isochoric", point) == pytest.approx(expected, abs=0.5)
 
     def test_wide_open_nozzle_approaches_atmosphere(self):
-        inputs = GaugeInputs(area_sensor=5000.0, pressure_supply=0.199, area_orifice=0.503)
-        p = gauge.solve_backpressure_adiabatic(inputs, DEFAULTS)
+        p = solve_one("adiabatic", (5000.0, 0.199, 0.503))
         assert DEFAULTS.p_atm < p < DEFAULTS.p_atm + 0.5
 
     def test_dead_ended_nozzle_approaches_supply(self):
-        inputs = GaugeInputs(area_sensor=1e-3, pressure_supply=0.199, area_orifice=0.503)
-        p = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
+        p = solve_one("isochoric", (1e-3, 0.199, 0.503))
         assert 198.9 < p < 199.0
 
     def test_supply_below_atmosphere_rejected(self):
-        inputs = GaugeInputs(area_sensor=0.5, pressure_supply=0.09, area_orifice=0.5)
         with pytest.raises(AnalysisError):
-            gauge.solve_backpressure_adiabatic(inputs, DEFAULTS)
+            solve_one("adiabatic", (0.5, 0.09, 0.5))
 
     def test_residual_bracketing_on_reference_rows(self):
         # flow equality changes sign across the admissible interval
-        for inputs in factorial_inputs():
-            p_s = inputs.pressure_supply_kpa
+        for area_sensor, supply, area_orifice in factorial_inputs():
+            p_s = supply * 1000.0
             p_a = DEFAULTS.p_atm
 
             def residual(p):
-                return inputs.area_orifice * p_s * gauge.flow_factor_adiabatic(
+                return area_orifice * p_s * gauge.flow_factor_adiabatic(
                     p / p_s, DEFAULTS.gamma
-                ) - inputs.area_sensor * p * gauge.flow_factor_adiabatic(
+                ) - area_sensor * p * gauge.flow_factor_adiabatic(
                     p_a / p, DEFAULTS.gamma
                 )
 
@@ -206,40 +206,35 @@ class TestBackpressureSolvers:
             assert residual(p_s - 1e-6) < 0.0
 
     def test_solved_root_balances_flows(self):
-        inputs = factorial_inputs()[0]
-        p = gauge.solve_backpressure_adiabatic(inputs, DEFAULTS)
-        p_s = inputs.pressure_supply_kpa
-        lhs = inputs.area_orifice * p_s * gauge.flow_factor_adiabatic(p / p_s, 1.4)
-        rhs = inputs.area_sensor * p * gauge.flow_factor_adiabatic(DEFAULTS.p_atm / p, 1.4)
+        area_sensor, supply, area_orifice = point = factorial_inputs()[0]
+        p = solve_one("adiabatic", point)
+        p_s = supply * 1000.0
+        lhs = area_orifice * p_s * gauge.flow_factor_adiabatic(p / p_s, 1.4)
+        rhs = area_sensor * p * gauge.flow_factor_adiabatic(DEFAULTS.p_atm / p, 1.4)
         assert abs(lhs - rhs) <= 1e-9 * lhs
 
     def test_adiabatic_isochoric_spread_is_small(self):
-        for inputs in factorial_inputs():
-            pa = gauge.solve_backpressure_adiabatic(inputs, DEFAULTS)
-            pv = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
+        for point in factorial_inputs():
+            pa = solve_one("adiabatic", point)
+            pv = solve_one("isochoric", point)
             assert abs(pa - pv) < 2.5
 
     def test_bracket_error_reports_residuals(self):
         # so nearly dead-ended that the root lies within the bracket's 1e-9
         # margin below the supply: the residual is positive at both ends
-        inputs = GaugeInputs(area_sensor=1e-9, pressure_supply=0.199, area_orifice=0.503)
-        for solver in (gauge.solve_backpressure_adiabatic, gauge.solve_backpressure_isochoric):
+        for model in ("adiabatic", "isochoric"):
             with pytest.raises(RootBracketError, match="no sign change.*residual"):
-                solver(inputs, DEFAULTS)
+                solve_one(model, (1e-9, 0.199, 0.503))
 
 
 class TestMonotonicity:
-    @pytest.mark.parametrize(
-        "solver",
-        [gauge.solve_backpressure_adiabatic, gauge.solve_backpressure_isochoric],
-    )
-    def test_grid(self, solver):
-        areas = np.linspace(0.2, 1.4, 10)
-        supplies = np.linspace(0.15, 0.32, 10)
-        grid = np.empty((10, 10))
-        for i, a in enumerate(areas):
-            for j, ps in enumerate(supplies):
-                grid[i, j] = solver(GaugeInputs(a, ps, 0.6), DEFAULTS)
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_grid(self, model):
+        areas, supplies = np.meshgrid(
+            np.linspace(0.2, 1.4, 10), np.linspace(0.15, 0.32, 10), indexing="ij"
+        )
+        points = np.column_stack([areas.ravel(), supplies.ravel(), np.full(100, 0.6)])
+        grid = gauge.solve_backpressures(model, points, DEFAULTS).reshape(10, 10)
         # strictly decreasing in sensor area, strictly increasing in supply
         assert np.all(np.diff(grid, axis=0) < 0.0)
         assert np.all(np.diff(grid, axis=1) > 0.0)
@@ -299,7 +294,7 @@ class TestConstants:
         with pytest.raises(AnalysisError):
             GaugeConstants(c_orifice=0.0)
         with pytest.raises(AnalysisError):
-            GaugeInputs(-1.0, 0.2, 0.5)
+            solve_one("adiabatic", (-1.0, 0.2, 0.5))
 
 
 # operating points and constants well inside the solvers' domain
@@ -321,11 +316,10 @@ class TestAgainstOracle:
     def test_adiabatic(self, points, k):
         got = gauge.solve_backpressures("adiabatic", np.array(points), k)
         for point, p in zip(points, got):
-            inputs = GaugeInputs(*point)
-            assert p == pytest.approx(oracle_backpressure("adiabatic", inputs, k), rel=1e-9)
-            f = oracle_residual("adiabatic", inputs, k)
+            assert p == pytest.approx(oracle_backpressure("adiabatic", point, k), rel=1e-9)
+            f = oracle_residual("adiabatic", point, k)
             below = max(p * (1.0 - 1e-9), k.p_atm)
-            above = min(p * (1.0 + 1e-9), inputs.pressure_supply_kpa)
+            above = min(p * (1.0 + 1e-9), point[1] * 1000.0)
             assert f(below) >= 0.0 >= f(above)
 
     @given(points=POINTS, k=CONSTANTS)
@@ -333,7 +327,7 @@ class TestAgainstOracle:
     def test_isochoric(self, points, k):
         got = gauge.solve_backpressures("isochoric", np.array(points), k)
         for point, p in zip(points, got):
-            ref = oracle_backpressure("isochoric", GaugeInputs(*point), k)
+            ref = oracle_backpressure("isochoric", point, k)
             assert p == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -346,14 +340,13 @@ class TestAgainstOracle:
         ],
     )
     def test_isochoric_regimes(self, point, orifice_choked, sensor_choked):
-        inputs = GaugeInputs(*point)
-        p = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
-        ps = inputs.pressure_supply_kpa
+        p = solve_one("isochoric", point)
+        ps = point[1] * 1000.0
         assert (p / ps < 0.5) == orifice_choked
         assert (DEFAULTS.p_atm / p < 0.5) == sensor_choked
-        assert p == pytest.approx(oracle_backpressure("isochoric", inputs, DEFAULTS), rel=1e-12)
+        assert p == pytest.approx(oracle_backpressure("isochoric", point, DEFAULTS), rel=1e-12)
         if orifice_choked and sensor_choked:
-            a, b = inputs.area_sensor, inputs.area_orifice
+            a, b = point[0], point[2]
             assert p == pytest.approx(b * ps / a, rel=1e-15)
 
     # roots that sit on a ratio-1/2 regime boundary, where rounding can push
@@ -366,14 +359,13 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("point", BOUNDARY_POINTS)
     def test_isochoric_root_on_regime_boundary(self, point):
-        inputs = GaugeInputs(*point)
-        p = gauge.solve_backpressure_isochoric(inputs, DEFAULTS)
-        assert p == pytest.approx(oracle_backpressure("isochoric", inputs, DEFAULTS), rel=1e-12)
+        p = solve_one("isochoric", point)
+        assert p == pytest.approx(oracle_backpressure("isochoric", point, DEFAULTS), rel=1e-12)
 
     def test_no_consistent_regime_is_an_error(self, monkeypatch):
         monkeypatch.setattr(gauge, "REGIME_SLACK", 0.0)
         with pytest.raises(InconsistencyError, match="no isochoric flow regime"):
-            gauge.solve_backpressure_isochoric(GaugeInputs(*self.BOUNDARY_POINTS[0]), DEFAULTS)
+            solve_one("isochoric", self.BOUNDARY_POINTS[0])
 
 
 def design(rows):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridfit import hybrid, inference
+from hybridfit import hybrid
 from hybridfit.dataset import DesignMatrix
-from hybridfit.errors import InconsistencyError, RankError, ShapeError
+from hybridfit.errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
 from hybridfit.hybrid import TheoryVector
 
 # Recorded stacked solutions and fitted columns of the case study's two
@@ -22,6 +22,28 @@ def tiny_design() -> DesignMatrix:
     return DesignMatrix(np.ones((2, 1)), ("1",))
 
 
+def excess_block(sys) -> np.ndarray:
+    """(diag(z) - I) X, the regressors the theory scaling adds."""
+    return sys.augmented[:, sys.n_coef:]
+
+
+def excess_ortho(sys) -> np.ndarray:
+    """The excess block less its projection onto the design columns."""
+    excess = excess_block(sys)
+    return excess - sys.basis_design @ (sys.basis_design.T @ excess)
+
+
+def fit_projector(sys) -> np.ndarray:
+    """Q_X Q_X' + Q_E Q_E', the projector that maps y to the fitted values."""
+    return sys.basis_design @ sys.basis_design.T + sys.basis_excess @ sys.basis_excess.T
+
+
+def solution_covariance(sys, sigma2) -> np.ndarray:
+    """sigma2 * coef_map @ coef_map', the covariance of the stacked
+    coefficients that the solve reports."""
+    return (sys.coef_map @ sys.coef_map.T) * sigma2
+
+
 class TestTheoryVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ShapeError):
@@ -35,8 +57,8 @@ class TestTheoryVector:
 class TestAssemble:
     def test_identity_theory_reduces_to_plain_design(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        assert np.array_equal(sys.excess, np.zeros((11, 4)))
-        assert np.array_equal(sys.excess_ortho, np.zeros((11, 4)))
+        assert np.array_equal(excess_block(sys), np.zeros((11, 4)))
+        assert np.array_equal(excess_ortho(sys), np.zeros((11, 4)))
         assert sys.rank == 4
         assert np.array_equal(sys.augmented[:, :4], factorial_design.values)
         assert np.array_equal(sys.augmented[:, 4:], np.zeros((11, 4)))
@@ -46,7 +68,7 @@ class TestAssemble:
         sys = hybrid.assemble(factorial_design, TheoryVector(np.full(11, value)))
         assert sys.rank == 4
         fit = hybrid.solve(sys, np.arange(11.0))
-        assert np.array_equal(fit.coef_excess, np.zeros(4))
+        assert np.array_equal(fit.coef[4:], np.zeros(4))
 
     def test_factorial_adiabatic_rank(self, factorial, factorial_design):
         theory = TheoryVector(factorial.extras["P_adiabatic"])
@@ -57,8 +79,8 @@ class TestAssemble:
 
     def test_two_run_hand_computation(self):
         sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
-        assert np.allclose(sys.excess, [[1.0], [2.0]], atol=1e-14)
-        assert np.allclose(sys.excess_ortho, [[-0.5], [0.5]], atol=1e-14)
+        assert np.allclose(excess_block(sys), [[1.0], [2.0]], atol=1e-14)
+        assert np.allclose(excess_ortho(sys), [[-0.5], [0.5]], atol=1e-14)
 
     def test_fit_path_stores_no_run_by_run_matrix(self, rng):
         n = 50
@@ -94,15 +116,14 @@ class TestSolve:
         fit = hybrid.solve(sys, factorial.response)
         assert np.allclose(fit.coef, expected_coef, atol=5e-3)
         assert np.allclose(fit.fitted, expected_fitted, atol=0.5)
-        assert not fit.saturated
         assert fit.sigma2 == pytest.approx(fit.ss_residual / 3)
 
     def test_identity_theory_reproduces_ols(self, factorial, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
         fit = hybrid.solve(sys, factorial.response)
         ols = np.linalg.lstsq(factorial_design.values, factorial.response, rcond=None)[0]
-        assert np.allclose(fit.coef_design, ols, atol=1e-9)
-        assert np.array_equal(fit.coef_excess, np.zeros(4))
+        assert np.allclose(fit.coef[:4], ols, atol=1e-9)
+        assert np.array_equal(fit.coef[4:], np.zeros(4))
 
     def test_response_in_column_space_fits_exactly(self, factorial, factorial_design):
         sys = hybrid.assemble(
@@ -160,11 +181,11 @@ class TestSolve:
             hybrid.solve(sys, y)
 
     def test_saturated_fit_flagged(self):
+        # two runs, rank 2: the error variance is not estimable
         sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
-        fit = hybrid.solve(sys, np.array([1.0, 4.0]))
-        assert fit.saturated
-        assert fit.sigma2 is None
-        assert fit.coef_cov is None
+        assert sys.df_residual == 0
+        with pytest.raises(SaturatedModelError, match="no residual degrees of freedom"):
+            hybrid.solve(sys, np.array([1.0, 4.0]))
 
 
 class TestRankEdge:
@@ -193,9 +214,10 @@ class TestRankEdge:
         y = rng.normal(10.0, 3.0, size=n)
         sys = hybrid.assemble(design, TheoryVector(z))
         fit = hybrid.solve(sys, y)  # a valid input: no InconsistencyError
-        part = inference.partition(sys, fit)
-        assert fit.ss_residual == pytest.approx(part.ss_residual, rel=1e-8)
-        assert fit.sigma2 == pytest.approx(part.ss_residual / part.df_residual, rel=1e-8)
+        assert fit.ss_residual == pytest.approx(
+            float(fit.residuals @ fit.residuals), rel=1e-8
+        )
+        assert fit.sigma2 == pytest.approx(fit.ss_residual / (n - sys.rank), rel=1e-8)
 
 
 class TestFittedValues:
@@ -205,7 +227,7 @@ class TestFittedValues:
         )
         fit = hybrid.solve(sys, factorial.response)
         assert np.allclose(sys.augmented @ fit.coef, fit.fitted, atol=1e-8)
-        projected = (sys.proj_design + sys.proj_excess) @ factorial.response
+        projected = fit_projector(sys) @ factorial.response
         assert np.allclose(projected, fit.fitted, atol=1e-8)
 
 
@@ -213,27 +235,29 @@ class TestCovariance:
     def test_identity_theory_blocks(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
         s2 = 1.7
-        cov, cross = hybrid.covariance_of_solution(sys, s2)
+        cov = solution_covariance(sys, s2)
         x = factorial_design.values
         assert np.allclose(cov[:4, :4], np.linalg.inv(x.T @ x) * s2, atol=1e-12)
         assert np.allclose(cov[4:, 4:], np.zeros((4, 4)), atol=1e-14)
-        assert np.allclose(cross, np.zeros((4, 4)), atol=1e-14)
+        assert np.allclose(cov[:4, 4:], np.zeros((4, 4)), atol=1e-14)
 
     def test_zero_sigma2_gives_zero(self, factorial, factorial_design):
         sys = hybrid.assemble(
             factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
         )
-        cov, cross = hybrid.covariance_of_solution(sys, 0.0)
-        assert np.array_equal(cov, np.zeros((8, 8)))
+        fit = hybrid.solve(sys, np.zeros(11))  # an exactly zero residual
+        assert fit.sigma2 == 0.0
+        assert np.array_equal(fit.coef_cov, np.zeros((8, 8)))
 
     def test_excess_block_stated_form(self, factorial, factorial_design):
         # block (2,2) written with the excess matrix: Q^- Z'Y Q^- sigma2
         z = factorial.extras["P_adiabatic"]
         sys = hybrid.assemble(factorial_design, TheoryVector(z))
         s2 = 1.31
-        cov, _ = hybrid.covariance_of_solution(sys, s2)
-        q_inv = np.linalg.pinv(sys.excess_ortho.T @ sys.excess_ortho)
-        stated = q_inv @ (sys.excess_ortho.T @ sys.excess) @ q_inv * s2
+        cov = solution_covariance(sys, s2)
+        ortho = excess_ortho(sys)
+        q_inv = np.linalg.pinv(ortho.T @ ortho)
+        stated = q_inv @ (ortho.T @ excess_block(sys)) @ q_inv * s2
         assert np.allclose(cov[4:, 4:], stated, atol=1e-8 * np.abs(stated).max())
 
     def test_random_system_matches_direct_sandwich(self, rng):
@@ -247,7 +271,7 @@ class TestCovariance:
             z = rng.uniform(0.5, 3.0, 6)
             sys = hybrid.assemble(x, TheoryVector(z))
             s2 = float(rng.uniform(0.1, 2.0))
-            cov, _ = hybrid.covariance_of_solution(sys, s2)
+            cov = solution_covariance(sys, s2)
             m = sys.augmented.T @ sys.augmented
             g = np.linalg.pinv(m)
             sandwich = g @ m @ g.T * s2
@@ -258,6 +282,7 @@ class TestCovariance:
             factorial_design, TheoryVector(factorial.extras["P_isochoric"])
         )
         fit = hybrid.solve(sys, factorial.response)
+        assert np.allclose(fit.coef_cov, solution_covariance(sys, fit.sigma2), rtol=1e-12, atol=0)
         eigvals = np.linalg.eigvalsh(fit.coef_cov)
         assert eigvals.min() > -1e-8 * max(1.0, eigvals.max())
 
@@ -276,36 +301,38 @@ class TestCovariance:
         solve_mat = np.linalg.pinv(sys.augmented.T @ sys.augmented) @ sys.augmented.T
         coefs = ys @ solve_mat.T
         emp_cov = np.cov(coefs.T)
-        ana_cov, _ = hybrid.covariance_of_solution(sys, sigma**2)
+        ana_cov = solution_covariance(sys, sigma**2)
         scale = np.abs(ana_cov) + 1e-3 * np.abs(ana_cov).max()
         assert np.max(np.abs(emp_cov - ana_cov) / scale) < 0.05
 
-        emp_fit_cov = np.cov((ys @ (sys.proj_design + sys.proj_excess).T).T)
-        ana_fit_cov = hybrid.variance_of_fit(sys, sigma**2)
+        emp_fit_cov = np.cov((ys @ fit_projector(sys).T).T)
+        ana_fit_cov = fit_projector(sys) * sigma**2
         assert np.max(np.abs(emp_fit_cov - ana_fit_cov)) < 0.05 * np.abs(
             ana_fit_cov
         ).max()
 
 
 class TestVarianceOfFit:
+    """The covariance of the fitted values, sigma2 times the projector
+    Q_X Q_X' + Q_E Q_E' formed from the two bases."""
+
     def test_identity_theory(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
         x = factorial_design.values
         expected = x @ np.linalg.inv(x.T @ x) @ x.T * 2.0
-        assert np.allclose(hybrid.variance_of_fit(sys, 2.0), expected, atol=1e-10)
+        assert np.allclose(fit_projector(sys) * 2.0, expected, atol=1e-10)
 
     def test_trace_counts_rank(self, factorial, factorial_design):
         sys = hybrid.assemble(
             factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
         )
-        v = hybrid.variance_of_fit(sys, 3.0)
+        v = fit_projector(sys) * 3.0
         assert np.trace(v) / 3.0 == pytest.approx(8.0, abs=1e-8)
 
     def test_zero_sigma2(self, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        assert np.array_equal(
-            hybrid.variance_of_fit(sys, 0.0), np.zeros((11, 11))
-        )
+        fit = hybrid.solve(sys, np.zeros(11))  # an exactly zero residual
+        assert np.array_equal(fit_projector(sys) * fit.sigma2, np.zeros((11, 11)))
 
     def test_equals_augmented_projector(self, factorial, factorial_design):
         sys = hybrid.assemble(
@@ -316,7 +343,7 @@ class TestVarianceOfFit:
             @ np.linalg.pinv(sys.augmented.T @ sys.augmented)
             @ sys.augmented.T
         )
-        assert np.allclose(hybrid.variance_of_fit(sys, 1.0), direct, atol=1e-8)
+        assert np.allclose(fit_projector(sys), direct, atol=1e-8)
 
 
 def coefficient_operator(sys) -> np.ndarray:

@@ -96,6 +96,17 @@ def test_every_public_name_resolves():
     assert set(hybridfit.__all__) <= set(dir(hybridfit))
 
 
+def test_public_names_are_pinned():
+    assert hybridfit.__all__ == [
+        "Analysis", "AnalysisError", "Dataset", "DesignMatrix", "FTest",
+        "FactorSpec", "GaugeConstants", "HybridFit", "HybridSystem",
+        "PureErrorDecomposition", "TableSchema", "TheoryVector", "analyze",
+        "assemble", "box_wetz_ratio", "build_design", "code", "f_critical",
+        "f_sf", "f_test", "load_case", "load_table", "pure_error",
+        "residual_diagnostics", "simulate_design", "solve", "solve_backpressures",
+    ]
+
+
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         hybridfit.no_such_name  # noqa: B018

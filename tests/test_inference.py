@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hybridfit import dataset, hybrid, inference
 from hybridfit.analysis import analyze
-from hybridfit.dataset import Dataset, FactorSpec
-from hybridfit.errors import SaturatedModelError, ShapeError
+from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec
+from hybridfit.errors import InconsistencyError, SaturatedModelError, ShapeError
 from hybridfit.hybrid import TheoryVector
 
 
@@ -16,102 +16,117 @@ from hybridfit.hybrid import TheoryVector
 def adiabatic_case(factorial, factorial_design):
     theory = TheoryVector(factorial.extras["P_adiabatic"])
     sys = hybrid.assemble(factorial_design, theory)
-    fit = hybrid.solve(sys, factorial.response)
-    part = inference.partition(sys, fit)
-    return sys, fit, part
+    return sys, hybrid.solve(sys, factorial.response)
 
 
 @pytest.fixture(scope="module")
 def isochoric_case(factorial, factorial_design):
     theory = TheoryVector(factorial.extras["P_isochoric"])
     sys = hybrid.assemble(factorial_design, theory)
-    fit = hybrid.solve(sys, factorial.response)
-    part = inference.partition(sys, fit)
-    return sys, fit, part
+    return sys, hybrid.solve(sys, factorial.response)
+
+
+@pytest.fixture(scope="module")
+def replicates(factorial):
+    """Group numbers of the factorial's runs by coded settings."""
+    return dataset.identical_rows(dataset.code(factorial))[1]
+
+
+def line_fit(x, y):
+    """Straight-line fit of y on x through the augmented solve (z = 1)."""
+    x = np.asarray(x, dtype=float)
+    design = DesignMatrix(np.column_stack([np.ones(x.size), x]), ("1", "x1"))
+    sys = hybrid.assemble(design, TheoryVector(np.ones(x.size)))
+    return sys, hybrid.solve(sys, y)
 
 
 class TestPartition:
+    """The sums of squares of the solve and the degrees of freedom of the
+    system: the orthogonal partition of y'y."""
+
     def test_adiabatic_reference_values(self, adiabatic_case):
-        _, _, part = adiabatic_case
-        assert part.ss_design == pytest.approx(5.007e5, rel=0.005)
-        assert part.ss_theory_gain == pytest.approx(2986.0, rel=0.005)
-        assert part.ss_residual == pytest.approx(4.432, rel=0.005)
-        assert part.ss_total == pytest.approx(5.037e5, rel=0.005)
-        assert (part.df_design, part.df_theory_gain, part.df_residual,
-                part.n_runs) == (4, 4, 3, 11)
+        sys, fit = adiabatic_case
+        assert fit.ss_design == pytest.approx(5.007e5, rel=0.005)
+        assert fit.ss_excess == pytest.approx(2986.0, rel=0.005)
+        assert fit.ss_residual == pytest.approx(4.432, rel=0.005)
+        assert fit.ss_total == pytest.approx(5.037e5, rel=0.005)
+        assert (sys.n_coef, sys.df_theory_gain, sys.df_residual,
+                sys.n_runs) == (4, 4, 3, 11)
 
     def test_isochoric_reference_values(self, isochoric_case):
-        _, _, part = isochoric_case
-        assert part.ss_theory_gain == pytest.approx(2987.0, rel=0.005)
-        assert part.ss_residual == pytest.approx(2.586, rel=0.005)
+        _, fit = isochoric_case
+        assert fit.ss_excess == pytest.approx(2987.0, rel=0.005)
+        assert fit.ss_residual == pytest.approx(2.586, rel=0.005)
 
     def test_zero_response(self, adiabatic_case):
-        sys, _, _ = adiabatic_case
-        part = inference.partition(sys, hybrid.solve(sys, np.zeros(11)))
-        assert part.ss_total == 0.0
-        assert part.ss_design == pytest.approx(0.0, abs=1e-12)
-        assert part.ss_residual == pytest.approx(0.0, abs=1e-12)
+        sys, _ = adiabatic_case
+        fit = hybrid.solve(sys, np.zeros(11))
+        assert fit.ss_total == 0.0
+        assert fit.ss_design == pytest.approx(0.0, abs=1e-12)
+        assert fit.ss_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_near_exact_fit_keeps_its_residual(self, adiabatic_case, rng):
         # y'y is about 1e7 times the residual here: y'y less the fitted sum
         # of squares would leave only roundoff
-        sys, _, _ = adiabatic_case
+        sys, _ = adiabatic_case
         y = sys.augmented @ np.linspace(1.0, 2.0, 8) + 1e-6 * rng.normal(size=11)
         coef = np.linalg.lstsq(sys.augmented, y, rcond=None)[0]
         resid = y - sys.augmented @ coef
-        part = inference.partition(sys, hybrid.solve(sys, y))
-        assert part.ss_residual == pytest.approx(float(resid @ resid), rel=1e-6)
+        fit = hybrid.solve(sys, y)
+        assert fit.ss_residual == pytest.approx(float(resid @ resid), rel=1e-6)
 
     def test_additivity(self, adiabatic_case, isochoric_case):
-        for _, _, part in (adiabatic_case, isochoric_case):
-            assert part.ss_regression == pytest.approx(
-                part.ss_design + part.ss_theory_gain, rel=1e-12
+        for _, fit in (adiabatic_case, isochoric_case):
+            assert fit.ss_regression == pytest.approx(
+                fit.ss_design + fit.ss_excess, rel=1e-12
             )
-            assert part.ss_total == pytest.approx(
-                part.ss_regression + part.ss_residual, rel=1e-10
+            assert fit.ss_total == pytest.approx(
+                fit.ss_regression + fit.ss_residual, rel=1e-10
             )
-            assert part.ss_total_corrected == pytest.approx(
-                part.ss_total - part.ss_design, rel=1e-12
+            assert fit.ss_total - fit.ss_design == pytest.approx(
+                fit.ss_excess + fit.ss_residual, rel=1e-12
             )
 
     def test_residual_matches_quadratic_form(self, adiabatic_case, factorial):
-        sys, fit, part = adiabatic_case
-        assert part.ss_residual == pytest.approx(
-            float(fit.residuals @ fit.residuals), rel=1e-8
-        )
+        sys, fit = adiabatic_case
+        resid = factorial.response - sys.augmented @ fit.coef
+        assert fit.ss_residual == pytest.approx(float(resid @ resid), rel=1e-8)
 
     def test_theory_gain_matches_coefficient_route(self, adiabatic_case, factorial):
-        # quadratic-form value equals b2' Z' y from the solved coefficients
-        sys, fit, part = adiabatic_case
-        via_coef = float(fit.coef_excess @ sys.excess_ortho.T @ factorial.response)
-        assert part.ss_theory_gain == pytest.approx(via_coef, rel=1e-10)
+        # quadratic-form value equals b2' Z' y from the solved coefficients,
+        # Z the excess block less its projection onto the design columns
+        sys, fit = adiabatic_case
+        excess = sys.augmented[:, sys.n_coef:]
+        excess_ortho = excess - sys.basis_design @ (sys.basis_design.T @ excess)
+        via_coef = float(fit.coef[sys.n_coef:] @ excess_ortho.T @ factorial.response)
+        assert fit.ss_excess == pytest.approx(via_coef, rel=1e-10)
 
 
-def residual_f(part, ss, df):
+def residual_f(sys, fit, ss, df):
     """F test of a regression mean square against the residual."""
-    return inference.f_test(ss, df, part.ss_residual, part.df_residual, 0.05)
+    return inference.f_test(ss, df, fit.ss_residual, sys.df_residual, 0.05)
 
 
 class TestFStatistics:
     def test_adiabatic(self, adiabatic_case):
-        _, _, part = adiabatic_case
-        f_design = residual_f(part, part.ss_design, part.df_design)
-        f_theory_gain = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
+        sys, fit = adiabatic_case
+        f_design = residual_f(sys, fit, fit.ss_design, sys.n_coef)
+        f_theory_gain = residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
         assert f_design.f == pytest.approx(84730.0, rel=0.02)
         assert f_theory_gain.f == pytest.approx(505.0, rel=0.02)
 
     def test_isochoric(self, isochoric_case):
-        _, _, part = isochoric_case
-        f_design = residual_f(part, part.ss_design, part.df_design)
-        f_theory_gain = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
+        sys, fit = isochoric_case
+        f_design = residual_f(sys, fit, fit.ss_design, sys.n_coef)
+        f_theory_gain = residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
         assert f_design.f == pytest.approx(145200.0, rel=0.02)
         assert f_theory_gain.f == pytest.approx(866.0, rel=0.02)
 
     def test_identity_theory_gain_is_zero(self, factorial, factorial_design):
         sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
-        part = inference.partition(sys, hybrid.solve(sys, factorial.response))
-        f = residual_f(part, part.ss_theory_gain, part.df_theory_gain)
-        assert part.ss_theory_gain == pytest.approx(0.0, abs=1e-6)
+        fit = hybrid.solve(sys, factorial.response)
+        f = residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
+        assert fit.ss_excess == pytest.approx(0.0, abs=1e-6)
         assert f.f == 0.0
         assert f.p == 1.0
 
@@ -128,12 +143,9 @@ class TestFStatistics:
 
 
 class TestPureError:
-    def test_center_triplet(self, factorial, adiabatic_case):
-        _, fit, part = adiabatic_case
-        groups = dataset.replicate_groups(factorial)
-        pe = inference.pure_error(
-            factorial.response, groups, part.ss_residual, part.df_residual
-        )
+    def test_center_triplet(self, factorial, adiabatic_case, replicates):
+        sys, fit = adiabatic_case
+        pe = inference.pure_error(factorial.response, replicates, fit, sys.df_residual)
         assert pe.ss_pure_error == pytest.approx(0.949, rel=0.005)
         assert pe.df_pure_error == 2
         assert pe.ss_lack_of_fit == pytest.approx(3.483, rel=0.005)
@@ -141,40 +153,52 @@ class TestPureError:
 
     def test_all_singletons(self, rng):
         y = rng.normal(size=5)
-        fitted = y + rng.normal(size=5) * 0.1
-        groups = [[i] for i in range(5)]
-        ss_residual = float(np.sum((y - fitted) ** 2))
-        pe = inference.pure_error(y, groups, ss_residual, df_residual=3)
+        sys, fit = line_fit(np.linspace(-1.0, 1.0, 5), y)
+        pe = inference.pure_error(y, np.arange(5), fit, df_residual=3)
         assert pe.ss_pure_error == 0.0
         assert pe.df_pure_error == 0
-        assert pe.ss_lack_of_fit == pytest.approx(np.sum((y - fitted) ** 2))
+        assert pe.ss_lack_of_fit == pytest.approx(np.sum((y - fit.fitted) ** 2))
 
-    def test_decomposition_identity(self, factorial, isochoric_case):
-        _, fit, part = isochoric_case
-        groups = dataset.replicate_groups(factorial)
-        pe = inference.pure_error(
-            factorial.response, groups, part.ss_residual, part.df_residual
-        )
+    def test_decomposition_identity(self, factorial, isochoric_case, replicates):
+        sys, fit = isochoric_case
+        pe = inference.pure_error(factorial.response, replicates, fit, sys.df_residual)
         assert pe.ss_pure_error + pe.ss_lack_of_fit == pytest.approx(
-            part.ss_residual, rel=1e-6
+            fit.ss_residual, rel=1e-6
         )
-        assert pe.df_pure_error + pe.df_lack_of_fit == part.df_residual
+        assert pe.df_pure_error + pe.df_lack_of_fit == sys.df_residual
+
+    def test_matches_a_loop_over_the_groups(self, rng):
+        # reference: per group, sum (y - ybar)^2 and n * mean(residual)^2
+        for _ in range(20):
+            settings = rng.uniform(-1.0, 1.0, int(rng.integers(3, 9)))
+            groups = rng.integers(0, settings.size, int(rng.integers(settings.size + 1, 30)))
+            groups[: settings.size] = np.arange(settings.size)  # every setting run
+            y = 2.0 + settings[groups] + rng.normal(scale=0.3, size=groups.size)
+            sys, fit = line_fit(settings[groups], y)
+            ss_pe = ss_lof = 0.0
+            for g in range(settings.size):
+                members = groups == g
+                ss_pe += float(np.sum((y[members] - y[members].mean()) ** 2))
+                ss_lof += members.sum() * float(fit.residuals[members].mean()) ** 2
+            pe = inference.pure_error(y, groups, fit, sys.df_residual)
+            assert pe.ss_pure_error == pytest.approx(ss_pe, rel=1e-12)
+            assert pe.ss_lack_of_fit == pytest.approx(ss_lof, rel=1e-12)
+            assert pe.df_pure_error == groups.size - settings.size
 
     def test_pure_error_exceeding_residual_rejected(self):
-        from hybridfit.errors import InconsistencyError
-
+        # runs 0 and 1 grouped although their settings (and fitted values)
+        # differ: their scatter is not pure error, and the exact line leaves
+        # no residual for it
         y = np.array([1.0, 3.0, 2.0])
-        with pytest.raises(InconsistencyError):
-            inference.pure_error(y, [[0, 1], [2]], 0.0, df_residual=1)
+        _, fit = line_fit([-1.0, 1.0, 0.0], y)
+        with pytest.raises(InconsistencyError, match="pure error 2 and lack of fit"):
+            inference.pure_error(y, np.array([0, 0, 1]), fit, df_residual=1)
 
     def test_df_mismatch_rejected(self):
-        from hybridfit.errors import InconsistencyError
-
         y = np.array([1.0, 3.0, 2.0, 2.5])
-        fitted = np.array([0.0, 4.0, 0.0, 5.0])
-        ss_residual = float(np.sum((y - fitted) ** 2))
-        with pytest.raises(InconsistencyError):
-            inference.pure_error(y, [[0, 1], [2, 3]], ss_residual, df_residual=1)
+        _, fit = line_fit([-1.0, -1.0, 1.0, 1.0], y)
+        with pytest.raises(InconsistencyError, match="pure-error df 2"):
+            inference.pure_error(y, np.array([0, 0, 1, 1]), fit, df_residual=1)
 
 
 class TestLackOfFit:
@@ -191,12 +215,9 @@ class TestLackOfFit:
         a = analyze(boxbehnken, boxbehnken_config, "mlr2")
         assert a.lack_of_fit.f == pytest.approx(85.831, rel=0.02)
 
-    def test_isochoric_fit_is_adequate(self, factorial, isochoric_case):
-        _, fit, part = isochoric_case
-        groups = dataset.replicate_groups(factorial)
-        pe = inference.pure_error(
-            factorial.response, groups, part.ss_residual, part.df_residual
-        )
+    def test_isochoric_fit_is_adequate(self, factorial, isochoric_case, replicates):
+        sys, fit = isochoric_case
+        pe = inference.pure_error(factorial.response, replicates, fit, sys.df_residual)
         lof = inference.f_test(
             pe.ss_lack_of_fit, pe.df_lack_of_fit,
             pe.ss_pure_error, pe.df_pure_error, 0.05,
@@ -400,14 +421,14 @@ class TestResidualDiagnostics:
         assert np.all(diag.normal_plot[1] == 0.0)
 
     def test_ordinates_sorted(self, adiabatic_case):
-        _, fit, _ = adiabatic_case
+        _, fit = adiabatic_case
         diag = inference.residual_diagnostics(fit)
         quantiles, ordinates = diag.normal_plot
         assert ordinates.tolist() == sorted(ordinates.tolist())
         assert quantiles.shape == ordinates.shape == (11,)
 
     def test_scatter_in_run_order(self, adiabatic_case):
-        _, fit, _ = adiabatic_case
+        _, fit = adiabatic_case
         diag = inference.residual_diagnostics(fit)
         assert diag.scatter[0].tolist() == list(fit.fitted)
 
@@ -441,16 +462,16 @@ class TestBoxWetz:
 
 class TestMlrPartition:
     """The about-mean figures of a plain fit, derived from the z = 1
-    partition: y'y - n ybar^2 with df n - 1, regression df p."""
+    solve: y'y - n ybar^2 with df n - 1, regression df p."""
 
     def test_first_order_reference(self, factorial, factorial_config):
         a = analyze(factorial, factorial_config, "mlr1")
-        part = a.part
+        sys, fit = a.system, a.fit
         assert a.ss_regression_about_mean == pytest.approx(2.287e4, rel=0.005)
-        assert part.ss_residual == pytest.approx(2.99e3, rel=0.005)
-        assert (a.regression.df_num, part.df_residual, part.n_runs - 1) == (3, 7, 10)
+        assert fit.ss_residual == pytest.approx(2.99e3, rel=0.005)
+        assert (a.regression.df_num, sys.df_residual, sys.n_runs - 1) == (3, 7, 10)
         assert a.system.rank == 4
-        assert part.df_theory_gain == 0 and part.ss_theory_gain == 0.0
-        f0 = (a.ss_regression_about_mean / 3) / (part.ss_residual / 7)
+        assert sys.df_theory_gain == 0 and fit.ss_excess == 0.0
+        f0 = (a.ss_regression_about_mean / 3) / (fit.ss_residual / 7)
         assert f0 == pytest.approx(17.85, rel=0.005)
         assert a.regression.f == f0

@@ -129,11 +129,19 @@ class TestRank:
 
 def ols_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ordinary least squares as the augmented solve with z = 1: the excess
-    block vanishes and its coefficients are zero."""
+    block vanishes and its coefficients are zero.  A square design leaves no
+    residual degrees of freedom, which the solve refuses; its coefficients
+    are taken by the solve's own route, the coefficient map applied to the
+    basis coordinates of y."""
     design = DesignMatrix(x, tuple(f"c{j}" for j in range(x.shape[1])))
-    fit = hybrid.solve(hybrid.assemble(design, TheoryVector(np.ones(len(y)))), y)
-    assert np.array_equal(fit.coef_excess, np.zeros(x.shape[1]))
-    return fit.coef_design
+    sys = hybrid.assemble(design, TheoryVector(np.ones(len(y))))
+    if sys.df_residual > 0:
+        coef = hybrid.solve(sys, y).coef
+    else:
+        coef = sys.coef_map @ np.concatenate([sys.basis_design.T @ y, sys.basis_excess.T @ y])
+    p1 = x.shape[1]
+    assert np.array_equal(coef[p1:], np.zeros(p1))
+    return coef[:p1]
 
 
 def with_intercept(x: np.ndarray) -> np.ndarray:

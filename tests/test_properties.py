@@ -9,7 +9,7 @@ invertible.  Every identity is checked on at least 100 systems.
 import numpy as np
 import pytest
 
-from hybridfit import hybrid, inference
+from hybridfit import hybrid
 from hybridfit.dataset import DesignMatrix
 from hybridfit.hybrid import TheoryVector
 
@@ -41,6 +41,11 @@ def pinv_projector(m):
     return m @ np.linalg.pinv(m.T @ m) @ m.T
 
 
+def basis_projectors(sys):
+    """The projectors Q_X Q_X' and Q_E Q_E' onto the two bases."""
+    return sys.basis_design @ sys.basis_design.T, sys.basis_excess @ sys.basis_excess.T
+
+
 @pytest.fixture(scope="module")
 def systems():
     rng = np.random.default_rng(1729)
@@ -50,22 +55,23 @@ def systems():
 def test_projector_splits_into_orthogonal_parts(systems):
     for sys, _ in systems:
         p_aug = pinv_projector(sys.augmented)
-        assert np.max(np.abs(p_aug - (sys.proj_design + sys.proj_excess))) < PROJ_TOL
-        assert np.max(np.abs(sys.proj_design @ sys.proj_excess)) < PROJ_TOL
+        proj_design, proj_excess = basis_projectors(sys)
+        assert np.max(np.abs(p_aug - (proj_design + proj_excess))) < PROJ_TOL
+        assert np.max(np.abs(proj_design @ proj_excess)) < PROJ_TOL
 
 
 def test_sum_of_squares_additivity(systems):
     for sys, y in systems:
-        part = inference.partition(sys, hybrid.solve(sys, y))
-        assert part.ss_total == pytest.approx(
-            part.ss_design + part.ss_theory_gain + part.ss_residual,
+        fit = hybrid.solve(sys, y)
+        assert fit.ss_total == pytest.approx(
+            fit.ss_design + fit.ss_excess + fit.ss_residual,
             rel=SS_REL_TOL,
         )
-        assert part.ss_total_corrected == pytest.approx(
-            part.ss_theory_gain + part.ss_residual, rel=SS_REL_TOL
+        assert fit.ss_total - fit.ss_design == pytest.approx(
+            fit.ss_excess + fit.ss_residual, rel=SS_REL_TOL
         )
         n = sys.n_runs
-        assert n == part.df_design + part.df_theory_gain + part.df_residual
+        assert n == sys.n_coef + sys.df_theory_gain + sys.df_residual
 
 
 def test_solution_routes_agree(systems):
@@ -78,9 +84,8 @@ def test_solution_routes_agree(systems):
         assert np.max(np.abs(fit.fitted - direct_fitted)) < ROUTE_TOL * scale
         # residual sum of squares from either projector expression
         ss_via_hat = float(y @ (np.eye(sys.n_runs) - pinv_projector(sys.augmented)) @ y)
-        part = inference.partition(sys, fit)
         assert ss_via_hat == pytest.approx(
-            part.ss_residual, rel=ROUTE_TOL, abs=ROUTE_TOL * scale**2
+            fit.ss_residual, rel=ROUTE_TOL, abs=ROUTE_TOL * scale**2
         )
 
 
@@ -89,27 +94,26 @@ def test_identity_theory_reduces_to_ols(systems):
         ones = hybrid.assemble(sys.design, TheoryVector(np.ones(sys.n_runs)))
         fit = hybrid.solve(ones, y)
         ols = np.linalg.lstsq(sys.design.values, y, rcond=None)[0]
-        assert np.max(np.abs(fit.coef_design - ols)) < REDUCTION_TOL * max(
+        p1 = sys.n_coef
+        assert np.max(np.abs(fit.coef[:p1] - ols)) < REDUCTION_TOL * max(
             1.0, np.abs(ols).max()
         )
-        assert np.array_equal(fit.coef_excess, np.zeros(sys.n_coef))
+        assert np.array_equal(fit.coef[p1:], np.zeros(p1))
 
 
 def test_covariance_matches_direct_sandwich(systems):
     for sys, _ in systems:
-        cov, cross = hybrid.covariance_of_solution(sys, 1.3)
+        cov = (sys.coef_map @ sys.coef_map.T) * 1.3
         m = sys.augmented.T @ sys.augmented
         g = np.linalg.pinv(m)
         sandwich = g @ m @ g.T * 1.3
         scale = max(1.0, np.abs(sandwich).max())
         assert np.max(np.abs(cov - sandwich)) < COV_TOL * scale
-        p1 = sys.n_coef
-        assert np.array_equal(cross, cov[:p1, p1:])
 
 
 def test_variance_of_fit_identity(systems):
     for sys, _ in systems:
-        v = hybrid.variance_of_fit(sys, 2.0)
+        v = sum(basis_projectors(sys)) * 2.0
         direct = pinv_projector(sys.augmented) * 2.0
         assert np.max(np.abs(v - direct)) < PROJ_TOL * 2.0
         assert np.trace(v) / 2.0 == pytest.approx(sys.rank, abs=1e-6)
@@ -139,6 +143,8 @@ def test_rank_additivity(systems):
     # 0.03, and roundoff is many decades under the cutoff
     for sys, _ in systems:
         assert sys.rank == np.linalg.matrix_rank(sys.augmented, tol=RANK_ABS_TOL)
+        excess = sys.augmented[:, sys.n_coef:]
+        excess_ortho = excess - sys.basis_design @ (sys.basis_design.T @ excess)
         assert sys.rank == sys.design.n_coef + np.linalg.matrix_rank(
-            sys.excess_ortho, tol=RANK_ABS_TOL
+            excess_ortho, tol=RANK_ABS_TOL
         )

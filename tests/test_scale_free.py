@@ -143,16 +143,13 @@ def statistics(a, about_mean_only=False):
 
 def assert_close(got, reference, rel, about_mean_only=False):
     """``got`` equals the statistics of the analysis ``reference`` within
-    ``rel``.  The lack-of-fit test and the margin divide by SS_lof = SS_res -
-    SS_pe, a difference that magnifies relative roundoff by SS_res / SS_lof,
-    so their tolerance carries that factor."""
+    ``rel``, the lack-of-fit test and the margin included: SS_lof is formed
+    from the group means of the residuals, not as the difference SS_res -
+    SS_pe, so no statistic magnifies relative roundoff."""
     want = statistics(reference, about_mean_only)
-    pe = reference.pure_error
-    magnified = rel * max(1.0, reference.part.ss_residual / (pe.ss_lack_of_fit or 1.0))
     assert got.keys() == want.keys()
     for key, value in want.items():
-        tol = magnified if key in ("lack_of_fit", "box_wetz") else rel
-        assert got[key] == pytest.approx(value, rel=tol, abs=0.0), key
+        assert got[key] == pytest.approx(value, rel=rel, abs=0.0), key
 
 
 @settings(max_examples=40, deadline=None)
