@@ -26,6 +26,7 @@ import numpy as np
 
 from . import config, dataset, gauge, hybrid, inference
 from .errors import AnalysisError, ConstantResponseError, SaturatedModelError
+from .tolerances import ROUNDOFF_SS_TOL
 
 # Polynomial order of each model's design.
 ORDERS = {"mlr1": "first", "mlr2": "second", "hybrid": "first"}
@@ -108,7 +109,8 @@ def _theory(
     if theory == "none":
         raise AnalysisError("model=hybrid requires a theory source")
     constants = config.gauge_constants(cfg)
-    return gauge.simulate_design(ds, theory, constants[0]), constants
+    values = gauge.simulate_design(ds, theory, constants[0])
+    return hybrid.TheoryVector(values, theory), constants
 
 
 def analyze(
@@ -126,7 +128,8 @@ def analyze(
     :class:`AnalysisError` when the response is constant or overflows
     (checked first), the theory column is missing, the design is rank
     deficient, the model is saturated (raised by the solve), or the residual
-    is zero.  Statistical inadequacy is a reported verdict, not an error.
+    is roundoff (``ROUNDOFF_SS_TOL`` y'y or less).  Statistical inadequacy
+    is a reported verdict, not an error.
     """
     if model not in ORDERS:
         raise AnalysisError(f"unknown model {model!r}")
@@ -137,7 +140,7 @@ def analyze(
         )
     with np.errstate(over="ignore"):  # reported as one error just below
         deviations = y - y.mean()
-        ss_about_mean = float(deviations @ deviations)
+        ss_about_mean = hybrid.sum_of_squares(deviations)
     if not np.isfinite(ss_about_mean):
         raise AnalysisError("response overflows: its sum of squares about "
                             "the mean is not finite; rescale it")
@@ -147,9 +150,10 @@ def analyze(
     z, constants = _theory(ds, cfg, model, theory)
     system = hybrid.assemble(design, z)
     fit = hybrid.solve(system, y)
-    if fit.ss_residual <= 0.0:
+    if fit.ss_residual <= ROUNDOFF_SS_TOL * fit.ss_total:
         raise SaturatedModelError(
-            "residual sum of squares is zero; F statistics are undefined"
+            f"residual sum of squares {fit.ss_residual:.3e} is roundoff next to "
+            f"y'y = {fit.ss_total:.6g}; F statistics are undefined"
         )
 
     # Pure error needs equal fitted values within a group: group the runs

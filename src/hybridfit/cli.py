@@ -11,8 +11,8 @@ writes the coefficient, ANOVA, summary, and residual-plot files that
 All outputs are deterministic: identical inputs give byte-identical files.
 
 Each command imports the layers it runs when it runs, so ``--help`` loads
-no numpy, ``simulate`` loads neither the analysis, inference nor validation
-layer, and ``fit`` does not load validation.
+no numpy, ``simulate`` loads neither ``hybrid`` nor the analysis, inference
+or validation layer, and ``fit`` does not load validation.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ds, _ = config.load_case(args.data, args.spec, extras)
 
     constants, defaulted = config.gauge_constants(cfg)
-    theory = gauge.simulate_design(ds, args.theory, constants)
+    backpressures = gauge.simulate_design(ds, args.theory, constants)
 
     column = f"P_{args.theory}"
     while column in header:
@@ -85,7 +85,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         [ds.naturals[:, j] for j in range(ds.n_factors)]
         + [ds.response]
         + [ds.extras[name] for name in extras]
-        + [theory.values]
+        + [backpressures]
     )
     # carried cells round-trip exactly; the computed column prints at 3 decimals
     row = "%r\t" * (len(columns) - 1) + "%.3f\n"

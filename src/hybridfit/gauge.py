@@ -24,7 +24,6 @@ import numpy as np
 
 from .dataset import Dataset, identical_rows
 from .errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
-from .hybrid import TheoryVector
 from .tolerances import BRACKET_INSET, REGIME_SLACK, RESIDUAL_REL_TOL
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
@@ -197,16 +196,25 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     return root
 
 
-def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> TheoryVector:
-    """Run the chosen flow solver at every row of the design.
+def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> np.ndarray:
+    """Back-pressure (kPa) of the chosen flow solver at every row of the design.
 
     The dataset's factors must be (sensor area mm^2, supply pressure MPa,
-    orifice area mm^2) in that order.  Each distinct row is solved once and
-    its value copied to its repeats, so identical rows get bit-identical
+    orifice area mm^2) in that order: a factor with a low level at or below
+    zero is refused up front.  Each distinct row is solved once and its value
+    copied to its repeats, so identical rows get bit-identical
     back-pressures.  Errors name the first row that fails.
     """
     if ds.n_factors != 3:
         raise ShapeError(f"gauge simulation needs the three factors (A, Ps, B), got {ds.n_factors}")
+    nonpositive = [f"{f.name} = {f.low:g}" for f in ds.factors if not f.low > 0.0]
+    if nonpositive:
+        raise AnalysisError(
+            f"the spec's factors ({', '.join(f.name for f in ds.factors)}) are not "
+            "flow inputs: the flow solvers take (area_sensor mm^2, pressure_supply "
+            "MPa, area_orifice mm^2) in natural units, and these low levels are "
+            f"not positive: {', '.join(nonpositive)}"
+        )
     first, group = identical_rows(ds.naturals)
     values = solve_backpressures(model, ds.naturals[first], constants, rows=first + 1)
-    return TheoryVector(values=values[group], source_label=model)
+    return values[group]

@@ -10,15 +10,19 @@ polynomial part X theta plus the excess (D - I) X theta that the theory
 scaling adds.  Stacking the two blocks side by side gives an augmented
 least-squares system whose rank may fall short of its column count.
 
-The system is represented by two thin orthonormal bases taken from truncated
-SVDs: Q_X spans the design columns, and Q_E the part of the excess block the
-design cannot explain, cut from the excess of z / max|z| so that it does not
-depend on the units of z.  Both are cut with the one rank tolerance, so the
-rank, the solution, the sums of squares and the covariances all rest on the
-same decision, and memory stays O(n p): no n x n matrix is formed.  Every
-solve is cross-checked: the fitted values from the coefficients
-(augmented @ coef) must agree with the projection Q_X Q_X'y + Q_E Q_E'y, and
-the sums of squares must add up to y'y.  Both tolerances come from
+The system is represented by two thin orthonormal bases taken from two
+truncated SVDs: Q_X spans the design columns, and Q_E the part of the excess
+block the design cannot explain, cut from the excess of z / max|z| so that it
+does not depend on the units of z.  There is one rank decision: every
+singular value is cut at ``RANK_TOL`` times sigma_1(X).  The rank, the
+solution, the sums of squares and the covariances all rest on it, and memory
+stays O(n p): no n x n matrix is formed.  Each SVD is of the matrix itself,
+not of its normal-equations matrix, which would square the condition number
+and with it the smallest singular value the tolerance can resolve (Golub &
+Van Loan, *Matrix Computations*, section 5.3).  Every solve is
+cross-checked: the fitted values from the coefficients (augmented @ coef)
+must agree with the projection Q_X Q_X'y + Q_E Q_E'y, and the sums of
+squares must add up to y'y.  Both tolerances come from
 :mod:`hybridfit.tolerances`.  The solved :class:`HybridFit` is the one
 record of those sums of squares: the ANOVA tables, lack of fit and R-squared
 are all read off it.
@@ -35,8 +39,46 @@ import numpy as np
 
 from .dataset import DesignMatrix
 from .errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
-from .linalg import thin_svd
-from .tolerances import CROSS_CHECK_TOL
+from .tolerances import CROSS_CHECK_TOL, RANK_TOL
+
+
+def sum_of_squares(a: np.ndarray) -> float:
+    """Sum of the squared entries of ``a``, in an order fixed by its length:
+    a BLAS dot product splits a long vector across threads, so its rounding
+    would depend on the thread count."""
+    return float(np.add.reduce(a * a))
+
+
+class ThinSvd(NamedTuple):
+    """Truncated thin SVD of an n x p matrix M: ``basis`` (n x r, orthonormal,
+    spanning the numerical column space of M) @ diag(singular_values) @
+    ``right.T`` reproduces M up to the singular values cut as zero."""
+
+    basis: np.ndarray
+    singular_values: np.ndarray
+    right: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.singular_values.size)
+
+    @property
+    def coef_map(self) -> np.ndarray:
+        """``V S^-1`` (p x r): maps basis coordinates ``basis' w`` to the
+        minimum-norm coefficients c with ``M c`` the projection of w."""
+        return self.right / self.singular_values
+
+
+def thin_svd(m: np.ndarray, scale: float | None = None) -> ThinSvd:
+    """Thin SVD of ``m`` keeping the singular values above ``RANK_TOL * scale``,
+    ``scale`` being by default the largest of them.  Pass the scale of a
+    larger system when ``m`` is a piece of it, so that a piece made only of
+    roundoff counts as rank zero."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if scale is None:
+        scale = s[0]
+    keep = s > RANK_TOL * scale
+    return ThinSvd(basis=u[:, keep], singular_values=s[keep], right=vt[keep].T)
 
 
 class _TheoryVectorFields(NamedTuple):
@@ -147,9 +189,10 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     scaled_coords = q_x.T @ scaled
     scaled_ortho = scaled - q_x @ scaled_coords
     scaled_ortho -= q_x @ (q_x.T @ scaled_ortho)
-    # Cut against the scale of the whole system, so a block that the design
-    # explains up to roundoff (z constant up to rounding) has rank zero.
-    svd_e = thin_svd(scaled_ortho, scale=np.linalg.norm(np.hstack([x, scaled]), 2))
+    # Cut against sigma_1(X) (X has an intercept, so it is positive): a block
+    # the design explains up to roundoff has rank zero.  As |z/m - 1| <= 2,
+    # |[X | scaled]|_2 would move the cut by at most a factor sqrt(5).
+    svd_e = thin_svd(scaled_ortho, scale=svd_x.singular_values[0])
 
     w_x = svd_x.coef_map
     # Coefficients b' on (z/m - 1) X come from Q_E alone, and the design block
@@ -218,12 +261,12 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
             f"coefficient and projection routes disagree on fitted values "
             f"by {gap:.3e} (scale {scale:.3e})"
         )
-    ss_total = float(y @ y)
+    ss_total = sum_of_squares(y)
     ss_design = float(coords_design @ coords_design)
     ss_excess = float(coords_excess @ coords_excess)
     # The norm of the residual itself, not y'y less the fitted part: that
     # difference loses every digit when the fit is close to exact.
-    ss_residual = float(residuals @ residuals)
+    ss_residual = sum_of_squares(residuals)
     defect = abs(ss_design + ss_excess + ss_residual - ss_total)
     if not defect <= CROSS_CHECK_TOL * ss_total:
         raise InconsistencyError(

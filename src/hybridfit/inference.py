@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistencyError, ShapeError
-from .hybrid import HybridFit
+from .hybrid import HybridFit, sum_of_squares
 from .tolerances import SS_REL_TOL
 
 
@@ -85,9 +85,9 @@ def pure_error(
     identical (for the hybrid model, the same settings and the same theory
     value).  Pure error pools the squared deviations of y from its group
     means, on the pooled (group size - 1) degrees of freedom.  Lack of fit
-    is the sum over groups of the group size times the squared mean
-    residual, formed directly rather than as a difference, which would lose
-    digits when it is small.  The two parts must add up to
+    is the sum over runs of the squared mean residual of each run's group,
+    formed directly rather than as a difference, which would lose digits
+    when it is small.  The two parts must add up to
     ``fit.ss_residual`` within :data:`hybridfit.tolerances.SS_REL_TOL` of
     sqrt(SS_res * y'y), and their degrees of freedom to at most
     ``df_residual``, or :class:`InconsistencyError` is raised.
@@ -95,10 +95,10 @@ def pure_error(
     y = np.asarray(y, dtype=float).ravel()
     counts = np.bincount(groups)
     deviations = y - (np.bincount(groups, y) / counts)[groups]
-    ss_pe = float(deviations @ deviations)
+    ss_pe = sum_of_squares(deviations)
     df_pe = int(groups.size - counts.size)
     mean_residuals = np.bincount(groups, fit.residuals) / counts
-    ss_lof = float(counts @ (mean_residuals * mean_residuals))
+    ss_lof = sum_of_squares(mean_residuals[groups])
     # The fitted values of a group agree only up to roundoff relative to y,
     # which moves each part by up to about sqrt(SS_res) times that roundoff.
     defect = abs(ss_pe + ss_lof - fit.ss_residual)

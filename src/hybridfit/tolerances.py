@@ -2,14 +2,18 @@
 named in its comment, never an absolute unit, so no decision changes when
 the response or the theory column is rescaled."""
 
-# Singular values at or below this times the largest singular value of the
-# system are cut as numerically zero: the one rank decision.
+# The one rank decision: every singular value is cut at RANK_TOL times
+# sigma_1(X), the largest singular value of the design matrix.
 RANK_TOL = 1e-10
 
 # Agreement required between the coefficient and projection routes of a
 # solve, relative to the magnitudes summed into the fitted values, and of the
 # sum-of-squares additivity, relative to y'y.
 CROSS_CHECK_TOL = 1e-8
+
+# A residual sum of squares at or below this times y'y is roundoff, not
+# error: (64 eps)^2, eps = 2^-52.  An exact fit leaves about eps^2 y'y.
+ROUNDOFF_SS_TOL = (64 * 2.0**-52) ** 2
 
 # Agreement required between the residual sum of squares and the sum of its
 # pure-error and lack-of-fit parts, relative to sqrt(SS_res * y'y): the

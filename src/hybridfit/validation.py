@@ -202,7 +202,7 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
         ("isochoric", BACKPRESSURE_ISOCHORIC),
     ]:
         solved = gauge.simulate_design(ds5, label, constants)
-        _check_vector(checks, f"gauge.{label}", reference, solved.values, 0.5, "abs")
+        _check_vector(checks, f"gauge.{label}", reference, solved, 0.5, "abs")
 
     return ValidationResult(
         checks=tuple(checks), notes=KNOWN_DISCREPANCIES, constants=constants

@@ -127,12 +127,8 @@ def test_criterion_5_gauge_solvers(factorial):
     constants = GaugeConstants(gamma=1.4, p_atm=101.325, c_orifice=1.0, c_sensor=1.0)
     adiabatic = gauge.simulate_design(factorial, "adiabatic", constants)
     isochoric = gauge.simulate_design(factorial, "isochoric", constants)
-    assert np.allclose(
-        adiabatic.values, factorial.extras["P_adiabatic"], atol=0.5
-    )
-    assert np.allclose(
-        isochoric.values, factorial.extras["P_isochoric"], atol=0.5
-    )
+    assert np.allclose(adiabatic, factorial.extras["P_adiabatic"], atol=0.5)
+    assert np.allclose(isochoric, factorial.extras["P_isochoric"], atol=0.5)
     print("[criterion 5] PASS - flow solvers match recorded columns within 0.5 kPa")
 
 

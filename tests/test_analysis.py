@@ -197,15 +197,21 @@ class TestRSquared:
     """R-squared and its attainable maximum, as ``analyze`` reports them."""
 
     def test_perfect_fit(self, factorial, factorial_design, factorial_config):
+        # a residual of roundoff is no error estimate: no R-squared or F test
         sys = hybrid.assemble(
             factorial_design, hybrid.TheoryVector(factorial.extras["P_adiabatic"])
         )
         beta = np.linspace(1.0, 2.0, 8)
         y = sys.augmented @ beta
         ds = Dataset(factorial.factors, factorial.naturals, y, extras=factorial.extras)
-        a = analyze(ds, factorial_config, "hybrid", "column:P_adiabatic")
-        assert a.r2 == pytest.approx(1.0, abs=1e-9)
-        assert a.r2_max == 1.0
+        with pytest.raises(SaturatedModelError, match="is roundoff"):
+            analyze(ds, factorial_config, "hybrid", "column:P_adiabatic")
+        # a plain fit to noise-free data: SS_res is about eps^2 y'y, and F
+        # would be about 1e29
+        y = 200.0 + dataset.code(factorial) @ [10.0, -5.0, 3.0]
+        ds = Dataset(factorial.factors, factorial.naturals, y)
+        with pytest.raises(SaturatedModelError, match="roundoff next to y'y"):
+            analyze(ds, factorial_config, "mlr1")
 
     def test_near_exact_fit_with_replicates_is_reported(self):
         # the replicates' fitted values agree only up to roundoff relative to

@@ -109,6 +109,25 @@ class TestSimulate:
             cells = line.split("\t")
             assert cells[-1] == cells[-2]
 
+    @pytest.mark.parametrize("theory", ["adiabatic", "isochoric"])
+    def test_coded_factors_are_not_flow_inputs(self, theory, data_dir, tmp_path, capsys):
+        # the Box-Behnken spec declares its coded columns x1..x3 as factors
+        rc = main([
+            "simulate",
+            "--data", str(data_dir / "gauge_boxbehnken.tsv"),
+            "--spec", str(data_dir / "gauge_boxbehnken_spec.txt"),
+            "--theory", theory,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the spec's factors (x1, x2, x3) are not flow inputs: the "
+            "flow solvers take (area_sensor mm^2, pressure_supply MPa, "
+            "area_orifice mm^2) in natural units, and these low levels are not "
+            "positive: x1 = -1, x2 = -1, x3 = -1\n"
+        )
+        assert not (tmp_path / "simulated.tsv").exists()
+
 
 class TestFit:
     def test_svg_text_with_markup_characters_is_well_formed(self, data_dir, tmp_path):
@@ -190,18 +209,25 @@ class TestFit:
         assert "theory source: adiabatic" in summary
 
     def test_hybrid_theory_varying_within_replicates(self, data_dir, tmp_path):
-        # z = P_obs differs across the three centre runs, so their augmented
-        # rows differ: no pure-error group, and the verdict is reported
+        # z = sqrt(P_obs) differs across the three centre runs, so their
+        # augmented rows differ: no pure-error group, and the verdict is
+        # reported.  (z = P_obs itself would fit y = z exactly.)
+        src = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
+        lines = [src[0] + "\tz"] + [
+            f"{ln}\t{float(ln.split()[3]) ** 0.5!r}" for ln in src[1:]
+        ]
+        data = tmp_path / "with_z.tsv"
+        data.write_text("\n".join(lines) + "\n")
         rc = main([
             "fit",
-            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--data", str(data),
             "--spec", str(data_dir / "gauge_factorial_spec.txt"),
             "--model", "hybrid",
-            "--theory", "column:P_obs",
-            "--out", str(tmp_path),
+            "--theory", "column:z",
+            "--out", str(tmp_path / "out"),
         ])
         assert rc == 0
-        summary = (tmp_path / "summary.txt").read_text()
+        summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "lack of fit: test unavailable (no replicate runs)" in summary
 
     def test_hybrid_with_ones_column_reproduces_mlr1(self, data_dir, tmp_path):
@@ -360,6 +386,35 @@ class TestFit:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10000 entries across
+        # threads, which reorders its sum: 10001 runs is the smallest table
+        # on which such a reduction would change the bytes
+        n = 10001
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, size=(n, 3))
+        x[::20] = 0.0
+        y = (200.0 + x @ [10.0, -5.0, 3.0] + 4.0 * x[:, 0] * x[:, 1]
+             + rng.normal(0.0, 1.5, n))
+        rows = np.column_stack([x, y]).tolist()
+        data = tmp_path / "large.tsv"
+        data.write_text("x1\tx2\tx3\tP_obs\n"
+                        + "".join("\t".join(map(repr, row)) + "\n" for row in rows))
+        spec = tmp_path / "spec.txt"
+        spec.write_text("".join(f"factor.x{j}.low = -1\nfactor.x{j}.high = 1\n"
+                                for j in (1, 2, 3)) + "response.column = P_obs\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hybridfit.cli", "fit", "--data", str(data),
+                 "--spec", str(spec), "--model", "mlr2", "--format", "text,rows",
+                 "--out", str(tmp_path / threads)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "2")
 
     def test_config_defaults_and_flag_precedence(self, data_dir, tmp_path):
         spec_text = (data_dir / "gauge_factorial_spec.txt").read_text()

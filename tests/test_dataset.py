@@ -14,7 +14,7 @@ from hybridfit.errors import (
     ShapeError,
     TableParseError,
 )
-from hybridfit.linalg import thin_svd
+from hybridfit.hybrid import thin_svd
 
 
 def spec_a() -> FactorSpec:

@@ -7,6 +7,7 @@ from hybridfit import hybrid
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
 from hybridfit.hybrid import TheoryVector
+from hybridfit.tolerances import RANK_TOL
 
 # Recorded stacked solutions and fitted columns of the case study's two
 # theory-scaled fits.
@@ -218,6 +219,25 @@ class TestRankEdge:
             float(fit.residuals @ fit.residuals), rel=1e-8
         )
         assert fit.sigma2 == pytest.approx(fit.ss_residual / (n - sys.rank), rel=1e-8)
+
+    def test_excess_is_cut_against_the_design_scale(self):
+        # One two-level factor with z = 0 on the low runs and 1 on the high
+        # ones: (z - 1) X lies in col(X), yet |[X | (z - 1) X]|_2 exceeds
+        # sigma_1(X).  Moving z on one low run by delta leaves one excess
+        # direction of size sqrt(4/3) delta, placed between the two scales'
+        # cuts: above RANK_TOL sigma_1(X), so it counts in the rank.
+        x = np.repeat([-1.0, 1.0], 3)
+        design = DesignMatrix(np.column_stack([np.ones(6), x]), ("1", "x1"))
+        z = np.repeat([0.0, 1.0], 3)
+        z[0] = 2.9e-10 / np.sqrt(4.0 / 3.0)
+        sys = hybrid.assemble(design, TheoryVector(z))
+        sigma_x = np.linalg.norm(design.values, 2)
+        sigma_system = np.linalg.norm(sys.augmented, 2)
+        excess = np.linalg.svd(excess_ortho(sys), compute_uv=False)
+        assert RANK_TOL * sigma_x < excess[0] < RANK_TOL * sigma_system
+        assert excess[1] < 1e-15 * sigma_x
+        assert sys.basis_excess.shape == (6, 1)
+        assert sys.rank == 3
 
 
 class TestFittedValues:

@@ -236,10 +236,11 @@ class TestLackOfFit:
             factors, np.linspace(-1.0, 1.0, 6)[:, None],
             np.array([1.0, 2.5, 2.0, 4.0, 4.5, 6.5]),
         )
-        # replicated settings whose responses agree exactly
+        # replicated settings whose responses agree exactly, off a straight
+        # line (on one, the fit would be exact and no F test defined)
         no_scatter = Dataset(
             factors, np.array([[-1.0], [-1.0], [0.0], [1.0], [1.0]]),
-            np.array([1.0, 1.0, 2.5, 4.0, 4.0]),
+            np.array([1.0, 1.0, 2.0, 4.0, 4.0]),
         )
         for ds in (distinct, no_scatter):
             a = analyze(ds, {}, "mlr1")

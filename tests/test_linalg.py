@@ -1,10 +1,15 @@
+"""The linear algebra under the fit: the truncated thin SVD of
+:func:`hybridfit.hybrid.thin_svd` (generalized inverses, projectors, the
+rank cut at ``RANK_TOL``) and plain least squares as the augmented solve
+with z = 1."""
+
 import numpy as np
 import pytest
 
-from hybridfit import dataset, hybrid, linalg
+from hybridfit import dataset, hybrid
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import RankError
-from hybridfit.hybrid import TheoryVector
+from hybridfit.hybrid import TheoryVector, thin_svd
 
 # Coefficients of the two recorded plain polynomial fits of the case study,
 # used here as ground truth for the least-squares path.
@@ -25,12 +30,12 @@ def mp_defects(m: np.ndarray, g: np.ndarray) -> float:
 
 def pinv_from(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse assembled from the truncated thin SVD factors."""
-    svd = linalg.thin_svd(m)
+    svd = thin_svd(m)
     return svd.coef_map @ svd.basis.T
 
 
 def projector_from(m: np.ndarray) -> np.ndarray:
-    basis = linalg.thin_svd(m).basis
+    basis = thin_svd(m).basis
     return basis @ basis.T
 
 
@@ -39,7 +44,7 @@ class TestGeneralizedInverse:
         assert np.allclose(pinv_from(np.eye(3)), np.eye(3), atol=1e-15)
 
     def test_zero(self):
-        svd = linalg.thin_svd(np.zeros((4, 4)))
+        svd = thin_svd(np.zeros((4, 4)))
         assert svd.rank == 0
         assert np.array_equal(pinv_from(np.zeros((4, 4))), np.zeros((4, 4)))
 
@@ -64,7 +69,7 @@ class TestGeneralizedInverse:
             r = int(rng.integers(1, min(n, p) + 1))
             m = rng.normal(size=(n, r)) @ rng.normal(size=(r, p))
             g = pinv_from(m)
-            assert linalg.thin_svd(m).rank == r
+            assert thin_svd(m).rank == r
             assert mp_defects(m, g) < 1e-8 * max(1.0, np.abs(m).max())
 
 
@@ -86,7 +91,7 @@ class TestProjector:
 
     def test_projects_own_columns(self, rng):
         m = rng.normal(size=(8, 3))
-        basis = linalg.thin_svd(m).basis
+        basis = thin_svd(m).basis
         assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
         assert np.allclose(basis @ (basis.T @ m), m, atol=1e-10)
 
@@ -98,7 +103,7 @@ class TestProjector:
         assert np.allclose(p1, p2, atol=1e-9)
 
     def test_zero_matrix(self):
-        svd = linalg.thin_svd(np.zeros((3, 2)))
+        svd = thin_svd(np.zeros((3, 2)))
         assert svd.basis.shape == (3, 0)
         assert np.array_equal(projector_from(np.zeros((3, 2))), np.zeros((3, 3)))
 
@@ -106,25 +111,25 @@ class TestProjector:
 class TestRank:
     def test_rank_counts_singular_values(self):
         m = np.diag([1.0, 1e-3, 0.0])
-        assert linalg.thin_svd(m).rank == 2
+        assert thin_svd(m).rank == 2
 
     def test_rank_respects_tolerance(self):
-        m = np.diag([1.0, 1e-12])
-        assert linalg.thin_svd(m).rank == 1
-        assert linalg.thin_svd(m, tol=1e-14).rank == 2
+        # RANK_TOL = 1e-10 of the largest singular value
+        assert thin_svd(np.diag([1.0, 1e-12])).rank == 1
+        assert thin_svd(np.diag([1.0, 1e-9])).rank == 2
 
     def test_condition_number_is_not_squared(self):
         # 1e-7 is well above RANK_TOL; on the normal equations it would be
         # 1e-14 and fall below it
         m = np.diag([1.0, 1e-7])
-        assert linalg.thin_svd(m).rank == 2
+        assert thin_svd(m).rank == 2
         assert np.allclose(pinv_from(m), np.diag([1.0, 1e7]), rtol=1e-12)
 
     def test_external_scale_cuts_roundoff_piece(self):
         # a block that is pure roundoff next to the system it belongs to
         piece = np.array([[3e-16, 0.0], [0.0, 1e-16]])
-        assert linalg.thin_svd(piece).rank == 2
-        assert linalg.thin_svd(piece, scale=10.0).rank == 0
+        assert thin_svd(piece).rank == 2
+        assert thin_svd(piece, scale=10.0).rank == 0
 
 
 def ols_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -196,5 +201,5 @@ class TestGinvProperty:
             p = int(rng.integers(1, min(n, 7)))
             r = int(rng.integers(1, p + 1))
             m = rng.normal(size=(n, r)) @ rng.normal(size=(r, p))
-            basis = linalg.thin_svd(m).basis
+            basis = thin_svd(m).basis
             assert np.allclose(basis @ (basis.T @ m), m, atol=1e-8 * max(1.0, np.abs(m).max()))

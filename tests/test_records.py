@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridfit import analysis, hybrid, inference, linalg, report
+from hybridfit import analysis, hybrid, inference, report
 from hybridfit.cli import RunConfig
 from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec, TableSchema
 from hybridfit.errors import AnalysisError, DegenerateFactorError, ShapeError
@@ -32,7 +32,7 @@ def records(factorial, factorial_config):
         (a.system.theory, "values"),
         (a.system, "rank"),
         (a.fit, "coef"),
-        (linalg.thin_svd(a.system.design.values), "basis"),
+        (hybrid.thin_svd(a.system.design.values), "basis"),
         (a.pure_error, "ss_pure_error"),
         (a.overall, "f"),
         (inference.residual_diagnostics(a.fit), "scatter"),
