@@ -26,7 +26,7 @@ _SOURCES = {
         "GaugeConstants", "simulate_design", "solve_backpressures",
     ),
     "hybrid": (
-        "HybridFit", "HybridSystem", "TheoryVector", "assemble", "solve",
+        "HybridFit", "HybridSystem", "assemble", "solve",
     ),
     "inference": (
         "FTest", "PureErrorDecomposition", "box_wetz_ratio", "f_critical",

@@ -10,12 +10,14 @@ results, each built by :func:`hybridfit.inference.f_test`; the reports only
 render them.
 
 All three models go through the same augmented solve.  ``hybrid`` scales a
-first-order polynomial by a theory column z, taken from the data file
-(``column:<name>``) or simulated by a flow solver.  ``mlr1`` and ``mlr2``
-are plain first- and second-order polynomials: the augmented system with
-z identically one, whose excess block vanishes, so the rank is p + 1, the
-residual df is n - p - 1, and the design block of the solution covariance
-is sigma^2 (X'X)^-1, taken from the SVD of X rather than from X'X.
+first-order polynomial by a theory column z, a plain array taken from the
+data file (``column:<name>``) or simulated by a flow solver; the
+:class:`Analysis` keeps the name of that source as ``theory``.  ``mlr1``
+and ``mlr2`` are plain first- and second-order polynomials: the augmented
+system with z identically one, whose excess block vanishes, so the rank is
+p + 1, the residual df is n - p - 1, and the design block of the solution
+covariance is sigma^2 (X'X)^-1, taken from the SVD of X rather than from
+X'X.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class Analysis(NamedTuple):
     """Everything ``fit`` reports and ``validate`` checks for one model."""
 
     model: str                      # mlr1 | mlr2 | hybrid
+    theory: str                     # z's source; "none" for mlr1 and mlr2
     alpha: float
     system: hybrid.HybridSystem
     fit: hybrid.HybridFit
@@ -95,9 +98,9 @@ class Analysis(NamedTuple):
 
 def _theory(
     ds: dataset.Dataset, cfg: dict[str, str], model: str, theory: str
-) -> tuple[hybrid.TheoryVector, tuple[gauge.GaugeConstants, tuple[str, ...]] | None]:
+) -> tuple[np.ndarray, tuple[gauge.GaugeConstants, tuple[str, ...]] | None]:
     if model != "hybrid":
-        return hybrid.TheoryVector(np.ones(ds.n_runs), "none"), None
+        return np.ones(ds.n_runs), None
     if theory.startswith("column:"):
         name = theory.split(":", 1)[1]
         if name not in ds.extras:
@@ -105,12 +108,11 @@ def _theory(
                 f"theory column {name!r} is not in the dataset; its extra "
                 f"columns are {sorted(ds.extras)}"
             )
-        return hybrid.TheoryVector(ds.extras[name], theory), None
+        return ds.extras[name], None
     if theory == "none":
         raise AnalysisError("model=hybrid requires a theory source")
     constants = config.gauge_constants(cfg)
-    values = gauge.simulate_design(ds, theory, constants[0])
-    return hybrid.TheoryVector(values, theory), constants
+    return gauge.simulate_design(ds, theory, constants[0]), constants
 
 
 def analyze(
@@ -158,7 +160,7 @@ def analyze(
 
     # Pure error needs equal fitted values within a group: group the runs
     # that share coded settings and theory value (for z = 1, the replicates).
-    _, groups = dataset.identical_rows(np.column_stack([coded, z.values]))
+    _, groups = dataset.identical_rows(np.column_stack([coded, z]))
     pe = inference.pure_error(y, groups, fit, system.df_residual)
 
     def against_residual(ss: float, df: int) -> inference.FTest:
@@ -189,6 +191,7 @@ def analyze(
 
     return Analysis(
         model=model,
+        theory=theory if model == "hybrid" else "none",
         alpha=alpha,
         system=system,
         fit=fit,

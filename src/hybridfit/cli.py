@@ -1,10 +1,12 @@
 """Command-line surface: simulate, fit, validate.
 
-Each command is argument parsing, :func:`hybridfit.config.load_case`, one
-call into the library, and file writing.  ``simulate`` runs a flow solver
+Each command is argument parsing, one parse of the spec file
+(:func:`hybridfit.config.read_keyvalues`), :func:`hybridfit.config.load_case`,
+one call into the library, and file writing.  ``simulate`` runs a flow solver
 over a design file and appends the computed back-pressure column.  ``fit``
-runs :func:`hybridfit.analysis.analyze` for one of the three models and
-writes the coefficient, ANOVA, summary, and residual-plot files that
+resolves model, theory, alpha and formats from its flags and the spec's
+``run.*`` defaults, runs :func:`hybridfit.analysis.analyze` and writes the
+coefficient, ANOVA, summary, and residual-plot files that
 :mod:`hybridfit.report` renders from its result.  ``validate`` runs
 :func:`hybridfit.validation.run_validation`, which checks the same
 ``analyze`` results against the bundled case study's reference numbers.
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import AnalysisError
 
@@ -28,31 +29,6 @@ ALL_FORMATS = ("text", "rows", "plots")
 # The keys of hybridfit.analysis.ORDERS, spelled out so that building the
 # parser loads no numerical layer.
 MODELS = ("mlr1", "mlr2", "hybrid")
-
-
-class _RunConfigFields(NamedTuple):
-    data_path: Path
-    spec_path: Path
-    model: str                      # mlr1 | mlr2 | hybrid
-    theory: str                     # adiabatic | isochoric | column:<name> | none
-    alpha: float = 0.05
-    output_dir: Path = Path("out")
-    report_formats: frozenset[str] = frozenset(ALL_FORMATS)
-
-
-class RunConfig(_RunConfigFields):
-    """One fit invocation, after merging config-file defaults and flags."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.alpha < 1.0:
-            raise AnalysisError(f"alpha must lie in (0, 1), got {self.alpha}")
-        unknown = self.report_formats - set(ALL_FORMATS)
-        if unknown:
-            raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +44,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = dataset.peek_columns(Path(args.data))
     known = {s.name for s in specs} | {response}
     extras = tuple(name for name in header if name not in known)
-    ds, _ = config.load_case(args.data, args.spec, extras)
+    ds = config.load_case(args.data, cfg, extras)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
@@ -100,17 +76,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def run_fit(run: RunConfig) -> list[Path]:
-    """Execute a fit and write its report files; returns the paths written."""
+def cmd_fit(args: argparse.Namespace) -> int:
     from . import analysis, config, inference, report
 
-    extras: tuple[str, ...] = ()
-    if run.theory.startswith("column:"):
-        extras = (run.theory.split(":", 1)[1],)
-    ds, cfg = config.load_case(run.data_path, run.spec_path, extras)
-    result = analysis.analyze(ds, cfg, run.model, run.theory, run.alpha)
+    # flags first, then the spec's run.* defaults; alpha's range is checked
+    # where its critical values are computed (inference.f_critical)
+    cfg = config.read_keyvalues(args.spec)
+    model = args.model or cfg.get("run.model") or "mlr1"
+    if args.theory and model != "hybrid":
+        raise AnalysisError(f"--theory is for model=hybrid only, got model={model}")
+    theory = args.theory or cfg.get("run.theory") or "none"
+    alpha = args.alpha if args.alpha is not None else (
+        config.as_float(cfg, "run.alpha") if cfg.get("run.alpha") else 0.05
+    )
+    formats = set(args.format.split(",")) if args.format else set(ALL_FORMATS)
+    unknown = formats - set(ALL_FORMATS)
+    if unknown:
+        raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
 
-    out_dir = run.output_dir
+    extras: tuple[str, ...] = ()
+    if model == "hybrid" and theory.startswith("column:"):
+        extras = (theory.split(":", 1)[1],)
+    ds = config.load_case(args.data, cfg, extras)
+    result = analysis.analyze(ds, cfg, model, theory, alpha)
+
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -122,25 +112,25 @@ def run_fit(run: RunConfig) -> list[Path]:
     written.append(coef_path)
 
     for name, rep in report.anova_tables(result).items():
-        if "text" in run.report_formats:
+        if "text" in formats:
             path = out_dir / f"{name}.txt"
             path.write_text(report.render_anova_text(rep), encoding="utf-8")
             written.append(path)
-        if "rows" in run.report_formats:
+        if "rows" in formats:
             path = out_dir / f"{name}.tsv"
             path.write_text(report.render_anova_rows(rep), encoding="utf-8")
             written.append(path)
 
-    if "plots" in run.report_formats:
+    if "plots" in formats:
         diag = inference.residual_diagnostics(result.fit)
         written += report.write_diagnostic_files(diag, out_dir, ds.response_units)
 
     header = [
         "fit report",
-        f"data: {run.data_path}",
-        f"config: {run.spec_path}",
-        f"model: {run.model}",
-        f"alpha: {run.alpha:g}",
+        f"data: {Path(args.data)}",
+        f"config: {Path(args.spec)}",
+        f"model: {model}",
+        f"alpha: {alpha:g}",
         "",
     ]
     summary_path = out_dir / "summary.txt"
@@ -148,31 +138,6 @@ def run_fit(run: RunConfig) -> list[Path]:
         "\n".join(header + report.summary_lines(result)) + "\n", encoding="utf-8"
     )
     written.append(summary_path)
-    return written
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    from . import config
-
-    cfg = config.read_keyvalues(args.spec)
-    model = args.model or config.run_default(cfg, "model") or "mlr1"
-    theory = args.theory or config.run_default(cfg, "theory") or "none"
-    alpha = args.alpha if args.alpha is not None else (
-        config.as_float(cfg, "run.alpha") if config.run_default(cfg, "alpha") else 0.05
-    )
-    formats = (
-        frozenset(args.format.split(",")) if args.format else frozenset(ALL_FORMATS)
-    )
-    run = RunConfig(
-        data_path=Path(args.data),
-        spec_path=Path(args.spec),
-        model=model,
-        theory=theory,
-        alpha=alpha,
-        output_dir=Path(args.out),
-        report_formats=formats,
-    )
-    written = run_fit(run)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -1,5 +1,7 @@
 """Key-value config files: factor definitions, gauge constants, run defaults,
-and :func:`load_case`, which loads a data table with the spec describing it.
+and :func:`load_case`, which loads a data table with the parsed spec
+describing it.  Each command parses its spec once, with
+:func:`read_keyvalues`, and passes the result on.
 
 The format is one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  Factor keys look like ``factor.<name>.low``; factors keep the order
@@ -12,9 +14,12 @@ of their first appearance.  Example::
     response.units = kPa
     gauge.gamma = 1.4
 
-Gauge constants fall back to built-in defaults (air, standard atmosphere,
-ideal discharge) when absent; the defaults used are reported so every run
-record is self-describing.
+Gauge constants fall back to the defaults of
+:class:`~hybridfit.gauge.GaugeConstants` (air, standard atmosphere, ideal
+discharge) when absent; the defaults used are reported so every run record
+is self-describing.  Run defaults (``run.model``, ``run.theory``,
+``run.alpha``) are read as ``cfg.get("run.<name>")``; command-line flags take
+precedence over them.
 """
 
 from __future__ import annotations
@@ -24,14 +29,6 @@ from pathlib import Path
 from .dataset import Dataset, FactorSpec, TableSchema, load_table, read_text
 from .errors import SchemaError
 from .gauge import GaugeConstants
-
-GAUGE_DEFAULTS = {
-    "gamma": 1.4,
-    "p_atm": 101.325,
-    "c_orifice": 1.0,
-    "c_sensor": 1.0,
-}
-
 
 def read_keyvalues(path: str | Path) -> dict[str, str]:
     """Parse a key-value file, preserving first-appearance order of keys."""
@@ -101,36 +98,26 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     """
     kwargs = {}
     defaulted = []
-    for name, default in GAUGE_DEFAULTS.items():
+    for name in GaugeConstants._fields:
         key = f"gauge.{name}"
         if key in cfg:
             kwargs[name] = as_float(cfg, key)
         else:
-            kwargs[name] = default
             defaulted.append(name)
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
 def load_case(
-    data_path: str | Path, spec_path: str | Path, extras: tuple[str, ...] = ()
-) -> tuple[Dataset, dict[str, str]]:
-    """Read a spec file and the data table it describes.
+    data_path: str | Path, cfg: dict[str, str], extras: tuple[str, ...] = ()
+) -> Dataset:
+    """Read the data table that the parsed spec ``cfg`` describes.
 
     The spec names the factor and response columns; ``extras`` names further
-    columns to carry along (for example a recorded theory column).  Returns
-    the dataset and the parsed spec, whose gauge constants and run defaults
-    the caller may still need.
+    columns to carry along (for example a recorded theory column).
     """
-    cfg = read_keyvalues(spec_path)
     response, units = response_column(cfg)
     schema = TableSchema(
         factors=factor_specs(cfg), response=response, extras=tuple(extras),
         response_units=units,
     )
-    return load_table(data_path, schema), cfg
-
-
-def run_default(cfg: dict[str, str], name: str) -> str | None:
-    """Optional run default (``run.alpha``, ``run.model``, ``run.theory``);
-    command-line flags take precedence over these."""
-    return cfg.get(f"run.{name}")
+    return load_table(data_path, schema)

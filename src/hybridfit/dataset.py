@@ -175,10 +175,10 @@ def _sniff_delimiter(header: str) -> str | None:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 input file's text; a file that is missing or unreadable
-    raises :class:`InputFileError` naming it."""
+    """A UTF-8 input file's text, without a leading byte-order mark; a file
+    that is missing or unreadable raises :class:`InputFileError` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
@@ -257,7 +257,7 @@ def load_table(
         text = read_text(source)
     else:
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
     lines = [ln for ln in io.StringIO(text) if ln.strip()]
     if not lines:
         raise SchemaError("empty file: no header row")

@@ -81,29 +81,6 @@ def thin_svd(m: np.ndarray, scale: float | None = None) -> ThinSvd:
     return ThinSvd(basis=u[:, keep], singular_values=s[keep], right=vt[keep].T)
 
 
-class _TheoryVectorFields(NamedTuple):
-    values: np.ndarray
-    source_label: str
-
-
-class TheoryVector(_TheoryVectorFields):
-    """Theory-model outputs for each run, in response units.  Its ``len`` is
-    the number of runs, not of fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, values, source_label: str = ""):
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            raise ShapeError("theory vector is empty")
-        if not np.all(np.isfinite(values)):
-            raise ShapeError("theory vector has non-finite entries")
-        return super().__new__(cls, values, source_label)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 class HybridSystem(NamedTuple):
     """Assembled matrices of the augmented system, fixed by design + theory.
 
@@ -116,7 +93,7 @@ class HybridSystem(NamedTuple):
     """
 
     design: DesignMatrix
-    theory: TheoryVector
+    z: np.ndarray               # theory response of each run
     augmented: np.ndarray       # [X | (diag(z) - I) X]
     basis_design: np.ndarray    # Q_X: orthonormal basis of col(X)
     basis_excess: np.ndarray    # Q_E: the excess block outside col(X)
@@ -168,14 +145,15 @@ class HybridFit(NamedTuple):
         return self.ss_design + self.ss_excess
 
 
-def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
-    """Build the augmented system for a design matrix and theory column."""
-    if len(theory) != design.n_rows:
-        raise ShapeError(
-            f"{design.n_rows} design rows but {len(theory)} theory values"
-        )
+def assemble(design: DesignMatrix, z: np.ndarray) -> HybridSystem:
+    """Build the augmented system for a design matrix and the theory
+    response z of each run, in response units."""
+    z = np.asarray(z, dtype=float).ravel()
+    if z.size != design.n_rows:
+        raise ShapeError(f"{design.n_rows} design rows but {z.size} theory values")
+    if not np.all(np.isfinite(z)):
+        raise ShapeError("theory vector has non-finite entries")
     x = design.values
-    z = theory.values
     augmented = np.hstack([x, (z - 1.0)[:, None] * x])
     # Q_E is cut from (z/m - 1) X, m = max|z|: modulo col(X) the span of the
     # excess block, but free of the units of z and exactly zero for constant z.
@@ -206,7 +184,7 @@ def assemble(design: DesignMatrix, theory: TheoryVector) -> HybridSystem:
     ])
     return HybridSystem(
         design=design,
-        theory=theory,
+        z=z,
         augmented=augmented,
         basis_design=q_x,
         basis_excess=svd_e.basis,

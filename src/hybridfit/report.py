@@ -180,7 +180,7 @@ def anova_tables(a: Analysis) -> dict[str, AnovaReport]:
                 gain,
                 residual,
                 AnovaRow(
-                    "Corrected total", fit.ss_total - fit.ss_design,
+                    "Corrected total", fit.ss_excess + fit.ss_residual,
                     sys.n_runs - sys.n_coef,
                 ),
             ),
@@ -221,7 +221,7 @@ def summary_lines(a: Analysis) -> list[str]:
         tests = [("significance of regression", a.regression, True)]
     else:
         lines = [
-            f"theory source: {a.system.theory.source_label}",
+            f"theory source: {a.theory}",
             f"runs: {sys.n_runs}; coefficients per block: {sys.n_coef}; "
             f"model rank: {sys.rank}",
         ]

@@ -112,9 +112,8 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
     checks: list[CheckResult] = []
 
     def load(basename: str, extras: tuple[str, ...] = ()):
-        return config.load_case(
-            data_dir / f"{basename}.tsv", data_dir / f"{basename}_spec.txt", extras
-        )
+        cfg = config.read_keyvalues(data_dir / f"{basename}_spec.txt")
+        return config.load_case(data_dir / f"{basename}.tsv", cfg, extras), cfg
 
     def lof(a: analysis.Analysis) -> float:
         return a.lack_of_fit.f if a.lack_of_fit is not None else math.nan

@@ -9,9 +9,8 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def load_case(basename: str, extras: tuple[str, ...] = ()):
-    return config.load_case(
-        DATA_DIR / f"{basename}.tsv", DATA_DIR / f"{basename}_spec.txt", extras
-    )
+    cfg = config.read_keyvalues(DATA_DIR / f"{basename}_spec.txt")
+    return config.load_case(DATA_DIR / f"{basename}.tsv", cfg, extras), cfg
 
 
 @pytest.fixture(scope="session")

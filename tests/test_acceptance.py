@@ -9,7 +9,6 @@ from hybridfit import dataset, gauge, hybrid, inference, report
 from hybridfit.analysis import analyze
 from hybridfit.dataset import DesignMatrix
 from hybridfit.gauge import GaugeConstants
-from hybridfit.hybrid import TheoryVector
 
 
 def approx_rel(expected, rel):
@@ -26,7 +25,7 @@ def first_order(factorial):
 
 def hybrid_fit(factorial, first_order, column):
     design, y, groups = first_order
-    sys = hybrid.assemble(design, TheoryVector(factorial.extras[column]))
+    sys = hybrid.assemble(design, factorial.extras[column])
     fit = hybrid.solve(sys, y)
     pe = inference.pure_error(y, groups, fit, sys.df_residual)
     f_design, f_theory_gain = (
@@ -142,7 +141,7 @@ def test_criterion_6_randomized_property_suite():
         design = DesignMatrix(x, tuple(["1"] + [f"x{j}" for j in range(1, p1)]))
         z = rng.uniform(0.5, 3.0, size=n)
         y = rng.normal(10.0, 3.0, size=n)
-        sys = hybrid.assemble(design, TheoryVector(z))
+        sys = hybrid.assemble(design, z)
 
         # projector identity and orthogonality
         p_aug = sys.augmented @ np.linalg.pinv(sys.augmented.T @ sys.augmented) @ sys.augmented.T
@@ -168,7 +167,7 @@ def test_criterion_6_randomized_property_suite():
         )
 
         # identity-theory reduction to ordinary least squares
-        ones_sys = hybrid.assemble(design, TheoryVector(np.ones(n)))
+        ones_sys = hybrid.assemble(design, np.ones(n))
         ones_fit = hybrid.solve(ones_sys, y)
         ols = np.linalg.lstsq(x, y, rcond=None)[0]
         assert np.max(np.abs(ones_fit.coef[:p1] - ols)) < 1e-9 * max(

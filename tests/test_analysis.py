@@ -81,7 +81,8 @@ class TestPlainFitStandardErrors:
 class TestPlainFitIsTheUnitTheorySolve:
     def test_excess_block_vanishes(self, factorial, factorial_config):
         a = analyze(factorial, factorial_config, "mlr1")
-        assert np.array_equal(a.system.theory.values, np.ones(factorial.n_runs))
+        assert np.array_equal(a.system.z, np.ones(factorial.n_runs))
+        assert a.theory == "none"
         assert a.system.rank == 4 and a.system.df_residual == 11 - 4
         assert np.array_equal(a.fit.coef[4:], np.zeros(4))
         assert a.labels == ("1", "A", "Ps", "B")
@@ -106,9 +107,8 @@ class TestPlainFitIsTheUnitTheorySolve:
 
     def test_column_theory_matches_the_layers(self, factorial, factorial_config):
         a = analyze(factorial, factorial_config, "hybrid", "column:P_adiabatic")
-        system = hybrid.assemble(
-            a.system.design, hybrid.TheoryVector(factorial.extras["P_adiabatic"])
-        )
+        assert a.theory == "column:P_adiabatic"
+        system = hybrid.assemble(a.system.design, factorial.extras["P_adiabatic"])
         fit = hybrid.solve(system, factorial.response)
         assert np.array_equal(a.coef, fit.coef)
         assert sums_of_squares(a) == (
@@ -199,7 +199,7 @@ class TestRSquared:
     def test_perfect_fit(self, factorial, factorial_design, factorial_config):
         # a residual of roundoff is no error estimate: no R-squared or F test
         sys = hybrid.assemble(
-            factorial_design, hybrid.TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         beta = np.linspace(1.0, 2.0, 8)
         y = sys.augmented @ beta

@@ -1,3 +1,4 @@
+import collections
 import os
 import shutil
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridfit.cli import RunConfig, main
-from hybridfit.errors import AnalysisError
+from hybridfit import config, dataset
+from hybridfit.cli import main
 
 FIRST_ORDER_COEF = (208.423, -34.409, 36.616, 18.277)
 
@@ -437,6 +438,18 @@ class TestFit:
 
 
 class TestRunConfig:
+    """The settings of one fit, resolved from the flags and the spec's
+    ``run.*`` defaults; a bad one is one error line and exit status 1."""
+
+    def fit(self, data_dir, tmp_path, *flags):
+        return main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            *flags,
+            "--out", str(tmp_path / "out"),
+        ])
+
     def test_non_numeric_alpha_in_spec_is_one_error_line(self, data_dir, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text((data_dir / "gauge_factorial_spec.txt").read_text() + "\nrun.alpha = abc\n")
@@ -462,20 +475,40 @@ class TestRunConfig:
         assert rc == 1
         assert "theory source" in capsys.readouterr().err
 
-    def test_alpha_range(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            RunConfig(
-                data_path=tmp_path, spec_path=tmp_path,
-                model="mlr1", theory="none", alpha=1.5,
-            )
+    def test_alpha_range(self, data_dir, tmp_path, capsys):
+        assert self.fit(data_dir, tmp_path, "--alpha", "1.5") == 1
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1), got 1.5\n"
+        assert not (tmp_path / "out").exists()
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            RunConfig(
-                data_path=tmp_path, spec_path=tmp_path,
-                model="mlr1", theory="none",
-                report_formats=frozenset({"pdf"}),
-            )
+    def test_unknown_format(self, data_dir, tmp_path, capsys):
+        assert self.fit(data_dir, tmp_path, "--format", "pdf,text") == 1
+        assert capsys.readouterr().err == "error: unknown report formats: ['pdf']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model,theory", [
+        ("mlr1", "bogus"), ("mlr2", "adiabatic"), ("mlr1", "column:nope"),
+    ])
+    def test_theory_flag_is_for_hybrid_only(
+        self, model, theory, data_dir, tmp_path, capsys
+    ):
+        rc = self.fit(data_dir, tmp_path, "--model", model, "--theory", theory)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --theory is for model=hybrid only, got model={model}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_theory_is_a_hybrid_only_default(self, data_dir, tmp_path):
+        # a plain fit reads no theory, so it does not ask for the column
+        spec = tmp_path / "spec.txt"
+        spec.write_text((data_dir / "gauge_factorial_spec.txt").read_text()
+                        + "\nrun.theory = column:nope\n")
+        rc = main([
+            "fit", "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec), "--model", "mlr1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert "theory source" not in (tmp_path / "out" / "summary.txt").read_text()
 
 
 class TestValidate:
@@ -556,6 +589,53 @@ class TestInputFiles:
             ])
             assert rc == 1
             assert capsys.readouterr().err == f"error: cannot read {data}: {reason}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "hybrid", "--theory", "column:P_adiabatic"],
+        ["simulate", "--theory", "adiabatic"],
+    ], ids=["fit", "simulate"])
+    def test_spec_is_read_once(self, command, data_dir, tmp_path, monkeypatch):
+        reads = collections.Counter()
+        read_text = dataset.read_text
+
+        def counting(path):
+            reads[Path(path).name] += 1
+            return read_text(path)
+
+        monkeypatch.setattr(dataset, "read_text", counting)
+        monkeypatch.setattr(config, "read_text", counting)
+        rc = main([
+            command[0],
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            *command[1:], "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert reads["gauge_factorial_spec.txt"] == 1
+        if command[0] == "fit":
+            assert reads["gauge_factorial.tsv"] == 1
+
+    def test_byte_order_mark_is_ignored(self, data_dir, tmp_path):
+        paths = {}
+        for name in ("gauge_factorial.tsv", "gauge_factorial_spec.txt"):
+            paths[name] = tmp_path / f"bom_{name}"
+            paths[name].write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+        outputs = []
+        for data, spec, out in (
+            (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt", "plain"),
+            (paths["gauge_factorial.tsv"], paths["gauge_factorial_spec.txt"], "bom"),
+        ):
+            rc = main(["fit", "--data", str(data), "--spec", str(spec),
+                       "--model", "hybrid", "--theory", "column:P_adiabatic",
+                       "--out", str(tmp_path / out)])
+            assert rc == 0
+            files = tree_bytes(tmp_path / out)
+            # the summary's header names the two input paths
+            lines = files["summary.txt"].splitlines(keepends=True)
+            assert lines[1].startswith(b"data: ") and lines[2].startswith(b"config: ")
+            files["summary.txt"] = b"".join(lines[:1] + lines[3:])
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
 
 
 class TestOutputDirectory:

@@ -132,6 +132,18 @@ class TestLoadTable:
             with pytest.raises(TableParseError, match="^row 2: new-line character"):
                 dataset.load_table(stream(text), schema)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a UTF-8 byte-order mark, as some editors write one, in a file and
+        # in a bytes stream
+        schema = TableSchema(factors=(spec_a(),), response="y")
+        data = b"\xef\xbb\xbfA\ty\n0.5\t2.0\n"
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(data)
+        assert dataset.read_text(path) == "A\ty\n0.5\t2.0\n"
+        for source in (path, io.BytesIO(data)):
+            ds = dataset.load_table(source, schema)
+            assert ds.naturals.tolist() == [[0.5]] and ds.response.tolist() == [2.0]
+
     def test_carriage_return_inside_a_header_cell(self):
         schema = TableSchema(factors=(spec_a(),), response="y")
         with pytest.raises(TableParseError, match="^header row: new-line character"):

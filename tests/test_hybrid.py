@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hybridfit import hybrid
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
-from hybridfit.hybrid import TheoryVector
 from hybridfit.tolerances import RANK_TOL
 
 # Recorded stacked solutions and fitted columns of the case study's two
@@ -46,18 +45,20 @@ def solution_covariance(sys, sigma2) -> np.ndarray:
 
 
 class TestTheoryVector:
+    """``assemble``'s checks on z, the theory response of each run."""
+
     def test_rejects_non_finite(self):
-        with pytest.raises(ShapeError):
-            TheoryVector([1.0, np.inf])
+        with pytest.raises(ShapeError, match="theory vector has non-finite entries"):
+            hybrid.assemble(tiny_design(), [1.0, np.inf])
 
     def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            TheoryVector([])
+        with pytest.raises(ShapeError, match="2 design rows but 0 theory values"):
+            hybrid.assemble(tiny_design(), [])
 
 
 class TestAssemble:
     def test_identity_theory_reduces_to_plain_design(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         assert np.array_equal(excess_block(sys), np.zeros((11, 4)))
         assert np.array_equal(excess_ortho(sys), np.zeros((11, 4)))
         assert sys.rank == 4
@@ -66,20 +67,20 @@ class TestAssemble:
 
     @pytest.mark.parametrize("value", [0.0, 250.0, -3.0])
     def test_constant_theory_adds_no_rank(self, factorial_design, value):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.full(11, value)))
+        sys = hybrid.assemble(factorial_design, np.full(11, value))
         assert sys.rank == 4
         fit = hybrid.solve(sys, np.arange(11.0))
         assert np.array_equal(fit.coef[4:], np.zeros(4))
 
     def test_factorial_adiabatic_rank(self, factorial, factorial_design):
-        theory = TheoryVector(factorial.extras["P_adiabatic"])
+        theory = factorial.extras["P_adiabatic"]
         sys = hybrid.assemble(factorial_design, theory)
         assert sys.augmented.shape == (11, 8)
         assert sys.rank == 8
         assert np.linalg.matrix_rank(sys.augmented, tol=1e-6) == 8
 
     def test_two_run_hand_computation(self):
-        sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
+        sys = hybrid.assemble(tiny_design(), [2.0, 3.0])
         assert np.allclose(excess_block(sys), [[1.0], [2.0]], atol=1e-14)
         assert np.allclose(excess_ortho(sys), [[-0.5], [0.5]], atol=1e-14)
 
@@ -89,7 +90,7 @@ class TestAssemble:
             np.column_stack([np.ones(n), rng.uniform(-1, 1, (n, 2))]),
             ("1", "x1", "x2"),
         )
-        sys = hybrid.assemble(x, TheoryVector(rng.uniform(0.5, 3.0, n)))
+        sys = hybrid.assemble(x, rng.uniform(0.5, 3.0, n))
         fit = hybrid.solve(sys, rng.normal(size=n))
         for obj in (sys, fit):
             for name in obj._fields:
@@ -99,7 +100,7 @@ class TestAssemble:
 
     def test_length_mismatch(self, factorial_design):
         with pytest.raises(ShapeError):
-            hybrid.assemble(factorial_design, TheoryVector(np.ones(7)))
+            hybrid.assemble(factorial_design, np.ones(7))
 
 
 class TestSolve:
@@ -113,14 +114,14 @@ class TestSolve:
     def test_case_study_solutions(
         self, factorial, factorial_design, column, expected_coef, expected_fitted
     ):
-        sys = hybrid.assemble(factorial_design, TheoryVector(factorial.extras[column]))
+        sys = hybrid.assemble(factorial_design, factorial.extras[column])
         fit = hybrid.solve(sys, factorial.response)
         assert np.allclose(fit.coef, expected_coef, atol=5e-3)
         assert np.allclose(fit.fitted, expected_fitted, atol=0.5)
         assert fit.sigma2 == pytest.approx(fit.ss_residual / 3)
 
     def test_identity_theory_reproduces_ols(self, factorial, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         fit = hybrid.solve(sys, factorial.response)
         ols = np.linalg.lstsq(factorial_design.values, factorial.response, rcond=None)[0]
         assert np.allclose(fit.coef[:4], ols, atol=1e-9)
@@ -128,7 +129,7 @@ class TestSolve:
 
     def test_response_in_column_space_fits_exactly(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         beta = np.arange(1.0, 9.0)
         y = sys.augmented @ beta
@@ -140,20 +141,20 @@ class TestSolve:
         self, factorial, factorial_design
     ):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_isochoric"])
+            factorial_design, factorial.extras["P_isochoric"]
         )
         fit = hybrid.solve(sys, factorial.response)
         assert np.max(np.abs(sys.augmented.T @ fit.residuals)) < 1e-7
 
     def test_rank_deficient_design_rejected(self):
         x = DesignMatrix(np.ones((3, 2)) * [1.0, 1.0], ("1", "x1"))
-        sys = hybrid.assemble(x, TheoryVector([1.0, 2.0, 3.0]))
+        sys = hybrid.assemble(x, [1.0, 2.0, 3.0])
         with pytest.raises(RankError):
             hybrid.solve(sys, np.zeros(3))
 
     def test_cross_check_catches_wrong_coefficients(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         bad = sys._replace(coef_map=sys.coef_map * (1.0 + 1e-6))
         with pytest.raises(InconsistencyError, match="coefficient and projection"):
@@ -161,7 +162,7 @@ class TestSolve:
 
     def test_cross_check_catches_overlapping_bases(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         # one design direction repeated in the excess basis is counted twice;
         # the coefficient map follows it, so the fitted values still agree
@@ -174,7 +175,7 @@ class TestSolve:
 
     def test_non_finite_response_fails_the_cross_check(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         y = factorial.response.copy()
         y[4] = np.nan
@@ -183,7 +184,7 @@ class TestSolve:
 
     def test_saturated_fit_flagged(self):
         # two runs, rank 2: the error variance is not estimable
-        sys = hybrid.assemble(tiny_design(), TheoryVector([2.0, 3.0]))
+        sys = hybrid.assemble(tiny_design(), [2.0, 3.0])
         assert sys.df_residual == 0
         with pytest.raises(SaturatedModelError, match="no residual degrees of freedom"):
             hybrid.solve(sys, np.array([1.0, 4.0]))
@@ -213,7 +214,7 @@ class TestRankEdge:
         )
         z = 1.5 + 0.2 * coded[:, 0] + 10.0**log_eps * coded[:, 1] ** 2
         y = rng.normal(10.0, 3.0, size=n)
-        sys = hybrid.assemble(design, TheoryVector(z))
+        sys = hybrid.assemble(design, z)
         fit = hybrid.solve(sys, y)  # a valid input: no InconsistencyError
         assert fit.ss_residual == pytest.approx(
             float(fit.residuals @ fit.residuals), rel=1e-8
@@ -230,7 +231,7 @@ class TestRankEdge:
         design = DesignMatrix(np.column_stack([np.ones(6), x]), ("1", "x1"))
         z = np.repeat([0.0, 1.0], 3)
         z[0] = 2.9e-10 / np.sqrt(4.0 / 3.0)
-        sys = hybrid.assemble(design, TheoryVector(z))
+        sys = hybrid.assemble(design, z)
         sigma_x = np.linalg.norm(design.values, 2)
         sigma_system = np.linalg.norm(sys.augmented, 2)
         excess = np.linalg.svd(excess_ortho(sys), compute_uv=False)
@@ -243,7 +244,7 @@ class TestRankEdge:
 class TestFittedValues:
     def test_projection_route_agrees(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         fit = hybrid.solve(sys, factorial.response)
         assert np.allclose(sys.augmented @ fit.coef, fit.fitted, atol=1e-8)
@@ -253,7 +254,7 @@ class TestFittedValues:
 
 class TestCovariance:
     def test_identity_theory_blocks(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         s2 = 1.7
         cov = solution_covariance(sys, s2)
         x = factorial_design.values
@@ -263,7 +264,7 @@ class TestCovariance:
 
     def test_zero_sigma2_gives_zero(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         fit = hybrid.solve(sys, np.zeros(11))  # an exactly zero residual
         assert fit.sigma2 == 0.0
@@ -272,7 +273,7 @@ class TestCovariance:
     def test_excess_block_stated_form(self, factorial, factorial_design):
         # block (2,2) written with the excess matrix: Q^- Z'Y Q^- sigma2
         z = factorial.extras["P_adiabatic"]
-        sys = hybrid.assemble(factorial_design, TheoryVector(z))
+        sys = hybrid.assemble(factorial_design, z)
         s2 = 1.31
         cov = solution_covariance(sys, s2)
         ortho = excess_ortho(sys)
@@ -289,7 +290,7 @@ class TestCovariance:
                 np.column_stack([np.ones(6), rng.uniform(-1, 1, 6)]), ("1", "x1")
             )
             z = rng.uniform(0.5, 3.0, 6)
-            sys = hybrid.assemble(x, TheoryVector(z))
+            sys = hybrid.assemble(x, z)
             s2 = float(rng.uniform(0.1, 2.0))
             cov = solution_covariance(sys, s2)
             m = sys.augmented.T @ sys.augmented
@@ -299,7 +300,7 @@ class TestCovariance:
 
     def test_positive_semidefinite(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_isochoric"])
+            factorial_design, factorial.extras["P_isochoric"]
         )
         fit = hybrid.solve(sys, factorial.response)
         assert np.allclose(fit.coef_cov, solution_covariance(sys, fit.sigma2), rtol=1e-12, atol=0)
@@ -310,7 +311,7 @@ class TestCovariance:
         # simulate noisy responses around a known mean; the empirical
         # covariance of the solution must match the analytic formula
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         beta = np.array([20.0, 4.0, 6.0, 3.0, 0.9, -0.01, -0.01, -0.02])
         mean = sys.augmented @ beta
@@ -337,26 +338,26 @@ class TestVarianceOfFit:
     Q_X Q_X' + Q_E Q_E' formed from the two bases."""
 
     def test_identity_theory(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         x = factorial_design.values
         expected = x @ np.linalg.inv(x.T @ x) @ x.T * 2.0
         assert np.allclose(fit_projector(sys) * 2.0, expected, atol=1e-10)
 
     def test_trace_counts_rank(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         v = fit_projector(sys) * 3.0
         assert np.trace(v) / 3.0 == pytest.approx(8.0, abs=1e-8)
 
     def test_zero_sigma2(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         fit = hybrid.solve(sys, np.zeros(11))  # an exactly zero residual
         assert np.array_equal(fit_projector(sys) * fit.sigma2, np.zeros((11, 11)))
 
     def test_equals_augmented_projector(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         direct = (
             sys.augmented
@@ -374,7 +375,7 @@ def coefficient_operator(sys) -> np.ndarray:
 class TestEstimability:
     def test_idempotent(self, factorial, factorial_design):
         sys = hybrid.assemble(
-            factorial_design, TheoryVector(factorial.extras["P_adiabatic"])
+            factorial_design, factorial.extras["P_adiabatic"]
         )
         j = coefficient_operator(sys) @ sys.augmented
         assert np.allclose(j @ j, j, atol=1e-8)
@@ -382,7 +383,7 @@ class TestEstimability:
         assert np.allclose(j, np.eye(8), atol=1e-8)
 
     def test_rank_deficient_case(self, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         g = coefficient_operator(sys)
         j = g @ sys.augmented
         assert np.allclose(j @ j, j, atol=1e-10)

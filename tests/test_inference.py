@@ -9,19 +9,18 @@ from hybridfit import dataset, hybrid, inference
 from hybridfit.analysis import analyze
 from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec
 from hybridfit.errors import InconsistencyError, SaturatedModelError, ShapeError
-from hybridfit.hybrid import TheoryVector
 
 
 @pytest.fixture(scope="module")
 def adiabatic_case(factorial, factorial_design):
-    theory = TheoryVector(factorial.extras["P_adiabatic"])
+    theory = factorial.extras["P_adiabatic"]
     sys = hybrid.assemble(factorial_design, theory)
     return sys, hybrid.solve(sys, factorial.response)
 
 
 @pytest.fixture(scope="module")
 def isochoric_case(factorial, factorial_design):
-    theory = TheoryVector(factorial.extras["P_isochoric"])
+    theory = factorial.extras["P_isochoric"]
     sys = hybrid.assemble(factorial_design, theory)
     return sys, hybrid.solve(sys, factorial.response)
 
@@ -36,7 +35,7 @@ def line_fit(x, y):
     """Straight-line fit of y on x through the augmented solve (z = 1)."""
     x = np.asarray(x, dtype=float)
     design = DesignMatrix(np.column_stack([np.ones(x.size), x]), ("1", "x1"))
-    sys = hybrid.assemble(design, TheoryVector(np.ones(x.size)))
+    sys = hybrid.assemble(design, np.ones(x.size))
     return sys, hybrid.solve(sys, y)
 
 
@@ -123,7 +122,7 @@ class TestFStatistics:
         assert f_theory_gain.f == pytest.approx(866.0, rel=0.02)
 
     def test_identity_theory_gain_is_zero(self, factorial, factorial_design):
-        sys = hybrid.assemble(factorial_design, TheoryVector(np.ones(11)))
+        sys = hybrid.assemble(factorial_design, np.ones(11))
         fit = hybrid.solve(sys, factorial.response)
         f = residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
         assert fit.ss_excess == pytest.approx(0.0, abs=1e-6)

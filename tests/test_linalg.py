@@ -9,7 +9,7 @@ import pytest
 from hybridfit import dataset, hybrid
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import RankError
-from hybridfit.hybrid import TheoryVector, thin_svd
+from hybridfit.hybrid import thin_svd
 
 # Coefficients of the two recorded plain polynomial fits of the case study,
 # used here as ground truth for the least-squares path.
@@ -139,7 +139,7 @@ def ols_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     are taken by the solve's own route, the coefficient map applied to the
     basis coordinates of y."""
     design = DesignMatrix(x, tuple(f"c{j}" for j in range(x.shape[1])))
-    sys = hybrid.assemble(design, TheoryVector(np.ones(len(y))))
+    sys = hybrid.assemble(design, np.ones(len(y)))
     if sys.df_residual > 0:
         coef = hybrid.solve(sys, y).coef
     else:

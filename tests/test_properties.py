@@ -11,7 +11,6 @@ import pytest
 
 from hybridfit import hybrid
 from hybridfit.dataset import DesignMatrix
-from hybridfit.hybrid import TheoryVector
 
 N_SYSTEMS = 120
 
@@ -32,7 +31,7 @@ def random_system(rng):
         tuple(["1"] + [f"x{j + 1}" for j in range(p1 - 1)]),
     )
     z = rng.uniform(0.5, 3.0, size=n)
-    sys = hybrid.assemble(design, TheoryVector(z))
+    sys = hybrid.assemble(design, z)
     y = rng.normal(loc=10.0, scale=3.0, size=n)
     return sys, y
 
@@ -91,7 +90,7 @@ def test_solution_routes_agree(systems):
 
 def test_identity_theory_reduces_to_ols(systems):
     for sys, y in systems:
-        ones = hybrid.assemble(sys.design, TheoryVector(np.ones(sys.n_runs)))
+        ones = hybrid.assemble(sys.design, np.ones(sys.n_runs))
         fit = hybrid.solve(ones, y)
         ols = np.linalg.lstsq(sys.design.values, y, rcond=None)[0]
         p1 = sys.n_coef

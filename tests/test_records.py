@@ -1,17 +1,13 @@
 """The result and input records: immutable, and their constructors keep
 their checks and messages."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from hybridfit import analysis, hybrid, inference, report
-from hybridfit.cli import RunConfig
 from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec, TableSchema
 from hybridfit.errors import AnalysisError, DegenerateFactorError, ShapeError
 from hybridfit.gauge import GaugeConstants, solve_backpressures
-from hybridfit.hybrid import TheoryVector
 from hybridfit.validation import CheckResult, ValidationResult
 
 
@@ -24,12 +20,10 @@ def records(factorial, factorial_config):
     table = report.anova_tables(a)["anova_table2"]
     check = CheckResult("x", 1.0, 1.0, 0.0, "abs")
     return [
-        (RunConfig(Path("d"), Path("s"), "mlr1", "none"), "alpha"),
         (FactorSpec("A", 0.0, 1.0), "center"),
         (factorial, "naturals"),
         (TableSchema(factors=(FactorSpec("A", 0.0, 1.0),), response="y"), "response"),
         (a.system.design, "values"),
-        (a.system.theory, "values"),
         (a.system, "rank"),
         (a.fit, "coef"),
         (hybrid.thin_svd(a.system.design.values), "basis"),
@@ -46,7 +40,7 @@ def records(factorial, factorial_config):
 
 
 def test_assigning_a_field_raises(records):
-    assert len({type(record) for record, _ in records}) == 18
+    assert len({type(record) for record, _ in records}) == 16
     for record, name in records:
         before = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -55,11 +49,6 @@ def test_assigning_a_field_raises(records):
 
 
 @pytest.mark.parametrize("build,error,message", [
-    (lambda: RunConfig(Path("d"), Path("s"), "mlr1", "none", alpha=1.5),
-     AnalysisError, "alpha must lie in (0, 1), got 1.5"),
-    (lambda: RunConfig(Path("d"), Path("s"), "mlr1", "none",
-                       report_formats=frozenset({"pdf", "text"})),
-     AnalysisError, "unknown report formats: ['pdf']"),
     (lambda: FactorSpec("A", 1.0, 1.0),
      DegenerateFactorError, "factor 'A' needs low < center < high, got 1.0, 1.0, 1.0"),
     (lambda: FactorSpec("A", 0.0, 1.0, center=1.0),
@@ -77,8 +66,9 @@ def test_assigning_a_field_raises(records):
      ShapeError, "one label per design column required"),
     (lambda: DesignMatrix([[1.0, 0.0], [0.0, 1.0]], ("1", "x1")),
      ShapeError, "first design column must be the intercept (all ones)"),
-    (lambda: TheoryVector([]), ShapeError, "theory vector is empty"),
-    (lambda: TheoryVector([1.0, np.inf]),
+    (lambda: hybrid.assemble(DesignMatrix(np.ones((2, 1)), ("1",)), []),
+     ShapeError, "2 design rows but 0 theory values"),
+    (lambda: hybrid.assemble(DesignMatrix(np.ones((2, 1)), ("1",)), [1.0, np.inf]),
      ShapeError, "theory vector has non-finite entries"),
     (lambda: GaugeConstants(gamma=1.0), AnalysisError, "gamma must exceed 1, got 1.0"),
     (lambda: GaugeConstants(p_atm=0.0), AnalysisError, "p_atm must be positive, got 0.0"),
@@ -104,18 +94,12 @@ def test_constructors_normalise_their_inputs():
     assert ds.extras == {} and ds.response_units == ""
     design = DesignMatrix([1, 1], ("1", "x1"))
     assert design.values.dtype == float and design.values.shape == (1, 2)
-    theory = TheoryVector([[1, 2], [3, 4]], source_label="t")
-    assert theory.values.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert len(theory) == 4
+    system = hybrid.assemble(DesignMatrix(np.ones((4, 1)), ("1",)), [[1, 2], [3, 4]])
+    assert system.z.dtype == float and system.z.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_keyword_construction_and_defaults():
-    run = RunConfig(data_path=Path("d"), spec_path=Path("s"), model="mlr1",
-                    theory="none")
-    assert run.alpha == 0.05 and run.output_dir == Path("out")
-    assert run.report_formats == frozenset({"text", "rows", "plots"})
     assert GaugeConstants() == GaugeConstants(gamma=1.4, p_atm=101.325,
                                               c_orifice=1.0, c_sensor=1.0)
-    assert hybrid.TheoryVector(np.ones(3)).source_label == ""
     row = report.AnovaRow("Total", 1.0, 2)
     assert (row.ms, row.f, row.p) == (None, None, None)

@@ -1,14 +1,18 @@
-"""Report writers: SVG axis labels and escaping, and the byte contract of the
-column-wise point, circle and table writers."""
+"""Report writers: SVG axis labels and escaping, the byte contract of the
+column-wise point, circle and table writers, and the digits of the ANOVA
+cells."""
 
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridfit import inference, report
+from hybridfit import dataset, inference, report
+from hybridfit.cli import main
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -112,3 +116,41 @@ def test_svg_text_is_escaped():
     )
     texts = [el.text for el in ET.fromstring(svg).iter(f"{SVG}text")]
     assert texts[:3] == ["a & b > c", "fitted (kPa <gauge> & co)", "residual <r>"]
+
+
+def exact_residual_ss(x: np.ndarray, y: np.ndarray) -> Fraction:
+    """y'y - b'X'y with X'X b = X'y solved in exact rational arithmetic: the
+    residual sum of squares of the least-squares fit of y on the columns of
+    x, for the floats as given."""
+    xs = [[Fraction(v) for v in row] for row in x.tolist()]
+    ys = [Fraction(v) for v in y.tolist()]
+    p = len(xs[0])
+    a = [[sum(r[i] * r[j] for r in xs) for j in range(p)]
+         + [sum(r[i] * v for r, v in zip(xs, ys))] for i in range(p)]
+    for k in range(p):  # Gauss-Jordan; X'X is positive definite
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(p):
+            if i != k:
+                a[i] = [vi - a[i][k] * vk for vi, vk in zip(a[i], a[k])]
+    coef = [row[p] for row in a]
+    xty = [sum(r[i] * v for r, v in zip(xs, ys)) for i in range(p)]
+    return sum(v * v for v in ys) - sum(b * c for b, c in zip(coef, xty))
+
+
+@pytest.mark.parametrize("theory", [
+    "adiabatic", "isochoric", "column:P_adiabatic", "column:P_isochoric",
+])
+def test_corrected_total_keeps_its_digits(theory, factorial, data_dir, tmp_path):
+    # table 4's total is what the plain first-order polynomial leaves: the
+    # theory gain plus the residual, not y'y less the design part, which
+    # cancels
+    rc = main(["fit", "--data", str(data_dir / "gauge_factorial.tsv"),
+               "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+               "--model", "hybrid", "--theory", theory, "--format", "rows",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "anova_table4.tsv").read_text().splitlines()
+    cells = dict(row.split("\t")[:2] for row in rows[1:])
+    x = dataset.build_design(dataset.code(factorial), "first").values
+    exact = exact_residual_ss(x, factorial.response)
+    assert abs(Fraction(cells["Corrected total"]) - exact) <= Fraction(1, 10**14) * exact
