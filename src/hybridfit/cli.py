@@ -76,6 +76,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
+def report_formats(flag: str | None) -> set[str]:
+    """The report formats a ``--format`` value names; all of them when unset."""
+    formats = set(flag.split(",")) if flag else set(ALL_FORMATS)
+    unknown = formats - set(ALL_FORMATS)
+    if unknown:
+        raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
+    return formats
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     from . import analysis, config, inference, report
 
@@ -89,10 +98,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else (
         config.as_float(cfg, "run.alpha") if cfg.get("run.alpha") else 0.05
     )
-    formats = set(args.format.split(",")) if args.format else set(ALL_FORMATS)
-    unknown = formats - set(ALL_FORMATS)
-    if unknown:
-        raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
+    formats = report_formats(args.format)
 
     extras: tuple[str, ...] = ()
     if model == "hybrid" and theory.startswith("column:"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hybridfit import analysis, hybrid, inference, report
+from hybridfit.cli import report_formats
 from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec, TableSchema
 from hybridfit.errors import AnalysisError, DegenerateFactorError, ShapeError
 from hybridfit.gauge import GaugeConstants, solve_backpressures
@@ -49,6 +50,10 @@ def test_assigning_a_field_raises(records):
 
 
 @pytest.mark.parametrize("build,error,message", [
+    (lambda: inference.f_critical(1.5, 1, 1),
+     AnalysisError, "alpha must lie in (0, 1), got 1.5"),
+    (lambda: report_formats("pdf,text"),
+     AnalysisError, "unknown report formats: ['pdf']"),
     (lambda: FactorSpec("A", 1.0, 1.0),
      DegenerateFactorError, "factor 'A' needs low < center < high, got 1.0, 1.0, 1.0"),
     (lambda: FactorSpec("A", 0.0, 1.0, center=1.0),
