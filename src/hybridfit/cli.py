@@ -20,6 +20,7 @@ or validation layer, and ``fit`` does not load validation.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -41,10 +42,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = config.read_keyvalues(args.spec)
     specs = config.factor_specs(cfg)
     response, _ = config.response_column(cfg)
-    header = dataset.peek_columns(Path(args.data))
+    # one read of the table, whose header names the extra columns to carry;
+    # parsed from bytes (a StringIO keeps 4 bytes a character) and dropped
+    text = dataset.read_text(args.data)
+    header = dataset.peek_columns(text)
     known = {s.name for s in specs} | {response}
     extras = tuple(name for name in header if name not in known)
-    ds = config.load_case(args.data, cfg, extras)
+    ds = config.load_case(io.BytesIO(text.encode()), cfg, extras)
+    del text
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)

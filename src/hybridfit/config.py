@@ -25,6 +25,7 @@ precedence over them.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import IO
 
 from .dataset import Dataset, FactorSpec, TableSchema, load_table, read_text
 from .errors import SchemaError
@@ -108,9 +109,11 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
 
 
 def load_case(
-    data_path: str | Path, cfg: dict[str, str], extras: tuple[str, ...] = ()
+    source: str | Path | IO[str] | IO[bytes], cfg: dict[str, str],
+    extras: tuple[str, ...] = (),
 ) -> Dataset:
-    """Read the data table that the parsed spec ``cfg`` describes.
+    """Read the data table, a file or a stream, that the parsed spec ``cfg``
+    describes.
 
     The spec names the factor and response columns; ``extras`` names further
     columns to carry along (for example a recorded theory column).
@@ -120,4 +123,4 @@ def load_case(
         factors=factor_specs(cfg), response=response, extras=tuple(extras),
         response_units=units,
     )
-    return load_table(data_path, schema)
+    return load_table(source, schema)

@@ -185,12 +185,12 @@ def read_text(path: str | Path) -> str:
         raise InputFileError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def peek_columns(source: str | Path) -> list[str]:
-    """Column names from a delimited file's header row."""
-    for line in read_text(source).splitlines():
+def peek_columns(text: str) -> list[str]:
+    """Column names from the header row of a delimited table's text."""
+    for line in text.splitlines():
         if line.strip():
             return [h.strip() for h in _split_line(line, _sniff_delimiter(line), "header row")]
-    raise SchemaError(f"{source}: empty file, no header row")
+    raise SchemaError("empty file: no header row")
 
 
 def _parse_block(
@@ -257,7 +257,7 @@ def load_table(
         text = read_text(source)
     else:
         raw = source.read()
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
     lines = [ln for ln in io.StringIO(text) if ln.strip()]
     if not lines:
         raise SchemaError("empty file: no header row")

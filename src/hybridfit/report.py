@@ -18,6 +18,7 @@ row files carry full precision for machine consumption.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -276,11 +277,64 @@ def render_coefficients(
     return "\n".join(lines) + "\n"
 
 
+_FIXED = re.compile(r"%\.([1-9])f")
+
+
+def _rounded(v: np.ndarray, places: int) -> np.ndarray:
+    """``|v| * 10**places`` as int64, rounded as ``%`` rounds it.  The product
+    is off by at most ``scaled * 2**-53``: a cell further than that from a
+    half rounds as its exact binary value does, the rest as Python does."""
+    scaled = np.abs(v) * 10.0**places
+    k = np.rint(scaled)
+    near = np.flatnonzero(np.abs(scaled - k) >= 0.5 - scaled * 2.0**-51)
+    k = k.astype(np.int64)
+    for i in near:
+        k[i] = int(("%.*f" % (places, abs(v[i]))).replace(".", ""))
+    return k
+
+
 def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     """One line per row, formatted over whole columns at once: ``row`` is a
-    ``%``-template with one conversion per column, ending in a newline."""
-    values = np.column_stack(columns).ravel().tolist()
-    return (row * len(columns[0])) % tuple(values)
+    ``%``-template with one conversion per column, ending in a newline.
+
+    A template whose conversions are all ``%.Nf`` (N = 1..9) is written from
+    digit arrays into one n x width byte buffer, byte for byte as ``%``
+    writes it, with NUL bytes as padding that are cut out at the end.  Any
+    other template, and a column with a non-finite value or one at or above
+    ``2**52 / 10**N``, goes through ``%`` itself.
+    """
+    parts = _FIXED.split(row)
+    literals, places = parts[0::2], [int(p) for p in parts[1::2]]
+    if not (
+        0 < len(places) == len(columns) and row.isascii() and "\0" not in row
+        and "%" not in "".join(literals)
+        and all(np.ndim(c) == 1 and len(c) == len(columns[0])
+                and np.abs(c).max(initial=0.0) < 2.0**52 / 10.0**p
+                for c, p in zip(columns, places))
+    ):
+        values = np.column_stack(columns).ravel().tolist()
+        return (row * len(columns[0])) % tuple(values)
+
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    digits = [_rounded(c, p) for c, p in zip(columns, places)]
+    # each field: minus sign or NUL, integer digits (at least one), point, decimals
+    widths = [2 + max(len(str(k.max(initial=0))), p + 1) for k, p in zip(digits, places)]
+    buf = np.zeros((len(columns[0]), sum(map(len, literals)) + sum(widths)), np.uint8)
+    at = 0
+    for lit, c, k, p, width in zip(literals, columns, digits, places, widths):
+        buf[:, at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)
+        at += len(lit)
+        buf[:, at] = np.signbit(c) * ord("-")
+        point = at + width - p - 1
+        buf[:, point] = ord(".")
+        for pos in range(at + width - 1, at, -1):
+            if pos != point:
+                q, d = np.divmod(k, 10)
+                buf[:, pos] = (d + ord("0")) * (k > 0) if pos < point - 1 else d + ord("0")
+                k = q
+        at += width
+    buf[:, at:] = np.frombuffer(literals[-1].encode(), np.uint8)
+    return buf.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def render_table(names: Sequence[str], columns: Sequence[np.ndarray], row: str) -> str:

@@ -612,8 +612,7 @@ class TestInputFiles:
         ])
         assert rc == 0
         assert reads["gauge_factorial_spec.txt"] == 1
-        if command[0] == "fit":
-            assert reads["gauge_factorial.tsv"] == 1
+        assert reads["gauge_factorial.tsv"] == 1
 
     def test_byte_order_mark_is_ignored(self, data_dir, tmp_path):
         paths = {}

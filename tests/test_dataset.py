@@ -133,14 +133,14 @@ class TestLoadTable:
                 dataset.load_table(stream(text), schema)
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
-        # a UTF-8 byte-order mark, as some editors write one, in a file and
-        # in a bytes stream
+        # a UTF-8 byte-order mark, as some editors write one, in a file, in a
+        # bytes stream and in a text stream (a file opened as "utf-8")
         schema = TableSchema(factors=(spec_a(),), response="y")
         data = b"\xef\xbb\xbfA\ty\n0.5\t2.0\n"
         path = tmp_path / "bom.tsv"
         path.write_bytes(data)
         assert dataset.read_text(path) == "A\ty\n0.5\t2.0\n"
-        for source in (path, io.BytesIO(data)):
+        for source in (path, io.BytesIO(data), io.StringIO(data.decode("utf-8"))):
             ds = dataset.load_table(source, schema)
             assert ds.naturals.tolist() == [[0.5]] and ds.response.tolist() == [2.0]
 

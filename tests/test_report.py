@@ -2,13 +2,14 @@
 column-wise point, circle and table writers, and the digits of the ANOVA
 cells."""
 
+import math
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridfit import dataset, inference, report
@@ -107,6 +108,78 @@ def test_simulated_rows_match_scalar_formatting(rows):
     columns = [np.array(col) for col in zip(*rows)]
     expected = "a\tb\tP\n" + "".join(f"{a!r}\t{b!r}\t{p:.3f}\n" for a, b, p in rows)
     assert report.render_table(["a", "b", "P"], columns, "%r\t%r\t%.3f\n") == expected
+
+
+def fixed_point_cells(places: int, wild: bool):
+    """Cells for one ``%.Nf`` conversion: finite floats below the 2**52 / 10**N
+    limit of the column-wise writer, and the values its rounding must get
+    right: decimal ties as written (2.675), exact binary ties (odd multiples
+    of 2**-(N+1)), signed zeros, tiny negatives, subnormals and the largest
+    value below the limit.  A ``wild`` column also holds NaN, the
+    infinities, any float, and the limit and what lies above it, which
+    only ``%`` itself formats."""
+    limit = 2.0**52 / 10.0**places
+    cells = [
+        st.floats(-limit, limit, exclude_min=True, exclude_max=True),
+        st.floats(-1e4, 1e4),
+        st.integers(-(10**6), 10**6).map(lambda j: (2 * j + 1) / 2.0 ** (places + 1)),
+        st.integers(-(10**9), 10**9).map(
+            lambda m: float(f"{m // 10**places}.{m % 10**places:0{places}d}5")
+        ),
+        st.sampled_from([
+            0.0, -0.0, 2.675, -2.675, 1.005, 0.125, -1e-9, -1e-300, 5e-324, -5e-324,
+            2.2250738585072014e-308, math.nextafter(limit, 0.0),
+            -math.nextafter(limit, 0.0),
+        ]),
+    ]
+    if wild:
+        cells += [
+            st.floats(),
+            st.sampled_from([
+                math.nan, math.inf, -math.inf, limit, -limit,
+                math.nextafter(limit, math.inf),
+            ]),
+        ]
+    return st.one_of(cells)
+
+
+@st.composite
+def templates_and_columns(draw):
+    """A ``%``-template of 1-3 conversions in ASCII literal text, mostly
+    ``%.1f``..``%.9f``, sometimes ``%r``, ``%.0f`` or a ``%%``, with one
+    column of cells per conversion."""
+    n_convs = draw(st.integers(1, 3))
+    convs = [
+        "%r" if places < 0 else f"%.{places}f"
+        for places in draw(st.lists(st.integers(-1, 9), min_size=n_convs, max_size=n_convs))
+    ]
+    text = st.text(st.characters(max_codepoint=127, exclude_characters="%"), max_size=6)
+    literals = draw(st.lists(text, min_size=n_convs + 1, max_size=n_convs + 1))
+    if draw(st.integers(0, 7)) == 0:
+        literals[draw(st.integers(0, n_convs))] += "%%"
+    row = "".join(lit + conv for lit, conv in zip(literals, convs)) + literals[-1] + "\n"
+    n_rows = draw(st.integers(0, 12))
+    columns = [
+        np.array(draw(st.lists(
+            fixed_point_cells(int(conv[2]), draw(st.integers(0, 9)) == 0)
+            if conv != "%r" else st.floats(),
+            min_size=n_rows, max_size=n_rows,
+        )), dtype=float)
+        for conv in convs
+    ]
+    return row, columns
+
+
+@given(templates_and_columns())
+@example(("%.2f\n", [np.array([2.675, 1.005, 0.125])]))
+@example(("x%.2fy%.1f\n", [np.array([-0.0, -0.001]), np.array([-0.04, 0.25])]))
+@example(("\0%.3f\n", [np.array([1.0])]))
+@example(("\u00b5%.3f\n", [np.array([1.0])]))
+@settings(deadline=None, max_examples=400)
+def test_fixed_point_rows_match_percent_formatting(case):
+    row, columns = case
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    assert report._format_rows(row, columns) == (row * len(columns[0])) % values
 
 
 def test_svg_text_is_escaped():
