@@ -18,8 +18,8 @@ _SOURCES = {
     "analysis": ("Analysis", "analyze"),
     "config": ("load_case",),
     "dataset": (
-        "Dataset", "DesignMatrix", "FactorSpec", "TableSchema", "build_design",
-        "code", "load_table",
+        "Dataset", "DesignMatrix", "FactorSpec", "build_design", "code",
+        "load_table",
     ),
     "errors": ("AnalysisError",),
     "gauge": (

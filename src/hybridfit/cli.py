@@ -1,12 +1,13 @@
 """Command-line surface: simulate, fit, validate.
 
 Each command is argument parsing, one parse of the spec file
-(:func:`hybridfit.config.read_keyvalues`), :func:`hybridfit.config.load_case`,
-one call into the library, and file writing.  ``simulate`` runs a flow solver
-over a design file and appends the computed back-pressure column.  ``fit``
-resolves model, theory, alpha and formats from its flags and the spec's
-``run.*`` defaults, runs :func:`hybridfit.analysis.analyze` and writes the
-coefficient, ANOVA, summary, and residual-plot files that
+(:func:`hybridfit.config.read_keyvalues`), one read of the data file
+(:func:`hybridfit.dataset.read_text`), :func:`hybridfit.config.load_case` on
+its text, one call into the library, and file writing.  ``simulate`` runs a
+flow solver over a design file and appends the computed back-pressure
+column.  ``fit`` resolves model, theory, alpha and formats from its flags
+and the spec's ``run.*`` defaults, runs :func:`hybridfit.analysis.analyze`
+and writes the coefficient, ANOVA, summary, and residual-plot files that
 :mod:`hybridfit.report` renders from its result.  ``validate`` runs
 :func:`hybridfit.validation.run_validation`, which checks the same
 ``analyze`` results against the bundled case study's reference numbers.
@@ -20,7 +21,6 @@ or validation layer, and ``fit`` does not load validation.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -42,14 +42,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = config.read_keyvalues(args.spec)
     specs = config.factor_specs(cfg)
     response, _ = config.response_column(cfg)
-    # one read of the table, whose header names the extra columns to carry;
-    # parsed from bytes (a StringIO keeps 4 bytes a character) and dropped
+    # the header names the extra columns to carry
     text = dataset.read_text(args.data)
     header = dataset.peek_columns(text)
     known = {s.name for s in specs} | {response}
     extras = tuple(name for name in header if name not in known)
-    ds = config.load_case(io.BytesIO(text.encode()), cfg, extras)
-    del text
+    ds = config.load_case(text, cfg, extras)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
@@ -91,7 +89,7 @@ def report_formats(flag: str | None) -> set[str]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from . import analysis, config, inference, report
+    from . import analysis, config, dataset, inference, report
 
     # flags first, then the spec's run.* defaults; alpha's range is checked
     # where its critical values are computed (inference.f_critical)
@@ -108,7 +106,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     extras: tuple[str, ...] = ()
     if model == "hybrid" and theory.startswith("column:"):
         extras = (theory.split(":", 1)[1],)
-    ds = config.load_case(args.data, cfg, extras)
+    ds = config.load_case(dataset.read_text(args.data), cfg, extras)
     result = analysis.analyze(ds, cfg, model, theory, alpha)
 
     out_dir = Path(args.out)

@@ -1,11 +1,15 @@
 """Key-value config files: factor definitions, gauge constants, run defaults,
-and :func:`load_case`, which loads a data table with the parsed spec
+and :func:`load_case`, which loads a data table's text with the parsed spec
 describing it.  Each command parses its spec once, with
 :func:`read_keyvalues`, and passes the result on.
 
 The format is one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  Factor keys look like ``factor.<name>.low``; factors keep the order
-of their first appearance.  Example::
+ignored.  The keys are ``factor.<name>.{low,high,center,units}`` (factors
+keep the order of their first appearance), ``response.{column,units}``,
+``gauge.{gamma,p_atm,c_orifice,c_sensor}`` (the fields of
+:class:`~hybridfit.gauge.GaugeConstants`) and ``run.{model,theory,alpha}``;
+any other key, or a key set twice, is an error naming the file and the
+line.  Example::
 
     factor.A.low = 0.251
     factor.A.high = 1.257
@@ -25,15 +29,29 @@ precedence over them.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO
 
-from .dataset import Dataset, FactorSpec, TableSchema, load_table, read_text
+from .dataset import Dataset, FactorSpec, load_table, read_text
 from .errors import SchemaError
 from .gauge import GaugeConstants
 
+# The fields of each key section: factor keys are factor.<name>.<field>,
+# every other key is <section>.<field>.
+KEY_FIELDS = {
+    "factor": ("low", "high", "center", "units"),
+    "response": ("column", "units"),
+    "gauge": GaugeConstants._fields,
+    "run": ("model", "theory", "alpha"),
+}
+
+
 def read_keyvalues(path: str | Path) -> dict[str, str]:
-    """Parse a key-value file, preserving first-appearance order of keys."""
+    """Parse a key-value file, preserving first-appearance order of keys.
+
+    A line that is not ``key = value``, a key no reader knows and a key set
+    a second time raise :class:`SchemaError` naming the file and the line.
+    """
     values: dict[str, str] = {}
+    first_set: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -41,7 +59,17 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        parts = key.split(".")
+        depth = 3 if parts[0] == "factor" else 2
+        if len(parts) != depth or parts[-1] not in KEY_FIELDS.get(parts[0], ()):
+            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_set:
+            raise SchemaError(
+                f"{path}:{lineno}: key {key!r} was already set on line {first_set[key]}"
+            )
+        first_set[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -59,11 +87,9 @@ def factor_specs(cfg: dict[str, str]) -> tuple[FactorSpec, ...]:
     names: list[str] = []
     for key in cfg:
         if key.startswith("factor."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise SchemaError(f"malformed factor key {key!r}")
-            if parts[1] not in names:
-                names.append(parts[1])
+            name = key.split(".")[1]
+            if name not in names:
+                names.append(name)
     if not names:
         raise SchemaError("config declares no factors")
     specs = []
@@ -108,19 +134,12 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
-def load_case(
-    source: str | Path | IO[str] | IO[bytes], cfg: dict[str, str],
-    extras: tuple[str, ...] = (),
-) -> Dataset:
-    """Read the data table, a file or a stream, that the parsed spec ``cfg``
-    describes.
+def load_case(text: str, cfg: dict[str, str], extras: tuple[str, ...] = ()) -> Dataset:
+    """Load the data table whose text is ``text``, as the parsed spec ``cfg``
+    describes it.
 
     The spec names the factor and response columns; ``extras`` names further
     columns to carry along (for example a recorded theory column).
     """
     response, units = response_column(cfg)
-    schema = TableSchema(
-        factors=factor_specs(cfg), response=response, extras=tuple(extras),
-        response_units=units,
-    )
-    return load_table(source, schema)
+    return load_table(text, factor_specs(cfg), response, tuple(extras), units)

@@ -1,19 +1,19 @@
 """Experiment tables: ingestion, factor coding, design matrices, repeated rows.
 
-A :class:`Dataset` holds runs in natural units exactly as read from file.
-Fitting happens in coded units, where each factor's low/center/high settings
-sit at -1/0/+1; :func:`code` applies that affine transform, and
-:func:`build_design` expands coded levels into a polynomial basis matrix.
-:func:`identical_rows` numbers the groups of equal rows that pure error
-pools over.
+:func:`read_text` reads an input file; :func:`load_table` turns a table's
+text into a :class:`Dataset`, which holds runs in natural units exactly as
+written.  Fitting happens in coded units, where each factor's
+low/center/high settings sit at -1/0/+1; :func:`code` applies that affine
+transform, and :func:`build_design` expands coded levels into a polynomial
+basis matrix.  :func:`identical_rows` numbers the groups of equal rows that
+pure error pools over.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -118,16 +118,6 @@ class Dataset(_DatasetFields):
         return len(self.factors)
 
 
-class TableSchema(NamedTuple):
-    """Which named columns of a delimited file hold the factors, the
-    response, and any extra columns to carry along."""
-
-    factors: tuple[FactorSpec, ...]
-    response: str
-    extras: tuple[str, ...] = ()
-    response_units: str = ""
-
-
 class _DesignMatrixFields(NamedTuple):
     values: np.ndarray
     column_labels: tuple[str, ...]
@@ -167,16 +157,11 @@ def _split_line(line: str, delimiter: str | None, row: str) -> list[str]:
         raise TableParseError(f"{row}: {exc}") from None
 
 
-def _sniff_delimiter(header: str) -> str | None:
-    for cand in ("\t", ",", ";"):
-        if cand in header:
-            return cand
-    return None  # fall back to whitespace splitting
-
-
 def read_text(path: str | Path) -> str:
     """A UTF-8 input file's text, without a leading byte-order mark; a file
-    that is missing or unreadable raises :class:`InputFileError` naming it."""
+    that is missing or unreadable raises :class:`InputFileError` naming it.
+    This is the only reader of input files, and the only place a byte-order
+    mark is stripped."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -185,12 +170,22 @@ def read_text(path: str | Path) -> str:
         raise InputFileError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _split_table(text: str) -> tuple[list[str], str | None, list[str]]:
+    """The header's column names, the delimiter, and the data rows of a
+    table's text, blank lines skipped.  Lines split at line feeds only, so a
+    bare carriage return stays inside its cell for the CSV reader to reject."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise SchemaError("empty file: no header row")
+    # the first of tab, comma and semicolon in the header; else whitespace
+    delimiter = next((c for c in "\t,;" if c in lines[0]), None)
+    header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
+    return header, delimiter, lines[1:]
+
+
 def peek_columns(text: str) -> list[str]:
     """Column names from the header row of a delimited table's text."""
-    for line in text.splitlines():
-        if line.strip():
-            return [h.strip() for h in _split_line(line, _sniff_delimiter(line), "header row")]
-    raise SchemaError("empty file: no header row")
+    return _split_table(text)[0]
 
 
 def _parse_block(
@@ -226,7 +221,7 @@ def _parse_cells(
     raises :class:`TableParseError` naming its row and column."""
     parsed: list[list[float]] = [[] for _ in usecols]
     for i, line in enumerate(rows, start=1):
-        cells = _split_line(line.rstrip("\n"), delimiter, f"row {i}")
+        cells = _split_line(line, delimiter, f"row {i}")
         for values, idx, name in zip(parsed, usecols, names):
             if idx >= len(cells):
                 raise TableParseError(f"row {i}: missing cell for column {name!r}")
@@ -241,32 +236,23 @@ def _parse_cells(
 
 
 def load_table(
-    source: str | Path | IO[str] | IO[bytes],
-    schema: TableSchema,
+    text: str,
+    factors: tuple[FactorSpec, ...],
+    response: str,
+    extras: tuple[str, ...] = (),
+    response_units: str = "",
 ) -> Dataset:
-    """Read a delimited text table (header row, one run per line) into a
-    :class:`Dataset`.
+    """Read a delimited table's text (header row, one run per line) into a
+    :class:`Dataset`: the columns named by ``factors`` and ``response``, and
+    the ``extras`` to carry along.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
-    :class:`InputFileError` when a named file cannot be read,
     :class:`SchemaError` when a named column is missing or appears twice and
     :class:`TableParseError` (with row and column) on a non-numeric or
     non-finite cell, or (with the row) on a line the CSV reader rejects.
     """
-    if isinstance(source, (str, Path)):
-        text = read_text(source)
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-    lines = [ln for ln in io.StringIO(text) if ln.strip()]
-    if not lines:
-        raise SchemaError("empty file: no header row")
-
-    delimiter = _sniff_delimiter(lines[0])
-    header = [
-        h.strip() for h in _split_line(lines[0].rstrip("\n"), delimiter, "header row")
-    ]
-    wanted = [f.name for f in schema.factors] + [schema.response] + list(schema.extras)
+    header, delimiter, rows = _split_table(text)
+    wanted = [f.name for f in factors] + [response] + list(extras)
     col_index: dict[str, int] = {}
     for name in wanted:
         if name not in header:
@@ -277,7 +263,6 @@ def load_table(
             )
         col_index[name] = header.index(name)
 
-    rows = lines[1:]
     if not rows:
         raise SchemaError("no data rows after the header")
 
@@ -295,15 +280,12 @@ def load_table(
             f"{float(table[col, row])!r}"
         )
     column = dict(zip(names, table))
-    naturals = np.column_stack([column[f.name] for f in schema.factors])
-    response = column[schema.response]
-    extras = {name: column[name] for name in schema.extras}
     return Dataset(
-        factors=tuple(schema.factors),
-        naturals=naturals,
-        response=response,
-        response_units=schema.response_units,
-        extras=extras,
+        factors=tuple(factors),
+        naturals=np.column_stack([column[f.name] for f in factors]),
+        response=column[response],
+        response_units=response_units,
+        extras={name: column[name] for name in extras},
     )
 
 

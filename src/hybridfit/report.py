@@ -348,15 +348,15 @@ def render_points(xs: np.ndarray, ys: np.ndarray, xname: str, yname: str) -> str
     return render_table((xname, yname), (xs, ys), "%.6f\t%.6f\n")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[tuple[float, str]]:
-    """``count`` evenly spaced ticks from lo to hi, each labelled at four
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Five evenly spaced ticks from lo to hi, each labelled at four
     significant digits of the spacing, so that a roundoff residue of zero
     reads 0 (adding 0.0 turns -0 into 0)."""
     if hi <= lo:  # one unit, or one spacing of lo where a unit is below it
         hi = max(lo + 1.0, math.nextafter(lo, math.inf))
-    step = (hi - lo) / (count - 1)
+    step = (hi - lo) / 4
     places = 3 - math.floor(math.log10(step))
-    ticks = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    ticks = [lo + (hi - lo) * i / 4 for i in range(5)]
     return [(t, f"{round(float(t), places) + 0.0:.4g}") for t in ticks]
 
 
@@ -366,20 +366,14 @@ def _escape(text: str) -> str:
 
 
 def scatter_svg(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    xlabel: str,
-    ylabel: str,
-    title: str,
-    width: int = 640,
-    height: int = 480,
+    xs: np.ndarray, ys: np.ndarray, xlabel: str, ylabel: str, title: str
 ) -> str:
-    """Standalone SVG scatter plot with labeled axes.
+    """Standalone 640 x 480 SVG scatter plot with labeled axes.
 
     Hand-built rather than delegated to a plotting library so that output
     bytes depend only on the data.
     """
-    margin = 70.0
+    width, height, margin = 640, 480, 70.0
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())

@@ -19,7 +19,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from . import analysis, config, gauge, report
+from . import analysis, config, dataset, gauge, report
 from .errors import AnalysisError
 
 FACTORIAL_BASENAME = "gauge_factorial"
@@ -113,7 +113,8 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
 
     def load(basename: str, extras: tuple[str, ...] = ()):
         cfg = config.read_keyvalues(data_dir / f"{basename}_spec.txt")
-        return config.load_case(data_dir / f"{basename}.tsv", cfg, extras), cfg
+        text = dataset.read_text(data_dir / f"{basename}.tsv")
+        return config.load_case(text, cfg, extras), cfg
 
     def lof(a: analysis.Analysis) -> float:
         return a.lack_of_fit.f if a.lack_of_fit is not None else math.nan

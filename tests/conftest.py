@@ -10,7 +10,8 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 def load_case(basename: str, extras: tuple[str, ...] = ()):
     cfg = config.read_keyvalues(DATA_DIR / f"{basename}_spec.txt")
-    return config.load_case(DATA_DIR / f"{basename}.tsv", cfg, extras), cfg
+    text = dataset.read_text(DATA_DIR / f"{basename}.tsv")
+    return config.load_case(text, cfg, extras), cfg
 
 
 @pytest.fixture(scope="session")

@@ -614,27 +614,74 @@ class TestInputFiles:
         assert reads["gauge_factorial_spec.txt"] == 1
         assert reads["gauge_factorial.tsv"] == 1
 
-    def test_byte_order_mark_is_ignored(self, data_dir, tmp_path):
-        paths = {}
-        for name in ("gauge_factorial.tsv", "gauge_factorial_spec.txt"):
-            paths[name] = tmp_path / f"bom_{name}"
-            paths[name].write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
-        outputs = []
-        for data, spec, out in (
-            (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt", "plain"),
-            (paths["gauge_factorial.tsv"], paths["gauge_factorial_spec.txt"], "bom"),
-        ):
-            rc = main(["fit", "--data", str(data), "--spec", str(spec),
-                       "--model", "hybrid", "--theory", "column:P_adiabatic",
-                       "--out", str(tmp_path / out)])
-            assert rc == 0
-            files = tree_bytes(tmp_path / out)
-            # the summary's header names the two input paths
+    @staticmethod
+    def outputs(data, spec, command, out):
+        """The files ``command`` writes, less the summary's two lines that
+        name the input paths."""
+        rc = main([command[0], "--data", str(data), "--spec", str(spec),
+                   *command[1:], "--out", str(out)])
+        assert rc == 0
+        files = tree_bytes(out)
+        if "summary.txt" in files:
             lines = files["summary.txt"].splitlines(keepends=True)
             assert lines[1].startswith(b"data: ") and lines[2].startswith(b"config: ")
             files["summary.txt"] = b"".join(lines[:1] + lines[3:])
-            outputs.append(files)
-        assert outputs[0] == outputs[1]
+        return files
+
+    @staticmethod
+    def copies(data_dir, tmp_path, prefix, edit):
+        """The factorial table and spec, each rewritten by ``edit``."""
+        paths = []
+        for name in ("gauge_factorial.tsv", "gauge_factorial_spec.txt"):
+            paths.append(tmp_path / f"{prefix}_{name}")
+            paths[-1].write_bytes(edit((data_dir / name).read_bytes()))
+        return paths
+
+    def test_byte_order_mark_is_ignored(self, data_dir, tmp_path):
+        command = ["fit", "--model", "hybrid", "--theory", "column:P_adiabatic"]
+        bom = self.copies(data_dir, tmp_path, "bom", lambda b: b"\xef\xbb\xbf" + b)
+        plain = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
+        assert (
+            self.outputs(*plain, command, tmp_path / "plain")
+            == self.outputs(*bom, command, tmp_path / "bom")
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "hybrid", "--theory", "column:P_isochoric"],
+        ["simulate", "--theory", "isochoric"],
+    ], ids=["fit", "simulate"])
+    def test_crlf_line_endings_give_the_same_files(self, command, data_dir, tmp_path):
+        crlf = self.copies(data_dir, tmp_path, "crlf", lambda b: b.replace(b"\n", b"\r\n"))
+        lf = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
+        assert (
+            self.outputs(*lf, command, tmp_path / "lf")
+            == self.outputs(*crlf, command, tmp_path / "crlf")
+        )
+
+    @pytest.mark.parametrize("line,message", [
+        ("factor.A.centre = 0.6", "unknown key 'factor.A.centre'"),
+        ("gauge.gama = 1.3", "unknown key 'gauge.gama'"),
+        ("factor.A.B.low = 0.3", "unknown key 'factor.A.B.low'"),
+        ("report.width = 800", "unknown key 'report.width'"),
+        ("alpha = 0.1", "unknown key 'alpha'"),
+        ("factor.A.low = 0.3", "key 'factor.A.low' was already set on line 4"),
+    ], ids=["misspelt", "gauge_field", "too_deep", "section", "bare", "set_twice"])
+    def test_spec_key_is_known_and_set_once(
+        self, line, message, data_dir, tmp_path, capsys
+    ):
+        # a key nothing reads, or a second value, would change the fit in silence
+        text = (data_dir / "gauge_factorial_spec.txt").read_text()
+        assert text.splitlines()[3] == "factor.A.low = 0.251"
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text + line + "\n")
+        rc = main([
+            "fit", "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        lineno = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {spec}:{lineno}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirectory:

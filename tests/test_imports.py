@@ -104,7 +104,7 @@ def test_public_names_are_pinned():
     assert hybridfit.__all__ == [
         "Analysis", "AnalysisError", "Dataset", "DesignMatrix", "FTest",
         "FactorSpec", "GaugeConstants", "HybridFit", "HybridSystem",
-        "PureErrorDecomposition", "TableSchema", "analyze",
+        "PureErrorDecomposition", "analyze",
         "assemble", "box_wetz_ratio", "build_design", "code", "f_critical",
         "f_sf", "f_test", "load_case", "load_table", "pure_error",
         "residual_diagnostics", "simulate_design", "solve", "solve_backpressures",

@@ -6,7 +6,7 @@ import pytest
 
 from hybridfit import analysis, hybrid, inference, report
 from hybridfit.cli import report_formats
-from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec, TableSchema
+from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec
 from hybridfit.errors import AnalysisError, DegenerateFactorError, ShapeError
 from hybridfit.gauge import GaugeConstants, solve_backpressures
 from hybridfit.validation import CheckResult, ValidationResult
@@ -23,7 +23,6 @@ def records(factorial, factorial_config):
     return [
         (FactorSpec("A", 0.0, 1.0), "center"),
         (factorial, "naturals"),
-        (TableSchema(factors=(FactorSpec("A", 0.0, 1.0),), response="y"), "response"),
         (a.system.design, "values"),
         (a.system, "rank"),
         (a.fit, "coef"),
@@ -41,7 +40,7 @@ def records(factorial, factorial_config):
 
 
 def test_assigning_a_field_raises(records):
-    assert len({type(record) for record, _ in records}) == 16
+    assert len({type(record) for record, _ in records}) == 15
     for record, name in records:
         before = getattr(record, name)
         with pytest.raises(AttributeError):
