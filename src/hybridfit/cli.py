@@ -66,7 +66,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         + [ds.extras[name] for name in extras]
         + [backpressures]
     )
-    # carried cells round-trip exactly; the computed column prints at 3 decimals
+    # carried cells print as repr does, from shortest round-trip digits (see
+    # report._format_rows); the computed column prints at 3 decimals
     row = "%r\t" * (len(columns) - 1) + "%.3f\n"
     out_path.write_text(report.render_table(names, columns, row), encoding="utf-8")
 

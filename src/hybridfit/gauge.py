@@ -124,6 +124,9 @@ def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
     return np.select(consistent, candidates, default=np.nan)
 
 
+# A flow that overflows keeps its sign, and a row where one does ends in the
+# bracket or residual checks, so the overflow needs no warning of its own.
+@np.errstate(over="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
     """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of

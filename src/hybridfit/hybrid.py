@@ -73,7 +73,10 @@ def thin_svd(m: np.ndarray, scale: float | None = None) -> ThinSvd:
     """Thin SVD of ``m`` keeping the singular values above ``RANK_TOL * scale``,
     ``scale`` being by default the largest of them.  Pass the scale of a
     larger system when ``m`` is a piece of it, so that a piece made only of
-    roundoff counts as rank zero."""
+    roundoff counts as rank zero.  An all-zero ``m`` (the excess block of a
+    constant theory) has rank zero without a factorization."""
+    if not m.any():
+        return ThinSvd(np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((m.shape[1], 0)))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if scale is None:
         scale = s[0]

@@ -277,64 +277,114 @@ def render_coefficients(
     return "\n".join(lines) + "\n"
 
 
-_FIXED = re.compile(r"%\.([1-9])f")
+_CONVERSION = re.compile(r"%(?:\.([1-9])f|r)")
 
 
-def _rounded(v: np.ndarray, places: int) -> np.ndarray:
-    """``|v| * 10**places`` as int64, rounded as ``%`` rounds it.  The product
-    is off by at most ``scaled * 2**-53``: a cell further than that from a
-    half rounds as its exact binary value does, the rest as Python does."""
-    scaled = np.abs(v) * 10.0**places
+def _fixed(v: np.ndarray, places: int) -> tuple[np.ndarray, int] | None:
+    """The digits ``%.Nf`` writes, as ``k / 10**places`` with k ``|v| *
+    10**places`` rounded to int64 as ``%`` rounds it, or None for a column
+    with a non-finite value or one at or above ``2**52 / 10**places``.  The
+    product is off by at most ``scaled * 2**-53``: a cell further than that
+    from a half rounds as its exact binary value does, the rest as Python
+    does."""
+    a = np.abs(v)
+    if not a.max(initial=0.0) < 2.0**52 / 10.0**places:
+        return None
+    scaled = a * 10.0**places
     k = np.rint(scaled)
     near = np.flatnonzero(np.abs(scaled - k) >= 0.5 - scaled * 2.0**-51)
     k = k.astype(np.int64)
     for i in near:
-        k[i] = int(("%.*f" % (places, abs(v[i]))).replace(".", ""))
-    return k
+        k[i] = int(("%.*f" % (places, a[i])).replace(".", ""))
+    return k, places
+
+
+def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The digits ``repr`` writes, as ``k / 10**d`` with d the fewest decimals
+    (0..17) at which ``k = rint(|v| * 10**d)`` divides back to ``|v|``, so
+    that, IEEE division being correctly rounded, the string round-trips.  A
+    string that round-trips lies within ``|v| * 10**d * 2**-52`` of the
+    product: below ``2**51`` (every d before the last) only k can, below
+    ``2**53`` k - 1 or k + 1 too.  None where one of those does, where k
+    reaches ``2**53``, or where ``repr`` writes an exponent.  A whole number
+    gets d = 1, for its ``.0``."""
+    a = np.abs(v)
+    if not a.max(initial=0.0) < 2.0**53 or ((a > 0.0) & (a < 1e-4)).any():
+        return None
+    d, todo = np.zeros(len(a), np.int64), np.ones(len(a), bool)
+    for places in range(18):
+        hit = todo & (np.rint(a * 10.0**places) / 10.0**places == a)
+        d[hit] = places
+        todo &= ~hit
+        if not todo.any():
+            break
+    else:
+        return None
+    scale = 10.0**d
+    k = np.rint(a * scale)
+    ties = ((k - 1.0) / scale == a) | ((k + 1.0) / scale == a)
+    if not k.max(initial=0.0) < 2.0**53 or ties.any():
+        return None
+    return k.astype(np.int64) * np.where(d == 0, 10, 1), np.maximum(d, 1)
 
 
 def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     """One line per row, formatted over whole columns at once: ``row`` is a
     ``%``-template with one conversion per column, ending in a newline.
 
-    A template whose conversions are all ``%.Nf`` (N = 1..9) is written from
-    digit arrays into one n x width byte buffer, byte for byte as ``%``
-    writes it, with NUL bytes as padding that are cut out at the end.  Any
-    other template, and a column with a non-finite value or one at or above
-    ``2**52 / 10**N``, goes through ``%`` itself.
+    A template whose conversions are all ``%.Nf`` (N = 1..9) or ``%r``, on
+    float columns, is written from digit arrays, byte for byte as ``%``
+    writes it.  Each field is an int64 digit count k, a per-cell decimal
+    count d (N, or :func:`_shortest`'s for ``%r``) and a sign; the fields and
+    the literal text go into one width x n byte buffer with NUL bytes as
+    padding (also past a cell's d) that are cut out at the end.  Any other
+    template goes through ``%`` itself, and so does one with a column
+    :func:`_fixed` or :func:`_shortest` gives no digits for.
     """
-    parts = _FIXED.split(row)
-    literals, places = parts[0::2], [int(p) for p in parts[1::2]]
-    if not (
-        0 < len(places) == len(columns) and row.isascii() and "\0" not in row
+    parts = _CONVERSION.split(row)
+    literals, convs = parts[0::2], parts[1::2]
+    columns = [np.asarray(c) for c in columns]
+    fields = None
+    if (
+        0 < len(convs) == len(columns) and row.isascii() and "\0" not in row
         and "%" not in "".join(literals)
-        and all(np.ndim(c) == 1 and len(c) == len(columns[0])
-                and np.abs(c).max(initial=0.0) < 2.0**52 / 10.0**p
-                for c, p in zip(columns, places))
+        and all(c.ndim == 1 and len(c) == len(columns[0]) for c in columns)
+        and np.result_type(*columns).kind == "f"  # % gets floats, not ints
     ):
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        fields = [_fixed(c, int(p)) if p else _shortest(c) for c, p in zip(columns, convs)]
+    if fields is None or any(f is None for f in fields):
         values = np.column_stack(columns).ravel().tolist()
         return (row * len(columns[0])) % tuple(values)
 
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    digits = [_rounded(c, p) for c, p in zip(columns, places)]
-    # each field: minus sign or NUL, integer digits (at least one), point, decimals
-    widths = [2 + max(len(str(k.max(initial=0))), p + 1) for k, p in zip(digits, places)]
-    buf = np.zeros((len(columns[0]), sum(map(len, literals)) + sum(widths)), np.uint8)
+    # each field: minus sign or NUL, integer digits (at least one), point, and
+    # the column's most decimals, NUL past a cell's own
+    wholes = [k // 10**d for k, d in fields]
+    places = [int(np.max(d, initial=1)) for _, d in fields]
+    widths = [2 + len(str(w.max(initial=0))) + p for w, p in zip(wholes, places)]
+    buf = np.zeros((sum(map(len, literals)) + sum(widths), len(columns[0])), np.uint8)
     at = 0
-    for lit, c, k, p, width in zip(literals, columns, digits, places, widths):
-        buf[:, at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)
+    for lit, c, (k, d), whole, p, width in zip(literals, columns, fields, wholes, places, widths):
+        buf[at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)[:, None]
         at += len(lit)
-        buf[:, at] = np.signbit(c) * ord("-")
+        buf[at] = np.signbit(c) * ord("-")
         point = at + width - p - 1
-        buf[:, point] = ord(".")
-        for pos in range(at + width - 1, at, -1):
-            if pos != point:
-                q, d = np.divmod(k, 10)
-                buf[:, pos] = (d + ord("0")) * (k > 0) if pos < point - 1 else d + ord("0")
-                k = q
+        buf[point] = ord(".")
+        frac = (k - whole * 10**d) * 10 ** (p - d)
+        for pos in range(at + width - 1, point, -1):
+            q = frac // 10
+            buf[pos] = frac - 10 * q + ord("0")
+            frac = q
+        if np.ndim(d):
+            buf[point + 1 : at + width] *= np.arange(1, p + 1)[:, None] <= d
+        for pos in range(point - 1, at, -1):
+            q = whole // 10
+            digit = whole - 10 * q + ord("0")
+            buf[pos] = digit * (whole > 0) if pos < point - 1 else digit
+            whole = q
         at += width
-    buf[:, at:] = np.frombuffer(literals[-1].encode(), np.uint8)
-    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+    buf[at:] = np.frombuffer(literals[-1].encode(), np.uint8)[:, None]
+    return buf.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def render_table(names: Sequence[str], columns: Sequence[np.ndarray], row: str) -> str:

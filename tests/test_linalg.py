@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hybridfit import dataset, hybrid
+from hybridfit.analysis import analyze
 from hybridfit.dataset import DesignMatrix
 from hybridfit.errors import RankError
 from hybridfit.hybrid import thin_svd
@@ -130,6 +131,34 @@ class TestRank:
         piece = np.array([[3e-16, 0.0], [0.0, 1e-16]])
         assert thin_svd(piece).rank == 2
         assert thin_svd(piece, scale=10.0).rank == 0
+
+
+class TestSvdCalls:
+    """A fit factors X once, and its excess block only when that block is not
+    exactly zero: a plain polynomial fit, or a constant theory, makes one
+    LAPACK SVD call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: made.append(a[0].shape) or svd(*a, **k))
+        return made
+
+    @pytest.mark.parametrize("model, theory, n_calls", [
+        ("mlr1", "none", 1), ("mlr2", "none", 1), ("hybrid", "column:P_isochoric", 2),
+    ])
+    def test_calls_per_fit(self, model, theory, n_calls, calls, request):
+        case = "boxbehnken" if model == "mlr2" else "factorial"
+        ds, cfg = request.getfixturevalue(case), request.getfixturevalue(f"{case}_config")
+        analyze(ds, cfg, model, theory)
+        assert len(calls) == n_calls
+
+    def test_constant_theory_has_an_empty_excess_basis(self, factorial_design, calls):
+        sys = hybrid.assemble(factorial_design, np.full(factorial_design.n_rows, 3.0))
+        assert len(calls) == 1
+        assert sys.basis_excess.shape == (factorial_design.n_rows, 0)
+        assert sys.rank == factorial_design.n_coef
 
 
 def ols_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ column-wise point, circle and table writers, and the digits of the ANOVA
 cells."""
 
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -108,6 +109,98 @@ def test_simulated_rows_match_scalar_formatting(rows):
     columns = [np.array(col) for col in zip(*rows)]
     expected = "a\tb\tP\n" + "".join(f"{a!r}\t{b!r}\t{p:.3f}\n" for a, b, p in rows)
     assert report.render_table(["a", "b", "P"], columns, "%r\t%r\t%.3f\n") == expected
+
+
+# Cells `repr` writes from shortest digits: short decimals m * 10**-d.
+SHORT_DECIMALS = st.builds(
+    lambda m, d: float(f"{m}e-{d}"), st.integers(-(10**12), 10**12), st.integers(0, 12)
+)
+# Cells at the edges of the shortest-digit path, each with whether it takes
+# the path (True) or sends its template to `%` (False).
+REPR_EDGES = {
+    **{2.0**e: 1e-4 <= 2.0**e < 2.0**53 for e in range(-20, 60)},
+    2.0**53 + 2: False,
+    9999999999999998.0: False,
+    1e16: False,
+    1e-4: True,
+    9.999999999999999e-05: False,  # repr writes an exponent
+    -0.0: True,
+    5e-324: False,
+    0.30000000000000004: False,  # 17 digits: k is above 2**53
+    0.15229732049524503: False,  # k above 2**53, where k - 1 and k + 1 are not floats
+    1 / 3: True,  # 16 decimals
+    0.01234567890123456: True,  # 17 decimals
+    2.0**49 + 0.25: False,  # .2 and .3 both round-trip
+    1.0: True,
+    -7.0: True,
+    123456789.0: True,
+    1e15: True,
+}
+
+
+@given(st.lists(
+    st.tuples(SHORT_DECIMALS, SHORT_DECIMALS | st.sampled_from(sorted(REPR_EDGES)),
+              st.floats(-1e6, 1e6)),
+    max_size=30,
+))
+@settings(deadline=None)
+def test_repr_rows_match_percent_formatting(rows):
+    columns = [np.array([r[j] for r in rows], dtype=float) for j in range(3)]
+    row = "%r\t%r\t%.3f\n"
+    values = tuple(v for r in rows for v in r)
+    assert report._format_rows(row, columns) == (row * len(rows)) % values
+
+
+@pytest.mark.parametrize("cell", sorted(REPR_EDGES))
+def test_repr_edge_cells(cell):
+    column = np.array([1.5, cell, -187.41])
+    assert (report._shortest(column) is not None) == REPR_EDGES[cell]
+    assert report._format_rows("%r\n", [column]) == "%r\n%r\n%r\n" % (1.5, cell, -187.41)
+
+
+def test_whole_numbers_print_point_zero():
+    column = np.array([3.0, -0.0, 0.0, 1e15, 2.5])
+    assert report._shortest(column) is not None
+    assert report._format_rows("%r\n", [column]) == "3.0\n-0.0\n0.0\n1000000000000000.0\n2.5\n"
+
+
+def gauge_table(path, rows=2000, seed=7):
+    """A table like the benchmark's gauge designs: factors at 6 decimals in
+    the bundled ranges, a quarter of the rows repeating an earlier one, and
+    P_obs at 3 decimals."""
+    rng = random.Random(seed)
+    ranges = ((0.251, 1.257), (0.199, 0.297), (0.503, 1.131))
+    points = []
+    for i in range(rows):
+        repeat = i > 0 and rng.random() < 0.25
+        points.append(points[rng.randrange(i)] if repeat else
+                      [round(rng.uniform(lo, hi), 6) for lo, hi in ranges])
+    lines = ["A\tPs\tB\tP_obs"] + [
+        "\t".join(map(repr, [*p, round(rng.uniform(100.0, 300.0), 3)])) for p in points
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("table, carried", [("bundled", 6), ("generated", 4)])
+def test_simulate_writes_carried_columns_from_digits(
+    table, carried, data_dir, tmp_path, monkeypatch
+):
+    # a carried column that silently falls back to `%` fails here
+    data = (data_dir / "gauge_factorial.tsv" if table == "bundled"
+            else gauge_table(tmp_path / "gauge.tsv"))
+    found = []
+    shortest = report._shortest
+    monkeypatch.setattr(report, "_shortest", lambda v: found.append(shortest(v)) or found[-1])
+    rc = main(["simulate", "--data", str(data),
+               "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+               "--theory", "isochoric", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(found) == carried and all(f is not None for f in found)
+    lines = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
+    for source, written in zip(data.read_text().splitlines()[1:], lines[1:]):
+        cells = written.split("\t")[:carried]
+        assert cells == [repr(float(c)) for c in source.split("\t")]
 
 
 def fixed_point_cells(places: int, wild: bool):
