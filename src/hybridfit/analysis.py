@@ -9,15 +9,14 @@ of the ANOVA tables is one of its :class:`~hybridfit.inference.FTest`
 results, each built by :func:`hybridfit.inference.f_test`; the reports only
 render them.
 
-All three models go through the same augmented solve.  ``hybrid`` scales a
+All three models go through the same solve.  ``hybrid`` scales a
 first-order polynomial by a theory column z, a plain array taken from the
 data file (``column:<name>``) or simulated by a flow solver; the
 :class:`Analysis` keeps the name of that source as ``theory``.  ``mlr1``
-and ``mlr2`` are plain first- and second-order polynomials: the augmented
-system with z identically one, whose excess block vanishes, so the rank is
-p + 1, the residual df is n - p - 1, and the design block of the solution
-covariance is sigma^2 (X'X)^-1, taken from the SVD of X rather than from
-X'X.
+and ``mlr2`` are plain first- and second-order polynomials with no theory
+and so no excess block: the rank is p + 1, the residual df is n - p - 1,
+and the solution covariance is sigma^2 (X'X)^-1, taken from the SVD of X
+rather than from X'X.
 """
 
 from __future__ import annotations
@@ -69,12 +68,11 @@ class Analysis(NamedTuple):
 
     @property
     def coef(self) -> np.ndarray:
-        return self.fit.coef[: len(self.labels)]
+        return self.fit.coef
 
     @property
     def std_errors(self) -> np.ndarray:
-        variances = np.clip(np.diag(self.fit.coef_cov), 0.0, None)
-        return np.sqrt(variances[: len(self.labels)])
+        return np.sqrt(np.diag(self.fit.coef_cov))
 
     @property
     def ss_regression_about_mean(self) -> float:
@@ -98,9 +96,9 @@ class Analysis(NamedTuple):
 
 def _theory(
     ds: dataset.Dataset, cfg: dict[str, str], model: str, theory: str
-) -> tuple[np.ndarray, tuple[gauge.GaugeConstants, tuple[str, ...]] | None]:
+) -> tuple[np.ndarray | None, tuple[gauge.GaugeConstants, tuple[str, ...]] | None]:
     if model != "hybrid":
-        return np.ones(ds.n_runs), None
+        return None, None
     if theory.startswith("column:"):
         name = theory.split(":", 1)[1]
         if name not in ds.extras:
@@ -159,8 +157,8 @@ def analyze(
         )
 
     # Pure error needs equal fitted values within a group: group the runs
-    # that share coded settings and theory value (for z = 1, the replicates).
-    _, groups = dataset.identical_rows(np.column_stack([coded, z]))
+    # that share coded settings and any theory value (for mlr, the replicates).
+    _, groups = dataset.identical_rows(coded if z is None else np.column_stack([coded, z]))
     pe = inference.pure_error(y, groups, fit, system.df_residual)
 
     def against_residual(ss: float, df: int) -> inference.FTest:

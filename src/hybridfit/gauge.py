@@ -86,7 +86,10 @@ def flow_factor_isochoric(p_up, p_down):
 def _bisect(residual, lo, hi, flo) -> None:
     """Bisect in place, in lockstep, every row's bracket [lo, hi] with lo < hi
     (``flo`` = residual at lo), until it collapses to adjacent floats or hits
-    an exact zero (then lo = hi)."""
+    an exact zero (then lo = hi).  The residual at lo keeps the sign of
+    ``flo`` throughout, so only that sign is compared: a product of two tiny
+    residuals would underflow to zero."""
+    sign_lo = np.sign(flo)
     active = lo < hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -94,11 +97,9 @@ def _bisect(residual, lo, hi, flo) -> None:
         if not active.any():
             break
         fmid = residual(mid)
-        below = flo * fmid < 0.0        # the sign changes below mid
+        below = sign_lo * fmid < 0.0    # the sign changes below mid
         np.copyto(hi, mid, where=active & (below | (fmid == 0.0)))
-        above = active & ~below
-        np.copyto(lo, mid, where=above)
-        np.copyto(flo, fmid, where=above)
+        np.copyto(lo, mid, where=active & ~below)
 
 
 def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
@@ -130,10 +131,11 @@ def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
     """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
-    ``points``.  Each row is checked for positive inputs, supply above p_atm,
-    a sign change on the bracket (:class:`RootBracketError`) and the residual
-    at the root (:class:`InconsistencyError`); the earliest failing row is
-    named ``row k``, k being its entry in ``rows`` (default 1..n)."""
+    ``points``.  Each row is checked for positive inputs, a supply finite in
+    kPa and above p_atm, a sign change on the bracket
+    (:class:`RootBracketError`) and the residual at the root
+    (:class:`InconsistencyError`); the earliest failing row is named
+    ``row k``, k being its entry in ``rows`` (default 1..n)."""
     if model not in ("adiabatic", "isochoric"):
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
@@ -143,9 +145,10 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     p_atm, gamma = constants.p_atm, constants.gamma
     scaled = [constants.c_sensor, 1000.0, constants.c_orifice] * points
     nonpositive, low_supply = ~(points > 0.0), ~(scaled[:, 1] > p_atm)
+    overflow = scaled[:, 1] == np.inf
     # Rows failing these checks are solved at a harmless stand-in point, so
     # the other rows still run and the earliest failure can be named.
-    invalid = (nonpositive.any(axis=1) | low_supply)[:, None]
+    invalid = (nonpositive.any(axis=1) | low_supply | overflow)[:, None]
     a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
 
     def flows(p):
@@ -160,12 +163,12 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     eps = BRACKET_INSET * (ps - p_atm)
     bracket = p_atm + eps, ps - eps
     flo, fhi = residual(bracket[0]), residual(bracket[1])
-    no_sign_change = flo * fhi > 0.0
+    no_sign_change = np.sign(flo) * np.sign(fhi) > 0.0
     no_regime = collapsed = np.zeros(len(points), dtype=bool)
     if model == "adiabatic":
         hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
         lo = np.where(fhi == 0.0, hi, bracket[0])
-        _bisect(residual, lo, hi, flo.copy())
+        _bisect(residual, lo, hi, flo)
         (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
         take_hi = np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo)
         root = np.where(take_hi, hi, lo)
@@ -184,6 +187,8 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
             *next((n, v) for n, v in zip(_INPUT_NAMES, points[i]) if not v > 0.0))),
         (low_supply, AnalysisError, lambda i: (
             f"supply pressure {scaled[i, 1]} kPa must exceed outlet pressure {p_atm} kPa")),
+        (overflow, AnalysisError, lambda i: (
+            f"supply pressure {points[i, 1]} MPa overflows in kPa")),
         (no_sign_change, RootBracketError, lambda i: (
             f"flow equality has no sign change on the bracket: residual {flo[i]:.6g} "
             f"at {bracket[0][i]:.6g} kPa and {fhi[i]:.6g} at {bracket[1][i]:.6g} kPa")),

@@ -27,8 +27,9 @@ squares must add up to y'y.  Both tolerances come from
 record of those sums of squares: the ANOVA tables, lack of fit and R-squared
 are all read off it.
 
-Setting z identically to one recovers ordinary multiple linear regression
-exactly: the excess block vanishes and the excess coefficients are zero.
+Without a theory (z None) the system is X alone: ordinary multiple linear
+regression, with no excess block.  Any given z keeps both blocks; z = 1
+recovers the plain fit exactly, with zero excess coefficients.
 """
 
 from __future__ import annotations
@@ -73,10 +74,7 @@ def thin_svd(m: np.ndarray, scale: float | None = None) -> ThinSvd:
     """Thin SVD of ``m`` keeping the singular values above ``RANK_TOL * scale``,
     ``scale`` being by default the largest of them.  Pass the scale of a
     larger system when ``m`` is a piece of it, so that a piece made only of
-    roundoff counts as rank zero.  An all-zero ``m`` (the excess block of a
-    constant theory) has rank zero without a factorization."""
-    if not m.any():
-        return ThinSvd(np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((m.shape[1], 0)))
+    roundoff counts as rank zero."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if scale is None:
         scale = s[0]
@@ -96,11 +94,11 @@ class HybridSystem(NamedTuple):
     """
 
     design: DesignMatrix
-    z: np.ndarray               # theory response of each run
-    augmented: np.ndarray       # [X | (diag(z) - I) X]
+    z: np.ndarray | None        # theory response of each run; None: plain fit
+    augmented: np.ndarray       # [X | (diag(z) - I) X], or X alone
     basis_design: np.ndarray    # Q_X: orthonormal basis of col(X)
     basis_excess: np.ndarray    # Q_E: the excess block outside col(X)
-    coef_map: np.ndarray        # 2(p+1) x rank
+    coef_map: np.ndarray        # 2(p+1) x rank, or (p+1) x rank
     rank: int                   # cols(Q_X) + cols(Q_E)
 
     @property
@@ -132,7 +130,7 @@ class HybridFit(NamedTuple):
     explains beyond the plain polynomial.
     """
 
-    coef: np.ndarray            # design block, then the excess block
+    coef: np.ndarray            # design block, then any excess block
     fitted: np.ndarray
     residuals: np.ndarray
     ss_total: float             # y'y
@@ -148,22 +146,25 @@ class HybridFit(NamedTuple):
         return self.ss_design + self.ss_excess
 
 
-def assemble(design: DesignMatrix, z: np.ndarray) -> HybridSystem:
-    """Build the augmented system for a design matrix and the theory
-    response z of each run, in response units."""
+def assemble(design: DesignMatrix, z: np.ndarray | None) -> HybridSystem:
+    """Build the system for a design matrix and the theory response z of
+    each run, in response units, or of the design alone for z None."""
+    x = design.values
+    svd_x = thin_svd(x)
+    q_x = svd_x.basis
+    if z is None:
+        return HybridSystem(design, None, x, q_x, np.zeros((design.n_rows, 0)),
+                            svd_x.coef_map, svd_x.rank)
     z = np.asarray(z, dtype=float).ravel()
     if z.size != design.n_rows:
         raise ShapeError(f"{design.n_rows} design rows but {z.size} theory values")
     if not np.all(np.isfinite(z)):
         raise ShapeError("theory vector has non-finite entries")
-    x = design.values
     augmented = np.hstack([x, (z - 1.0)[:, None] * x])
     # Q_E is cut from (z/m - 1) X, m = max|z|: modulo col(X) the span of the
     # excess block, but free of the units of z and exactly zero for constant z.
     m = float(np.max(np.abs(z))) or 1.0
     scaled = (z / m - 1.0)[:, None] * x
-    svd_x = thin_svd(x)
-    q_x = svd_x.basis
     # Project twice: one pass leaves a component in col(X) of the order of
     # roundoff times |scaled|, which is not small next to the weakest
     # direction the rank tolerance keeps.

@@ -93,25 +93,28 @@ class TestSimulate:
     @pytest.mark.parametrize("theory", ["adiabatic", "isochoric"])
     def test_overflowing_flows_raise_no_warning(self, theory, data_dir, tmp_path, capsys):
         # row 2 at a supply of 1e300 MPa: the flows overflow, which under
-        # filterwarnings = error would escape as a RuntimeWarning
+        # filterwarnings = error would escape as a RuntimeWarning; at 1e306
+        # MPa the supply itself overflows in kPa, and both theories refuse it
         lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
         cells = lines[2].split("\t")
-        lines[2] = "\t".join([cells[0], "1e300", *cells[2:]])
-        data = tmp_path / "overflow.tsv"
-        data.write_text("\n".join(lines) + "\n")
-        rc = main([
-            "simulate", "--data", str(data),
-            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
-            "--theory", theory, "--out", str(tmp_path / "out"),
-        ])
-        err = capsys.readouterr().err
-        if theory == "adiabatic":
-            assert rc == 0 and err == ""
-            rows = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()[1:]
-            assert all(np.isfinite(float(row.split("\t")[-1])) for row in rows)
-        else:
-            assert rc == 1
-            assert len(err.splitlines()) == 1 and err.startswith("error: row 2: ")
+        for supply in ("1e300", "1e306"):
+            lines[2] = "\t".join([cells[0], supply, *cells[2:]])
+            data = tmp_path / "overflow.tsv"
+            data.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"out-{supply}"
+            rc = main([
+                "simulate", "--data", str(data),
+                "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+                "--theory", theory, "--out", str(out),
+            ])
+            err = capsys.readouterr().err
+            if theory == "adiabatic" and supply == "1e300":
+                assert rc == 0 and err == ""
+                rows = (out / "simulated.tsv").read_text().splitlines()[1:]
+                assert all(np.isfinite(float(row.split("\t")[-1])) for row in rows)
+            else:
+                assert rc == 1, supply
+                assert len(err.splitlines()) == 1 and err.startswith("error: row 2: "), err
 
     def test_resimulating_adds_a_fresh_column(self, data_dir, tmp_path):
         # simulating a simulated table once more must not repeat a column

@@ -219,6 +219,18 @@ class TestBackpressureSolvers:
             pv = solve_one("isochoric", point)
             assert abs(pa - pv) < 2.5
 
+    def test_adiabatic_root_is_free_of_the_area_scale(self):
+        # both flows scale with the areas, so a power of two leaves the root
+        # bit-identical, as long as no two residuals are multiplied: at tiny
+        # areas their product underflows to zero
+        k = np.arange(-1000, 1001)
+        points = np.repeat(np.array(factorial_inputs()), k.size, axis=0)
+        scale = np.tile(2.0 ** k, len(factorial_inputs()))
+        points[:, 0] *= scale
+        points[:, 2] *= scale
+        roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS).reshape(-1, k.size)
+        assert np.array_equal(roots, np.repeat(roots[:, k == 0], k.size, axis=1))
+
     def test_bracket_error_reports_residuals(self):
         # so nearly dead-ended that the root lies within the bracket's 1e-9
         # margin below the supply: the residual is positive at both ends

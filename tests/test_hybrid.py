@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridfit import hybrid
-from hybridfit.dataset import DesignMatrix
+from hybridfit.dataset import DesignMatrix, build_design
 from hybridfit.errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
 from hybridfit.tolerances import RANK_TOL
 
@@ -101,6 +101,39 @@ class TestAssemble:
     def test_length_mismatch(self, factorial_design):
         with pytest.raises(ShapeError):
             hybrid.assemble(factorial_design, np.ones(7))
+
+
+
+class TestPlainSystem:
+    """Without a theory the system is X alone, and it solves to the fit of
+    the unit theory, whose excess block is zero."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.sampled_from(["first", "second"]),
+        k=st.integers(1, 3),
+        spare=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_unit_theory(self, order, k, spare, seed):
+        rng = np.random.default_rng(seed)
+        p1 = 1 + k if order == "first" else 1 + 2 * k + k * (k - 1) // 2
+        n = p1 + spare
+        design = build_design(rng.uniform(-1.0, 1.0, (n, k)), order)
+        y = rng.normal(10.0, 3.0, n)
+        plain = hybrid.assemble(design, None)
+        ones = hybrid.assemble(design, np.ones(n))
+        assert plain.z is None and np.shares_memory(plain.augmented, design.values)
+        assert plain.basis_excess.shape == (n, 0) and plain.coef_map.shape == (p1, p1)
+        assert plain.rank == ones.rank == p1
+        got, want = hybrid.solve(plain, y), hybrid.solve(ones, y)
+        for name in ("fitted", "residuals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("ss_total", "ss_design", "ss_excess", "ss_residual"):
+            assert getattr(got, name) == getattr(want, name), name
+        coef, cov = want.coef[:p1], want.coef_cov[:p1, :p1]
+        assert np.max(np.abs(got.coef - coef)) <= 1e-12 * np.max(np.abs(coef))
+        assert np.max(np.abs(got.coef_cov - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
 class TestSolve:
