@@ -21,6 +21,7 @@ or validation layer, and ``fit`` does not load validation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -175,7 +176,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each argument builds
+    a help formatter, which looks up the terminal size."""
     parser = argparse.ArgumentParser(
         prog="hybridfit",
         description=(

@@ -184,8 +184,16 @@ def _split_table(text: str) -> tuple[list[str], str | None, list[str]]:
 
 
 def peek_columns(text: str) -> list[str]:
-    """Column names from the header row of a delimited table's text."""
-    return _split_table(text)[0]
+    """Column names from the header row of a delimited table's text:
+    :func:`_split_table` on the first non-blank line only, so the rest of the
+    table is not split."""
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        if end < 0 or line.strip():
+            return _split_table(line)[0]
+        start = end + 1
 
 
 def _parse_block(

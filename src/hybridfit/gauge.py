@@ -59,17 +59,37 @@ def critical_pressure_ratio(gamma: float) -> float:
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
+def _check_pressure_ratios(r) -> None:
+    if not np.all((r > 0.0) & (r <= 1.0)):
+        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {r}")
+
+
+def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
+    """The adiabatic flow factor at pressure ratios ``r`` already checked to
+    lie in (0, 1], written into ``work[0]``; ``work`` is that array, a float
+    scratch array and a boolean one, each shaped like ``r``.  The one copy of
+    the formula."""
+    out, scratch, choked_at = work
+    np.power(r, 2.0 / gamma, out=out)
+    np.power(r, (gamma + 1.0) / gamma, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.multiply(out, gamma / (gamma - 1.0), out=out)
+    np.sqrt(out, out=out)
+    np.less(r, critical_pressure_ratio(gamma), out=choked_at)
+    choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
+    np.copyto(out, choked, where=choked_at)
+    return out
+
+
 def flow_factor_adiabatic(pressure_ratio, gamma: float):
     """Dimensionless adiabatic flow factor at a downstream/upstream pressure
     ratio (a float or an array): subsonic above the critical ratio, constant
     (choked) below it, and continuous where the two branches join."""
     r = np.asarray(pressure_ratio, dtype=float)
-    if not np.all((r > 0.0) & (r <= 1.0)):
-        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {pressure_ratio}")
-    inner = r ** (2.0 / gamma) - r ** ((gamma + 1.0) / gamma)
-    subsonic = np.sqrt(gamma / (gamma - 1.0) * np.maximum(inner, 0.0))
-    choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
-    out = np.where(r >= critical_pressure_ratio(gamma), subsonic, choked)
+    _check_pressure_ratios(r)
+    work = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
+    out = _adiabatic_factor(r, gamma, work)
     return out if out.ndim else float(out)
 
 
@@ -88,18 +108,31 @@ def _bisect(residual, lo, hi, flo) -> None:
     (``flo`` = residual at lo), until it collapses to adjacent floats or hits
     an exact zero (then lo = hi).  The residual at lo keeps the sign of
     ``flo`` throughout, so only that sign is compared: a product of two tiny
-    residuals would underflow to zero."""
+    residuals would underflow to zero.  Each step reuses the buffers made
+    here, and ``residual`` may return the same array every time."""
     sign_lo = np.sign(flo)
     active = lo < hi
+    mid, half, signed = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+    move_lo, move_hi = np.empty_like(active), np.empty_like(active)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)
+        # lo + hi overflows above 1.8e308; halving is exact above the
+        # subnormal range, so this is the double 0.5 * (lo + hi) gives
+        # wherever that sum is finite
+        np.multiply(lo, 0.5, out=mid)
+        np.multiply(hi, 0.5, out=half)
+        mid += half
+        active &= np.greater(mid, lo, out=move_lo)
+        active &= np.less(mid, hi, out=move_hi)
         if not active.any():
             break
-        fmid = residual(mid)
-        below = sign_lo * fmid < 0.0    # the sign changes below mid
-        np.copyto(hi, mid, where=active & (below | (fmid == 0.0)))
-        np.copyto(lo, mid, where=active & ~below)
+        np.multiply(sign_lo, residual(mid), out=signed)
+        # hi moves where the sign changes below mid or mid is a root, lo
+        # where it does not change below mid
+        np.less_equal(signed, 0.0, out=move_hi)
+        np.copyto(hi, mid, where=np.logical_and(move_hi, active, out=move_hi))
+        np.less(signed, 0.0, out=move_lo)
+        np.logical_not(move_lo, out=move_lo)
+        np.copyto(lo, mid, where=np.logical_and(move_lo, active, out=move_lo))
 
 
 def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
@@ -151,24 +184,42 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     invalid = (nonpositive.any(axis=1) | low_supply | overflow)[:, None]
     a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
 
-    def flows(p):
-        if model == "adiabatic":
-            return (b * ps * flow_factor_adiabatic(p / ps, gamma),
-                    a * p * flow_factor_adiabatic(p_atm / p, gamma))
-        return b * flow_factor_isochoric(ps, p), a * flow_factor_isochoric(p, p_atm)
+    if model == "adiabatic":
+        # both restrictors' ratios in one 2 x n stack, one flow-factor pass
+        orifice_scale = b * ps
+        ratios = np.empty((2, len(ps)))
+        work = np.empty_like(ratios), np.empty_like(ratios), np.empty(ratios.shape, dtype=bool)
 
-    def residual(p):
-        return np.subtract(*flows(p))
+        def flows(p, out=None):
+            """Orifice- and sensor-side flows at back-pressures p, into out;
+            without out, into a new array, checking the ratios first.  Every
+            ratio the bisection forms lies between those at the bracket's
+            checked ends: dividing by or into a positive constant is
+            monotone."""
+            np.divide(p, ps, out=ratios[0])
+            np.divide(p_atm, p, out=ratios[1])
+            if out is None:
+                _check_pressure_ratios(ratios)
+                out = np.empty_like(ratios)
+            factor = _adiabatic_factor(ratios, gamma, work)
+            np.multiply(orifice_scale, factor[0], out=out[0])
+            np.multiply(a, p, out=out[1])
+            np.multiply(out[1], factor[1], out=out[1])
+            return out
+    else:
+        def flows(p):
+            return b * flow_factor_isochoric(ps, p), a * flow_factor_isochoric(p, p_atm)
 
     eps = BRACKET_INSET * (ps - p_atm)
     bracket = p_atm + eps, ps - eps
-    flo, fhi = residual(bracket[0]), residual(bracket[1])
+    flo, fhi = (np.subtract(*flows(end)) for end in bracket)
     no_sign_change = np.sign(flo) * np.sign(fhi) > 0.0
     no_regime = collapsed = np.zeros(len(points), dtype=bool)
     if model == "adiabatic":
         hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
         lo = np.where(fhi == 0.0, hi, bracket[0])
-        _bisect(residual, lo, hi, flo)
+        pair, gap = np.empty_like(ratios), np.empty_like(lo)
+        _bisect(lambda p: np.subtract(*flows(p, pair), out=gap), lo, hi, flo)
         (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
         take_hi = np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo)
         root = np.where(take_hi, hi, lo)

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import os
 import shutil
@@ -640,6 +641,25 @@ class TestInputFiles:
         assert reads["gauge_factorial_spec.txt"] == 1
         assert reads["gauge_factorial.tsv"] == 1
 
+    def test_simulate_splits_the_table_once(self, data_dir, tmp_path, monkeypatch):
+        text = dataset.read_text(data_dir / "gauge_factorial.tsv")
+        split = dataset._split_table
+        seen = []
+
+        def counting(t):
+            seen.append(t)
+            return split(t)
+
+        monkeypatch.setattr(dataset, "_split_table", counting)
+        rc = main([
+            "simulate",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--theory", "adiabatic", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert seen.count(text) == 1  # peek_columns splits the header line alone
+
     @staticmethod
     def outputs(data, spec, command, out):
         """The files ``command`` writes, less the summary's two lines that
@@ -734,6 +754,27 @@ class TestOutputDirectory:
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot write {out}: Not a directory"
         ]
+
+
+def test_parser_is_built_once_per_process(data_dir, tmp_path, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    for run in (1, 2):
+        rc = main([
+            "simulate",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--theory", "isochoric", "--out", str(tmp_path / f"out{run}"),
+        ])
+        assert rc == 0
+    # none when an earlier test in this process built it
+    assert len(built) <= 1
 
 
 # Blocks scipy before the package is imported, so any import of it fails.

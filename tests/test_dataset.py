@@ -242,6 +242,31 @@ class TestFastPath:
         assert np.array_equal(ds.extras["w"], values[:, 3])
 
 
+
+def header_outcome(read, text: str):
+    """The header ``read`` finds, or the error's type and message."""
+    try:
+        return read(text)
+    except Exception as exc:  # compared, not handled: any error must match
+        return type(exc), str(exc)
+
+
+class TestPeekColumns:
+    """``peek_columns`` splits only the first non-blank line of the text; it
+    must find the header, or raise the error, that splitting it all does."""
+
+    @given(st.text(st.sampled_from(list("Ab \t,;\r\n\"\u3000\x0b")), max_size=40))
+    @example("")
+    @example("\n \n\t\r\nA\tB\n1\t2\n")
+    @example(" \r\n\n")
+    @example("A,\rB\n1,2\n")
+    @example('A,"B\n1,2\n')
+    @settings(deadline=None, max_examples=300)
+    def test_same_header_as_splitting_the_table(self, text):
+        assert header_outcome(dataset.peek_columns, text) == header_outcome(
+            lambda t: dataset._split_table(t)[0], text
+        )
+
 class TestCode:
     def test_factorial_codes_to_design_levels(self, factorial):
         coded = dataset.code(factorial)

@@ -9,6 +9,7 @@ from hybridfit import gauge
 from hybridfit.dataset import Dataset, FactorSpec
 from hybridfit.errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
 from hybridfit.gauge import GaugeConstants
+from hybridfit.tolerances import BRACKET_INSET, RESIDUAL_REL_TOL
 
 # Recorded back-pressure columns of the case-study factorial design,
 # computed with gamma=1.4, p_atm=101.325 kPa, ideal discharge coefficients.
@@ -87,6 +88,67 @@ def oracle_backpressure(model, point, k):
     lo, hi = oracle_bisect(f, k.p_atm + eps, ps - eps)
     return hi if abs(f(hi)) < abs(f(lo)) else lo
 
+
+
+# ---------------------------------------------------------------------------
+# Reference adiabatic array solver: the lockstep bisection with two
+# flow-factor calls per residual, each on fresh arrays, and the midpoint
+# 0.5 * (lo + hi).  numpy's power, not math.pow, so the roots it finds are
+# the solver's bit for bit (the two differ in the last bit of some results).
+# ---------------------------------------------------------------------------
+
+def reference_factor_adiabatic(r, gamma):
+    inner = r ** (2.0 / gamma) - r ** ((gamma + 1.0) / gamma)
+    subsonic = np.sqrt(gamma / (gamma - 1.0) * np.maximum(inner, 0.0))
+    choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
+    critical = (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
+    return np.where(r >= critical, subsonic, choked)
+
+
+def reference_bisect(residual, lo, hi, flo):
+    sign_lo = np.sign(flo)
+    active = lo < hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active &= (mid > lo) & (mid < hi)
+        if not active.any():
+            break
+        fmid = residual(mid)
+        below = sign_lo * fmid < 0.0
+        np.copyto(hi, mid, where=active & (below | (fmid == 0.0)))
+        np.copyto(lo, mid, where=active & ~below)
+
+
+@np.errstate(over="ignore")  # as the solver: a supply of 1e306 MPa in kPa
+def reference_adiabatic(points, k):
+    """The final bracket (lo, hi), the root and whether the solver refuses
+    it, of every row; a row refused on its inputs is solved at the solver's
+    stand-in point."""
+    points = np.asarray(points, dtype=float)
+    scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
+    invalid = (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
+    a, ps, b = np.where(invalid[:, None], [1.0, 2.0 * k.p_atm, 1.0], scaled).T
+
+    def flows(p):
+        return (b * ps * reference_factor_adiabatic(p / ps, k.gamma),
+                a * p * reference_factor_adiabatic(k.p_atm / p, k.gamma))
+
+    def residual(p):
+        return np.subtract(*flows(p))
+
+    eps = BRACKET_INSET * (ps - k.p_atm)
+    bracket = k.p_atm + eps, ps - eps
+    flo, fhi = residual(bracket[0]), residual(bracket[1])
+    no_sign_change = np.sign(flo) * np.sign(fhi) > 0.0
+    hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
+    lo = np.where(fhi == 0.0, hi, bracket[0])
+    reference_bisect(residual, lo, hi, flo)
+    (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
+    root = np.where(np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo), hi, lo)
+    orifice, sensor = flows(root)
+    bad_residual = ~(np.nextafter(lo, np.inf) >= hi) & ~(
+        np.abs(orifice - sensor) <= RESIDUAL_REL_TOL * orifice)
+    return lo, hi, root, invalid | no_sign_change | bad_residual
 
 class TestFlowFactorAdiabatic:
     def test_no_pressure_drop_no_flow(self):
@@ -231,6 +293,12 @@ class TestBackpressureSolvers:
         roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS).reshape(-1, k.size)
         assert np.array_equal(roots, np.repeat(roots[:, k == 0], k.size, axis=1))
 
+    def test_midpoint_of_huge_bracket_does_not_overflow(self):
+        # the bracket's ends sum past the largest double, their halves do not
+        p = solve_one("adiabatic", (0.1, 1e305, 0.503))
+        assert DEFAULTS.p_atm < p < 1e308
+        assert p == pytest.approx(1e5 * solve_one("adiabatic", (0.1, 1e300, 0.503)), rel=1e-12)
+
     def test_bracket_error_reports_residuals(self):
         # so nearly dead-ended that the root lies within the bracket's 1e-9
         # margin below the supply: the residual is positive at both ends
@@ -238,6 +306,87 @@ class TestBackpressureSolvers:
             with pytest.raises(RootBracketError, match="no sign change.*residual"):
                 solve_one(model, (1e-9, 0.199, 0.503))
 
+
+
+def wide_rows(rng, n):
+    """Areas log-uniform over 1e-3..1e3 mm^2 each; a third of the supplies
+    within a factor 1 + 1e-12..2 of p_atm, the rest log-uniform up to 1e5 MPa."""
+    near_atm = DEFAULTS.p_atm / 1000.0 * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0, n))
+    supply = np.where(rng.random(n) < 1 / 3, near_atm, 10.0 ** rng.uniform(-0.9, 5.0, n))
+    return np.column_stack([10.0 ** rng.uniform(-3.0, 3.0, n), supply,
+                            10.0 ** rng.uniform(-3.0, 3.0, n)])
+
+
+def near_critical_rows(rng, n):
+    """Rows whose root puts the sensor's pressure ratio within 1e-12 of the
+    critical ratio: the orifice area is the one that balances the flows at
+    that back-pressure."""
+    k = DEFAULTS
+    p = k.p_atm / (gauge.critical_pressure_ratio(k.gamma) * (1.0 + rng.uniform(-1e-12, 1e-12, n)))
+    ps = p * rng.uniform(1.2, 50.0, n)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    b = (a * p * reference_factor_adiabatic(k.p_atm / p, k.gamma)
+         / (ps * reference_factor_adiabatic(p / ps, k.gamma)))
+    return np.column_stack([a, ps / 1000.0, b])
+
+
+def area_scaled_rows():
+    """The factorial's rows with both areas scaled by 2^k, k = -1000..1000."""
+    k = np.arange(-1000, 1001)
+    points = np.repeat(np.array(factorial_inputs()), k.size, axis=0)
+    scale = np.tile(2.0 ** k, len(factorial_inputs()))
+    points[:, 0] *= scale
+    points[:, 2] *= scale
+    return points
+
+
+def mixed_rows(rng, n):
+    """Wide rows with every fifth one refused on its inputs: an area zero,
+    negative or NaN, a supply below p_atm, or one that overflows in kPa."""
+    points = wide_rows(rng, n)
+    refused = [(0.0, 0.2, 0.5), (-1.0, 0.2, 0.5), (0.5, 0.2, np.nan), (0.5, 0.05, 0.5),
+               (0.5, 1e306, 0.5)]
+    points[::5] = [refused[i % len(refused)] for i in range(len(points[::5]))]
+    return points
+
+
+class TestAgainstReference:
+    """The adiabatic solver finds the reference's final bracket and root for
+    every row, bit for bit, and refuses the rows it refuses."""
+
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """The (lo, hi) each adiabatic solve's bisection ends with."""
+        ends = []
+        bisect = gauge._bisect
+
+        def capturing(residual, lo, hi, flo):
+            bisect(residual, lo, hi, flo)
+            ends.append((lo.copy(), hi.copy()))
+
+        monkeypatch.setattr(gauge, "_bisect", capturing)
+        return ends
+
+    @pytest.mark.parametrize("rows", [
+        lambda rng: wide_rows(rng, 6000),
+        lambda rng: near_critical_rows(rng, 2000),
+        lambda rng: area_scaled_rows(),
+        lambda rng: mixed_rows(rng, 2000),
+    ], ids=["wide", "near_critical", "area_scaled", "mixed"])
+    def test_bit_for_bit(self, rows, brackets):
+        points = rows(np.random.default_rng(17))
+        lo, hi, root, refused = reference_adiabatic(points, DEFAULTS)
+        if refused.any():
+            with pytest.raises(AnalysisError):
+                gauge.solve_backpressures("adiabatic", points, DEFAULTS)
+        else:
+            assert np.array_equal(gauge.solve_backpressures("adiabatic", points, DEFAULTS), root)
+        assert np.array_equal(brackets[0][0], lo) and np.array_equal(brackets[0][1], hi)
+        kept = gauge.solve_backpressures("adiabatic", points[~refused], DEFAULTS)
+        assert np.array_equal(kept, root[~refused])
+        for point in points[refused][:100]:
+            with pytest.raises(AnalysisError):
+                solve_one("adiabatic", point)
 
 class TestMonotonicity:
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
