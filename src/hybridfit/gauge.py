@@ -4,10 +4,10 @@ A jet of air flows from a supply chamber through an orifice of area B, then
 out of a nozzle whose effective exit area A is set by the nozzle-to-workpiece
 clearance.  In steady state the weight flow rates through the two restrictors
 are equal, which pins the back-pressure between them.  Both flow
-idealizations are solved over arrays of operating points: the isochoric
-equality in closed form, the adiabatic one by bisecting all points in
-lockstep.  :func:`solve_backpressures` is the one solver entry point; a
-single operating point is a one-row array.
+idealizations are solved over arrays of operating points, and refused on
+the same checks: the isochoric equality in closed form, the adiabatic one
+by bisecting all points in lockstep.  :func:`solve_backpressures` is the
+one solver entry point; a single operating point is a one-row array.
 
 The sqrt(2g/RT) factor common to both sides of the flow equality cancels, so
 gravity, the gas constant, and temperature never enter.  Only the products of
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, identical_rows
 from .errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
-from .tolerances import BRACKET_INSET, REGIME_SLACK, RESIDUAL_REL_TOL
+from .tolerances import BRACKET_INSET, RESIDUAL_REL_TOL
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
@@ -99,7 +99,8 @@ def flow_factor_isochoric(p_up, p_down):
     p_up, p_down = np.asarray(p_up, dtype=float), np.asarray(p_down, dtype=float)
     if not np.all((p_down > 0.0) & (p_down <= p_up)):
         raise AnalysisError(f"need 0 < downstream <= upstream, got {p_down}, {p_up}")
-    out = np.where(p_down / p_up >= 0.5, np.sqrt(p_down * (p_up - p_down)), p_up / 2.0)
+    # no product of two pressures, which would overflow where the flow does not
+    out = np.where(p_down / p_up >= 0.5, np.sqrt(p_down) * np.sqrt(p_up - p_down), p_up / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -136,39 +137,39 @@ def _bisect(residual, lo, hi, flo) -> None:
 
 
 def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
-    """Closed-form isochoric back-pressure: the root of the first of the four
-    regimes (orifice, sensor each subsonic or choked at ratio 1/2) that is
-    self-consistent, NaN where none is."""
+    """Closed-form isochoric back-pressure.  The residual b f(ps, p) -
+    a f(p, p_atm) falls strictly as p rises, so its sign at the two choke
+    points says which restrictors are choked at the root: the orifice where
+    it is negative at ps/2, the sensor where it is positive at 2 p_atm.
+    With x = min(2 p_atm / ps, 1), both flows there are multiples of
+    G = sqrt(x (1 - x)) for x >= 1/2, else 1/2, and the root is that
+    regime's (orifice, sensor each subsonic or choked at ratio 1/2)."""
+    x = np.minimum(2.0 * p_atm / ps, 1.0)
+    g = np.where(x >= 0.5, np.sqrt(x * (1.0 - x)), 0.5)
+    orifice_choked, sensor_choked = a * g > b, b * ps * g > a * p_atm
     a2, b2, pa2 = a * a, b * b, p_atm * p_atm
     lin = b2 * ps - a2 * p_atm
     disc = np.sqrt(lin * lin + 4.0 * a2 * b2 * pa2)
-    candidates = (
-        # positive root of b2 p^2 - lin p - a2 pa^2 = 0, without cancellation
+    return np.select(
+        [orifice_choked & sensor_choked, orifice_choked, sensor_choked],
+        [b * ps / a, p_atm + b2 * ps * ps / (4.0 * a2 * p_atm), b2 * ps / (b2 + 0.25 * a2)],
+        # both subsonic: the positive root of b2 p^2 - lin p - a2 pa^2 = 0,
+        # without cancellation
         np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), 2.0 * a2 * pa2 / (disc + np.abs(lin))),
-        p_atm + b2 * ps * ps / (4.0 * a2 * p_atm),    # orifice choked
-        b2 * ps / (b2 + 0.25 * a2),                   # sensor choked
-        b * ps / a,                                   # both choked
     )
 
-    def on_side(ratio, choked):
-        return ((ratio < 0.5) == choked) | (np.abs(ratio - 0.5) <= REGIME_SLACK)
 
-    consistent = [on_side(p / ps, orifice) & on_side(p_atm / p, sensor) for p, orifice, sensor
-                  in zip(candidates, (False, True, False, True), (False, False, True, True))]
-    return np.select(consistent, candidates, default=np.nan)
-
-
-# A flow that overflows keeps its sign, and a row where one does ends in the
-# bracket or residual checks, so the overflow needs no warning of its own.
-@np.errstate(over="ignore")
+# A flow that overflows keeps its sign, and a row where one does (or two, as
+# inf - inf) ends in the bracket or residual checks, so needs no warning.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
     """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
     ``points``.  Each row is checked for positive inputs, a supply finite in
     kPa and above p_atm, a sign change on the bracket
-    (:class:`RootBracketError`) and the residual at the root
-    (:class:`InconsistencyError`); the earliest failing row is named
-    ``row k``, k being its entry in ``rows`` (default 1..n)."""
+    (:class:`RootBracketError`) and finite flows at the root with a small
+    residual (:class:`InconsistencyError`); the earliest failing row is
+    named ``row k``, k being its entry in ``rows`` (default 1..n)."""
     if model not in ("adiabatic", "isochoric"):
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
@@ -213,8 +214,9 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     eps = BRACKET_INSET * (ps - p_atm)
     bracket = p_atm + eps, ps - eps
     flo, fhi = (np.subtract(*flows(end)) for end in bracket)
-    no_sign_change = np.sign(flo) * np.sign(fhi) > 0.0
-    no_regime = collapsed = np.zeros(len(points), dtype=bool)
+    # a NaN residual (both flows overflow) has no sign; an infinite one keeps it
+    no_sign_change = ~(np.sign(flo) * np.sign(fhi) <= 0.0)
+    collapsed = np.zeros(len(points), dtype=bool)
     if model == "adiabatic":
         hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
         lo = np.where(fhi == 0.0, hi, bracket[0])
@@ -227,11 +229,10 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         collapsed = np.nextafter(lo, np.inf) >= hi
     else:
         root = _isochoric_root(a, ps, b, p_atm)
-        no_regime = np.isnan(root)
         root = np.fmin(np.fmax(root, bracket[0]), bracket[1])  # NaN -> bracket[0]
         orifice, sensor = flows(root)
     gap = orifice - sensor
-    bad_residual = ~collapsed & ~(np.abs(gap) <= RESIDUAL_REL_TOL * orifice)
+    bad_residual = ~np.isfinite(gap) | ~collapsed & (np.abs(gap) > RESIDUAL_REL_TOL * orifice)
 
     checks = [
         (nonpositive.any(axis=1), AnalysisError, lambda i: "{} must be positive, got {}".format(
@@ -243,9 +244,8 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         (no_sign_change, RootBracketError, lambda i: (
             f"flow equality has no sign change on the bracket: residual {flo[i]:.6g} "
             f"at {bracket[0][i]:.6g} kPa and {fhi[i]:.6g} at {bracket[1][i]:.6g} kPa")),
-        (no_regime, InconsistencyError, lambda i: "no isochoric flow regime is self-consistent"),
         (bad_residual, InconsistencyError, lambda i: (
-            f"flow-equality residual {gap[i]:.3e} at the returned root exceeds "
+            f"flow-equality residual {gap[i]:.3e} at the returned root is not within "
             f"{RESIDUAL_REL_TOL:g} of the orifice-side flow {orifice[i]:.6g}")),
     ]
     i = min((int(np.argmax(mask)) for mask, _, _ in checks if mask.any()), default=None)

@@ -24,11 +24,8 @@ SS_REL_TOL = 1e-8
 # A flow-solver root must leave a flow-equality residual this small relative
 # to the orifice-side flow, unless bisection collapsed its bracket to adjacent
 # floats with a sign change: no representable value can do better there.
+# Flows that are not finite fail it either way.
 RESIDUAL_REL_TOL = 1e-9
-
-# A closed-form isochoric root within this of a ratio-1/2 boundary counts as
-# on either side: the flows meet there continuously, and rounding may cross it.
-REGIME_SLACK = 1e-12
 
 # The flow-equality bracket (p_atm, supply) is shrunk by this fraction of its
 # width at each end, where the sensor or orifice flow vanishes.

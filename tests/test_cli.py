@@ -93,9 +93,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("theory", ["adiabatic", "isochoric"])
     def test_overflowing_flows_raise_no_warning(self, theory, data_dir, tmp_path, capsys):
-        # row 2 at a supply of 1e300 MPa: the flows overflow, which under
-        # filterwarnings = error would escape as a RuntimeWarning; at 1e306
-        # MPa the supply itself overflows in kPa, and both theories refuse it
+        # row 2 at a supply of 1e300 MPa: some intermediates overflow, which under
+        # filterwarnings = error would escape as a RuntimeWarning, and both
+        # theories solve the row; at 1e306 MPa the supply itself overflows
+        # in kPa, and both theories refuse it
         lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
         cells = lines[2].split("\t")
         for supply in ("1e300", "1e306"):
@@ -109,10 +110,13 @@ class TestSimulate:
                 "--theory", theory, "--out", str(out),
             ])
             err = capsys.readouterr().err
-            if theory == "adiabatic" and supply == "1e300":
+            if supply == "1e300":
                 assert rc == 0 and err == ""
-                rows = (out / "simulated.tsv").read_text().splitlines()[1:]
-                assert all(np.isfinite(float(row.split("\t")[-1])) for row in rows)
+                values = [float(row.split("\t")[-1])
+                          for row in (out / "simulated.tsv").read_text().splitlines()[1:]]
+                assert all(np.isfinite(values))
+                # both restrictors choked: b ps / a
+                assert values[1] == pytest.approx(4.00159109e302, rel=1e-9)
             else:
                 assert rc == 1, supply
                 assert len(err.splitlines()) == 1 and err.startswith("error: row 2: "), err
