@@ -338,6 +338,21 @@ def build_design(
     return DesignMatrix(np.column_stack(columns), tuple(labels))
 
 
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit multiply-xor hash of each row of a 2-D uint64 array.  Each
+    word is xored in, then the hash is multiplied by an odd constant and its
+    high half folded into its low half.  Both steps are invertible, so rows
+    that differ in one word never collide; the fold carries the high bits,
+    where floats with short mantissas differ, into the bits that the next
+    multiply spreads."""
+    h = np.zeros(words.shape[0], np.uint64)
+    for column in words.T:
+        h ^= column
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(32)
+    return h
+
+
 def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a 2-D array by exact equality of their values.
 
@@ -347,12 +362,18 @@ def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     compare equal, as they do as numbers.
     """
     # Adding 0.0 folds -0.0 into 0.0, so each row's bytes are a key for its
-    # values; one sort of the byte keys is much cheaper than np.unique(axis=0).
+    # values.  Rows are grouped by a hash of those bytes, and every row is
+    # checked bit for bit against its group's first row; on a collision, one
+    # sort of the byte keys groups them instead.  Either is much cheaper than
+    # np.unique(axis=0).
     rows = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)) + 0.0)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(
-        keys.ravel(), return_index=True, return_inverse=True
-    )
+    words = rows.view(np.uint64)
+    _, first, inverse = np.unique(_row_hash(words), return_index=True, return_inverse=True)
+    if not np.array_equal(words, words[first[inverse]]):
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+        _, first, inverse = np.unique(
+            keys.ravel(), return_index=True, return_inverse=True
+        )
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(order.size)

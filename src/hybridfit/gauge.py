@@ -78,7 +78,7 @@ def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
     np.sqrt(out, out=out)
     np.less(r, critical_pressure_ratio(gamma), out=choked_at)
     choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
-    np.copyto(out, choked, where=choked_at)
+    np.putmask(out, choked_at, choked)
     return out
 
 
@@ -110,30 +110,45 @@ def _bisect(residual, lo, hi, flo) -> None:
     an exact zero (then lo = hi).  The residual at lo keeps the sign of
     ``flo`` throughout, so only that sign is compared: a product of two tiny
     residuals would underflow to zero.  Each step reuses the buffers made
-    here, and ``residual`` may return the same array every time."""
+    here, and ``residual`` may return the same array every time.
+
+    A collapsed bracket is a fixed point of the update, so no row is masked
+    out: its midpoint is lo, where the residual has lo's sign and only lo
+    moves, or hi, where it has hi's and only hi moves; lo = hi gives lo.  A
+    bracket two spacings of hi wide has its midpoint strictly inside, and a
+    step halves the width to within half a spacing, so no bracket reaches
+    adjacent floats in the first log2(width / spacing(hi)) - 1 steps, which
+    run without looking for open brackets.  After them the loop ends at the
+    first step that finds none, as the masked loop did; an exact zero that
+    closes every bracket sooner costs only steps that change nothing.
+    Below 2**-1021 halving rounds and the midpoint of lo = hi can leave it,
+    so there each midpoint is clipped into its bracket and every step looks.
+    """
     sign_lo = np.sign(flo)
-    active = lo < hi
     mid, half, signed = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
-    move_lo, move_hi = np.empty_like(active), np.empty_like(active)
-    for _ in range(200):
+    move_lo, move_hi = np.empty(lo.shape, bool), np.empty(lo.shape, bool)
+    tiny = not lo.min(initial=np.inf) >= 2.0**-1021
+    spans = ((hi - lo) / np.spacing(hi))[lo < hi]
+    unchecked = 0 if tiny or not spans.size else int(np.log2(spans.min())) - 1
+    for step in range(200):
         # lo + hi overflows above 1.8e308; halving is exact above the
         # subnormal range, so this is the double 0.5 * (lo + hi) gives
         # wherever that sum is finite
         np.multiply(lo, 0.5, out=mid)
         np.multiply(hi, 0.5, out=half)
         mid += half
-        active &= np.greater(mid, lo, out=move_lo)
-        active &= np.less(mid, hi, out=move_hi)
-        if not active.any():
-            break
+        if tiny:
+            np.clip(mid, lo, hi, out=mid)
+        if step >= unchecked:
+            np.greater(mid, lo, out=move_lo)
+            if not np.logical_and(move_lo, np.less(mid, hi, out=move_hi), out=move_lo).any():
+                break
         np.multiply(sign_lo, residual(mid), out=signed)
         # hi moves where the sign changes below mid or mid is a root, lo
-        # where it does not change below mid
-        np.less_equal(signed, 0.0, out=move_hi)
-        np.copyto(hi, mid, where=np.logical_and(move_hi, active, out=move_hi))
+        # where it does not change below mid (or the residual is NaN)
+        np.putmask(hi, np.less_equal(signed, 0.0, out=move_hi), mid)
         np.less(signed, 0.0, out=move_lo)
-        np.logical_not(move_lo, out=move_lo)
-        np.copyto(lo, mid, where=np.logical_and(move_lo, active, out=move_lo))
+        np.putmask(lo, np.logical_not(move_lo, out=move_lo), mid)
 
 
 def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:

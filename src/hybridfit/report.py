@@ -328,6 +328,26 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return k.astype(np.int64) * np.where(d == 0, 10, 1), np.maximum(d, 1)
 
 
+def _digits(columns: list[np.ndarray], convs: list[str]) -> list | None:
+    """Each column's ``(k, d)`` for its conversion (``N`` of ``%.Nf``, or ""
+    for ``%r``), or None if a column has no digits.  Every distinct
+    conversion makes one :func:`_fixed` or :func:`_shortest` call over the
+    concatenation of its columns, whose digits are then split back per
+    column: both work cell by cell, so the digits are each column's own."""
+    fields: list = [None] * len(columns)
+    for conv in dict.fromkeys(convs):
+        at = [i for i, c in enumerate(convs) if c == conv]
+        cells = np.concatenate([columns[i] for i in at])
+        found = _fixed(cells, int(conv)) if conv else _shortest(cells)
+        if found is None:
+            return None
+        k, d = found
+        ds = np.split(d, len(at)) if np.ndim(d) else [d] * len(at)
+        for i, k_i, d_i in zip(at, np.split(k, len(at)), ds):
+            fields[i] = k_i, d_i
+    return fields
+
+
 def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     """One line per row, formatted over whole columns at once: ``row`` is a
     ``%``-template with one conversion per column, ending in a newline.
@@ -352,8 +372,8 @@ def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
         and np.result_type(*columns).kind == "f"  # % gets floats, not ints
     ):
         columns = [np.asarray(c, dtype=float) for c in columns]
-        fields = [_fixed(c, int(p)) if p else _shortest(c) for c, p in zip(columns, convs)]
-    if fields is None or any(f is None for f in fields):
+        fields = _digits(columns, convs)
+    if fields is None:
         values = np.column_stack(columns).ravel().tolist()
         return (row * len(columns[0])) % tuple(values)
 

@@ -396,6 +396,54 @@ class TestReplicateGroups:
             assert flat == list(range(ds.n_runs))
 
 
+# rows of 1-4 cells: signed zeros, a subnormal and any finite float
+ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=k, max_size=k,
+        ),
+        min_size=1, max_size=40,
+    )
+)
+
+# NaNs with different payloads and signs, signed zeros, and two numbers
+NAN_AND_ZERO_CELLS = [
+    *np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+               0x7FFC00000000ABCD], np.uint64).view(float).tolist(),
+    0.0, -0.0, 1.0, -2.5,
+]
+
+
+def tuple_key_numbering(rows: list) -> tuple[list, list]:
+    """Oracle: a dict keyed by row tuples, numbered by first appearance;
+    -0.0 == 0.0 with equal hashes, so signed zeros share a key."""
+    numbers: dict[tuple, int] = {}
+    first, group = [], []
+    for i, row in enumerate(rows):
+        key = tuple(row)
+        if key not in numbers:
+            numbers[key] = len(first)
+            first.append(i)
+        group.append(numbers[key])
+    return first, group
+
+
+def byte_key_numbering(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: rows grouped by their bytes after adding 0.0, which folds
+    -0.0 into 0.0 and keeps every NaN's bits, numbered by first appearance."""
+    rows = np.ascontiguousarray(rows + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[inverse.ravel()]
+
+
 class TestIdenticalRows:
     def test_numbered_by_first_appearance(self):
         rows = np.array([[2.0, 1.0], [0.0, 5.0], [2.0, 1.0], [-1.0, 0.0], [0.0, 5.0]])
@@ -409,35 +457,37 @@ class TestIdenticalRows:
         first, group = dataset.identical_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
         assert first.tolist() == [0] and group.tolist() == [0, 0]
 
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda k: st.lists(
-                st.lists(
-                    st.one_of(
-                        st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324]),
-                        st.floats(allow_nan=False, allow_infinity=False),
-                    ),
-                    min_size=k, max_size=k,
-                ),
-                min_size=1, max_size=40,
-            )
-        )
-    )
+    @given(ROWS)
     @settings(deadline=None)
     def test_matches_tuple_key_numbering(self, rows):
-        # oracle: a dict keyed by row tuples, numbered by first appearance;
-        # -0.0 == 0.0 with equal hashes, so signed zeros share a key
-        numbers: dict[tuple, int] = {}
-        first, group = [], []
-        for i, row in enumerate(rows):
-            key = tuple(row)
-            if key not in numbers:
-                numbers[key] = len(first)
-                first.append(i)
-            group.append(numbers[key])
         got_first, got_group = dataset.identical_rows(np.array(rows))
+        first, group = tuple_key_numbering(rows)
         assert got_first.tolist() == first
         assert got_group.tolist() == group
+
+    @given(ROWS)
+    @settings(deadline=None)
+    def test_byte_key_fallback_when_every_hash_collides(self, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_row_hash", lambda words: np.zeros(len(words), np.uint64))
+            got_first, got_group = dataset.identical_rows(np.array(rows))
+        first, group = tuple_key_numbering(rows)
+        assert got_first.tolist() == first
+        assert got_group.tolist() == group
+
+    @given(st.lists(st.lists(st.sampled_from(NAN_AND_ZERO_CELLS), min_size=2, max_size=2),
+                    min_size=1, max_size=30))
+    @settings(deadline=None)
+    def test_nan_payloads_and_signed_zeros_group_as_byte_keys(self, rows):
+        rows = np.array(rows)
+        expected = byte_key_numbering(rows)
+        got = dataset.identical_rows(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_row_hash", lambda words: np.zeros(len(words), np.uint64))
+            fallback = dataset.identical_rows(rows)
+        for first, group in (got, fallback):
+            assert first.tolist() == expected[0].tolist()
+            assert group.tolist() == expected[1].tolist()
 
     @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5]),
                               st.sampled_from([1.0, 2.0])), min_size=1, max_size=30))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridfit import gauge
-from hybridfit.dataset import Dataset, FactorSpec
+from hybridfit.dataset import Dataset, FactorSpec, identical_rows
 from hybridfit.errors import AnalysisError, RootBracketError, ShapeError
 from hybridfit.gauge import GaugeConstants
 from hybridfit.tolerances import BRACKET_INSET, RESIDUAL_REL_TOL
@@ -451,6 +451,52 @@ def gauge_sweep_rows(seed, rows=2000, repeat_share=0.25):
         points.append(points[rng.randrange(i)] if i in repeat_at
                       else tuple(round(rng.uniform(low, high), 6) for low, high in ranges))
     return np.array(points)
+
+
+class TestBisectionSteps:
+    """The bisection evaluates the residual once per step the masked
+    reference takes, and not at all when no bracket is open."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """(solver's, reference's) residual evaluations of each adiabatic
+        solve's bisection, the reference run on a copy of the same brackets."""
+        counts = []
+        bisect = gauge._bisect
+
+        def counting(residual, lo, hi, flo):
+            calls = [0, 0]
+
+            def counted(side):
+                def call(p):
+                    calls[side] += 1
+                    return residual(p)
+                return call
+
+            reference_bisect(counted(1), lo.copy(), hi.copy(), flo)
+            bisect(counted(0), lo, hi, flo)
+            counts.append(tuple(calls))
+
+        monkeypatch.setattr(gauge, "_bisect", counting)
+        return counts
+
+    def test_one_evaluation_per_reference_step(self, steps):
+        points = gauge_sweep_rows(7)
+        gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
+        (solver, reference), = steps
+        assert solver == reference > 0
+
+    def test_no_midpoint_without_an_open_bracket(self, steps):
+        # a zero residual at the bracket's top end (found by search): lo = hi
+        fhi_zero = (3.38289984415064e-05, 0.261422, 0.661872)
+        ps = 1000.0 * fhi_zero[1]
+        root = gauge.solve_backpressures("adiabatic", np.array([fhi_zero]), DEFAULTS)
+        assert root.tolist() == [ps - BRACKET_INSET * (ps - DEFAULTS.p_atm)]
+        # every row refused: no sign change on the bracket
+        with pytest.raises(RootBracketError):
+            gauge.solve_backpressures("adiabatic", np.array([(1e-9, 0.199, 0.503)] * 3), DEFAULTS)
+        assert gauge.solve_backpressures("adiabatic", np.empty((0, 3)), DEFAULTS).shape == (0,)
+        assert steps == [(0, 0)] * 3
 
 
 def choke_boundary_rows(rng, n):

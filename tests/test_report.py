@@ -186,9 +186,11 @@ def gauge_table(path, rows=2000, seed=7):
 def test_simulate_writes_carried_columns_from_digits(
     table, carried, data_dir, tmp_path, monkeypatch
 ):
-    # a carried column that silently falls back to `%` fails here
+    # a carried column that silently falls back to `%` fails here: one
+    # shortest-digit search covers every carried cell
     data = (data_dir / "gauge_factorial.tsv" if table == "bundled"
             else gauge_table(tmp_path / "gauge.tsv"))
+    rows = len(data.read_text().splitlines()) - 1
     found = []
     shortest = report._shortest
     monkeypatch.setattr(report, "_shortest", lambda v: found.append(shortest(v)) or found[-1])
@@ -196,7 +198,8 @@ def test_simulate_writes_carried_columns_from_digits(
                "--spec", str(data_dir / "gauge_factorial_spec.txt"),
                "--theory", "isochoric", "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert len(found) == carried and all(f is not None for f in found)
+    assert len(found) == 1 and found[0] is not None
+    assert found[0][0].size == carried * rows
     lines = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
     for source, written in zip(data.read_text().splitlines()[1:], lines[1:]):
         cells = written.split("\t")[:carried]
