@@ -4,8 +4,9 @@ Each command is argument parsing, one parse of the spec file
 (:func:`hybridfit.config.read_keyvalues`), one read of the data file
 (:func:`hybridfit.dataset.read_text`), :func:`hybridfit.config.load_case` on
 its text, one call into the library, and file writing.  ``simulate`` runs a
-flow solver over a design file and appends the computed back-pressure
-column.  ``fit`` resolves model, theory, alpha and formats from its flags
+flow solver over a design file and writes its columns, every one the spec
+does not name carried along, with the computed back-pressure column
+appended.  ``fit`` resolves model, theory, alpha and formats from its flags
 and the spec's ``run.*`` defaults, runs :func:`hybridfit.analysis.analyze`
 and writes the coefficient, ANOVA, summary, and residual-plot files that
 :mod:`hybridfit.report` renders from its result.  ``validate`` runs
@@ -41,30 +42,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import config, dataset, gauge, report
 
     cfg = config.read_keyvalues(args.spec)
-    specs = config.factor_specs(cfg)
-    response, _ = config.response_column(cfg)
-    # the header names the extra columns to carry
-    text = dataset.read_text(args.data)
-    header = dataset.peek_columns(text)
-    known = {s.name for s in specs} | {response}
-    extras = tuple(name for name in header if name not in known)
-    ds = config.load_case(text, cfg, extras)
+    # every column the spec does not name is carried through, in header order
+    ds = config.load_case(dataset.read_text(args.data), cfg, extras=None)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
 
+    names = [f.name for f in ds.factors] + [cfg["response.column"], *ds.extras]
     column = f"P_{args.theory}"
-    while column in header:
+    while column in names:
         column += "_sim"
+    names.append(column)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "simulated.tsv"
 
-    names = [s.name for s in specs] + [response] + list(extras) + [column]
     columns = (
         [ds.naturals[:, j] for j in range(ds.n_factors)]
         + [ds.response]
-        + [ds.extras[name] for name in extras]
+        + list(ds.extras.values())
         + [backpressures]
     )
     # carried cells print as repr does, from shortest round-trip digits (see

@@ -134,12 +134,13 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
-def load_case(text: str, cfg: dict[str, str], extras: tuple[str, ...] = ()) -> Dataset:
+def load_case(text: str, cfg: dict[str, str], extras: tuple[str, ...] | None = ()) -> Dataset:
     """Load the data table whose text is ``text``, as the parsed spec ``cfg``
     describes it.
 
     The spec names the factor and response columns; ``extras`` names further
-    columns to carry along (for example a recorded theory column).
+    columns to carry along (for example a recorded theory column), and
+    ``None`` carries every column the spec does not name, in header order.
     """
     response, units = response_column(cfg)
-    return load_table(text, factor_specs(cfg), response, tuple(extras), units)
+    return load_table(text, factor_specs(cfg), response, extras, units)

@@ -183,19 +183,6 @@ def _split_table(text: str) -> tuple[list[str], str | None, list[str]]:
     return header, delimiter, lines[1:]
 
 
-def peek_columns(text: str) -> list[str]:
-    """Column names from the header row of a delimited table's text:
-    :func:`_split_table` on the first non-blank line only, so the rest of the
-    table is not split."""
-    start = 0
-    while True:
-        end = text.find("\n", start)
-        line = text[start:] if end < 0 else text[start:end]
-        if end < 0 or line.strip():
-            return _split_table(line)[0]
-        start = end + 1
-
-
 def _parse_block(
     rows: list[str], delimiter: str | None, usecols: list[int]
 ) -> np.ndarray | None:
@@ -247,12 +234,13 @@ def load_table(
     text: str,
     factors: tuple[FactorSpec, ...],
     response: str,
-    extras: tuple[str, ...] = (),
+    extras: tuple[str, ...] | None = (),
     response_units: str = "",
 ) -> Dataset:
     """Read a delimited table's text (header row, one run per line) into a
     :class:`Dataset`: the columns named by ``factors`` and ``response``, and
-    the ``extras`` to carry along.
+    the ``extras`` to carry along; ``extras=None`` carries every other
+    column, in header order.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
     :class:`SchemaError` when a named column is missing or appears twice and
@@ -260,7 +248,10 @@ def load_table(
     non-finite cell, or (with the row) on a line the CSV reader rejects.
     """
     header, delimiter, rows = _split_table(text)
-    wanted = [f.name for f in factors] + [response] + list(extras)
+    named = [f.name for f in factors] + [response]
+    if extras is None:
+        extras = tuple(name for name in header if name not in named)
+    wanted = named + list(extras)
     col_index: dict[str, int] = {}
     for name in wanted:
         if name not in header:

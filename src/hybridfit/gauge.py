@@ -59,16 +59,11 @@ def critical_pressure_ratio(gamma: float) -> float:
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
-def _check_pressure_ratios(r) -> None:
-    if not np.all((r > 0.0) & (r <= 1.0)):
-        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {r}")
-
-
 def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
-    """The adiabatic flow factor at pressure ratios ``r`` already checked to
-    lie in (0, 1], written into ``work[0]``; ``work`` is that array, a float
-    scratch array and a boolean one, each shaped like ``r``.  The one copy of
-    the formula."""
+    """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], written
+    into ``work[0]``; ``work`` is that array, a float scratch array and a
+    boolean one, each shaped like ``r``.  A ratio of 0 (one that underflowed)
+    is choked.  The one copy of the formula."""
     out, scratch, choked_at = work
     np.power(r, 2.0 / gamma, out=out)
     np.power(r, (gamma + 1.0) / gamma, out=scratch)
@@ -87,7 +82,8 @@ def flow_factor_adiabatic(pressure_ratio, gamma: float):
     ratio (a float or an array): subsonic above the critical ratio, constant
     (choked) below it, and continuous where the two branches join."""
     r = np.asarray(pressure_ratio, dtype=float)
-    _check_pressure_ratios(r)
+    if not np.all((r > 0.0) & (r <= 1.0)):
+        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {r}")
     work = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
     out = _adiabatic_factor(r, gamma, work)
     return out if out.ndim else float(out)
@@ -175,8 +171,10 @@ def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
 
 
 # A flow that overflows keeps its sign, and a row where one does (or two, as
-# inf - inf) ends in the bracket or residual checks, so needs no warning.
-@np.errstate(over="ignore", invalid="ignore")
+# inf - inf) ends in the bracket or residual checks, so needs no warning.  At
+# a subnormal p_atm the isochoric orifice-choked candidate divides by a
+# 4 a^2 p_atm that underflows to 0; the regime test never picks it there.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
     """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
@@ -207,16 +205,12 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         work = np.empty_like(ratios), np.empty_like(ratios), np.empty(ratios.shape, dtype=bool)
 
         def flows(p, out=None):
-            """Orifice- and sensor-side flows at back-pressures p, into out;
-            without out, into a new array, checking the ratios first.  Every
-            ratio the bisection forms lies between those at the bracket's
-            checked ends: dividing by or into a positive constant is
-            monotone."""
+            """Orifice- and sensor-side flows at back-pressures p in
+            [p_atm, ps], into out (without it, into a new array).  Both
+            ratios lie in [0, 1] there, 0 where p_atm / p underflows."""
             np.divide(p, ps, out=ratios[0])
             np.divide(p_atm, p, out=ratios[1])
-            if out is None:
-                _check_pressure_ratios(ratios)
-                out = np.empty_like(ratios)
+            out = np.empty_like(ratios) if out is None else out
             factor = _adiabatic_factor(ratios, gamma, work)
             np.multiply(orifice_scale, factor[0], out=out[0])
             np.multiply(a, p, out=out[1])

@@ -243,29 +243,60 @@ class TestFastPath:
 
 
 
-def header_outcome(read, text: str):
-    """The header ``read`` finds, or the error's type and message."""
+@st.composite
+def carried_tables(draw):
+    """A table whose header lists the named columns and the unnamed ones in
+    any order, one column maybe twice, with blank lines and a tab, comma or
+    whitespace delimiter; the factors and response that name some of its
+    columns, and its header."""
+    delimiter = draw(st.sampled_from(["\t", ",", None]))
+    k = draw(st.integers(2, 6))
+    n_factors = draw(st.integers(1, k - 1))
+    header = draw(st.permutations([f"c{j}" for j in range(k)]))
+    if draw(st.booleans()):
+        twice = draw(st.sampled_from(tuple(header)))
+        header.insert(draw(st.integers(0, len(header))), twice)
+    sep = " " if delimiter is None else delimiter
+    pad = st.sampled_from(["", " ", "  "])
+    blank = st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)
+    lines = draw(blank) + [sep.join(draw(pad) + name + draw(pad) for name in header)]
+    for _ in range(draw(st.integers(0, 4))):
+        lines += draw(blank)
+        cells = [repr(draw(st.floats(-1e6, 1e6))) for _ in header]
+        lines.append(draw(pad) + sep.join(cells))
+    factors = tuple(FactorSpec(f"c{j}", 0.0, 1.0) for j in range(n_factors))
+    return "\n".join(lines) + "\n", factors, f"c{n_factors}", header
+
+
+def carried_outcome(text: str, factors, response: str, extras):
+    """The loaded arrays as bytes, extras in their order, or the error's
+    type and message."""
     try:
-        return read(text)
+        ds = dataset.load_table(text, factors, response, extras)
     except Exception as exc:  # compared, not handled: any error must match
         return type(exc), str(exc)
+    extras = [(name, col.tobytes()) for name, col in ds.extras.items()]
+    return ds.naturals.tobytes(), ds.response.tobytes(), extras
 
 
-class TestPeekColumns:
-    """``peek_columns`` splits only the first non-blank line of the text; it
-    must find the header, or raise the error, that splitting it all does."""
+class TestCarriedColumns:
+    """``extras=None`` carries every column the factors and response do not
+    name: the same table, or the same error, as listing those columns in
+    header order."""
 
-    @given(st.text(st.sampled_from(list("Ab \t,;\r\n\"\u3000\x0b")), max_size=40))
-    @example("")
-    @example("\n \n\t\r\nA\tB\n1\t2\n")
-    @example(" \r\n\n")
-    @example("A,\rB\n1,2\n")
-    @example('A,"B\n1,2\n')
+    @given(carried_tables())
+    @example(("P_isochoric B A P_obs Ps P_adiabatic\n187.41 0.503 0.251 189.487 0.199 187.986\n",
+              tuple(FactorSpec(name, 0.1, 1.5) for name in ("A", "Ps", "B")), "P_obs",
+              ["P_isochoric", "B", "A", "P_obs", "Ps", "P_adiabatic"]))
     @settings(deadline=None, max_examples=300)
-    def test_same_header_as_splitting_the_table(self, text):
-        assert header_outcome(dataset.peek_columns, text) == header_outcome(
-            lambda t: dataset._split_table(t)[0], text
+    def test_same_as_listing_the_unnamed_columns(self, case):
+        text, factors, response, header = case
+        named = [f.name for f in factors] + [response]
+        listed = tuple(name for name in header if name not in named)
+        assert carried_outcome(text, factors, response, None) == carried_outcome(
+            text, factors, response, listed
         )
+
 
 class TestCode:
     def test_factorial_codes_to_design_levels(self, factorial):

@@ -602,6 +602,27 @@ class TestSimulateDesign:
             gauge.simulate_design(ds, "adiabatic", DEFAULTS)
 
 
+class TestSubnormalAtmosphere:
+    """At a p_atm so small that p_atm / p underflows to 0 (5e-324) or to a
+    subnormal (1e-320), the sensor is choked: both theories solve every row
+    of the factorial, the adiabatic one as the reference does bit for bit,
+    and neither warns."""
+
+    @pytest.mark.parametrize("p_atm", [5e-324, 1e-320])
+    def test_factorial_solves_without_warning(self, factorial, p_atm):
+        k = GaugeConstants(p_atm=p_atm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adiabatic = gauge.simulate_design(factorial, "adiabatic", k)
+            isochoric = gauge.simulate_design(factorial, "isochoric", k)
+        _, _, root, refused = reference_adiabatic(factorial.naturals, k)
+        assert not refused.any()
+        assert np.array_equal(adiabatic, root)
+        a, ps, b = ([1.0, 1000.0, 1.0] * factorial.naturals).T
+        with np.errstate(divide="ignore"):  # its unpicked orifice-choked candidate
+            assert np.array_equal(isochoric, reference_isochoric(a, ps, b, p_atm))
+
+
 class TestConstants:
     def test_validation(self):
         with pytest.raises(AnalysisError):
