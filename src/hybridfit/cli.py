@@ -2,10 +2,11 @@
 
 Each command is argument parsing, one parse of the spec file
 (:func:`hybridfit.config.read_keyvalues`), one read of the data file
-(:func:`hybridfit.dataset.read_text`), :func:`hybridfit.config.load_case` on
-its text, one call into the library, and file writing.  ``simulate`` runs a
-flow solver over a design file and writes its columns, every one the spec
-does not name carried along, with the computed back-pressure column
+(:func:`hybridfit.dataset.read_text`) split once
+(:func:`hybridfit.dataset.split_table`), :func:`hybridfit.config.load_case`
+on the split table, one call into the library, and file writing.
+``simulate`` runs a flow solver over a design file and writes each of its
+lines as read, tab-separated, with the computed back-pressure column
 appended.  ``fit`` resolves model, theory, alpha and formats from its flags
 and the spec's ``run.*`` defaults, runs :func:`hybridfit.analysis.analyze`
 and writes the coefficient, ANOVA, summary, and residual-plot files that
@@ -42,31 +43,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import config, dataset, gauge, report
 
     cfg = config.read_keyvalues(args.spec)
-    # every column the spec does not name is carried through, in header order
-    ds = config.load_case(dataset.read_text(args.data), cfg, extras=None)
+    table = dataset.split_table(dataset.read_text(args.data))
+    ds = config.load_case(table, cfg)
+    # every cell is carried as read; the loader parsed only the spec's columns
+    header, lines = dataset.tab_separated(table)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
 
-    names = [f.name for f in ds.factors] + [cfg["response.column"], *ds.extras]
     column = f"P_{args.theory}"
-    while column in names:
+    while column in table.header:
         column += "_sim"
-    names.append(column)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "simulated.tsv"
-
-    columns = (
-        [ds.naturals[:, j] for j in range(ds.n_factors)]
-        + [ds.response]
-        + list(ds.extras.values())
-        + [backpressures]
+    out_path.write_text(
+        report.append_column(header, lines, column, backpressures), encoding="utf-8"
     )
-    # carried cells print as repr does, from shortest round-trip digits (see
-    # report._format_rows); the computed column prints at 3 decimals
-    row = "%r\t" * (len(columns) - 1) + "%.3f\n"
-    out_path.write_text(report.render_table(names, columns, row), encoding="utf-8")
 
     print(report.constants_line(constants, defaulted))
     print(f"wrote {out_path} with back-pressure column {column!r} ({args.theory})")
@@ -104,7 +97,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     extras: tuple[str, ...] = ()
     if model == "hybrid" and theory.startswith("column:"):
         extras = (theory.split(":", 1)[1],)
-    ds = config.load_case(dataset.read_text(args.data), cfg, extras)
+    table = dataset.split_table(dataset.read_text(args.data))
+    ds = config.load_case(table, cfg, extras)
     result = analysis.analyze(ds, cfg, model, theory, alpha)
 
     out_dir = Path(args.out)

@@ -1,5 +1,5 @@
 """Key-value config files: factor definitions, gauge constants, run defaults,
-and :func:`load_case`, which loads a data table's text with the parsed spec
+and :func:`load_case`, which loads a data table with the parsed spec
 describing it.  Each command parses its spec once, with
 :func:`read_keyvalues`, and passes the result on.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .dataset import Dataset, FactorSpec, load_table, read_text
+from .dataset import Dataset, FactorSpec, Table, load_table, read_text
 from .errors import SchemaError
 from .gauge import GaugeConstants
 
@@ -134,13 +134,15 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
-def load_case(text: str, cfg: dict[str, str], extras: tuple[str, ...] | None = ()) -> Dataset:
-    """Load the data table whose text is ``text``, as the parsed spec ``cfg``
-    describes it.
+def load_case(
+    table: str | Table, cfg: dict[str, str], extras: tuple[str, ...] = ()
+) -> Dataset:
+    """Load a data table, given as its text or as
+    :func:`~hybridfit.dataset.split_table` split it, as the parsed spec
+    ``cfg`` describes it.
 
     The spec names the factor and response columns; ``extras`` names further
-    columns to carry along (for example a recorded theory column), and
-    ``None`` carries every column the spec does not name, in header order.
+    columns to carry along (for example a recorded theory column).
     """
     response, units = response_column(cfg)
-    return load_table(text, factor_specs(cfg), response, extras, units)
+    return load_table(table, factor_specs(cfg), response, extras, units)

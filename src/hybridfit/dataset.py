@@ -1,17 +1,20 @@
 """Experiment tables: ingestion, factor coding, design matrices, repeated rows.
 
-:func:`read_text` reads an input file; :func:`load_table` turns a table's
-text into a :class:`Dataset`, which holds runs in natural units exactly as
-written.  Fitting happens in coded units, where each factor's
-low/center/high settings sit at -1/0/+1; :func:`code` applies that affine
-transform, and :func:`build_design` expands coded levels into a polynomial
-basis matrix.  :func:`identical_rows` numbers the groups of equal rows that
-pure error pools over.
+:func:`read_text` reads an input file and :func:`split_table` splits its
+text into header and rows, once per command; :func:`load_table` turns the
+table into a :class:`Dataset`, which holds runs in natural units exactly as
+written, and :func:`tab_separated` gives its rows as tab-separated lines,
+cells as read, for a writer that carries them.  Fitting happens in coded
+units, where each factor's low/center/high settings sit at -1/0/+1;
+:func:`code` applies that affine transform, and :func:`build_design`
+expands coded levels into a polynomial basis matrix.  :func:`identical_rows`
+numbers the groups of equal rows that pure error pools over.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -170,17 +173,55 @@ def read_text(path: str | Path) -> str:
         raise InputFileError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _split_table(text: str) -> tuple[list[str], str | None, list[str]]:
-    """The header's column names, the delimiter, and the data rows of a
-    table's text, blank lines skipped.  Lines split at line feeds only, so a
-    bare carriage return stays inside its cell for the CSV reader to reject."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+class Table(NamedTuple):
+    """A table's text split once: the header's column names, the delimiter
+    (None for whitespace), and the data rows, blank lines skipped."""
+
+    header: list[str]
+    delimiter: str | None
+    rows: list[str]
+
+
+def split_table(text: str) -> Table:
+    """The header, delimiter and data rows of a table's text.  Lines split at
+    line feeds only, each losing a carriage return that ends it, so a bare
+    carriage return stays inside its cell for the CSV reader to reject."""
+    lines = list(filter(str.strip, (text + "\n").replace("\r\n", "\n").split("\n")))
     if not lines:
         raise SchemaError("empty file: no header row")
     # the first of tab, comma and semicolon in the header; else whitespace
     delimiter = next((c for c in "\t,;" if c in lines[0]), None)
     header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
-    return header, delimiter, lines[1:]
+    return Table(header, delimiter, lines[1:])
+
+
+def tab_separated(table: Table) -> tuple[str, list[str]]:
+    """The header line and data rows of ``table`` as tab-separated lines, each
+    cell as read: the rows of a tab table without quotes are its lines, any
+    other table's rows are split on its delimiter and joined by tabs.  A row
+    whose cells the header does not name one for one, or a cell holding a
+    tab (a quoted cell, or any cell of a comma- or semicolon-separated
+    table, can), raises :class:`TableParseError` naming its row."""
+    header, delimiter, rows = table
+    n = len(header)
+    head = "\t".join(header)
+    if head.count("\t") != n - 1:
+        raise TableParseError("header row: a column name holds a tab")
+    # one tab count per row, at C level; the loop below finds a bad row
+    if delimiter == "\t" and '"' not in "".join(rows) and set(
+        map(str.count, rows, repeat("\t"))
+    ) <= {n - 1}:
+        return head, rows
+    lines = []
+    for i, line in enumerate(rows, start=1):
+        cells = _split_line(line, delimiter, f"row {i}")
+        if len(cells) != n:
+            raise TableParseError(f"row {i}: {len(cells)} cells under {n} column names")
+        line = "\t".join(cells)
+        if line.count("\t") != n - 1:
+            raise TableParseError(f"row {i}: a cell holds a tab")
+        lines.append(line)
+    return head, lines
 
 
 def _parse_block(
@@ -231,29 +272,27 @@ def _parse_cells(
 
 
 def load_table(
-    text: str,
+    table: str | Table,
     factors: tuple[FactorSpec, ...],
     response: str,
-    extras: tuple[str, ...] | None = (),
+    extras: tuple[str, ...] = (),
     response_units: str = "",
 ) -> Dataset:
-    """Read a delimited table's text (header row, one run per line) into a
-    :class:`Dataset`: the columns named by ``factors`` and ``response``, and
-    the ``extras`` to carry along; ``extras=None`` carries every other
-    column, in header order.
+    """Read a delimited table (header row, one run per line), given as its
+    text or as :func:`split_table` split it, into a :class:`Dataset`: the
+    columns named by ``factors`` and ``response``, and the ``extras`` to
+    carry along.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
     :class:`SchemaError` when a named column is missing or appears twice and
     :class:`TableParseError` (with row and column) on a non-numeric or
     non-finite cell, or (with the row) on a line the CSV reader rejects.
     """
-    header, delimiter, rows = _split_table(text)
-    named = [f.name for f in factors] + [response]
-    if extras is None:
-        extras = tuple(name for name in header if name not in named)
-    wanted = named + list(extras)
+    if isinstance(table, str):
+        table = split_table(table)
+    header, delimiter, rows = table
     col_index: dict[str, int] = {}
-    for name in wanted:
+    for name in [f.name for f in factors] + [response, *extras]:
         if name not in header:
             raise SchemaError(f"column {name!r} not found; header has {header}")
         if header.count(name) > 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -277,10 +278,10 @@ def render_coefficients(
     return "\n".join(lines) + "\n"
 
 
-_CONVERSION = re.compile(r"%(?:\.([1-9])f|r)")
+_CONVERSION = re.compile(r"%\.([1-9])f")
 
 
-def _fixed(v: np.ndarray, places: int) -> tuple[np.ndarray, int] | None:
+def _fixed(v: np.ndarray, places: int) -> np.ndarray | None:
     """The digits ``%.Nf`` writes, as ``k / 10**places`` with k ``|v| *
     10**places`` rounded to int64 as ``%`` rounds it, or None for a column
     with a non-finite value or one at or above ``2**52 / 10**places``.  The
@@ -296,107 +297,53 @@ def _fixed(v: np.ndarray, places: int) -> tuple[np.ndarray, int] | None:
     k = k.astype(np.int64)
     for i in near:
         k[i] = int(("%.*f" % (places, a[i])).replace(".", ""))
-    return k, places
-
-
-def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The digits ``repr`` writes, as ``k / 10**d`` with d the fewest decimals
-    (0..17) at which ``k = rint(|v| * 10**d)`` divides back to ``|v|``, so
-    that, IEEE division being correctly rounded, the string round-trips.  A
-    string that round-trips lies within ``|v| * 10**d * 2**-52`` of the
-    product: below ``2**51`` (every d before the last) only k can, below
-    ``2**53`` k - 1 or k + 1 too.  None where one of those does, where k
-    reaches ``2**53``, or where ``repr`` writes an exponent.  A whole number
-    gets d = 1, for its ``.0``."""
-    a = np.abs(v)
-    if not a.max(initial=0.0) < 2.0**53 or ((a > 0.0) & (a < 1e-4)).any():
-        return None
-    d, todo = np.zeros(len(a), np.int64), np.ones(len(a), bool)
-    for places in range(18):
-        hit = todo & (np.rint(a * 10.0**places) / 10.0**places == a)
-        d[hit] = places
-        todo &= ~hit
-        if not todo.any():
-            break
-    else:
-        return None
-    scale = 10.0**d
-    k = np.rint(a * scale)
-    ties = ((k - 1.0) / scale == a) | ((k + 1.0) / scale == a)
-    if not k.max(initial=0.0) < 2.0**53 or ties.any():
-        return None
-    return k.astype(np.int64) * np.where(d == 0, 10, 1), np.maximum(d, 1)
-
-
-def _digits(columns: list[np.ndarray], convs: list[str]) -> list | None:
-    """Each column's ``(k, d)`` for its conversion (``N`` of ``%.Nf``, or ""
-    for ``%r``), or None if a column has no digits.  Every distinct
-    conversion makes one :func:`_fixed` or :func:`_shortest` call over the
-    concatenation of its columns, whose digits are then split back per
-    column: both work cell by cell, so the digits are each column's own."""
-    fields: list = [None] * len(columns)
-    for conv in dict.fromkeys(convs):
-        at = [i for i, c in enumerate(convs) if c == conv]
-        cells = np.concatenate([columns[i] for i in at])
-        found = _fixed(cells, int(conv)) if conv else _shortest(cells)
-        if found is None:
-            return None
-        k, d = found
-        ds = np.split(d, len(at)) if np.ndim(d) else [d] * len(at)
-        for i, k_i, d_i in zip(at, np.split(k, len(at)), ds):
-            fields[i] = k_i, d_i
-    return fields
+    return k
 
 
 def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     """One line per row, formatted over whole columns at once: ``row`` is a
     ``%``-template with one conversion per column, ending in a newline.
 
-    A template whose conversions are all ``%.Nf`` (N = 1..9) or ``%r``, on
-    float columns, is written from digit arrays, byte for byte as ``%``
-    writes it.  Each field is an int64 digit count k, a per-cell decimal
-    count d (N, or :func:`_shortest`'s for ``%r``) and a sign; the fields and
-    the literal text go into one width x n byte buffer with NUL bytes as
-    padding (also past a cell's d) that are cut out at the end.  Any other
-    template goes through ``%`` itself, and so does one with a column
-    :func:`_fixed` or :func:`_shortest` gives no digits for.
+    A template whose conversions are all ``%.Nf`` (N = 1..9), on float
+    columns, is written from digit arrays, byte for byte as ``%`` writes it.
+    Each field is an int64 digit count k (:func:`_fixed`) and a sign; the
+    fields and the literal text go into one width x n byte buffer with NUL
+    bytes as padding that are cut out at the end.  Any other template goes
+    through ``%`` itself, and so does one with a column :func:`_fixed` gives
+    no digits for.
     """
     parts = _CONVERSION.split(row)
-    literals, convs = parts[0::2], parts[1::2]
+    literals, places = parts[0::2], [int(p) for p in parts[1::2]]
     columns = [np.asarray(c) for c in columns]
     fields = None
     if (
-        0 < len(convs) == len(columns) and row.isascii() and "\0" not in row
+        0 < len(places) == len(columns) and row.isascii() and "\0" not in row
         and "%" not in "".join(literals)
         and all(c.ndim == 1 and len(c) == len(columns[0]) for c in columns)
         and np.result_type(*columns).kind == "f"  # % gets floats, not ints
     ):
-        columns = [np.asarray(c, dtype=float) for c in columns]
-        fields = _digits(columns, convs)
-    if fields is None:
+        fields = [_fixed(np.asarray(c, dtype=float), p) for c, p in zip(columns, places)]
+    if fields is None or any(k is None for k in fields):
         values = np.column_stack(columns).ravel().tolist()
         return (row * len(columns[0])) % tuple(values)
 
     # each field: minus sign or NUL, integer digits (at least one), point, and
-    # the column's most decimals, NUL past a cell's own
-    wholes = [k // 10**d for k, d in fields]
-    places = [int(np.max(d, initial=1)) for _, d in fields]
+    # the column's decimals
+    wholes = [k // 10**p for k, p in zip(fields, places)]
     widths = [2 + len(str(w.max(initial=0))) + p for w, p in zip(wholes, places)]
     buf = np.zeros((sum(map(len, literals)) + sum(widths), len(columns[0])), np.uint8)
     at = 0
-    for lit, c, (k, d), whole, p, width in zip(literals, columns, fields, wholes, places, widths):
+    for lit, c, k, whole, p, width in zip(literals, columns, fields, wholes, places, widths):
         buf[at : at + len(lit)] = np.frombuffer(lit.encode(), np.uint8)[:, None]
         at += len(lit)
         buf[at] = np.signbit(c) * ord("-")
         point = at + width - p - 1
         buf[point] = ord(".")
-        frac = (k - whole * 10**d) * 10 ** (p - d)
+        frac = k - whole * 10**p
         for pos in range(at + width - 1, point, -1):
             q = frac // 10
             buf[pos] = frac - 10 * q + ord("0")
             frac = q
-        if np.ndim(d):
-            buf[point + 1 : at + width] *= np.arange(1, p + 1)[:, None] <= d
         for pos in range(point - 1, at, -1):
             q = whole // 10
             digit = whole - 10 * q + ord("0")
@@ -411,6 +358,13 @@ def render_table(names: Sequence[str], columns: Sequence[np.ndarray], row: str) 
     """Tab-separated table: a header of ``names``, then each row through the
     ``%``-template ``row`` (one conversion per column, ending in a newline)."""
     return "\t".join(names) + "\n" + _format_rows(row, columns)
+
+
+def append_column(header: str, lines: Sequence[str], name: str, values: np.ndarray) -> str:
+    """The tab-separated ``header`` line and data ``lines``, each with one
+    more cell: ``name``, and the row's value at three decimals."""
+    cells = _format_rows("\t%.3f\n", [values]).splitlines(keepends=True)
+    return f"{header}\t{name}\n" + "".join(chain.from_iterable(zip(lines, cells)))
 
 
 def render_points(xs: np.ndarray, ys: np.ndarray, xname: str, yname: str) -> str:

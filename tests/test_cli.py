@@ -13,6 +13,7 @@ import pytest
 from hybridfit import config, dataset
 from hybridfit.cli import main
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIRST_ORDER_COEF = (208.423, -34.409, 36.616, 18.277)
 
 
@@ -137,17 +138,16 @@ class TestSimulate:
         assert len((tmp_path / "out" / "simulated.tsv").read_text().splitlines()) == 12
 
     def test_carried_columns_keep_header_order(self, data_dir, tmp_path):
-        # carried columns before and between the factors: the spec's factors
-        # and response come first, then every other column in header order
+        # carried columns before and between the factors: every column stays
+        # where the input has it, each cell spelled as the input spells it,
+        # and the computed column, the same as for the bundled order, is last
         order = ["P_isochoric", "B", "A", "P_obs", "Ps", "P_adiabatic"]
         lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
         header = lines[0].split("\t")
         rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+        source = ["\t".join(order)] + ["\t".join(row[name] for name in order) for row in rows]
         data = tmp_path / "shuffled.tsv"
-        data.write_text("".join(
-            "\t".join(cells) + "\n"
-            for cells in [order] + [[row[name] for name in order] for row in rows]
-        ))
+        data.write_text("\n".join(source) + "\n")
         rc = main([
             "simulate", "--data", str(data),
             "--spec", str(data_dir / "gauge_factorial_spec.txt"),
@@ -155,14 +155,10 @@ class TestSimulate:
         ])
         assert rc == 0
         written = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
-        assert written[0].split("\t") == [
-            "A", "Ps", "B", "P_obs", "P_isochoric", "P_adiabatic", "P_isochoric_sim",
-        ]
-        for row, line in zip(rows, written[1:]):
-            cells = line.split("\t")
-            assert [float(c) for c in cells[:6]] == [
-                float(row[name]) for name in written[0].split("\t")[:6]
-            ]
+        golden = (GOLDEN_DIR / "simulate_isochoric" / "simulated.tsv").read_text().splitlines()
+        assert written[0] == source[0] + "\tP_isochoric_sim"
+        for src, line, bundled in zip(source, written, golden, strict=True):
+            assert line == src + "\t" + bundled.split("\t")[-1]
 
     def test_resimulating_adds_a_fresh_column(self, data_dir, tmp_path):
         # simulating a simulated table once more must not repeat a column
@@ -183,6 +179,64 @@ class TestSimulate:
         for line in lines[1:]:
             cells = line.split("\t")
             assert cells[-1] == cells[-2]
+
+    @pytest.mark.parametrize("row, cells", [
+        ("0.3\t0.2\t0.6\t150\t999", 5), ("0.3\t0.2\t0.6", 3),
+    ], ids=["extra_cell", "short_row"])
+    def test_ragged_row_is_refused(self, row, cells, tmp_path, capsys):
+        # an extra cell was dropped and a short row's computed value would
+        # land under the wrong column name: both are one error line
+        data = tmp_path / "ragged.tsv"
+        data.write_text(f"A\tPs\tB\tP_obs\n0.5\t0.2\t0.6\t150.0\n{row}\n")
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "factor.A.low = 0.3\nfactor.A.high = 0.7\n"
+            "factor.Ps.low = 0.15\nfactor.Ps.high = 0.3\n"
+            "factor.B.low = 0.4\nfactor.B.high = 0.8\nresponse.column = B\n"
+        )
+        rc = main([
+            "simulate", "--data", str(data), "--spec", str(spec),
+            "--theory", "isochoric", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: row 2: {cells} cells under 4 column names\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_text_column_is_carried_as_read(self, data_dir, tmp_path):
+        # a run label is no number, and is neither parsed nor refused; its
+        # quotes send the rows through the CSV reader, which keeps them
+        lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
+        labelled = [lines[0] + "\tnote"] + [
+            f"{line}\trun {i}, \"as built\"" for i, line in enumerate(lines[1:], 1)
+        ]
+        data = tmp_path / "labelled.tsv"
+        data.write_text("\n".join(labelled) + "\n")
+        rc = main([
+            "simulate", "--data", str(data),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--theory", "isochoric", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        written = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
+        golden = (GOLDEN_DIR / "simulate_isochoric" / "simulated.tsv").read_text().splitlines()
+        for src, line, bundled in zip(labelled, written, golden, strict=True):
+            assert line == src + "\t" + bundled.split("\t")[-1]
+
+    def test_quoted_cell_holding_a_tab_is_refused(self, data_dir, tmp_path, capsys):
+        # a quoted CSV cell may hold a tab, which no tab-separated cell can
+        lines = (data_dir / "gauge_factorial.tsv").read_text().replace("\t", ",").splitlines()
+        lines[0] += ",note"
+        lines[1:] = [f'{line},"run {i}"' for i, line in enumerate(lines[1:], 1)]
+        lines[3] = lines[3].replace('"run 3"', '"run\t3"')
+        data = tmp_path / "quoted.csv"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "simulate", "--data", str(data),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--theory", "adiabatic", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: row 3: a cell holds a tab\n"
 
     @pytest.mark.parametrize("theory", ["adiabatic", "isochoric"])
     def test_coded_factors_are_not_flow_inputs(self, theory, data_dir, tmp_path, capsys):
@@ -708,14 +762,14 @@ class TestInputFiles:
 
     def test_simulate_splits_the_table_once(self, data_dir, tmp_path, monkeypatch):
         text = dataset.read_text(data_dir / "gauge_factorial.tsv")
-        split = dataset._split_table
+        split = dataset.split_table
         seen = []
 
         def counting(t):
             seen.append(t)
             return split(t)
 
-        monkeypatch.setattr(dataset, "_split_table", counting)
+        monkeypatch.setattr(dataset, "split_table", counting)
         rc = main([
             "simulate",
             "--data", str(data_dir / "gauge_factorial.tsv"),
@@ -723,7 +777,7 @@ class TestInputFiles:
             "--theory", "adiabatic", "--out", str(tmp_path / "out"),
         ])
         assert rc == 0
-        # load_table alone splits it, and picks the carried columns from its header
+        # one split feeds the loader and the writer of the carried lines
         assert seen == [text]
 
     @staticmethod
@@ -768,6 +822,18 @@ class TestInputFiles:
         assert (
             self.outputs(*lf, command, tmp_path / "lf")
             == self.outputs(*crlf, command, tmp_path / "crlf")
+        )
+
+    @pytest.mark.parametrize("sep", [",", ";", " ", "  "],
+                             ids=["comma", "semicolon", "space", "spaces"])
+    def test_other_delimiters_simulate_as_tabs(self, sep, data_dir, tmp_path):
+        # each line is split on its delimiter and written with tabs
+        table = self.copies(data_dir, tmp_path, "sep", lambda b: b.replace(b"\t", sep.encode()))
+        tabs = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
+        command = ["simulate", "--theory", "adiabatic"]
+        assert (
+            self.outputs(*tabs, command, tmp_path / "tabs")
+            == self.outputs(*table, command, tmp_path / "sep")
         )
 
     @pytest.mark.parametrize("line,message", [

@@ -243,59 +243,66 @@ class TestFastPath:
 
 
 
+# Carried cells: numbers in spellings float() reads alike, and text.
+CARRIED_TOKENS = st.one_of(
+    NUMBER_TOKENS,
+    st.sampled_from(["187.410", "1e2", ".5", "+0.25", "-0", "nan", "run-3", "x_1", "#"]),
+)
+
+
 @st.composite
 def carried_tables(draw):
-    """A table whose header lists the named columns and the unnamed ones in
-    any order, one column maybe twice, with blank lines and a tab, comma or
-    whitespace delimiter; the factors and response that name some of its
-    columns, and its header."""
-    delimiter = draw(st.sampled_from(["\t", ",", None]))
-    k = draw(st.integers(2, 6))
-    n_factors = draw(st.integers(1, k - 1))
-    header = draw(st.permutations([f"c{j}" for j in range(k)]))
-    if draw(st.booleans()):
-        twice = draw(st.sampled_from(tuple(header)))
-        header.insert(draw(st.integers(0, len(header))), twice)
-    sep = " " if delimiter is None else delimiter
-    pad = st.sampled_from(["", " ", "  "])
+    """A table with a tab, comma, semicolon or whitespace delimiter, blank
+    lines and LF or CRLF line ends, and the header names and rows of cells
+    that a reader must see: cells padded with spaces where the delimiter
+    keeps them."""
+    delimiter = draw(st.sampled_from(["\t", ",", ";", None]))
+    k = draw(st.integers(2, 5))  # a one-name header shows no delimiter
+    sep = draw(st.sampled_from([" ", "  "])) if delimiter is None else delimiter
+    pad = st.just("") if delimiter is None else st.sampled_from(["", " "])
+    header = [f"c{j}" for j in range(k)]
+    rows = [
+        [draw(pad) + draw(CARRIED_TOKENS) for _ in header]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
     blank = st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)
-    lines = draw(blank) + [sep.join(draw(pad) + name + draw(pad) for name in header)]
-    for _ in range(draw(st.integers(0, 4))):
-        lines += draw(blank)
-        cells = [repr(draw(st.floats(-1e6, 1e6))) for _ in header]
-        lines.append(draw(pad) + sep.join(cells))
-    factors = tuple(FactorSpec(f"c{j}", 0.0, 1.0) for j in range(n_factors))
-    return "\n".join(lines) + "\n", factors, f"c{n_factors}", header
-
-
-def carried_outcome(text: str, factors, response: str, extras):
-    """The loaded arrays as bytes, extras in their order, or the error's
-    type and message."""
-    try:
-        ds = dataset.load_table(text, factors, response, extras)
-    except Exception as exc:  # compared, not handled: any error must match
-        return type(exc), str(exc)
-    extras = [(name, col.tobytes()) for name, col in ds.extras.items()]
-    return ds.naturals.tobytes(), ds.response.tobytes(), extras
+    lines = [sep.join(header)]
+    for cells in rows:
+        lines += draw(blank) + [sep.join(cells)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), header, rows
 
 
 class TestCarriedColumns:
-    """``extras=None`` carries every column the factors and response do not
-    name: the same table, or the same error, as listing those columns in
-    header order."""
+    """``tab_separated`` gives every row of a table as tab-separated cells in
+    the input's column order, each cell as the input spells it."""
 
     @given(carried_tables())
-    @example(("P_isochoric B A P_obs Ps P_adiabatic\n187.41 0.503 0.251 189.487 0.199 187.986\n",
-              tuple(FactorSpec(name, 0.1, 1.5) for name in ("A", "Ps", "B")), "P_obs",
-              ["P_isochoric", "B", "A", "P_obs", "Ps", "P_adiabatic"]))
+    @example(("P_isochoric B A P_obs\n187.410 .5 +0.25 1e2\n", ["P_isochoric", "B", "A", "P_obs"],
+              [["187.410", ".5", "+0.25", "1e2"]]))
     @settings(deadline=None, max_examples=300)
-    def test_same_as_listing_the_unnamed_columns(self, case):
-        text, factors, response, header = case
-        named = [f.name for f in factors] + [response]
-        listed = tuple(name for name in header if name not in named)
-        assert carried_outcome(text, factors, response, None) == carried_outcome(
-            text, factors, response, listed
-        )
+    def test_cells_come_back_as_read(self, case):
+        text, header, rows = case
+        head, lines = dataset.tab_separated(dataset.split_table(text))
+        assert head.split("\t") == header
+        assert [line.split("\t") for line in lines] == rows
+
+    @pytest.mark.parametrize("sep", ["\t", ",", ";", " "])
+    @pytest.mark.parametrize("row, cells", [("1 2 3 4", 4), ("1 2", 2)])
+    def test_ragged_row_names_its_row(self, sep, row, cells):
+        text = f"a{sep}b{sep}c\n1{sep}2{sep}3\n\n{row.replace(' ', sep)}\n"
+        with pytest.raises(TableParseError, match=f"^row 2: {cells} cells under 3 column names$"):
+            dataset.tab_separated(dataset.split_table(text))
+
+    @pytest.mark.parametrize("text, where", [
+        ('a,b\n1,"x\ty"\n', "row 1"), ("a,b\n1,2\n1,x\ty\n", "row 2"),
+        ('"a\tb",c\n1,2\n', "header row"),
+        # as many tabs as the header, one of them inside quotes: two cells
+        ('a\tb\tc\n1\t2\t3\n"x\ty"\t1\n', "row 2"),
+    ])
+    def test_cell_holding_a_tab_is_refused(self, text, where):
+        with pytest.raises(TableParseError, match=f"^{where}: "):
+            dataset.tab_separated(dataset.split_table(text))
 
 
 class TestCode:

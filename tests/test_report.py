@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridfit import dataset, inference, report
+from hybridfit import config, dataset, gauge, inference, report
 from hybridfit.cli import main
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -102,72 +102,48 @@ def test_svg_circles_match_scalar_formatting(points):
     assert svg.endswith('stroke-width="1.4"/>\n</svg>\n')
 
 
-@given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=30))
-@settings(deadline=None)
-def test_simulated_rows_match_scalar_formatting(rows):
-    # the row writer of `simulate`: carried cells by repr, the computed one at 3 decimals
-    columns = [np.array(col) for col in zip(*rows)]
-    expected = "a\tb\tP\n" + "".join(f"{a!r}\t{b!r}\t{p:.3f}\n" for a, b, p in rows)
-    assert report.render_table(["a", "b", "P"], columns, "%r\t%r\t%.3f\n") == expected
-
-
-# Cells `repr` writes from shortest digits: short decimals m * 10**-d.
-SHORT_DECIMALS = st.builds(
-    lambda m, d: float(f"{m}e-{d}"), st.integers(-(10**12), 10**12), st.integers(0, 12)
+# Cells at the edges of what ``repr`` writes: powers of two from 2**-20 to
+# 2**59, exponents, 16 and 17 significant digits, signed zero, whole numbers.
+REPR_EDGES = (
+    *(2.0**e for e in range(-20, 60)),
+    2.0**53 + 2, 9999999999999998.0, 1e16, 1e-4, 9.999999999999999e-05, -0.0,
+    5e-324, 0.30000000000000004, 0.15229732049524503, 1 / 3,
+    0.01234567890123456, 2.0**49 + 0.25, -7.0, 123456789.0, 1e15,
 )
-# Cells at the edges of the shortest-digit path, each with whether it takes
-# the path (True) or sends its template to `%` (False).
-REPR_EDGES = {
-    **{2.0**e: 1e-4 <= 2.0**e < 2.0**53 for e in range(-20, 60)},
-    2.0**53 + 2: False,
-    9999999999999998.0: False,
-    1e16: False,
-    1e-4: True,
-    9.999999999999999e-05: False,  # repr writes an exponent
-    -0.0: True,
-    5e-324: False,
-    0.30000000000000004: False,  # 17 digits: k is above 2**53
-    0.15229732049524503: False,  # k above 2**53, where k - 1 and k + 1 are not floats
-    1 / 3: True,  # 16 decimals
-    0.01234567890123456: True,  # 17 decimals
-    2.0**49 + 0.25: False,  # .2 and .3 both round-trip
-    1.0: True,
-    -7.0: True,
-    123456789.0: True,
-    1e15: True,
-}
-
-
-@given(st.lists(
-    st.tuples(SHORT_DECIMALS, SHORT_DECIMALS | st.sampled_from(sorted(REPR_EDGES)),
-              st.floats(-1e6, 1e6)),
-    max_size=30,
-))
-@settings(deadline=None)
-def test_repr_rows_match_percent_formatting(rows):
-    columns = [np.array([r[j] for r in rows], dtype=float) for j in range(3)]
-    row = "%r\t%r\t%.3f\n"
-    values = tuple(v for r in rows for v in r)
-    assert report._format_rows(row, columns) == (row * len(rows)) % values
 
 
 @pytest.mark.parametrize("cell", sorted(REPR_EDGES))
-def test_repr_edge_cells(cell):
-    column = np.array([1.5, cell, -187.41])
-    assert (report._shortest(column) is not None) == REPR_EDGES[cell]
-    assert report._format_rows("%r\n", [column]) == "%r\n%r\n%r\n" % (1.5, cell, -187.41)
+def test_repr_edge_cells(cell, data_dir, tmp_path):
+    # `simulate` carries such a cell as written, in a parsed column and in
+    # one it does not parse, whatever repr or % would print for it
+    data = tmp_path / "edge.tsv"
+    source = ["A\tPs\tB\tP_obs\tnote", f"0.5\t0.2\t0.6\t{cell!r}\t{cell!r}"]
+    data.write_text("\n".join(source) + "\n")
+    rc = main(["simulate", "--data", str(data),
+               "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+               "--theory", "isochoric", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    written = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
+    assert [line.rsplit("\t", 1)[0] for line in written] == source
 
 
-def test_whole_numbers_print_point_zero():
-    column = np.array([3.0, -0.0, 0.0, 1e15, 2.5])
-    assert report._shortest(column) is not None
-    assert report._format_rows("%r\n", [column]) == "3.0\n-0.0\n0.0\n1000000000000000.0\n2.5\n"
+# Spellings of one number that ``float`` reads alike and ``repr`` would not
+# write back: a trailing zero, an exponent, no leading zero, a plus sign.
+SPELLINGS = (
+    repr,
+    lambda v: f"{v:.6f}",
+    lambda v: f"{v:e}",
+    lambda v: repr(v).replace("0.", ".", 1) if v < 1.0 else repr(v),
+    lambda v: "+" + repr(v),
+)
 
 
-def gauge_table(path, rows=2000, seed=7):
-    """A table like the benchmark's gauge designs: factors at 6 decimals in
-    the bundled ranges, a quarter of the rows repeating an earlier one, and
-    P_obs at 3 decimals."""
+def oddly_spelled_table(path, rows=2000, seed=7):
+    """A table like the benchmark's gauge designs, every cell spelled one of
+    the ways above: factors at 6 decimals in the bundled ranges, a quarter
+    of the rows repeating an earlier one, P_obs at 3 decimals, a run label
+    between the factors, the cells ``.5``, ``+0.25``, ``1e0`` and ``187.410``
+    in the first row and ``1e2`` in the second."""
     rng = random.Random(seed)
     ranges = ((0.251, 1.257), (0.199, 0.297), (0.503, 1.131))
     points = []
@@ -175,35 +151,38 @@ def gauge_table(path, rows=2000, seed=7):
         repeat = i > 0 and rng.random() < 0.25
         points.append(points[rng.randrange(i)] if repeat else
                       [round(rng.uniform(lo, hi), 6) for lo, hi in ranges])
-    lines = ["A\tPs\tB\tP_obs"] + [
-        "\t".join(map(repr, [*p, round(rng.uniform(100.0, 300.0), 3)])) for p in points
-    ]
+    lines = ["A\trun\tPs\tB\tP_obs"]
+    for i, (a, ps, b) in enumerate(points):
+        cells = [rng.choice(SPELLINGS)(v) for v in (a, ps, b, round(rng.uniform(100.0, 300.0), 3))]
+        lines.append("\t".join([cells[0], f"r-{i}", *cells[1:]]))
+    lines[1] = "\t".join([".5", "r-0", "+0.25", "1e0", "187.410"])
+    lines[2] = lines[2].rsplit("\t", 1)[0] + "\t1e2"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-@pytest.mark.parametrize("table, carried", [("bundled", 6), ("generated", 4)])
-def test_simulate_writes_carried_columns_from_digits(
-    table, carried, data_dir, tmp_path, monkeypatch
-):
-    # a carried column that silently falls back to `%` fails here: one
-    # shortest-digit search covers every carried cell
+@pytest.mark.parametrize("table", ["bundled", "generated"])
+def test_simulate_writes_each_line_as_read(table, data_dir, tmp_path):
+    # each input line comes back byte for byte, and the computed column is
+    # `%` of the solver's back-pressures at three decimals
     data = (data_dir / "gauge_factorial.tsv" if table == "bundled"
-            else gauge_table(tmp_path / "gauge.tsv"))
-    rows = len(data.read_text().splitlines()) - 1
-    found = []
-    shortest = report._shortest
-    monkeypatch.setattr(report, "_shortest", lambda v: found.append(shortest(v)) or found[-1])
-    rc = main(["simulate", "--data", str(data),
-               "--spec", str(data_dir / "gauge_factorial_spec.txt"),
-               "--theory", "isochoric", "--out", str(tmp_path / "out")])
-    assert rc == 0
-    assert len(found) == 1 and found[0] is not None
-    assert found[0][0].size == carried * rows
-    lines = (tmp_path / "out" / "simulated.tsv").read_text().splitlines()
-    for source, written in zip(data.read_text().splitlines()[1:], lines[1:]):
-        cells = written.split("\t")[:carried]
-        assert cells == [repr(float(c)) for c in source.split("\t")]
+            else oddly_spelled_table(tmp_path / "gauge.tsv"))
+    spec = data_dir / "gauge_factorial_spec.txt"
+    cfg = config.read_keyvalues(spec)
+    source = data.read_text().splitlines()
+    assert "187.410" in source[1].split("\t")
+    for theory in ("adiabatic", "isochoric"):
+        rc = main(["simulate", "--data", str(data), "--spec", str(spec),
+                   "--theory", theory, "--out", str(tmp_path / theory)])
+        assert rc == 0
+        z = gauge.simulate_design(
+            config.load_case(data.read_text(), cfg), theory, config.gauge_constants(cfg)[0]
+        )
+        column = f"P_{theory}" if f"P_{theory}" not in source[0] else f"P_{theory}_sim"
+        expected = [source[0] + "\t" + column] + [
+            line + "\t" + "%.3f" % p for line, p in zip(source[1:], z.tolist(), strict=True)
+        ]
+        assert (tmp_path / theory / "simulated.tsv").read_text().splitlines() == expected
 
 
 def fixed_point_cells(places: int, wild: bool):
@@ -242,12 +221,12 @@ def fixed_point_cells(places: int, wild: bool):
 @st.composite
 def templates_and_columns(draw):
     """A ``%``-template of 1-3 conversions in ASCII literal text, mostly
-    ``%.1f``..``%.9f``, sometimes ``%r``, ``%.0f`` or a ``%%``, with one
-    column of cells per conversion."""
+    ``%.1f``..``%.9f``, sometimes ``%.0f`` or a ``%%``, with one column of
+    cells per conversion."""
     n_convs = draw(st.integers(1, 3))
     convs = [
-        "%r" if places < 0 else f"%.{places}f"
-        for places in draw(st.lists(st.integers(-1, 9), min_size=n_convs, max_size=n_convs))
+        f"%.{places}f"
+        for places in draw(st.lists(st.integers(0, 9), min_size=n_convs, max_size=n_convs))
     ]
     text = st.text(st.characters(max_codepoint=127, exclude_characters="%"), max_size=6)
     literals = draw(st.lists(text, min_size=n_convs + 1, max_size=n_convs + 1))
@@ -257,8 +236,7 @@ def templates_and_columns(draw):
     n_rows = draw(st.integers(0, 12))
     columns = [
         np.array(draw(st.lists(
-            fixed_point_cells(int(conv[2]), draw(st.integers(0, 9)) == 0)
-            if conv != "%r" else st.floats(),
+            fixed_point_cells(int(conv[2]), draw(st.integers(0, 9)) == 0),
             min_size=n_rows, max_size=n_rows,
         )), dtype=float)
         for conv in convs
