@@ -3,16 +3,18 @@
 Each command is argument parsing, one parse of the spec file
 (:func:`hybridfit.config.read_keyvalues`), one read of the data file
 (:func:`hybridfit.dataset.read_text`) split once
-(:func:`hybridfit.dataset.split_table`), :func:`hybridfit.config.load_case`
-on the split table, one call into the library, and file writing.
-``simulate`` runs a flow solver over a design file and writes each of its
-lines as read, tab-separated, with the computed back-pressure column
-appended.  ``fit`` resolves model, theory, alpha and formats from its flags
-and the spec's ``run.*`` defaults, runs :func:`hybridfit.analysis.analyze`
-and writes the coefficient, ANOVA, summary, and residual-plot files that
-:mod:`hybridfit.report` renders from its result.  ``validate`` runs
-:func:`hybridfit.validation.run_validation`, which checks the same
-``analyze`` results against the bundled case study's reference numbers.
+(:func:`hybridfit.dataset.split_table`, the one splitter, which refuses a
+ragged row for every command alike), :func:`hybridfit.config.load_case` on
+the split table, one call into the library, and file writing.
+``simulate`` runs a flow solver over a design file and writes the split
+table's header and rows, tab-separated with each cell as read, with the
+computed back-pressure column appended.  ``fit`` resolves model, theory,
+alpha and formats from its flags and the spec's ``run.*`` defaults, runs
+:func:`hybridfit.analysis.analyze` and writes the coefficient, ANOVA,
+summary, and residual-plot files that :mod:`hybridfit.report` renders from
+its result.  ``validate`` runs :func:`hybridfit.validation.run_validation`,
+which checks the same ``analyze`` results against the bundled case study's
+reference numbers.
 All outputs are deterministic: identical inputs give byte-identical files.
 
 Each command imports the layers it runs when it runs, so ``--help`` loads
@@ -45,8 +47,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = config.read_keyvalues(args.spec)
     table = dataset.split_table(dataset.read_text(args.data))
     ds = config.load_case(table, cfg)
-    # every cell is carried as read; the loader parsed only the spec's columns
-    header, lines = dataset.tab_separated(table)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
@@ -58,7 +58,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "simulated.tsv"
     out_path.write_text(
-        report.append_column(header, lines, column, backpressures), encoding="utf-8"
+        report.append_column("\t".join(table.header), table.rows, column, backpressures),
+        encoding="utf-8",
     )
 
     print(report.constants_line(constants, defaulted))

@@ -134,12 +134,9 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
-def load_case(
-    table: str | Table, cfg: dict[str, str], extras: tuple[str, ...] = ()
-) -> Dataset:
-    """Load a data table, given as its text or as
-    :func:`~hybridfit.dataset.split_table` split it, as the parsed spec
-    ``cfg`` describes it.
+def load_case(table: Table, cfg: dict[str, str], extras: tuple[str, ...] = ()) -> Dataset:
+    """Load a data table, as :func:`~hybridfit.dataset.split_table` split
+    it, as the parsed spec ``cfg`` describes it.
 
     The spec names the factor and response columns; ``extras`` names further
     columns to carry along (for example a recorded theory column).

@@ -1,14 +1,16 @@
 """Experiment tables: ingestion, factor coding, design matrices, repeated rows.
 
 :func:`read_text` reads an input file and :func:`split_table` splits its
-text into header and rows, once per command; :func:`load_table` turns the
-table into a :class:`Dataset`, which holds runs in natural units exactly as
-written, and :func:`tab_separated` gives its rows as tab-separated lines,
-cells as read, for a writer that carries them.  Fitting happens in coded
-units, where each factor's low/center/high settings sit at -1/0/+1;
-:func:`code` applies that affine transform, and :func:`build_design`
-expands coded levels into a polynomial basis matrix.  :func:`identical_rows`
-numbers the groups of equal rows that pure error pools over.
+text, once per command and the same way for every command: a header, and
+each data row as a tab-separated line of its cells as read, one cell per
+column name, so a ragged row is refused wherever it is read.
+:func:`load_table` parses those lines into a :class:`Dataset`, which holds
+runs in natural units exactly as written, and a writer that carries the
+rows writes the lines.  Fitting happens in coded units, where each
+factor's low/center/high settings sit at -1/0/+1; :func:`code` applies
+that affine transform, and :func:`build_design` expands coded levels into
+a polynomial basis matrix.  :func:`identical_rows` numbers the groups of
+equal rows that pure error pools over.
 """
 
 from __future__ import annotations
@@ -174,72 +176,80 @@ def read_text(path: str | Path) -> str:
 
 
 class Table(NamedTuple):
-    """A table's text split once: the header's column names, the delimiter
-    (None for whitespace), and the data rows, blank lines skipped."""
+    """A table's text split once: the header's column names, and each data
+    row as a tab-separated line with one cell per name, blank lines
+    skipped."""
 
     header: list[str]
-    delimiter: str | None
     rows: list[str]
 
 
-def split_table(text: str) -> Table:
-    """The header, delimiter and data rows of a table's text.  Lines split at
-    line feeds only, each losing a carriage return that ends it, so a bare
-    carriage return stays inside its cell for the CSV reader to reject."""
-    lines = list(filter(str.strip, (text + "\n").replace("\r\n", "\n").split("\n")))
-    if not lines:
-        raise SchemaError("empty file: no header row")
-    # the first of tab, comma and semicolon in the header; else whitespace
-    delimiter = next((c for c in "\t,;" if c in lines[0]), None)
-    header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
-    return Table(header, delimiter, lines[1:])
-
-
-def tab_separated(table: Table) -> tuple[str, list[str]]:
-    """The header line and data rows of ``table`` as tab-separated lines, each
-    cell as read: the rows of a tab table without quotes are its lines, any
-    other table's rows are split on its delimiter and joined by tabs.  A row
-    whose cells the header does not name one for one, or a cell holding a
-    tab (a quoted cell, or any cell of a comma- or semicolon-separated
-    table, can), raises :class:`TableParseError` naming its row."""
-    header, delimiter, rows = table
-    n = len(header)
-    head = "\t".join(header)
-    if head.count("\t") != n - 1:
-        raise TableParseError("header row: a column name holds a tab")
-    # one tab count per row, at C level; the loop below finds a bad row
-    if delimiter == "\t" and '"' not in "".join(rows) and set(
-        map(str.count, rows, repeat("\t"))
-    ) <= {n - 1}:
-        return head, rows
-    lines = []
-    for i, line in enumerate(rows, start=1):
+def _tab_rows(lines: list[str], delimiter: str | None, n: int) -> list[str]:
+    """``lines`` split one by one on ``delimiter`` (the CSV reader's split;
+    whitespace for None) and joined by tabs.  A row that does not hold
+    ``n`` cells, or a cell holding a tab, raises :class:`TableParseError`
+    naming its row."""
+    rows = []
+    for i, line in enumerate(lines, start=1):
         cells = _split_line(line, delimiter, f"row {i}")
         if len(cells) != n:
             raise TableParseError(f"row {i}: {len(cells)} cells under {n} column names")
         line = "\t".join(cells)
         if line.count("\t") != n - 1:
             raise TableParseError(f"row {i}: a cell holds a tab")
-        lines.append(line)
-    return head, lines
+        rows.append(line)
+    return rows
 
 
-def _parse_block(
-    rows: list[str], delimiter: str | None, usecols: list[int]
-) -> np.ndarray | None:
+def split_table(text: str) -> Table:
+    """The header and data rows of a table's text, each row a tab-separated
+    line holding its cells as read.  The delimiter is the first of tab,
+    comma and semicolon in the header line, else whitespace.  Lines split at
+    line feeds only, each losing a carriage return that ends it, so a bare
+    carriage return stays inside its cell for the CSV reader to reject.
+
+    A header name or cell holding a tab (a quoted cell, or any cell of a
+    comma- or semicolon-separated table, can) and a row whose cells the
+    header does not name one for one raise :class:`TableParseError` naming
+    the row: every command refuses them alike.
+    """
+    text = (text + "\n").replace("\r\n", "\n")
+    lines = list(filter(str.strip, text.split("\n")))
+    if not lines:
+        raise SchemaError("empty file: no header row")
+    delimiter = next((c for c in "\t,;" if c in lines[0]), None)
+    header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
+    n = len(header)
+    if "\t".join(header).count("\t") != n - 1:
+        raise TableParseError("header row: a column name holds a tab")
+    rows = lines[1:]
+    # Without quotes, bare carriage returns and (in a comma or semicolon
+    # table) tabs, the CSV reader splits a line as str.split does: one
+    # replace per row makes the tab lines, and one tab count per row, at C
+    # level, checks them.  The row loop names the first bad row.
+    if delimiter is None:
+        rows = list(map("\t".join, map(str.split, rows)))
+    elif '"' in text or "\r" in text or (delimiter != "\t" and "\t" in text):
+        return Table(header, _tab_rows(rows, delimiter, n))
+    elif delimiter != "\t":
+        rows = [line.replace(delimiter, "\t") for line in rows]
+    if set(map(str.count, rows, repeat("\t"))) <= {n - 1}:
+        return Table(header, rows)
+    return Table(header, _tab_rows(lines[1:], delimiter, n))
+
+
+def _parse_block(rows: list[str], usecols: list[int]) -> np.ndarray | None:
     """The cells ``usecols`` of every row as one (column, row) array, parsed
     in one numpy call; None when :func:`_parse_cells` must decide.
 
     numpy accepts a subset of the tokens ``float()`` accepts (not ``1_0`` or
-    non-ASCII digits) and gives the same double for each, and it splits on
-    whitespace as ``str.split`` does.  It knows no CSV quoting, so quoted
-    tables take the per-cell path, as does any table numpy rejects.
+    non-ASCII digits) and gives the same double for each.  No cell holds a
+    tab, so numpy splits each row as ``str.split("\\t")`` does; a table it
+    rejects takes the per-cell path.
     """
-    if delimiter is not None and '"' in "".join(rows):
-        return None
     try:
         block = np.loadtxt(
-            rows, delimiter=delimiter, usecols=usecols, comments=None,
+            rows, delimiter="\t", usecols=usecols, comments=None,
             quotechar=None, ndmin=2,
         )
     except ValueError:
@@ -249,18 +259,14 @@ def _parse_block(
     return np.ascontiguousarray(block.T)
 
 
-def _parse_cells(
-    rows: list[str], delimiter: str | None, usecols: list[int], names: list[str]
-) -> np.ndarray:
+def _parse_cells(rows: list[str], usecols: list[int], names: list[str]) -> np.ndarray:
     """The cells ``usecols`` of every row as one (column, row) array, one
-    ``float()`` per cell; the first cell that is missing or not a number
-    raises :class:`TableParseError` naming its row and column."""
+    ``float()`` per cell; the first cell that is not a number raises
+    :class:`TableParseError` naming its row and column."""
     parsed: list[list[float]] = [[] for _ in usecols]
     for i, line in enumerate(rows, start=1):
-        cells = _split_line(line, delimiter, f"row {i}")
+        cells = line.split("\t")
         for values, idx, name in zip(parsed, usecols, names):
-            if idx >= len(cells):
-                raise TableParseError(f"row {i}: missing cell for column {name!r}")
             token = cells[idx].strip()
             try:
                 values.append(float(token))
@@ -272,25 +278,22 @@ def _parse_cells(
 
 
 def load_table(
-    table: str | Table,
+    table: Table,
     factors: tuple[FactorSpec, ...],
     response: str,
     extras: tuple[str, ...] = (),
     response_units: str = "",
 ) -> Dataset:
-    """Read a delimited table (header row, one run per line), given as its
-    text or as :func:`split_table` split it, into a :class:`Dataset`: the
-    columns named by ``factors`` and ``response``, and the ``extras`` to
-    carry along.
+    """Read a table, as :func:`split_table` split it, into a
+    :class:`Dataset`: the columns named by ``factors`` and ``response``, and
+    the ``extras`` to carry along.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
     :class:`SchemaError` when a named column is missing or appears twice and
     :class:`TableParseError` (with row and column) on a non-numeric or
-    non-finite cell, or (with the row) on a line the CSV reader rejects.
+    non-finite cell.
     """
-    if isinstance(table, str):
-        table = split_table(table)
-    header, delimiter, rows = table
+    header, rows = table
     col_index: dict[str, int] = {}
     for name in [f.name for f in factors] + [response, *extras]:
         if name not in header:
@@ -306,9 +309,9 @@ def load_table(
 
     names = list(col_index)
     usecols = list(col_index.values())
-    table = _parse_block(rows, delimiter, usecols)
+    table = _parse_block(rows, usecols)
     if table is None:
-        table = _parse_cells(rows, delimiter, usecols, names)
+        table = _parse_cells(rows, usecols, names)
     # float() accepts "nan" and "inf": reject them in one pass over the table.
     bad = np.argwhere(~np.isfinite(table.T))
     if bad.size:

@@ -77,18 +77,6 @@ def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
     return out
 
 
-def flow_factor_adiabatic(pressure_ratio, gamma: float):
-    """Dimensionless adiabatic flow factor at a downstream/upstream pressure
-    ratio (a float or an array): subsonic above the critical ratio, constant
-    (choked) below it, and continuous where the two branches join."""
-    r = np.asarray(pressure_ratio, dtype=float)
-    if not np.all((r > 0.0) & (r <= 1.0)):
-        raise AnalysisError(f"pressure ratio must lie in (0, 1], got {r}")
-    work = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
-    out = _adiabatic_factor(r, gamma, work)
-    return out if out.ndim else float(out)
-
-
 def flow_factor_isochoric(p_up, p_down):
     """Isochoric flow factor (kPa-scaled) for flow from ``p_up`` down to
     ``p_down`` (floats or arrays); chokes at a pressure ratio of one half."""

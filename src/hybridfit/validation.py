@@ -113,8 +113,8 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
 
     def load(basename: str, extras: tuple[str, ...] = ()):
         cfg = config.read_keyvalues(data_dir / f"{basename}_spec.txt")
-        text = dataset.read_text(data_dir / f"{basename}.tsv")
-        return config.load_case(text, cfg, extras), cfg
+        table = dataset.split_table(dataset.read_text(data_dir / f"{basename}.tsv"))
+        return config.load_case(table, cfg, extras), cfg
 
     def lof(a: analysis.Analysis) -> float:
         return a.lack_of_fit.f if a.lack_of_fit is not None else math.nan

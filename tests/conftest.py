@@ -3,20 +3,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridfit import config, dataset
+from hybridfit import config, dataset, gauge
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def load_case(basename: str, extras: tuple[str, ...] = ()):
     cfg = config.read_keyvalues(DATA_DIR / f"{basename}_spec.txt")
-    text = dataset.read_text(DATA_DIR / f"{basename}.tsv")
-    return config.load_case(text, cfg, extras), cfg
+    table = dataset.split_table(dataset.read_text(DATA_DIR / f"{basename}.tsv"))
+    return config.load_case(table, cfg, extras), cfg
 
 
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def adiabatic_factor():
+    """The solvers' adiabatic flow factor at a pressure ratio (a float or an
+    array), with the scratch arrays it writes into made here."""
+
+    def factor(pressure_ratio, gamma):
+        r = np.asarray(pressure_ratio, dtype=float)
+        work = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
+        out = gauge._adiabatic_factor(r, gamma, work)
+        return out if out.ndim else float(out)
+
+    return factor
 
 
 @pytest.fixture(scope="session")

@@ -724,6 +724,30 @@ class TestInputFiles:
             "error: config is missing 'response.column'\n",
         ]
 
+    @pytest.mark.parametrize("command", ["fit", "validate", "simulate"])
+    @pytest.mark.parametrize("edit, cells", [
+        (lambda line: line + "\t999", 7), (lambda line: line.rsplit("\t", 1)[0], 5),
+    ], ids=["extra_cell", "short_row"])
+    def test_ragged_row_is_refused(self, command, edit, cells, data_dir, tmp_path, capsys):
+        # every command refuses alike: a loader that read only the named
+        # columns would miss an extra cell, and put a short row's last
+        # cells under the wrong names
+        work = tmp_path / "data"
+        shutil.copytree(data_dir, work)
+        lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
+        lines[2] = edit(lines[2])
+        (work / "gauge_factorial.tsv").write_text("\n".join(lines) + "\n")
+        files = ["--data", str(work / "gauge_factorial.tsv"),
+                 "--spec", str(work / "gauge_factorial_spec.txt"), "--out", str(tmp_path / "out")]
+        args = {
+            "fit": [*files, "--model", "mlr1"],
+            "validate": ["--data-dir", str(work)],
+            "simulate": [*files, "--theory", "isochoric"],
+        }
+        assert main([command, *args[command]]) == 1
+        assert capsys.readouterr().err == f"error: row 2: {cells} cells under 6 column names\n"
+        assert not (tmp_path / "out").exists()
+
     def test_directory_or_binary_given_as_data_file(self, data_dir, tmp_path, capsys):
         binary = tmp_path / "binary.tsv"
         binary.write_bytes(b"A\tPs\tB\tP_obs\n\xff\xfe\n")

@@ -20,6 +20,10 @@ def spec_a() -> FactorSpec:
     return FactorSpec("A", low=0.251, high=1.257, center=0.754)
 
 
+def load_text(text: str, *columns, **kwargs) -> Dataset:
+    return dataset.load_table(dataset.split_table(text), *columns, **kwargs)
+
+
 class TestFactorSpec:
     def test_anchors_code_exactly(self):
         s = spec_a()
@@ -73,39 +77,45 @@ class TestLoadTable:
 
     def test_empty_after_header(self):
         with pytest.raises(SchemaError, match="no data rows"):
-            dataset.load_table("A\ty\n", (spec_a(),), "y")
+            load_text("A\ty\n", (spec_a(),), "y")
 
     def test_single_row_single_factor(self):
-        ds = dataset.load_table("A\ty\n0.5\t2.0\n", (spec_a(),), "y")
+        ds = load_text("A\ty\n0.5\t2.0\n", (spec_a(),), "y")
         assert ds.n_runs == 1
         assert ds.n_factors == 1
 
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="'z'"):
-            dataset.load_table("A\ty\n0.5\t2.0\n", (spec_a(),), "z")
+            load_text("A\ty\n0.5\t2.0\n", (spec_a(),), "z")
 
     def test_non_numeric_cell_reports_position(self):
         with pytest.raises(TableParseError, match="row 2.*'y'"):
-            dataset.load_table("A\ty\n0.5\t2.0\n0.6\toops\n", (spec_a(),), "y")
+            load_text("A\ty\n0.5\t2.0\n0.6\toops\n", (spec_a(),), "y")
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity"])
     def test_non_finite_cell_reports_position(self, token):
         text = f"A\ty\n0.5\t2.0\n0.6\t3.0\n{token}\t{token}\n"
         with pytest.raises(TableParseError, match="row 3, column 'A': non-finite"):
-            dataset.load_table(text, (spec_a(),), "y")
+            load_text(text, (spec_a(),), "y")
 
     def test_comma_delimited(self):
-        ds = dataset.load_table("A,y\n0.5,2.0\n", (spec_a(),), "y")
+        ds = load_text("A,y\n0.5,2.0\n", (spec_a(),), "y")
         assert ds.response[0] == 2.0
 
     def test_duplicate_requested_column(self):
         # a stale first copy of a column must not be read in silence
         text = "A\ty\ty\n0.5\t2.0\t3.0\n"
         with pytest.raises(SchemaError, match="'y' appears 2 times"):
-            dataset.load_table(text, (spec_a(),), "y")
+            load_text(text, (spec_a(),), "y")
+
+    def test_row_missing_an_unrequested_cell_is_refused(self):
+        # row 2 lacks its n cell: read by position, its y would be w's 9
+        text = "A\tn\ty\tw\n0.5\t1\t2.0\t9\n0.6\t2.0\t9\n"
+        with pytest.raises(TableParseError, match="^row 2: 3 cells under 4 column names$"):
+            load_text(text, (spec_a(),), "y")
 
     def test_duplicate_unrequested_column_is_ignored(self):
-        ds = dataset.load_table("A\ty\tn\tn\n0.5\t2.0\t1\t2\n", (spec_a(),), "y")
+        ds = load_text("A\ty\tn\tn\n0.5\t2.0\t1\t2\n", (spec_a(),), "y")
         assert ds.response.tolist() == [2.0]
 
     @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "per_cell"])
@@ -114,8 +124,8 @@ class TestLoadTable:
         # inside an unquoted cell
         ("text", "^row 2: new-line character"),
         # read_text reads a file with universal newlines, so there the \r
-        # ends the line and row 2 is short of its y cell
-        ("file", "^row 2, column 'y': cannot parse '' as a number"),
+        # ends the line and row 3 is a one-cell row
+        ("file", "^row 3: 1 cells under 2 column names$"),
     ], ids=["text", "file"])
     def test_carriage_return_inside_a_cell_names_the_row(
         self, source, message, fast_path, tmp_path
@@ -128,7 +138,7 @@ class TestLoadTable:
         parse_block = dataset._parse_block if fast_path else (lambda *args: None)
         with patch.object(dataset, "_parse_block", parse_block):
             with pytest.raises(TableParseError, match=message):
-                dataset.load_table(text, (spec_a(),), "y")
+                load_text(text, (spec_a(),), "y")
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         # a UTF-8 byte-order mark, as some editors write one: read_text drops
@@ -137,14 +147,14 @@ class TestLoadTable:
         path = tmp_path / "bom.tsv"
         path.write_bytes(data)
         assert dataset.read_text(path) == "A\ty\n0.5\t2.0\n"
-        ds = dataset.load_table(dataset.read_text(path), (spec_a(),), "y")
+        ds = load_text(dataset.read_text(path), (spec_a(),), "y")
         assert ds.naturals.tolist() == [[0.5]] and ds.response.tolist() == [2.0]
         with pytest.raises(SchemaError, match=r"header has \['\\ufeffA', 'y'\]"):
-            dataset.load_table(data.decode("utf-8"), (spec_a(),), "y")
+            load_text(data.decode("utf-8"), (spec_a(),), "y")
 
     def test_carriage_return_inside_a_header_cell(self):
         with pytest.raises(TableParseError, match="^header row: new-line character"):
-            dataset.load_table("A,\ry\n0.5,2\n", (spec_a(),), "y")
+            load_text("A,\ry\n0.5,2\n", (spec_a(),), "y")
 
 
 # Cell tokens for the fast-path comparison: numbers in several spellings,
@@ -197,7 +207,7 @@ QUOTED_COLUMNS = ((FactorSpec("c2", 0.0, 1.0),), "c1", ())
 def load_outcome(text: str, columns: tuple):
     """The loaded arrays as bytes, or the error's type and message."""
     try:
-        ds = dataset.load_table(text, *columns)
+        ds = load_text(text, *columns)
     except Exception as exc:  # compared, not handled: any error must match
         return type(exc), str(exc)
     return (
@@ -236,7 +246,7 @@ class TestFastPath:
             raise AssertionError("clean table fell back to the per-cell parser")
 
         with patch.object(dataset, "_parse_cells", per_cell):
-            ds = dataset.load_table(text, (spec_a(),), "y", ("w",))
+            ds = load_text(text, (spec_a(),), "y", ("w",))
         assert np.array_equal(ds.naturals[:, 0], values[:, 0])
         assert np.array_equal(ds.response, values[:, 1])
         assert np.array_equal(ds.extras["w"], values[:, 3])
@@ -274,7 +284,7 @@ def carried_tables(draw):
 
 
 class TestCarriedColumns:
-    """``tab_separated`` gives every row of a table as tab-separated cells in
+    """``split_table`` gives every row of a table as tab-separated cells in
     the input's column order, each cell as the input spells it."""
 
     @given(carried_tables())
@@ -283,26 +293,90 @@ class TestCarriedColumns:
     @settings(deadline=None, max_examples=300)
     def test_cells_come_back_as_read(self, case):
         text, header, rows = case
-        head, lines = dataset.tab_separated(dataset.split_table(text))
-        assert head.split("\t") == header
-        assert [line.split("\t") for line in lines] == rows
+        table = dataset.split_table(text)
+        assert table.header == header
+        assert [line.split("\t") for line in table.rows] == rows
 
     @pytest.mark.parametrize("sep", ["\t", ",", ";", " "])
     @pytest.mark.parametrize("row, cells", [("1 2 3 4", 4), ("1 2", 2)])
     def test_ragged_row_names_its_row(self, sep, row, cells):
         text = f"a{sep}b{sep}c\n1{sep}2{sep}3\n\n{row.replace(' ', sep)}\n"
         with pytest.raises(TableParseError, match=f"^row 2: {cells} cells under 3 column names$"):
-            dataset.tab_separated(dataset.split_table(text))
+            dataset.split_table(text)
 
     @pytest.mark.parametrize("text, where", [
         ('a,b\n1,"x\ty"\n', "row 1"), ("a,b\n1,2\n1,x\ty\n", "row 2"),
         ('"a\tb",c\n1,2\n', "header row"),
         # as many tabs as the header, one of them inside quotes: two cells
         ('a\tb\tc\n1\t2\t3\n"x\ty"\t1\n', "row 2"),
+        # a tab where a comma belongs: two cells, one holding the tab
+        ("a,b,c\n1\t2,3\n", "row 1"),
     ])
     def test_cell_holding_a_tab_is_refused(self, text, where):
         with pytest.raises(TableParseError, match=f"^{where}: "):
-            dataset.tab_separated(dataset.split_table(text))
+            dataset.split_table(text)
+
+
+# Cells without quotes or carriage returns: numbers, empty and padded
+# cells, and cells holding another table's delimiter or a NUL.
+UNQUOTED_TOKENS = st.one_of(
+    NUMBER_TOKENS,
+    st.sampled_from(["", " ", " 1 ", "a,b", "a;b", "1 2", "#", "x\x00", "\xa0", "'q'"]),
+)
+
+
+@st.composite
+def unquoted_tables(draw):
+    """A tab, comma or semicolon table without quotes or bare carriage
+    returns, some rows ragged, and its delimiter, width and non-blank data
+    lines."""
+    delimiter = draw(st.sampled_from(["\t", ",", ";"]))
+    k = draw(st.integers(2, 5))
+    cells = UNQUOTED_TOKENS.filter(lambda t: delimiter not in t)
+    lines = [
+        delimiter.join(draw(st.lists(cells, min_size=k - 1, max_size=k + 1)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([delimiter.join(f"c{j}" for j in range(k)), *lines]) + end
+    return text, delimiter, k, [line for line in lines if line.strip()]
+
+
+def split_outcome(split, *args):
+    """The rows ``split`` gives, or its error's type and message."""
+    try:
+        return split(*args)
+    except Exception as exc:  # compared, not handled: any error must match
+        return type(exc), str(exc)
+
+
+class TestSplitFastPath:
+    """Without quotes or bare carriage returns, ``split_table`` makes tab
+    lines with one replace per row and checks them with one tab count per
+    row; the CSV reader's row loop must give the same rows or the same
+    error."""
+
+    @given(unquoted_tables())
+    @settings(deadline=None, max_examples=300)
+    def test_same_rows_as_the_csv_loop(self, case):
+        text, delimiter, k, lines = case
+        fast = split_outcome(lambda t: dataset.split_table(t).rows, text)
+        assert fast == split_outcome(dataset._tab_rows, lines, delimiter, k)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("sep", ["\t", ",", ";"])
+    def test_clean_table_takes_the_fast_path(self, sep, end):
+        lines = [sep.join(["A", "y", "note"])] + [
+            sep.join([repr(i / 7), "%.3f" % i, f"run {i}"]) for i in range(3000)
+        ]
+
+        def row_loop(*args):
+            raise AssertionError("clean table fell back to the row loop")
+
+        with patch.object(dataset, "_tab_rows", row_loop):
+            table = dataset.split_table(end.join(lines) + end)
+        assert table.header == ["A", "y", "note"]
+        assert table.rows == [line.replace(sep, "\t") for line in lines[1:]]
 
 
 class TestCode:

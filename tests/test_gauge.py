@@ -180,8 +180,8 @@ def reference_isochoric(a, ps, b, p_atm):
 
 
 class TestFlowFactorAdiabatic:
-    def test_no_pressure_drop_no_flow(self):
-        assert gauge.flow_factor_adiabatic(1.0, 1.4) == 0.0
+    def test_no_pressure_drop_no_flow(self, adiabatic_factor):
+        assert adiabatic_factor(1.0, 1.4) == 0.0
 
     def test_critical_ratio_value(self):
         # direct evaluation of (2/(gamma+1))^(gamma/(gamma-1)) for air
@@ -190,7 +190,7 @@ class TestFlowFactorAdiabatic:
         )
         assert gauge.critical_pressure_ratio(1.4) == pytest.approx(0.5283, abs=1e-4)
 
-    def test_branches_meet_at_critical_ratio(self):
+    def test_branches_meet_at_critical_ratio(self, adiabatic_factor):
         for gamma in (1.2, 1.4, 1.67):
             rc = gauge.critical_pressure_ratio(gamma)
             subsonic = math.sqrt(
@@ -200,20 +200,14 @@ class TestFlowFactorAdiabatic:
                 gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0))
             )
             assert abs(subsonic - choked) < BRANCH_CONTINUITY_TOL
-            assert gauge.flow_factor_adiabatic(rc, gamma) == pytest.approx(
+            assert adiabatic_factor(rc, gamma) == pytest.approx(
                 choked, abs=BRANCH_CONTINUITY_TOL
             )
 
-    def test_domain_errors(self):
-        with pytest.raises(AnalysisError):
-            gauge.flow_factor_adiabatic(0.0, 1.4)
-        with pytest.raises(AnalysisError):
-            gauge.flow_factor_adiabatic(1.1, 1.4)
-
     @given(r=st.floats(1e-6, 1.0), gamma=st.floats(1.05, 1.8))
     @settings(deadline=None)
-    def test_nonnegative_and_bounded(self, r, gamma):
-        v = gauge.flow_factor_adiabatic(r, gamma)
+    def test_nonnegative_and_bounded(self, adiabatic_factor, r, gamma):
+        v = adiabatic_factor(r, gamma)
         assert 0.0 <= v <= 1.0
 
 
@@ -280,28 +274,28 @@ class TestBackpressureSolvers:
         with pytest.raises(AnalysisError):
             solve_one("adiabatic", (0.5, 0.09, 0.5))
 
-    def test_residual_bracketing_on_reference_rows(self):
+    def test_residual_bracketing_on_reference_rows(self, adiabatic_factor):
         # flow equality changes sign across the admissible interval
         for area_sensor, supply, area_orifice in factorial_inputs():
             p_s = supply * 1000.0
             p_a = DEFAULTS.p_atm
 
             def residual(p):
-                return area_orifice * p_s * gauge.flow_factor_adiabatic(
+                return area_orifice * p_s * adiabatic_factor(
                     p / p_s, DEFAULTS.gamma
-                ) - area_sensor * p * gauge.flow_factor_adiabatic(
+                ) - area_sensor * p * adiabatic_factor(
                     p_a / p, DEFAULTS.gamma
                 )
 
             assert residual(p_a + 1e-6) > 0.0
             assert residual(p_s - 1e-6) < 0.0
 
-    def test_solved_root_balances_flows(self):
+    def test_solved_root_balances_flows(self, adiabatic_factor):
         area_sensor, supply, area_orifice = point = factorial_inputs()[0]
         p = solve_one("adiabatic", point)
         p_s = supply * 1000.0
-        lhs = area_orifice * p_s * gauge.flow_factor_adiabatic(p / p_s, 1.4)
-        rhs = area_sensor * p * gauge.flow_factor_adiabatic(DEFAULTS.p_atm / p, 1.4)
+        lhs = area_orifice * p_s * adiabatic_factor(p / p_s, 1.4)
+        rhs = area_sensor * p * adiabatic_factor(DEFAULTS.p_atm / p, 1.4)
         assert abs(lhs - rhs) <= 1e-9 * lhs
 
     def test_adiabatic_isochoric_spread_is_small(self):

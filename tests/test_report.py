@@ -176,7 +176,8 @@ def test_simulate_writes_each_line_as_read(table, data_dir, tmp_path):
                    "--theory", theory, "--out", str(tmp_path / theory)])
         assert rc == 0
         z = gauge.simulate_design(
-            config.load_case(data.read_text(), cfg), theory, config.gauge_constants(cfg)[0]
+            config.load_case(dataset.split_table(data.read_text()), cfg), theory,
+            config.gauge_constants(cfg)[0],
         )
         column = f"P_{theory}" if f"P_{theory}" not in source[0] else f"P_{theory}_sim"
         expected = [source[0] + "\t" + column] + [
