@@ -38,10 +38,5 @@ class ConstantResponseError(AnalysisError):
     """The response has no variation about its mean; R-squared is undefined."""
 
 
-class RootBracketError(AnalysisError):
-    """The flow-equality residual does not change sign over the search
-    interval; no back-pressure solution exists in it."""
-
-
 class InconsistencyError(AnalysisError):
     """Two computations that must agree (a built-in cross-check) did not."""

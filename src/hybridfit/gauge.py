@@ -4,10 +4,12 @@ A jet of air flows from a supply chamber through an orifice of area B, then
 out of a nozzle whose effective exit area A is set by the nozzle-to-workpiece
 clearance.  In steady state the weight flow rates through the two restrictors
 are equal, which pins the back-pressure between them.  Both flow
-idealizations are solved over arrays of operating points, and refused on
-the same checks: the isochoric equality in closed form, the adiabatic one
-by bisecting all points in lockstep.  :func:`solve_backpressures` is the
-one solver entry point; a single operating point is a one-row array.
+idealizations are solved over arrays of operating points on the exact
+interval [p_atm, supply]: the isochoric equality in closed form, the
+adiabatic one by bisecting all points in lockstep.  Both accept a root by
+one rule, a sign change of the computed residual next to it, so they refuse
+the same rows.  :func:`solve_backpressures` is the one solver entry point;
+a single operating point is a one-row array.
 
 The sqrt(2g/RT) factor common to both sides of the flow equality cancels, so
 gravity, the gas constant, and temperature never enter.  Only the products of
@@ -23,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, identical_rows
-from .errors import AnalysisError, InconsistencyError, RootBracketError, ShapeError
-from .tolerances import BRACKET_INSET, RESIDUAL_REL_TOL
+from .errors import AnalysisError, InconsistencyError, ShapeError
+from .tolerances import ROOT_ULPS
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
@@ -88,18 +90,18 @@ def flow_factor_isochoric(p_up, p_down):
     return out if out.ndim else float(out)
 
 
-def _bisect(residual, lo, hi, flo) -> None:
-    """Bisect in place, in lockstep, every row's bracket [lo, hi] with lo < hi
-    (``flo`` = residual at lo), until it collapses to adjacent floats or hits
-    an exact zero (then lo = hi).  The residual at lo keeps the sign of
-    ``flo`` throughout, so only that sign is compared: a product of two tiny
-    residuals would underflow to zero.  Each step reuses the buffers made
-    here, and ``residual`` may return the same array every time.
+def _bisect(residual, lo, hi) -> None:
+    """Bisect in place, in lockstep, every row's bracket [lo, hi] with lo < hi,
+    where the residual is >= 0 at lo and <= 0 at hi, until it collapses to
+    adjacent floats or hits an exact zero (then lo = hi).  Only the sign of
+    the residual at each midpoint is read, never a product of two residuals,
+    which would underflow to zero for tiny ones.  Each step reuses the
+    buffers made here, and ``residual`` may return the same array every time.
 
-    A collapsed bracket is a fixed point of the update, so no row is masked
-    out: its midpoint is lo, where the residual has lo's sign and only lo
-    moves, or hi, where it has hi's and only hi moves; lo = hi gives lo.  A
-    bracket two spacings of hi wide has its midpoint strictly inside, and a
+    A bracket at adjacent floats is a fixed point of the update, so no row
+    is masked out: its midpoint is lo, where the residual is >= 0 and only
+    lo moves, or hi, where it is <= 0 and only hi moves; lo = hi gives lo.
+    A bracket two spacings of hi wide has its midpoint strictly inside, and a
     step halves the width to within half a spacing, so no bracket reaches
     adjacent floats in the first log2(width / spacing(hi)) - 1 steps, which
     run without looking for open brackets.  After them the loop ends at the
@@ -107,14 +109,16 @@ def _bisect(residual, lo, hi, flo) -> None:
     closes every bracket sooner costs only steps that change nothing.
     Below 2**-1021 halving rounds and the midpoint of lo = hi can leave it,
     so there each midpoint is clipped into its bracket and every step looks.
+    Halving takes the widest finite bracket, under 2**1024, below the
+    smallest spacing, 2**-1074, in 2098 steps, so every bracket collapses
+    within the 2200 allowed.
     """
-    sign_lo = np.sign(flo)
-    mid, half, signed = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+    mid, half = np.empty_like(lo), np.empty_like(lo)
     move_lo, move_hi = np.empty(lo.shape, bool), np.empty(lo.shape, bool)
     tiny = not lo.min(initial=np.inf) >= 2.0**-1021
-    spans = ((hi - lo) / np.spacing(hi))[lo < hi]
-    unchecked = 0 if tiny or not spans.size else int(np.log2(spans.min())) - 1
-    for step in range(200):
+    fewest = np.min((hi - lo) / np.spacing(hi), initial=np.inf)  # NaN at hi = inf
+    unchecked = int(np.log2(fewest)) - 1 if not tiny and 2.0 <= fewest < np.inf else 0
+    for step in range(2200):
         # lo + hi overflows above 1.8e308; halving is exact above the
         # subnormal range, so this is the double 0.5 * (lo + hi) gives
         # wherever that sum is finite
@@ -127,11 +131,11 @@ def _bisect(residual, lo, hi, flo) -> None:
             np.greater(mid, lo, out=move_lo)
             if not np.logical_and(move_lo, np.less(mid, hi, out=move_hi), out=move_lo).any():
                 break
-        np.multiply(sign_lo, residual(mid), out=signed)
-        # hi moves where the sign changes below mid or mid is a root, lo
-        # where it does not change below mid (or the residual is NaN)
-        np.putmask(hi, np.less_equal(signed, 0.0, out=move_hi), mid)
-        np.less(signed, 0.0, out=move_lo)
+        value = residual(mid)
+        # hi moves where the residual at mid is <= 0, lo where it is >= 0
+        # (or NaN); both, to mid, at a root
+        np.putmask(hi, np.less_equal(value, 0.0, out=move_hi), mid)
+        np.less(value, 0.0, out=move_lo)
         np.putmask(lo, np.logical_not(move_lo, out=move_lo), mid)
 
 
@@ -159,18 +163,24 @@ def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
 
 
 # A flow that overflows keeps its sign, and a row where one does (or two, as
-# inf - inf) ends in the bracket or residual checks, so needs no warning.  At
+# inf - inf) fails the acceptance rule, so needs no warning.  At
 # a subnormal p_atm the isochoric orifice-choked candidate divides by a
 # 4 a^2 p_atm that underflows to 0; the regime test never picks it there.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
-    """Back-pressures (kPa) in (p_atm, supply) balancing orifice and sensor
+    """Back-pressures (kPa) in [p_atm, supply] balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
-    ``points``.  Each row is checked for positive inputs, a supply finite in
-    kPa and above p_atm, a sign change on the bracket
-    (:class:`RootBracketError`) and finite flows at the root with a small
-    residual (:class:`InconsistencyError`); the earliest failing row is
-    named ``row k``, k being its entry in ``rows`` (default 1..n)."""
+    ``points``.  Each row is checked for positive inputs and a supply finite
+    in kPa and above p_atm.  The residual, orifice-side minus sensor-side
+    flow, is >= 0 at p_atm, where the sensor flow is 0, and <= 0 at the
+    supply, where the orifice flow is (NaN only if b ps overflows), so
+    [p_atm, supply] brackets every root, with no end evaluated.  A root is
+    accepted when its flows are finite and the residual is >= 0 at lo and
+    <= 0 at hi: the final bisection bracket (adiabatic), or the closed-form
+    root widened by ``ROOT_ULPS`` ulps each way within [p_atm, supply]
+    (isochoric).  A row failing that raises :class:`InconsistencyError`
+    naming the window and both residuals; the earliest failing row is named
+    ``row k``, k being its entry in ``rows`` (default 1..n)."""
     if model not in ("adiabatic", "isochoric"):
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
@@ -204,32 +214,24 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
             np.multiply(a, p, out=out[1])
             np.multiply(out[1], factor[1], out=out[1])
             return out
+
+        lo, hi = np.full_like(ps, p_atm), ps.copy()
+        pair, gap = np.empty_like(ratios), np.empty_like(lo)
+        _bisect(lambda p: np.subtract(*flows(p, pair), out=gap), lo, hi)
+        r_lo, r_hi = (np.subtract(*flows(end)) for end in (lo, hi))
+        take_hi = np.abs(r_hi) < np.abs(r_lo)
+        root, r_root = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
     else:
         def flows(p):
             return b * flow_factor_isochoric(ps, p), a * flow_factor_isochoric(p, p_atm)
 
-    eps = BRACKET_INSET * (ps - p_atm)
-    bracket = p_atm + eps, ps - eps
-    flo, fhi = (np.subtract(*flows(end)) for end in bracket)
-    # a NaN residual (both flows overflow) has no sign; an infinite one keeps it
-    no_sign_change = ~(np.sign(flo) * np.sign(fhi) <= 0.0)
-    collapsed = np.zeros(len(points), dtype=bool)
-    if model == "adiabatic":
-        hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
-        lo = np.where(fhi == 0.0, hi, bracket[0])
-        pair, gap = np.empty_like(ratios), np.empty_like(lo)
-        _bisect(lambda p: np.subtract(*flows(p, pair), out=gap), lo, hi, flo)
-        (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
-        take_hi = np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo)
-        root = np.where(take_hi, hi, lo)
-        orifice, sensor = np.where(take_hi, o_hi, o_lo), np.where(take_hi, s_hi, s_lo)
-        collapsed = np.nextafter(lo, np.inf) >= hi
-    else:
-        root = _isochoric_root(a, ps, b, p_atm)
-        root = np.fmin(np.fmax(root, bracket[0]), bracket[1])  # NaN -> bracket[0]
-        orifice, sensor = flows(root)
-    gap = orifice - sensor
-    bad_residual = ~np.isfinite(gap) | ~collapsed & (np.abs(gap) > RESIDUAL_REL_TOL * orifice)
+        root = np.fmin(np.fmax(_isochoric_root(a, ps, b, p_atm), p_atm), ps)  # NaN -> p_atm
+        ulps = ROOT_ULPS * np.spacing(root)
+        lo, hi = np.fmax(root - ulps, p_atm), np.fmin(root + ulps, ps)
+        r_lo, r_hi, r_root = (np.subtract(*flows(p)) for p in (lo, hi, root))
+    # the one acceptance rule, for both theories: finite flows at the root
+    # (a finite residual there), a residual >= 0 at lo and <= 0 at hi
+    uncertified = ~(np.isfinite(r_root) & (r_lo >= 0.0) & (r_hi <= 0.0))
 
     checks = [
         (nonpositive.any(axis=1), AnalysisError, lambda i: "{} must be positive, got {}".format(
@@ -238,12 +240,9 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
             f"supply pressure {scaled[i, 1]} kPa must exceed outlet pressure {p_atm} kPa")),
         (overflow, AnalysisError, lambda i: (
             f"supply pressure {points[i, 1]} MPa overflows in kPa")),
-        (no_sign_change, RootBracketError, lambda i: (
-            f"flow equality has no sign change on the bracket: residual {flo[i]:.6g} "
-            f"at {bracket[0][i]:.6g} kPa and {fhi[i]:.6g} at {bracket[1][i]:.6g} kPa")),
-        (bad_residual, InconsistencyError, lambda i: (
-            f"flow-equality residual {gap[i]:.3e} at the returned root is not within "
-            f"{RESIDUAL_REL_TOL:g} of the orifice-side flow {orifice[i]:.6g}")),
+        (uncertified, InconsistencyError, lambda i: (
+            f"flow equality has no certified root: residual {r_lo[i]:.6g} at "
+            f"{lo[i]:.17g} kPa and {r_hi[i]:.6g} at {hi[i]:.17g} kPa")),
     ]
     i = min((int(np.argmax(mask)) for mask, _, _ in checks if mask.any()), default=None)
     if i is not None:

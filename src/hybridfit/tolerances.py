@@ -21,12 +21,9 @@ ROUNDOFF_SS_TOL = (64 * 2.0**-52) ** 2
 # miss SS_res by much more than a fixed fraction of it.
 SS_REL_TOL = 1e-8
 
-# A flow-solver root must leave a flow-equality residual this small relative
-# to the orifice-side flow, unless bisection collapsed its bracket to adjacent
-# floats with a sign change: no representable value can do better there.
-# Flows that are not finite fail it either way.
-RESIDUAL_REL_TOL = 1e-9
-
-# The flow-equality bracket (p_atm, supply) is shrunk by this fraction of its
-# width at each end, where the sensor or orifice flow vanishes.
-BRACKET_INSET = 1e-9
+# A flow-solver root is accepted where the computed flow-equality residual
+# changes sign within this many ulps of it: the isochoric closed form rounds
+# its root by at most 4 ulps (bound checked against a four-candidate
+# reference at the choke points), and a bisected root is 1 ulp from its sign
+# change.
+ROOT_ULPS = 4

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hybridfit import gauge
 from hybridfit.dataset import Dataset, FactorSpec, identical_rows
-from hybridfit.errors import AnalysisError, RootBracketError, ShapeError
+from hybridfit.errors import AnalysisError, InconsistencyError, ShapeError
 from hybridfit.gauge import GaugeConstants
-from hybridfit.tolerances import BRACKET_INSET, RESIDUAL_REL_TOL
+from hybridfit.tolerances import ROOT_ULPS
 
 # Recorded back-pressure columns of the case-study factorial design,
 # computed with gamma=1.4, p_atm=101.325 kPa, ideal discharge coefficients.
@@ -68,7 +68,7 @@ def oracle_bisect(f, lo, hi):
     if fhi == 0.0:
         return hi, hi
     if flo * fhi > 0.0:
-        raise RootBracketError(f"no sign change: {flo:.6g}, {fhi:.6g}")
+        raise ValueError(f"no sign change: {flo:.6g}, {fhi:.6g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -85,9 +85,7 @@ def oracle_bisect(f, lo, hi):
 
 def oracle_backpressure(model, point, k):
     f = oracle_residual(model, point, k)
-    ps = point[1] * 1000.0
-    eps = 1e-9 * (ps - k.p_atm)
-    lo, hi = oracle_bisect(f, k.p_atm + eps, ps - eps)
+    lo, hi = oracle_bisect(f, k.p_atm, point[1] * 1000.0)
     return hi if abs(f(hi)) < abs(f(lo)) else lo
 
 
@@ -107,25 +105,25 @@ def reference_factor_adiabatic(r, gamma):
     return np.where(r >= critical, subsonic, choked)
 
 
-def reference_bisect(residual, lo, hi, flo):
-    sign_lo = np.sign(flo)
+def reference_bisect(residual, lo, hi):
     active = lo < hi
-    for _ in range(200):
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         active &= (mid > lo) & (mid < hi)
         if not active.any():
             break
         fmid = residual(mid)
-        below = sign_lo * fmid < 0.0
+        below = fmid < 0.0
         np.copyto(hi, mid, where=active & (below | (fmid == 0.0)))
         np.copyto(lo, mid, where=active & ~below)
 
 
 @np.errstate(over="ignore")  # as the solver: a supply of 1e306 MPa in kPa
 def reference_adiabatic(points, k):
-    """The final bracket (lo, hi), the root and whether the solver refuses
-    it, of every row; a row refused on its inputs is solved at the solver's
-    stand-in point."""
+    """The final bracket (lo, hi) on [p_atm, ps], the root and whether the
+    solver refuses it, of every row; a row refused on its inputs is solved
+    at the solver's stand-in point.  A root is refused unless its flows are
+    finite and the residual is >= 0 at lo and <= 0 at hi."""
     points = np.asarray(points, dtype=float)
     scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
     invalid = (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
@@ -138,19 +136,12 @@ def reference_adiabatic(points, k):
     def residual(p):
         return np.subtract(*flows(p))
 
-    eps = BRACKET_INSET * (ps - k.p_atm)
-    bracket = k.p_atm + eps, ps - eps
-    flo, fhi = residual(bracket[0]), residual(bracket[1])
-    no_sign_change = np.sign(flo) * np.sign(fhi) > 0.0
-    hi = np.where((flo == 0.0) | no_sign_change, bracket[0], bracket[1])
-    lo = np.where(fhi == 0.0, hi, bracket[0])
-    reference_bisect(residual, lo, hi, flo)
-    (o_lo, s_lo), (o_hi, s_hi) = flows(lo), flows(hi)
-    root = np.where(np.abs(o_hi - s_hi) < np.abs(o_lo - s_lo), hi, lo)
-    orifice, sensor = flows(root)
-    bad_residual = ~(np.nextafter(lo, np.inf) >= hi) & ~(
-        np.abs(orifice - sensor) <= RESIDUAL_REL_TOL * orifice)
-    return lo, hi, root, invalid | no_sign_change | bad_residual
+    lo, hi = np.full_like(ps, k.p_atm), ps.copy()
+    reference_bisect(residual, lo, hi)
+    r_lo, r_hi = residual(lo), residual(hi)
+    root = np.where(np.abs(r_hi) < np.abs(r_lo), hi, lo)
+    certified = np.isfinite(residual(root)) & (r_lo >= 0.0) & (r_hi <= 0.0)
+    return lo, hi, root, invalid | ~certified
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +333,30 @@ class TestBackpressureSolvers:
             p = solve_one(model, (ratio * b, supply, b))
             assert p == pytest.approx(b * (supply * 1000.0) / (ratio * b), rel=1e-15)
 
-    def test_bracket_error_reports_residuals(self):
-        # so nearly dead-ended that the root lies within the bracket's 1e-9
-        # margin below the supply: the residual is positive at both ends
+    def test_bisection_runs_until_the_bracket_closes(self):
+        # the root is 1e-298 of the supply's 1e303 kPa above p_atm: about
+        # 1040 halvings of [p_atm, supply]; both restrictors are choked there
         for model in ("adiabatic", "isochoric"):
-            with pytest.raises(RootBracketError, match="no sign change.*residual"):
-                solve_one(model, (1e-9, 0.199, 0.503))
+            assert solve_one(model, (1e149, 1e300, 1e-149)) == pytest.approx(1e5, rel=1e-15)
+
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_supply_below_a_huge_atmosphere_is_named(self, model):
+        # the refused row is solved at a stand-in supply of 2 p_atm, which
+        # overflows to inf here
+        with pytest.raises(AnalysisError, match=r"^row 1: supply pressure"):
+            solve_one(model, (1.0, 0.2, 1.0), GaugeConstants(p_atm=1e308))
+
+    def test_bracket_error_reports_residuals(self):
+        # so nearly dead-ended that the root lies within 1e-9 of the supply's
+        # width below it: the bracket [p_atm, supply] still holds it
+        for model in ("adiabatic", "isochoric"):
+            assert solve_one(model, (1e-9, 0.199, 0.503)) == pytest.approx(199.0, rel=1e-9)
+        # both flows overflow: the refusal names the window and its residuals
+        for model in ("adiabatic", "isochoric"):
+            with pytest.raises(InconsistencyError, match=(
+                    r"^row 1: flow equality has no certified root: "
+                    r"residual \S+ at \S+ kPa and \S+ at \S+ kPa$")):
+                solve_one(model, (1e300, 1e10, 1e300))
 
 
 
@@ -383,6 +392,20 @@ def area_scaled_rows():
     return points
 
 
+def near_atm_rows(rng, n):
+    """The bundled factor ranges for the areas and a supply of p_atm (1 +
+    1e-9): each root lies within a few ulps of p_atm."""
+    return np.column_stack([rng.uniform(0.251, 1.257, n), np.full(n, 0.101325 * (1.0 + 1e-9)),
+                            rng.uniform(0.503, 1.131, n)])
+
+
+def tiny_sensor_rows(rng, n):
+    """Sensor areas log-uniform over 1e-6..1e-4 mm^2, a supply of 0.2 MPa
+    and an orifice of 0.5 mm^2: each root lies within about 1e-8 of the
+    supply."""
+    return np.column_stack([10.0 ** rng.uniform(-6.0, -4.0, n), np.full(n, 0.2), np.full(n, 0.5)])
+
+
 def mixed_rows(rng, n):
     """Wide rows with every fifth one refused on its inputs: an area zero,
     negative or NaN, a supply below p_atm, or one that overflows in kPa."""
@@ -403,8 +426,8 @@ class TestAgainstReference:
         ends = []
         bisect = gauge._bisect
 
-        def capturing(residual, lo, hi, flo):
-            bisect(residual, lo, hi, flo)
+        def capturing(residual, lo, hi):
+            bisect(residual, lo, hi)
             ends.append((lo.copy(), hi.copy()))
 
         monkeypatch.setattr(gauge, "_bisect", capturing)
@@ -430,6 +453,26 @@ class TestAgainstReference:
         for point in points[refused][:100]:
             with pytest.raises(AnalysisError):
                 solve_one("adiabatic", point)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda rng: wide_rows(rng, 6000),
+    lambda rng: near_atm_rows(rng, 300),
+    lambda rng: tiny_sensor_rows(rng, 300),
+], ids=["wide", "near_atm", "tiny_sensor"])
+@pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+def test_every_root_certified(model, rows):
+    """Rows with the root near either end of [p_atm, supply]: each theory
+    solves every one, and the oracle's own bisection, on [p_atm, supply]
+    with math.pow for numpy's power, finds a sign change of its residual
+    near each root.  Each residual's rounding can move its computed sign
+    change by ROOT_ULPS ulps, so the two roots agree within twice that (4
+    ulps at most on these rows, adiabatic; 3 isochoric)."""
+    points = rows(np.random.default_rng(17))
+    roots = gauge.solve_backpressures(model, points, DEFAULTS)
+    assert [i for i, (point, p) in enumerate(zip(points, roots))
+            if not abs(p - oracle_backpressure(model, point, DEFAULTS))
+            <= 2 * ROOT_ULPS * np.spacing(p)] == []
 
 
 def gauge_sweep_rows(seed, rows=2000, repeat_share=0.25):
@@ -458,7 +501,7 @@ class TestBisectionSteps:
         counts = []
         bisect = gauge._bisect
 
-        def counting(residual, lo, hi, flo):
+        def counting(residual, lo, hi):
             calls = [0, 0]
 
             def counted(side):
@@ -467,8 +510,8 @@ class TestBisectionSteps:
                     return residual(p)
                 return call
 
-            reference_bisect(counted(1), lo.copy(), hi.copy(), flo)
-            bisect(counted(0), lo, hi, flo)
+            reference_bisect(counted(1), lo.copy(), hi.copy())
+            bisect(counted(0), lo, hi)
             counts.append(tuple(calls))
 
         monkeypatch.setattr(gauge, "_bisect", counting)
@@ -481,16 +524,8 @@ class TestBisectionSteps:
         assert solver == reference > 0
 
     def test_no_midpoint_without_an_open_bracket(self, steps):
-        # a zero residual at the bracket's top end (found by search): lo = hi
-        fhi_zero = (3.38289984415064e-05, 0.261422, 0.661872)
-        ps = 1000.0 * fhi_zero[1]
-        root = gauge.solve_backpressures("adiabatic", np.array([fhi_zero]), DEFAULTS)
-        assert root.tolist() == [ps - BRACKET_INSET * (ps - DEFAULTS.p_atm)]
-        # every row refused: no sign change on the bracket
-        with pytest.raises(RootBracketError):
-            gauge.solve_backpressures("adiabatic", np.array([(1e-9, 0.199, 0.503)] * 3), DEFAULTS)
         assert gauge.solve_backpressures("adiabatic", np.empty((0, 3)), DEFAULTS).shape == (0,)
-        assert steps == [(0, 0)] * 3
+        assert steps == [(0, 0)]
 
 
 def choke_boundary_rows(rng, n):
@@ -712,12 +747,13 @@ class TestManyRows:
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
     def test_earliest_row_wins_across_checks(self, model):
-        # row 7 fails only after its bracket is evaluated; row 9 fails the
-        # input check that runs first: the error is still about row 7
+        # row 7 fails only after its root is sought (both flows overflow);
+        # row 9 fails the input check that runs first: the error is still
+        # about row 7
         rows = list(self.GOOD)
-        rows[6] = (1e-9, 0.199, 0.503)
+        rows[6] = (1e300, 1e10, 1e300)
         rows[8] = (0.5, 0.2, 0.0)
-        with pytest.raises(RootBracketError, match=r"^row 7: flow equality"):
+        with pytest.raises(InconsistencyError, match=r"^row 7: flow equality"):
             gauge.simulate_design(design(rows), model, DEFAULTS)
         with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive"):
             gauge.simulate_design(design(self.GOOD[:7] + rows[7:]), model, DEFAULTS)
