@@ -1,15 +1,13 @@
 """Command-line surface: simulate, fit, validate.
 
-Each command is argument parsing, one parse of the spec file
-(:func:`hybridfit.config.read_keyvalues`), one read of the data file
-(:func:`hybridfit.dataset.read_text`) split once
-(:func:`hybridfit.dataset.split_table`, the one splitter, which refuses a
-ragged row for every command alike), :func:`hybridfit.config.load_case` on
-the split table, one call into the library, and file writing.
-``simulate`` runs a flow solver over a design file and writes the split
-table's header and rows, tab-separated with each cell as read, with the
-computed back-pressure column appended.  ``fit`` resolves model, theory,
-alpha and formats from its flags and the spec's ``run.*`` defaults, runs
+The spec file describes the data; the flags choose what to do with it.
+Each command is argument parsing, one :func:`hybridfit.config.load_case`
+(which reads the spec, then reads and splits the data file once, refusing
+a ragged row for every command alike, and loads it), one call into the
+library, and file writing.  ``simulate`` runs a flow solver over a design
+file and writes the split table's header and rows, tab-separated with each
+cell as read, with the computed back-pressure column appended.  ``fit``
+takes model, theory, alpha and formats from its flags, runs
 :func:`hybridfit.analysis.analyze` and writes the coefficient, ANOVA,
 summary, and residual-plot files that :mod:`hybridfit.report` renders from
 its result.  ``validate`` runs :func:`hybridfit.validation.run_validation`,
@@ -42,11 +40,9 @@ MODELS = ("mlr1", "mlr2", "hybrid")
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import config, dataset, gauge, report
+    from . import config, gauge, report
 
-    cfg = config.read_keyvalues(args.spec)
-    table = dataset.split_table(dataset.read_text(args.data))
-    ds = config.load_case(table, cfg)
+    cfg, table, ds = config.load_case(args.data, args.spec)
 
     constants, defaulted = config.gauge_constants(cfg)
     backpressures = gauge.simulate_design(ds, args.theory, constants)
@@ -81,26 +77,18 @@ def report_formats(flag: str | None) -> set[str]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from . import analysis, config, dataset, inference, report
+    from . import analysis, config, inference, report
 
-    # flags first, then the spec's run.* defaults; alpha's range is checked
-    # where its critical values are computed (inference.f_critical)
-    cfg = config.read_keyvalues(args.spec)
-    model = args.model or cfg.get("run.model") or "mlr1"
-    if args.theory and model != "hybrid":
-        raise AnalysisError(f"--theory is for model=hybrid only, got model={model}")
-    theory = args.theory or cfg.get("run.theory") or "none"
-    alpha = args.alpha if args.alpha is not None else (
-        config.as_float(cfg, "run.alpha") if cfg.get("run.alpha") else 0.05
-    )
+    # --theory and --format are checked before any file is read; alpha's range
+    # is checked where its critical values are computed (inference.f_critical)
+    if args.theory and args.model != "hybrid":
+        raise AnalysisError(f"--theory is for model=hybrid only, got model={args.model}")
+    theory = args.theory or "none"
     formats = report_formats(args.format)
 
-    extras: tuple[str, ...] = ()
-    if model == "hybrid" and theory.startswith("column:"):
-        extras = (theory.split(":", 1)[1],)
-    table = dataset.split_table(dataset.read_text(args.data))
-    ds = config.load_case(table, cfg, extras)
-    result = analysis.analyze(ds, cfg, model, theory, alpha)
+    extras = (theory.split(":", 1)[1],) if theory.startswith("column:") else ()
+    cfg, _, ds = config.load_case(args.data, args.spec, extras)
+    result = analysis.analyze(ds, cfg, args.model, theory, args.alpha)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,8 +119,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "fit report",
         f"data: {Path(args.data)}",
         f"config: {Path(args.spec)}",
-        f"model: {model}",
-        f"alpha: {alpha:g}",
+        f"model: {args.model}",
+        f"alpha: {args.alpha:g}",
         "",
     ]
     summary_path = out_dir / "summary.txt"
@@ -196,16 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--spec", required=True)
     p_fit.add_argument(
-        "--model", choices=MODELS,
-        help="polynomial order or theory-scaled model "
-        "(default from config, else mlr1)",
+        "--model", choices=MODELS, default="mlr1",
+        help="polynomial order or theory-scaled model (default mlr1)",
     )
     p_fit.add_argument(
         "--theory",
         help="theory source for model=hybrid: adiabatic, isochoric, or "
         "column:<name> to use a column of the data file",
     )
-    p_fit.add_argument("--alpha", type=float, help="test level (default 0.05)")
+    p_fit.add_argument(
+        "--alpha", type=float, default=0.05, help="test level (default 0.05)"
+    )
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument(
         "--format",

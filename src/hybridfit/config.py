@@ -1,15 +1,14 @@
-"""Key-value config files: factor definitions, gauge constants, run defaults,
-and :func:`load_case`, which loads a data table with the parsed spec
-describing it.  Each command parses its spec once, with
-:func:`read_keyvalues`, and passes the result on.
+"""Key-value spec files, which describe an experiment's data: its factor
+definitions, its response column and the gauge constants; and
+:func:`load_case`, which reads a spec and the data table it describes.
+The spec says nothing about how to fit: that is chosen on the command line.
 
 The format is one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  The keys are ``factor.<name>.{low,high,center,units}`` (factors
-keep the order of their first appearance), ``response.{column,units}``,
+keep the order of their first appearance), ``response.{column,units}`` and
 ``gauge.{gamma,p_atm,c_orifice,c_sensor}`` (the fields of
-:class:`~hybridfit.gauge.GaugeConstants`) and ``run.{model,theory,alpha}``;
-any other key, or a key set twice, is an error naming the file and the
-line.  Example::
+:class:`~hybridfit.gauge.GaugeConstants`); any other key, or a key set
+twice, is an error naming the file and the line.  Example::
 
     factor.A.low = 0.251
     factor.A.high = 1.257
@@ -21,16 +20,15 @@ line.  Example::
 Gauge constants fall back to the defaults of
 :class:`~hybridfit.gauge.GaugeConstants` (air, standard atmosphere, ideal
 discharge) when absent; the defaults used are reported so every run record
-is self-describing.  Run defaults (``run.model``, ``run.theory``,
-``run.alpha``) are read as ``cfg.get("run.<name>")``; command-line flags take
-precedence over them.
+is self-describing.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .dataset import Dataset, FactorSpec, Table, load_table, read_text
+from . import dataset
+from .dataset import Dataset, FactorSpec, Table
 from .errors import SchemaError
 from .gauge import GaugeConstants
 
@@ -40,7 +38,6 @@ KEY_FIELDS = {
     "factor": ("low", "high", "center", "units"),
     "response": ("column", "units"),
     "gauge": GaugeConstants._fields,
-    "run": ("model", "theory", "alpha"),
 }
 
 
@@ -52,7 +49,7 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
     """
     values: dict[str, str] = {}
     first_set: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(dataset.read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -134,12 +131,19 @@ def gauge_constants(cfg: dict[str, str]) -> tuple[GaugeConstants, tuple[str, ...
     return GaugeConstants(**kwargs), tuple(defaulted)
 
 
-def load_case(table: Table, cfg: dict[str, str], extras: tuple[str, ...] = ()) -> Dataset:
-    """Load a data table, as :func:`~hybridfit.dataset.split_table` split
-    it, as the parsed spec ``cfg`` describes it.
+def load_case(
+    data: str | Path, spec: str | Path, extras: tuple[str, ...] = ()
+) -> tuple[dict[str, str], Table, Dataset]:
+    """Read the spec file ``spec``, then read the data file ``data``, split
+    it once (:func:`~hybridfit.dataset.split_table`) and load it as the spec
+    describes: its factor and response columns, and the ``extras`` named
+    to carry along (for example a recorded theory column).
 
-    The spec names the factor and response columns; ``extras`` names further
-    columns to carry along (for example a recorded theory column).
+    Returns the parsed spec, the split table and the loaded
+    :class:`~hybridfit.dataset.Dataset`.  This is the one place that reads a
+    case, so every command reads each file once, the spec first.
     """
+    cfg = read_keyvalues(spec)
+    table = dataset.split_table(dataset.read_text(data))
     response, units = response_column(cfg)
-    return load_table(table, factor_specs(cfg), response, extras, units)
+    return cfg, table, dataset.load_table(table, factor_specs(cfg), response, extras, units)

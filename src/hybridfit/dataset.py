@@ -206,7 +206,10 @@ def split_table(text: str) -> Table:
     line holding its cells as read.  The delimiter is the first of tab,
     comma and semicolon in the header line, else whitespace.  Lines split at
     line feeds only, each losing a carriage return that ends it, so a bare
-    carriage return stays inside its cell for the CSV reader to reject.
+    carriage return stays inside its cell for the CSV reader to reject.  A
+    line of whitespace that holds the delimiter (in a tab table, tabs and
+    spaces only) is a row of empty cells, refused as a comma table's
+    ``" , "`` is; any other line of whitespace is blank and skipped.
 
     A header name or cell holding a tab (a quoted cell, or any cell of a
     comma- or semicolon-separated table, can) and a row whose cells the
@@ -214,10 +217,14 @@ def split_table(text: str) -> Table:
     the row: every command refuses them alike.
     """
     text = (text + "\n").replace("\r\n", "\n")
-    lines = list(filter(str.strip, text.split("\n")))
-    if not lines:
+    lines = text.split("\n")
+    head = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if head is None:
         raise SchemaError("empty file: no header row")
-    delimiter = next((c for c in "\t,;" if c in lines[0]), None)
+    delimiter = next((c for c in "\t,;" if c in lines[head]), None)
+    lines = [
+        line for line in lines[head:] if line.strip() or delimiter and delimiter in line
+    ]
     header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
     n = len(header)
     if "\t".join(header).count("\t") != n - 1:

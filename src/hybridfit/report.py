@@ -21,7 +21,7 @@ import math
 import re
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,27 +45,15 @@ class AnovaReport(NamedTuple):
     rows: tuple[AnovaRow, ...]
 
 
-def _fmt_ss(v: float) -> str:
-    return f"{v:.4g}"
-
-
-def _fmt_f(v: float) -> str:
-    return f"{v:.6g}"
-
-
-def _fmt_p(v: float) -> str:
-    return f"{v:.4g}"
-
-
-def _row_cells(row: AnovaRow) -> list[str]:
-    return [
-        row.source,
-        _fmt_ss(row.ss),
-        str(row.df),
-        _fmt_ss(row.ms) if row.ms is not None else "",
-        _fmt_f(row.f) if row.f is not None else "",
-        _fmt_p(row.p) if row.p is not None else "",
-    ]
+def _row_cells(
+    row: AnovaRow, fmt: Callable[[float], str], fmt_f: Callable[[float], str]
+) -> list[str]:
+    """The cells of ``row``: SS, MS and p through ``fmt``, F through
+    ``fmt_f``, and an empty cell for what the row lacks."""
+    cells = [row.source, fmt(row.ss), str(row.df)]
+    for v, f in ((row.ms, fmt), (row.f, fmt_f), (row.p, fmt)):
+        cells.append("" if v is None else f(v))
+    return cells
 
 
 HEADER = ["Source", "SS", "df", "MS", "F", "p"]
@@ -73,7 +61,8 @@ HEADER = ["Source", "SS", "df", "MS", "F", "p"]
 
 def render_anova_text(report: AnovaReport) -> str:
     """Aligned plain-text rendering of an ANOVA table."""
-    table = [HEADER] + [_row_cells(r) for r in report.rows]
+    table = [HEADER]
+    table += [_row_cells(r, "{:.4g}".format, "{:.6g}".format) for r in report.rows]
     widths = [max(len(row[c]) for row in table) for c in range(len(HEADER))]
     lines = [report.title, "-" * (sum(widths) + 2 * (len(widths) - 1))]
     for row in table:
@@ -85,21 +74,9 @@ def render_anova_text(report: AnovaReport) -> str:
 
 def render_anova_rows(report: AnovaReport) -> str:
     """Tab-separated machine-readable rendering of an ANOVA table."""
-    lines = ["\t".join(["source", "ss", "df", "ms", "f", "p"])]
-    for row in report.rows:
-        lines.append(
-            "\t".join(
-                [
-                    row.source,
-                    repr(row.ss),
-                    str(row.df),
-                    repr(row.ms) if row.ms is not None else "",
-                    repr(row.f) if row.f is not None else "",
-                    repr(row.p) if row.p is not None else "",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    table = [[h.lower() for h in HEADER]]
+    table += [_row_cells(r, repr, repr) for r in report.rows]
+    return "".join("\t".join(row) + "\n" for row in table)
 
 
 def _row(source: str, ss: float, df: int, test: FTest | None = None) -> AnovaRow:
@@ -354,12 +331,6 @@ def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     return buf.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def render_table(names: Sequence[str], columns: Sequence[np.ndarray], row: str) -> str:
-    """Tab-separated table: a header of ``names``, then each row through the
-    ``%``-template ``row`` (one conversion per column, ending in a newline)."""
-    return "\t".join(names) + "\n" + _format_rows(row, columns)
-
-
 def append_column(header: str, lines: Sequence[str], name: str, values: np.ndarray) -> str:
     """The tab-separated ``header`` line and data ``lines``, each with one
     more cell: ``name``, and the row's value at three decimals."""
@@ -369,7 +340,7 @@ def append_column(header: str, lines: Sequence[str], name: str, values: np.ndarr
 
 def render_points(xs: np.ndarray, ys: np.ndarray, xname: str, yname: str) -> str:
     """Tab-separated two-column point file."""
-    return render_table((xname, yname), (xs, ys), "%.6f\t%.6f\n")
+    return f"{xname}\t{yname}\n" + _format_rows("%.6f\t%.6f\n", (xs, ys))
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:

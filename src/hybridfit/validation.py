@@ -19,7 +19,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from . import analysis, config, dataset, gauge, report
+from . import analysis, config, gauge, report
 from .errors import AnalysisError
 
 FACTORIAL_BASENAME = "gauge_factorial"
@@ -112,15 +112,15 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
     checks: list[CheckResult] = []
 
     def load(basename: str, extras: tuple[str, ...] = ()):
-        cfg = config.read_keyvalues(data_dir / f"{basename}_spec.txt")
-        table = dataset.split_table(dataset.read_text(data_dir / f"{basename}.tsv"))
-        return config.load_case(table, cfg, extras), cfg
+        return config.load_case(
+            data_dir / f"{basename}.tsv", data_dir / f"{basename}_spec.txt", extras
+        )
 
     def lof(a: analysis.Analysis) -> float:
         return a.lack_of_fit.f if a.lack_of_fit is not None else math.nan
 
     # --- first-order plain fit on the factorial design -------------------
-    ds5, cfg5 = load(FACTORIAL_BASENAME, extras=("P_adiabatic", "P_isochoric"))
+    cfg5, _, ds5 = load(FACTORIAL_BASENAME, extras=("P_adiabatic", "P_isochoric"))
     mlr1 = analysis.analyze(ds5, cfg5, "mlr1")
     _check_vector(checks, "mlr1.coef", COEF_FIRST_ORDER, mlr1.coef, 1e-3, "abs")
     checks.append(CheckResult("mlr1.ss_regression", 2.287e4, mlr1.ss_regression_about_mean, 0.005, "rel"))
@@ -137,7 +137,7 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
         checks.append(CheckResult(name, expected, got, 0.0, "abs"))
 
     # --- second-order plain fit on the Box-Behnken design ----------------
-    ds7, cfg7 = load(BOXBEHNKEN_BASENAME)
+    cfg7, _, ds7 = load(BOXBEHNKEN_BASENAME)
     mlr2 = analysis.analyze(ds7, cfg7, "mlr2")
     _check_vector(checks, "mlr2.coef", COEF_SECOND_ORDER, mlr2.coef, 1e-3, "abs")
     checks.append(CheckResult("mlr2.ss_regression", 2.624e4, mlr2.ss_regression_about_mean, 0.005, "rel"))

@@ -9,9 +9,9 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def load_case(basename: str, extras: tuple[str, ...] = ()):
-    cfg = config.read_keyvalues(DATA_DIR / f"{basename}_spec.txt")
-    table = dataset.split_table(dataset.read_text(DATA_DIR / f"{basename}.tsv"))
-    return config.load_case(table, cfg, extras), cfg
+    return config.load_case(
+        DATA_DIR / f"{basename}.tsv", DATA_DIR / f"{basename}_spec.txt", extras
+    )
 
 
 @pytest.fixture(scope="session")
@@ -37,27 +37,23 @@ def adiabatic_factor():
 def factorial():
     """The 11-run two-level factorial gauge design with center replicates,
     including the recorded simulation columns."""
-    ds, _ = load_case("gauge_factorial", extras=("P_adiabatic", "P_isochoric"))
-    return ds
+    return load_case("gauge_factorial", extras=("P_adiabatic", "P_isochoric"))[2]
 
 
 @pytest.fixture(scope="session")
 def factorial_config():
-    _, cfg = load_case("gauge_factorial")
-    return cfg
+    return load_case("gauge_factorial")[0]
 
 
 @pytest.fixture(scope="session")
 def boxbehnken():
     """The 15-run Box-Behnken gauge design (coded factors)."""
-    ds, _ = load_case("gauge_boxbehnken")
-    return ds
+    return load_case("gauge_boxbehnken")[2]
 
 
 @pytest.fixture(scope="session")
 def boxbehnken_config():
-    _, cfg = load_case("gauge_boxbehnken")
-    return cfg
+    return load_case("gauge_boxbehnken")[0]
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridfit import config, dataset
+from hybridfit import dataset
 from hybridfit.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -545,29 +545,10 @@ class TestFit:
             assert proc.returncode == 0, proc.stderr
         assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "2")
 
-    def test_config_defaults_and_flag_precedence(self, data_dir, tmp_path):
-        spec_text = (data_dir / "gauge_factorial_spec.txt").read_text()
-        spec = tmp_path / "spec.txt"
-        spec.write_text(spec_text + "\nrun.model = hybrid\nrun.theory = column:P_adiabatic\nrun.alpha = 0.01\n")
-        data = str(data_dir / "gauge_factorial.tsv")
-        out1 = tmp_path / "defaults"
-        assert main(["fit", "--data", data, "--spec", str(spec),
-                     "--out", str(out1)]) == 0
-        summary = (out1 / "summary.txt").read_text()
-        assert "model: hybrid" in summary
-        assert "alpha: 0.01" in summary
-        out2 = tmp_path / "flags"
-        assert main(["fit", "--data", data, "--spec", str(spec),
-                     "--model", "mlr1", "--alpha", "0.1",
-                     "--out", str(out2)]) == 0
-        summary2 = (out2 / "summary.txt").read_text()
-        assert "model: mlr1" in summary2
-        assert "alpha: 0.1" in summary2
-
 
 class TestRunConfig:
-    """The settings of one fit, resolved from the flags and the spec's
-    ``run.*`` defaults; a bad one is one error line and exit status 1."""
+    """The settings of one fit, taken from its flags alone; a bad one is one
+    error line and exit status 1."""
 
     def fit(self, data_dir, tmp_path, *flags):
         return main([
@@ -577,20 +558,6 @@ class TestRunConfig:
             *flags,
             "--out", str(tmp_path / "out"),
         ])
-
-    def test_non_numeric_alpha_in_spec_is_one_error_line(self, data_dir, tmp_path, capsys):
-        spec = tmp_path / "spec.txt"
-        spec.write_text((data_dir / "gauge_factorial_spec.txt").read_text() + "\nrun.alpha = abc\n")
-        rc = main([
-            "fit",
-            "--data", str(data_dir / "gauge_factorial.tsv"),
-            "--spec", str(spec),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: config key 'run.alpha' is not a number: 'abc'\n"
-        )
 
     def test_hybrid_requires_theory(self, data_dir, tmp_path, capsys):
         rc = main([
@@ -626,17 +593,23 @@ class TestRunConfig:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_spec_theory_is_a_hybrid_only_default(self, data_dir, tmp_path):
-        # a plain fit reads no theory, so it does not ask for the column
+    @pytest.mark.parametrize("key", ["run.model", "run.theory", "run.alpha"])
+    @pytest.mark.parametrize("data", ["gauge_factorial.tsv", "missing.tsv"])
+    def test_run_key_in_spec_is_refused(self, key, data, data_dir, tmp_path, capsys):
+        # the spec describes the data and the flags choose the fit, so a
+        # setting has one source; the spec is read first, so its error is
+        # the one reported when the data file is missing too
+        text = (data_dir / "gauge_factorial_spec.txt").read_text()
         spec = tmp_path / "spec.txt"
-        spec.write_text((data_dir / "gauge_factorial_spec.txt").read_text()
-                        + "\nrun.theory = column:nope\n")
+        spec.write_text(text + f"{key} = mlr2\n")
         rc = main([
-            "fit", "--data", str(data_dir / "gauge_factorial.tsv"),
-            "--spec", str(spec), "--model", "mlr1", "--out", str(tmp_path / "out"),
+            "fit", "--data", str(data_dir / data),
+            "--spec", str(spec), "--out", str(tmp_path / "out"),
         ])
-        assert rc == 0
-        assert "theory source" not in (tmp_path / "out" / "summary.txt").read_text()
+        assert rc == 1
+        lineno = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {spec}:{lineno}: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:
@@ -773,7 +746,6 @@ class TestInputFiles:
             return read_text(path)
 
         monkeypatch.setattr(dataset, "read_text", counting)
-        monkeypatch.setattr(config, "read_text", counting)
         rc = main([
             command[0],
             "--data", str(data_dir / "gauge_factorial.tsv"),

@@ -102,6 +102,16 @@ class TestLoadTable:
         ds = load_text("A,y\n0.5,2.0\n", (spec_a(),), "y")
         assert ds.response[0] == 2.0
 
+    @pytest.mark.parametrize("sep", ["\t", ",", ";"], ids=["tab", "comma", "semicolon"])
+    def test_whitespace_line_holding_the_delimiter_is_a_row(self, sep):
+        # a row of empty cells, refused in every delimited table alike: a tab
+        # table once skipped it as blank
+        text = f"A{sep}y\n0.5{sep}2\n {sep} \n0.6{sep}3\n"
+        with pytest.raises(
+            TableParseError, match="^row 2, column 'A': cannot parse '' as a number$"
+        ):
+            load_text(text, (spec_a(),), "y")
+
     def test_duplicate_requested_column(self):
         # a stale first copy of a column must not be read in silence
         text = "A\ty\ty\n0.5\t2.0\t3.0\n"
@@ -275,7 +285,10 @@ def carried_tables(draw):
         [draw(pad) + draw(CARRIED_TOKENS) for _ in header]
         for _ in range(draw(st.integers(0, 5)))
     ]
-    blank = st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)
+    # a line of whitespace holding the delimiter is a row, not a blank line
+    blank = st.lists(
+        st.sampled_from(["", " "] if delimiter == "\t" else ["", " ", "\t "]), max_size=2
+    )
     lines = [sep.join(header)]
     for cells in rows:
         lines += draw(blank) + [sep.join(cells)]
@@ -339,7 +352,7 @@ def unquoted_tables(draw):
     ]
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join([delimiter.join(f"c{j}" for j in range(k)), *lines]) + end
-    return text, delimiter, k, [line for line in lines if line.strip()]
+    return text, delimiter, k, [line for line in lines if line.strip() or delimiter in line]
 
 
 def split_outcome(split, *args):

@@ -168,17 +168,14 @@ def test_simulate_writes_each_line_as_read(table, data_dir, tmp_path):
     data = (data_dir / "gauge_factorial.tsv" if table == "bundled"
             else oddly_spelled_table(tmp_path / "gauge.tsv"))
     spec = data_dir / "gauge_factorial_spec.txt"
-    cfg = config.read_keyvalues(spec)
+    cfg, _, ds = config.load_case(data, spec)
     source = data.read_text().splitlines()
     assert "187.410" in source[1].split("\t")
     for theory in ("adiabatic", "isochoric"):
         rc = main(["simulate", "--data", str(data), "--spec", str(spec),
                    "--theory", theory, "--out", str(tmp_path / theory)])
         assert rc == 0
-        z = gauge.simulate_design(
-            config.load_case(dataset.split_table(data.read_text()), cfg), theory,
-            config.gauge_constants(cfg)[0],
-        )
+        z = gauge.simulate_design(ds, theory, config.gauge_constants(cfg)[0])
         column = f"P_{theory}" if f"P_{theory}" not in source[0] else f"P_{theory}_sim"
         expected = [source[0] + "\t" + column] + [
             line + "\t" + "%.3f" % p for line, p in zip(source[1:], z.tolist(), strict=True)
