@@ -79,10 +79,13 @@ def report_formats(flag: str | None) -> set[str]:
 def cmd_fit(args: argparse.Namespace) -> int:
     from . import analysis, config, inference, report
 
-    # --theory and --format are checked before any file is read; alpha's range
-    # is checked where its critical values are computed (inference.f_critical)
+    # every flag is checked before any file is read
     if args.theory and args.model != "hybrid":
         raise AnalysisError(f"--theory is for model=hybrid only, got model={args.model}")
+    if args.model == "hybrid" and not args.theory:
+        raise AnalysisError("model=hybrid requires a theory source")
+    if not 0.0 < args.alpha < 1.0:  # NaN included
+        raise AnalysisError(f"alpha must lie in (0, 1), got {args.alpha}")
     theory = args.theory or "none"
     formats = report_formats(args.format)
 

@@ -19,7 +19,6 @@ bundled data).  Supply pressure is absolute MPa; all other pressures are kPa.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,26 +56,25 @@ class GaugeConstants(_GaugeConstantsFields):
 
 
 def critical_pressure_ratio(gamma: float) -> float:
-    """Downstream/upstream pressure ratio below which adiabatic flow chokes."""
+    """The pressure ratio where the adiabatic flow factor peaks; below it, flow chokes."""
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
 def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
-    """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], written
-    into ``work[0]``; ``work`` is that array, a float scratch array and a
-    boolean one, each shaped like ``r``.  A ratio of 0 (one that underflowed)
-    is choked.  The one copy of the formula."""
-    out, scratch, choked_at = work
-    np.power(r, 2.0 / gamma, out=out)
-    np.power(r, (gamma + 1.0) / gamma, out=scratch)
-    np.subtract(out, scratch, out=out)
+    """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], which it
+    leaves unmodified, written into ``work[0]`` of ``work``, two float arrays
+    shaped like ``r``.  Clamping r up to the critical ratio chokes the one
+    subsonic formula (r = 0, an underflowed ratio, too), and with
+    u = r^(1/gamma) its r^(2/gamma) - r^((gamma+1)/gamma) is u (u - r)."""
+    out, clamped = work
+    np.maximum(r, critical_pressure_ratio(gamma), out=clamped)
+    np.power(clamped, 1.0 / gamma, out=out)
+    np.subtract(out, clamped, out=clamped)
+    np.multiply(out, clamped, out=out)
+    # u >= r exactly, but a power rounded low can make u (u - r) negative
     np.maximum(out, 0.0, out=out)
     np.multiply(out, gamma / (gamma - 1.0), out=out)
-    np.sqrt(out, out=out)
-    np.less(r, critical_pressure_ratio(gamma), out=choked_at)
-    choked = math.sqrt(gamma / (gamma + 1.0) * (2.0 / (gamma + 1.0)) ** (2.0 / (gamma - 1.0)))
-    np.putmask(out, choked_at, choked)
-    return out
+    return np.sqrt(out, out=out)
 
 
 def flow_factor_isochoric(p_up, p_down):
@@ -199,8 +197,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     if model == "adiabatic":
         # both restrictors' ratios in one 2 x n stack, one flow-factor pass
         orifice_scale = b * ps
-        ratios = np.empty((2, len(ps)))
-        work = np.empty_like(ratios), np.empty_like(ratios), np.empty(ratios.shape, dtype=bool)
+        ratios, *work = np.empty((3, 2, len(ps)))  # work: the flow factor's two buffers
 
         def flows(p, out=None):
             """Orifice- and sensor-side flows at back-pressures p in

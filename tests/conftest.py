@@ -26,7 +26,7 @@ def adiabatic_factor():
 
     def factor(pressure_ratio, gamma):
         r = np.asarray(pressure_ratio, dtype=float)
-        work = np.empty_like(r), np.empty_like(r), np.empty(r.shape, dtype=bool)
+        work = np.empty_like(r), np.empty_like(r)
         out = gauge._adiabatic_factor(r, gamma, work)
         return out if out.ndim else float(out)
 

@@ -575,6 +575,29 @@ class TestRunConfig:
         assert capsys.readouterr().err == "error: alpha must lie in (0, 1), got 1.5\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "hybrid"], "model=hybrid requires a theory source"),
+        (["--model", "hybrid", "--alpha", "2"], "model=hybrid requires a theory source"),
+        (["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+        (["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+        (["--model", "hybrid", "--theory", "adiabatic", "--alpha", "0"],
+         "alpha must lie in (0, 1), got 0.0"),
+    ])
+    def test_flags_are_checked_before_any_file_is_read(
+        self, flags, message, data_dir, tmp_path, capsys
+    ):
+        # a missing data file would be the error if the files came first
+        rc = main([
+            "fit",
+            "--data", str(tmp_path / "nope.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            *flags,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_format(self, data_dir, tmp_path, capsys):
         assert self.fit(data_dir, tmp_path, "--format", "pdf,text") == 1
         assert capsys.readouterr().err == "error: unknown report formats: ['pdf']\n"
