@@ -89,52 +89,38 @@ def flow_factor_isochoric(p_up, p_down):
 
 
 def _bisect(residual, lo, hi) -> None:
-    """Bisect in place, in lockstep, every row's bracket [lo, hi] with lo < hi,
-    where the residual is >= 0 at lo and <= 0 at hi, until it collapses to
-    adjacent floats or hits an exact zero (then lo = hi).  Only the sign of
-    the residual at each midpoint is read, never a product of two residuals,
-    which would underflow to zero for tiny ones.  Each step reuses the
-    buffers made here, and ``residual`` may return the same array every time.
+    """Bisect in place, in lockstep, every row's bracket [lo, hi] with
+    0 <= lo < hi, where the residual is >= 0 at lo and <= 0 at hi, until it
+    collapses to adjacent floats or hits an exact zero (then lo = hi).  Only
+    the sign of the residual at each midpoint is read, never a product of two
+    residuals, which would underflow to zero for tiny ones.  Each step reuses
+    the buffers made here, and ``residual`` may return the same array every
+    time.  The solver's brackets start as [p_atm, ps], stand-in rows
+    included, and ``GaugeConstants`` checks that p_atm > 0.
 
-    A bracket at adjacent floats is a fixed point of the update, so no row
-    is masked out: its midpoint is lo, where the residual is >= 0 and only
-    lo moves, or hi, where it is <= 0 and only hi moves; lo = hi gives lo.
-    A bracket two spacings of hi wide has its midpoint strictly inside, and a
-    step halves the width to within half a spacing, so no bracket reaches
-    adjacent floats in the first log2(width / spacing(hi)) - 1 steps, which
-    run without looking for open brackets.  After them the loop ends at the
-    first step that finds none, as the masked loop did; an exact zero that
-    closes every bracket sooner costs only steps that change nothing.
-    Below 2**-1021 halving rounds and the midpoint of lo = hi can leave it,
-    so there each midpoint is clipped into its bracket and every step looks.
-    Halving takes the widest finite bracket, under 2**1024, below the
-    smallest spacing, 2**-1074, in 2098 steps, so every bracket collapses
-    within the 2200 allowed.
+    Non-negative doubles sort as their int64 bit patterns, so the midpoint is
+    taken on the float order: lo + (hi - lo) // 2 in those patterns, which
+    halves the count of floats left in the bracket, subnormals included.  A
+    bracket of n spacings reaches adjacent floats in ceil(log2(n)) steps, at
+    most 63, so the loop runs the widest bracket's count, known before it
+    starts.  A closed bracket is a fixed point of the update, so no row is
+    masked out: at adjacent floats the midpoint is lo, where the residual is
+    >= 0 and only lo moves, to itself; lo = hi gives lo.
     """
-    mid, half = np.empty_like(lo), np.empty_like(lo)
-    move_lo, move_hi = np.empty(lo.shape, bool), np.empty(lo.shape, bool)
-    tiny = not lo.min(initial=np.inf) >= 2.0**-1021
-    fewest = np.min((hi - lo) / np.spacing(hi), initial=np.inf)  # NaN at hi = inf
-    unchecked = int(np.log2(fewest)) - 1 if not tiny and 2.0 <= fewest < np.inf else 0
-    for step in range(2200):
-        # lo + hi overflows above 1.8e308; halving is exact above the
-        # subnormal range, so this is the double 0.5 * (lo + hi) gives
-        # wherever that sum is finite
-        np.multiply(lo, 0.5, out=mid)
-        np.multiply(hi, 0.5, out=half)
-        mid += half
-        if tiny:
-            np.clip(mid, lo, hi, out=mid)
-        if step >= unchecked:
-            np.greater(mid, lo, out=move_lo)
-            if not np.logical_and(move_lo, np.less(mid, hi, out=move_hi), out=move_lo).any():
-                break
+    lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+    mid_bits = np.empty_like(lo_bits)
+    mid, move = mid_bits.view(np.float64), np.empty(lo.shape, bool)
+    widest = int(np.max(hi_bits - lo_bits, initial=1))
+    for _ in range((widest - 1).bit_length()):
+        np.subtract(hi_bits, lo_bits, out=mid_bits)
+        mid_bits >>= 1
+        mid_bits += lo_bits
         value = residual(mid)
         # hi moves where the residual at mid is <= 0, lo where it is >= 0
         # (or NaN); both, to mid, at a root
-        np.putmask(hi, np.less_equal(value, 0.0, out=move_hi), mid)
-        np.less(value, 0.0, out=move_lo)
-        np.putmask(lo, np.logical_not(move_lo, out=move_lo), mid)
+        np.putmask(hi, np.less_equal(value, 0.0, out=move), mid)
+        np.less(value, 0.0, out=move)
+        np.putmask(lo, np.logical_not(move, out=move), mid)
 
 
 def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:

@@ -91,13 +91,14 @@ def oracle_backpressure(model, point, k):
 
 
 # ---------------------------------------------------------------------------
-# Reference adiabatic array solver: the lockstep bisection with two
+# Reference adiabatic array solver: the masked lockstep bisection with two
 # flow-factor calls per residual, each on fresh arrays, and the midpoint
-# 0.5 * (lo + hi).  Its factor is the solver's arithmetic, the subsonic
-# formula at max(r, critical ratio) from one power u = r^(1/gamma), so the
-# roots it finds are the solver's bit for bit; the oracle's two-branch
-# factor is the independent one.  numpy's power, not math.pow (the two
-# differ in the last bit of some results).
+# taken on the float order (halfway between the int64 bit patterns of lo and
+# hi, which sort as non-negative doubles do).  Its factor is the solver's
+# arithmetic, the subsonic formula at max(r, critical ratio) from one power
+# u = r^(1/gamma), so the roots it finds are the solver's bit for bit; the
+# oracle's two-branch factor is the independent one.  numpy's power, not
+# math.pow (the two differ in the last bit of some results).
 # ---------------------------------------------------------------------------
 
 def reference_factor_adiabatic(r, gamma):
@@ -108,8 +109,9 @@ def reference_factor_adiabatic(r, gamma):
 
 def reference_bisect(residual, lo, hi):
     active = lo < hi
-    for _ in range(2200):
-        mid = 0.5 * (lo + hi)
+    for _ in range(64):
+        lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+        mid = (lo_bits + (hi_bits - lo_bits) // 2).view(np.float64)
         active &= (mid > lo) & (mid < hi)
         if not active.any():
             break
@@ -336,7 +338,8 @@ class TestBackpressureSolvers:
         assert np.array_equal(roots, np.repeat(roots[:, k == 0], k.size, axis=1))
 
     def test_midpoint_of_huge_bracket_does_not_overflow(self):
-        # the bracket's ends sum past the largest double, their halves do not
+        # the bracket's ends sum past the largest double; a midpoint taken on
+        # the float order never forms that sum
         p = solve_one("adiabatic", (0.1, 1e305, 0.503))
         assert DEFAULTS.p_atm < p < 1e308
         assert p == pytest.approx(1e5 * solve_one("adiabatic", (0.1, 1e300, 0.503)), rel=1e-12)
@@ -362,8 +365,9 @@ class TestBackpressureSolvers:
             assert p == pytest.approx(b * (supply * 1000.0) / (ratio * b), rel=1e-15)
 
     def test_bisection_runs_until_the_bracket_closes(self):
-        # the root is 1e-298 of the supply's 1e303 kPa above p_atm: about
-        # 1040 halvings of [p_atm, supply]; both restrictors are choked there
+        # the root is 1e-298 of the supply's 1e303 kPa above p_atm, so halving
+        # the bracket's width would take about 1040 steps; halving its count
+        # of floats takes at most 63.  Both restrictors are choked there
         for model in ("adiabatic", "isochoric"):
             assert solve_one(model, (1e149, 1e300, 1e-149)) == pytest.approx(1e5, rel=1e-15)
 
@@ -520,7 +524,8 @@ def gauge_sweep_rows(seed, rows=2000, repeat_share=0.25):
 
 class TestBisectionSteps:
     """The bisection evaluates the residual once per step the masked
-    reference takes, and not at all when no bracket is open."""
+    reference takes on the gauge_sweep rows, at most 63 times on any rows,
+    and not at all when no bracket is open."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -550,6 +555,17 @@ class TestBisectionSteps:
         gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
         (solver, reference), = steps
         assert solver == reference > 0
+
+    def test_one_huge_bracket_does_not_lengthen_the_solve(self, steps):
+        # this row's bracket [p_atm, 1e303 kPa] holds a root 1e-298 of its
+        # width above p_atm: halving the width would step every row about
+        # 1040 times, halving the count of floats at most 63
+        points = gauge_sweep_rows(7)
+        points = np.vstack([points[identical_rows(points)[0]], (1e149, 1e300, 1e-149)])
+        roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS)
+        assert roots[-1] == pytest.approx(1e5, rel=1e-15)
+        (solver, _), = steps
+        assert solver <= 63
 
     def test_no_midpoint_without_an_open_bracket(self, steps):
         assert gauge.solve_backpressures("adiabatic", np.empty((0, 3)), DEFAULTS).shape == (0,)
