@@ -6,7 +6,9 @@ clearance.  In steady state the weight flow rates through the two restrictors
 are equal, which pins the back-pressure between them.  Both flow
 idealizations are solved over arrays of operating points on the exact
 interval [p_atm, supply]: the isochoric equality in closed form, the
-adiabatic one by bisecting all points in lockstep.  Both accept a root by
+adiabatic one by bisecting all points in lockstep, from a few floats
+around a Newton root or, where those miss the sign change, from
+[p_atm, supply].  Both accept a root by
 one rule, a sign change of the computed residual next to it, so they refuse
 the same rows.  :func:`solve_backpressures` is the one solver entry point;
 a single operating point is a one-row array.
@@ -25,7 +27,9 @@ import numpy as np
 
 from .dataset import Dataset, identical_rows
 from .errors import AnalysisError, InconsistencyError, ShapeError
-from .tolerances import ROOT_ULPS
+from .tolerances import BRACKET_ULPS, ROOT_ULPS
+
+_NEWTON_STEPS = 4  # from the isochoric root toward the adiabatic one
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
 
@@ -60,21 +64,29 @@ def critical_pressure_ratio(gamma: float) -> float:
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
-def _adiabatic_factor(r, gamma: float, work) -> np.ndarray:
+def _adiabatic_factor(r, gamma: float, work, slope=None) -> np.ndarray:
     """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], which it
     leaves unmodified, written into ``work[0]`` of ``work``, two float arrays
     shaped like ``r``.  Clamping r up to the critical ratio chokes the one
     subsonic formula (r = 0, an underflowed ratio, too), and with
-    u = r^(1/gamma) its r^(2/gamma) - r^((gamma+1)/gamma) is u (u - r)."""
+    u = r^(1/gamma) its G = r^(2/gamma) - r^((gamma+1)/gamma) is u (u - r).
+    Into an array ``slope`` shaped like r goes the factor's derivative in r,
+    gamma/(gamma-1) G' / (2 factor) with G' = u (2u - r) / (gamma r) - u at
+    the clamped ratio: 0 at critical, so 0 up to rounding where choked."""
     out, clamped = work
     np.maximum(r, critical_pressure_ratio(gamma), out=clamped)
     np.power(clamped, 1.0 / gamma, out=out)
+    if slope is not None:
+        slope[...] = (out * 2.0 - clamped) * out / (gamma * clamped) - out
     np.subtract(out, clamped, out=clamped)
     np.multiply(out, clamped, out=out)
     # u >= r exactly, but a power rounded low can make u (u - r) negative
     np.maximum(out, 0.0, out=out)
     np.multiply(out, gamma / (gamma - 1.0), out=out)
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+    if slope is not None:
+        np.divide(slope * (gamma / (2.0 * (gamma - 1.0))), out, out=slope)
+    return out
 
 
 def flow_factor_isochoric(p_up, p_down):
@@ -95,7 +107,7 @@ def _bisect(residual, lo, hi) -> None:
     the sign of the residual at each midpoint is read, never a product of two
     residuals, which would underflow to zero for tiny ones.  Each step reuses
     the buffers made here, and ``residual`` may return the same array every
-    time.  The solver's brackets start as [p_atm, ps], stand-in rows
+    time.  The solver's brackets lie within [p_atm, ps], stand-in rows
     included, and ``GaugeConstants`` checks that p_atm > 0.
 
     Non-negative doubles sort as their int64 bit patterns, so the midpoint is
@@ -158,7 +170,10 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     in kPa and above p_atm.  The residual, orifice-side minus sensor-side
     flow, is >= 0 at p_atm, where the sensor flow is 0, and <= 0 at the
     supply, where the orifice flow is (NaN only if b ps overflows), so
-    [p_atm, supply] brackets every root, with no end evaluated.  A root is
+    [p_atm, supply] brackets every root.  The adiabatic bisection starts
+    from ``BRACKET_ULPS`` floats each way of a Newton root where the
+    residual is >= 0 at the lower end and <= 0 at the upper, else from
+    [p_atm, supply], whose ends are not evaluated.  A root is
     accepted when its flows are finite and the residual is >= 0 at lo and
     <= 0 at hi: the final bisection bracket (adiabatic), or the closed-form
     root widened by ``ROOT_ULPS`` ulps each way within [p_atm, supply]
@@ -181,27 +196,43 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
 
     if model == "adiabatic":
-        # both restrictors' ratios in one 2 x n stack, one flow-factor pass
+        # both restrictors' ratios in one 2 x p.shape stack, one flow-factor pass
         orifice_scale = b * ps
-        ratios, *work = np.empty((3, 2, len(ps)))  # work: the flow factor's two buffers
 
-        def flows(p, out=None):
-            """Orifice- and sensor-side flows at back-pressures p in
-            [p_atm, ps], into out (without it, into a new array).  Both
-            ratios lie in [0, 1] there, 0 where p_atm / p underflows."""
+        def flows(p, buffers=None, slopes=None):
+            """Orifice- and sensor-side flows at back-pressures p in [p_atm, ps]
+            (n or k x n) into [0] of ``buffers``, four 2 x p.shape arrays (new
+            without it): [1] gets both ratios, in [0, 1] (0 where p_atm / p
+            underflows), [2] both flow factors, and ``slopes`` their slopes."""
+            out, ratios, *work = np.empty((4, 2) + p.shape) if buffers is None else buffers
             np.divide(p, ps, out=ratios[0])
             np.divide(p_atm, p, out=ratios[1])
-            out = np.empty_like(ratios) if out is None else out
-            factor = _adiabatic_factor(ratios, gamma, work)
+            factor = _adiabatic_factor(ratios, gamma, work, slopes)
             np.multiply(orifice_scale, factor[0], out=out[0])
             np.multiply(a, p, out=out[1])
             np.multiply(out[1], factor[1], out=out[1])
             return out
 
-        lo, hi = np.full_like(ps, p_atm), ps.copy()
-        pair, gap = np.empty_like(ratios), np.empty_like(lo)
-        _bisect(lambda p: np.subtract(*flows(p, pair), out=gap), lo, hi)
-        r_lo, r_hi = (np.subtract(*flows(end)) for end in (lo, hi))
+        # Newton on R/a from the isochoric root at areas (1, b/a), both free of
+        # the area scale; a step that is not finite leaves its row in place
+        buffers, slopes, gap = np.empty((4, 2, len(ps))), np.empty((2, len(ps))), np.empty(len(ps))
+        _, ratios, factor, _ = buffers
+        orifice_ratio = b / a
+        root = np.fmin(np.fmax(_isochoric_root(1.0, ps, orifice_ratio, p_atm), p_atm), ps)
+        for _ in range(_NEWTON_STEPS):
+            flows(root, buffers, slopes)
+            step = root - ((orifice_ratio * ps * factor[0] - root * factor[1])
+                           / (orifice_ratio * slopes[0] - factor[1] + ratios[1] * slopes[1]))
+            root = np.where(np.isfinite(step), np.fmin(np.fmax(step, p_atm), ps), root)
+        # BRACKET_ULPS floats each way of it where their signs bracket a root,
+        # else [p_atm, ps]
+        bits = root.view(np.int64)
+        ends = np.stack([np.maximum(bits - BRACKET_ULPS, np.array(p_atm).view(np.int64)),
+                         np.minimum(bits + BRACKET_ULPS, ps.view(np.int64))]).view(np.float64)
+        r_lo, r_hi = np.subtract(*flows(ends))
+        lo, hi = np.where((r_lo >= 0.0) & (r_hi <= 0.0), ends, [np.full_like(ps, p_atm), ps])
+        _bisect(lambda p: np.subtract(*flows(p, buffers), out=gap), lo, hi)
+        r_lo, r_hi = np.subtract(*flows(np.stack([lo, hi])))
         take_hi = np.abs(r_hi) < np.abs(r_lo)
         root, r_root = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
     else:

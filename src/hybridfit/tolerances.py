@@ -22,8 +22,15 @@ ROUNDOFF_SS_TOL = (64 * 2.0**-52) ** 2
 SS_REL_TOL = 1e-8
 
 # A flow-solver root is accepted where the computed flow-equality residual
-# changes sign within this many ulps of it: the isochoric closed form rounds
-# its root by at most 4 ulps (bound checked against a four-candidate
-# reference at the choke points), and a bisected root is 1 ulp from its sign
-# change.
+# changes sign within this many ulps of it: the isochoric closed form's root
+# is within 4 ulps of a four-candidate reference's at the choke points, and
+# a bisected root is 1 ulp from its sign change.  It bounds no root's
+# distance from the exact one, which reaches 5 ulps near the critical ratio.
 ROOT_ULPS = 4
+
+# The adiabatic bisection starts this many floats each way of a Newton root
+# and closes in ceil(log2(64)) = 6 steps, where [p_atm, supply] takes about
+# 53.  The bisected root lies at most 6 floats from Newton's on the tests'
+# row sets (the residual's sign is rounding noise that near), so 32 leaves
+# room; a row whose ends do not bracket a sign change gets [p_atm, supply].
+BRACKET_ULPS = 32

@@ -12,7 +12,9 @@ rounding separates its root from the exact one.
 Run as a script, this module bisects the exact residual of both theories to
 a width far below an ulp on a larger seeded row set, prints the largest
 distance of the solver's root from the exact root in ulps, and exits 1 if
-it exceeds ``K_ULPS``:
+it exceeds ``K_ULPS``.  It then prints, ungated, the same for the adiabatic
+roots of 250 rows whose sensor ratio is within 1e-12 of critical, where
+some roots are more than ``K_ULPS`` ulps off:
 
     PYTHONPATH=src python tests/test_exact_roots.py
 """
@@ -27,20 +29,24 @@ import pytest
 from hybridfit import gauge
 from hybridfit.dataset import identical_rows
 from hybridfit.gauge import GaugeConstants
-from test_gauge import gauge_sweep_rows, near_atm_rows, tiny_sensor_rows, wide_rows
+from test_gauge import (gauge_sweep_rows, near_atm_rows, near_critical_rows, tiny_sensor_rows,
+                        wide_rows)
 
 DEFAULTS = GaugeConstants()
 EXACT = decimal.Context(prec=50, Emax=10**6, Emin=-10**6)
 
-# Every accepted root lies within K_ULPS ulps of the exact root.  Each
-# computed flow carries a handful of roundings (a power, a square root and
-# three products), so the computed residual changes sign a few ulps from
-# where the exact one does, and a bisected root is 1 ulp from its computed
-# sign change.  The largest distance measured, on these rows, the script's
-# and 300 more bundled-range rows, is 3.73 ulps (adiabatic), and at 3 ulps
-# one wide row here fails, so 4 is the smallest whole count that holds; it
-# is also ROOT_ULPS, the window in which the solvers accept a sign change
-# of the computed residual.
+# The accepted roots of the gated row sets lie within K_ULPS ulps of the
+# exact root.  Each computed flow carries a handful of roundings (a power, a
+# square root and three products), so the computed residual changes sign a
+# few ulps from where the exact one does, and a bisected root is 1 ulp from
+# its computed sign change.  The largest distance measured, on these rows,
+# the script's and 300 more bundled-range rows, is 3.73 ulps (adiabatic),
+# and at 3 ulps one wide row here fails, so 4 is the smallest whole count
+# that holds; it is also ROOT_ULPS, the window in which the solvers accept a
+# sign change of the computed residual.  It is not a bound on every root:
+# on the first 250 rows whose sensor ratio is within 1e-12 of critical the
+# largest adiabatic distance measured is 5.08 ulps (5.34 when every bracket
+# started at [p_atm, supply]), so the script prints those rows ungated.
 K_ULPS = 4
 
 
@@ -113,24 +119,32 @@ def exact_root(model, point):
         return (lo + hi) / 2
 
 
+def root_errors(model, points):
+    """Print the largest and the 99th-percentile distance in ulps of the
+    solver's roots from the exact roots, and return the largest."""
+    roots = gauge.solve_backpressures(model, points, DEFAULTS)
+    with decimal.localcontext(EXACT):
+        errors = [float(abs(Decimal(p) - exact_root(model, point)) / Decimal(np.spacing(p)))
+                  for point, p in zip(points, roots)]
+    i = int(np.argmax(errors))
+    print(f"{model}: {len(points)} rows, largest root error {errors[i]:.2f} ulps "
+          f"(row {i + 1}: {points[i].tolist()}), 99th percentile "
+          f"{np.percentile(errors, 99):.2f} ulps")
+    return errors[i]
+
+
 def main():
     """Print, per theory, the largest distance in ulps of the solver's root
-    from the exact root over the script's row set; 1 if any exceeds K_ULPS."""
+    from the exact root over the script's row set, then the adiabatic one
+    over the first 250 near-critical rows (rng 17), which is not gated; 1 if
+    any of the first exceeds K_ULPS."""
     rng = np.random.default_rng(29)
     sweep = gauge_sweep_rows(29)
     points = np.vstack([sweep[identical_rows(sweep)[0]][:100], near_atm_rows(rng, 50),
                         tiny_sensor_rows(rng, 50), wide_rows(rng, 100)])
-    worst = 0.0
-    for model in ("adiabatic", "isochoric"):
-        roots = gauge.solve_backpressures(model, points, DEFAULTS)
-        with decimal.localcontext(EXACT):
-            errors = [float(abs(Decimal(p) - exact_root(model, point)) / Decimal(np.spacing(p)))
-                      for point, p in zip(points, roots)]
-        i = int(np.argmax(errors))
-        print(f"{model}: {len(points)} rows, largest root error {errors[i]:.2f} ulps "
-              f"(row {i + 1}: {points[i].tolist()}), 99th percentile "
-              f"{np.percentile(errors, 99):.2f} ulps")
-        worst = max(worst, errors[i])
+    worst = max(root_errors(model, points) for model in ("adiabatic", "isochoric"))
+    print("near-critical rows, not gated:", end=" ")
+    root_errors("adiabatic", near_critical_rows(np.random.default_rng(17), 2000)[:250])
     return 0 if worst <= K_ULPS else 1
 
 

@@ -11,7 +11,7 @@ from hybridfit import gauge
 from hybridfit.dataset import Dataset, FactorSpec, identical_rows
 from hybridfit.errors import AnalysisError, InconsistencyError, ShapeError
 from hybridfit.gauge import GaugeConstants
-from hybridfit.tolerances import ROOT_ULPS
+from hybridfit.tolerances import BRACKET_ULPS, ROOT_ULPS
 
 # Recorded back-pressure columns of the case-study factorial design,
 # computed with gamma=1.4, p_atm=101.325 kPa, ideal discharge coefficients.
@@ -91,20 +91,32 @@ def oracle_backpressure(model, point, k):
 
 
 # ---------------------------------------------------------------------------
-# Reference adiabatic array solver: the masked lockstep bisection with two
+# Reference adiabatic array solver: Newton's steps from the isochoric root
+# narrow each bracket, then the masked lockstep bisection runs with two
 # flow-factor calls per residual, each on fresh arrays, and the midpoint
 # taken on the float order (halfway between the int64 bit patterns of lo and
-# hi, which sort as non-negative doubles do).  Its factor is the solver's
-# arithmetic, the subsonic formula at max(r, critical ratio) from one power
-# u = r^(1/gamma), so the roots it finds are the solver's bit for bit; the
-# oracle's two-branch factor is the independent one.  numpy's power, not
-# math.pow (the two differ in the last bit of some results).
+# hi, which sort as non-negative doubles do).  Its factor and slope are the
+# solver's arithmetic, the subsonic formula at max(r, critical ratio) from
+# one power u = r^(1/gamma), so the roots it finds are the solver's bit for
+# bit; the oracle's two-branch factor is the independent one.  numpy's
+# power, not math.pow (the two differ in the last bit of some results).
 # ---------------------------------------------------------------------------
 
 def reference_factor_adiabatic(r, gamma):
     r = np.maximum(r, (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0)))
     u = r ** (1.0 / gamma)
     return np.sqrt(gamma / (gamma - 1.0) * np.maximum(u * (u - r), 0.0))
+
+
+def reference_factor_and_slope(r, gamma):
+    """The flow factor and its derivative in r, gamma/(gamma-1) G' / (2
+    factor) with G = u (u - r) and G' = u (2u - r) / (gamma r) - u, both at
+    the clamped ratio."""
+    factor = reference_factor_adiabatic(r, gamma)
+    r = np.maximum(r, (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0)))
+    u = r ** (1.0 / gamma)
+    slope = (u * 2.0 - r) * u / (gamma * r) - u
+    return factor, slope * (gamma / (2.0 * (gamma - 1.0))) / factor
 
 
 def reference_bisect(residual, lo, hi):
@@ -121,12 +133,35 @@ def reference_bisect(residual, lo, hi):
         np.copyto(lo, mid, where=active & ~below)
 
 
-@np.errstate(over="ignore")  # as the solver: a supply of 1e306 MPa in kPa
+def reference_bracket(a, ps, b, k, residual):
+    """Each row's bracket before the bisection: gauge._NEWTON_STEPS Newton
+    steps on R/a from the isochoric root at areas (1, b/a), each clamped to
+    [p_atm, ps], a step that is not finite leaving its row in place; then
+    BRACKET_ULPS floats each way of that root, within [p_atm, ps], where the
+    residual is >= 0 at the lower end and <= 0 at the upper, else [p_atm, ps]."""
+    ratio = b / a
+    p = np.fmin(np.fmax(gauge._isochoric_root(1.0, ps, ratio, k.p_atm), k.p_atm), ps)
+    for _ in range(gauge._NEWTON_STEPS):
+        (f_orifice, f_sensor), (s_orifice, s_sensor) = reference_factor_and_slope(
+            np.stack([p / ps, k.p_atm / p]), k.gamma)
+        value = ratio * ps * f_orifice - p * f_sensor
+        slope = ratio * s_orifice - f_sensor + (k.p_atm / p) * s_sensor
+        step = p - value / slope
+        p = np.where(np.isfinite(step), np.fmin(np.fmax(step, k.p_atm), ps), p)
+    bits = p.view(np.int64)
+    lo = np.maximum(bits - BRACKET_ULPS, np.array(k.p_atm).view(np.int64)).view(np.float64)
+    hi = np.minimum(bits + BRACKET_ULPS, ps.view(np.int64)).view(np.float64)
+    narrowed = (residual(lo) >= 0.0) & (residual(hi) <= 0.0)
+    return np.where(narrowed, lo, k.p_atm), np.where(narrowed, hi, ps)
+
+
+# as the solver: a supply of 1e306 MPa in kPa, a slope that is infinite
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def reference_adiabatic(points, k):
-    """The final bracket (lo, hi) on [p_atm, ps], the root and whether the
-    solver refuses it, of every row; a row refused on its inputs is solved
-    at the solver's stand-in point.  A root is refused unless its flows are
-    finite and the residual is >= 0 at lo and <= 0 at hi."""
+    """The final bracket (lo, hi), the root and whether the solver refuses
+    it, of every row; a row refused on its inputs is solved at the solver's
+    stand-in point.  A root is refused unless its flows are finite and the
+    residual is >= 0 at lo and <= 0 at hi."""
     points = np.asarray(points, dtype=float)
     scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
     invalid = (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
@@ -139,7 +174,7 @@ def reference_adiabatic(points, k):
     def residual(p):
         return np.subtract(*flows(p))
 
-    lo, hi = np.full_like(ps, k.p_atm), ps.copy()
+    lo, hi = reference_bracket(a, ps, b, k, residual)
     reference_bisect(residual, lo, hi)
     r_lo, r_hi = residual(lo), residual(hi)
     root = np.where(np.abs(r_hi) < np.abs(r_lo), hi, lo)
@@ -524,8 +559,9 @@ def gauge_sweep_rows(seed, rows=2000, repeat_share=0.25):
 
 class TestBisectionSteps:
     """The bisection evaluates the residual once per step the masked
-    reference takes on the gauge_sweep rows, at most 63 times on any rows,
-    and not at all when no bracket is open."""
+    reference takes on the gauge_sweep rows, at most ceil(log2(2
+    BRACKET_ULPS)) times where Newton narrowed every bracket, at most 63
+    times on any rows, and not at all when no bracket is open."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -550,6 +586,19 @@ class TestBisectionSteps:
         monkeypatch.setattr(gauge, "_bisect", counting)
         return counts
 
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The (lo, hi) each adiabatic solve's bisection starts from."""
+        ends = []
+        bisect = gauge._bisect
+
+        def capturing(residual, lo, hi):
+            ends.append((lo.copy(), hi.copy()))
+            bisect(residual, lo, hi)
+
+        monkeypatch.setattr(gauge, "_bisect", capturing)
+        return ends
+
     def test_one_evaluation_per_reference_step(self, steps):
         points = gauge_sweep_rows(7)
         gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
@@ -566,6 +615,30 @@ class TestBisectionSteps:
         assert roots[-1] == pytest.approx(1e5, rel=1e-15)
         (solver, _), = steps
         assert solver <= 63
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11])
+    def test_narrowed_brackets_close_in_a_few_steps(self, steps, seed):
+        # Newton's root widened by BRACKET_ULPS floats each way holds the
+        # sign change on every row, and 2 BRACKET_ULPS floats close in 6
+        # steps, where [p_atm, ps] takes 53
+        points = gauge_sweep_rows(seed)
+        gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
+        (solver, _), = steps
+        assert 0 < solver <= math.ceil(math.log2(2 * BRACKET_ULPS))
+
+    def test_full_bracket_where_newton_does_not_narrow_it(self, starts):
+        # at these supplies the isochoric start overflows (it squares ps) and
+        # is clamped to ps, where the orifice's slope is infinite, so Newton
+        # stays there and its bracket misses the root: both rows bisect
+        # [p_atm, ps], and both roots are accepted
+        rows = np.array([(0.1, 1e305, 0.503), (0.6175, 3.45e299, 658.63)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = gauge.solve_backpressures("adiabatic", rows, DEFAULTS)
+        (lo, hi), = starts
+        assert np.array_equal(lo, [DEFAULTS.p_atm] * 2)
+        assert np.array_equal(hi, rows[:, 1] * 1000.0)
+        assert np.all((DEFAULTS.p_atm < roots) & (roots < hi))
 
     def test_no_midpoint_without_an_open_bracket(self, steps):
         assert gauge.solve_backpressures("adiabatic", np.empty((0, 3)), DEFAULTS).shape == (0,)
