@@ -4,14 +4,13 @@ A jet of air flows from a supply chamber through an orifice of area B, then
 out of a nozzle whose effective exit area A is set by the nozzle-to-workpiece
 clearance.  In steady state the weight flow rates through the two restrictors
 are equal, which pins the back-pressure between them.  Both flow
-idealizations are solved over arrays of operating points on the exact
-interval [p_atm, supply]: the isochoric equality in closed form, the
-adiabatic one by bisecting all points in lockstep, from a few floats
-around a Newton root or, where those miss the sign change, from
-[p_atm, supply].  Both accept a root by
-one rule, a sign change of the computed residual next to it, so they refuse
-the same rows.  :func:`solve_backpressures` is the one solver entry point;
-a single operating point is a one-row array.
+idealizations solve that one equality, each with its own flow factor of a
+pressure ratio, over arrays of operating points on the exact interval
+[p_atm, supply]: the isochoric one in closed form, the adiabatic one by
+Newton steps from the isochoric root, then bisecting all points in lockstep.
+Both accept a root by one rule, a sign change of the computed residual next
+to it, so they refuse the same rows.  :func:`solve_backpressures` is the one
+solver entry point; a single operating point is a one-row array.
 
 The sqrt(2g/RT) factor common to both sides of the flow equality cancels, so
 gravity, the gas constant, and temperature never enter.  Only the products of
@@ -89,15 +88,15 @@ def _adiabatic_factor(r, gamma: float, work, slope=None) -> np.ndarray:
     return out
 
 
-def flow_factor_isochoric(p_up, p_down):
-    """Isochoric flow factor (kPa-scaled) for flow from ``p_up`` down to
-    ``p_down`` (floats or arrays); chokes at a pressure ratio of one half."""
-    p_up, p_down = np.asarray(p_up, dtype=float), np.asarray(p_down, dtype=float)
-    if not np.all((p_down > 0.0) & (p_down <= p_up)):
-        raise AnalysisError(f"need 0 < downstream <= upstream, got {p_down}, {p_up}")
-    # no product of two pressures, which would overflow where the flow does not
-    out = np.where(p_down / p_up >= 0.5, np.sqrt(p_down) * np.sqrt(p_up - p_down), p_up / 2.0)
-    return out if out.ndim else float(out)
+def _isochoric_factor(r, work) -> np.ndarray:
+    """The isochoric flow factor at pressure ratios ``r`` in [0, 1], written
+    as ``_adiabatic_factor``'s: sqrt(c (1 - c)) at c = max(r, 1/2), so the
+    flow chokes below a ratio of one half at its value there."""
+    out, clamped = work
+    np.maximum(r, 0.5, out=clamped)
+    np.subtract(1.0, clamped, out=out)
+    np.multiply(out, clamped, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _bisect(residual, lo, hi) -> None:
@@ -135,51 +134,55 @@ def _bisect(residual, lo, hi) -> None:
         np.putmask(lo, np.logical_not(move, out=move), mid)
 
 
-def _isochoric_root(a, ps, b, p_atm) -> np.ndarray:
-    """Closed-form isochoric back-pressure.  The residual b f(ps, p) -
-    a f(p, p_atm) falls strictly as p rises, so its sign at the two choke
-    points says which restrictors are choked at the root: the orifice where
-    it is negative at ps/2, the sensor where it is positive at 2 p_atm.
-    With x = min(2 p_atm / ps, 1), both flows there are multiples of
-    G = sqrt(x (1 - x)) for x >= 1/2, else 1/2, and the root is that
-    regime's (orifice, sensor each subsonic or choked at ratio 1/2)."""
-    x = np.minimum(2.0 * p_atm / ps, 1.0)
-    g = np.where(x >= 0.5, np.sqrt(x * (1.0 - x)), 0.5)
-    orifice_choked, sensor_choked = a * g > b, b * ps * g > a * p_atm
-    a2, b2, pa2 = a * a, b * b, p_atm * p_atm
+def _isochoric_root(ps, a, b, p_atm) -> np.ndarray:
+    """Closed-form isochoric back-pressure at areas a, b in [0, 1], the
+    larger of them 1.  The residual b ps F(p/ps) - a p F(p_atm/p) falls
+    strictly as p rises, so its sign at the two choke points says which
+    restrictors are choked at the root: the orifice where it is negative at
+    ps/2, the sensor where it is positive at 2 p_atm.  Both flows there are
+    multiples of G = F(min(2 p_atm / ps, 1)), and the root is that
+    regime's (orifice, sensor each subsonic or choked at ratio 1/2).  No
+    intermediate squares a pressure: the orifice chokes only where a > 2b,
+    so a = 1 in both its regimes; where the sensor alone chokes,
+    a / (2b) <= 1; where neither does, ps <= 4 p_atm, and a squared area
+    that underflows leaves the root at its limit."""
+    c = np.clip(2.0 * p_atm / ps, 0.5, 1.0)
+    g = np.sqrt(c * (1.0 - c))
+    orifice, a2, b2 = b * ps, a * a, b * b  # orifice: its flow over its factor
+    orifice_choked, sensor_choked = a * g > b, orifice * g > a * p_atm
     lin = b2 * ps - a2 * p_atm
-    disc = np.sqrt(lin * lin + 4.0 * a2 * b2 * pa2)
+    disc = np.hypot(lin, 2.0 * a * b * p_atm)
     return np.select(
         [orifice_choked & sensor_choked, orifice_choked, sensor_choked],
-        [b * ps / a, p_atm + b2 * ps * ps / (4.0 * a2 * p_atm), b2 * ps / (b2 + 0.25 * a2)],
-        # both subsonic: the positive root of b2 p^2 - lin p - a2 pa^2 = 0,
+        [orifice, p_atm + orifice * (0.25 * orifice / p_atm), ps / (1.0 + (0.5 * a / b) ** 2)],
+        # both subsonic: the positive root of b2 p^2 - lin p - a2 p_atm^2 = 0,
         # without cancellation
-        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), 2.0 * a2 * pa2 / (disc + np.abs(lin))),
+        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), p_atm * (2.0 * a2 * p_atm / (disc + np.abs(lin)))),
     )
 
 
-# A flow that overflows keeps its sign, and a row where one does (or two, as
-# inf - inf) fails the acceptance rule, so needs no warning.  At
-# a subnormal p_atm the isochoric orifice-choked candidate divides by a
-# 4 a^2 p_atm that underflows to 0; the regime test never picks it there.
+# With the areas over the larger, no flow overflows.  Stand-in rows, the
+# closed-form candidates the regime test does not pick and Newton steps at a
+# zero slope divide by 0 or overflow, and none of them needs a warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
     """Back-pressures (kPa) in [p_atm, supply] balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
     ``points``.  Each row is checked for positive inputs and a supply finite
-    in kPa and above p_atm.  The residual, orifice-side minus sensor-side
-    flow, is >= 0 at p_atm, where the sensor flow is 0, and <= 0 at the
-    supply, where the orifice flow is (NaN only if b ps overflows), so
-    [p_atm, supply] brackets every root.  The adiabatic bisection starts
-    from ``BRACKET_ULPS`` floats each way of a Newton root where the
-    residual is >= 0 at the lower end and <= 0 at the upper, else from
-    [p_atm, supply], whose ends are not evaluated.  A root is
-    accepted when its flows are finite and the residual is >= 0 at lo and
-    <= 0 at hi: the final bisection bracket (adiabatic), or the closed-form
-    root widened by ``ROOT_ULPS`` ulps each way within [p_atm, supply]
-    (isochoric).  A row failing that raises :class:`InconsistencyError`
-    naming the window and both residuals; the earliest failing row is named
-    ``row k``, k being its entry in ``rows`` (default 1..n)."""
+    in kPa and above p_atm.  Both theories solve one residual, orifice-side
+    minus sensor-side flow, b ps F(p/ps) - a p F(p_atm/p), with the areas
+    over the larger of them and F the theory's flow factor.  It is >= 0 at
+    p_atm, where the sensor flow is 0, and <= 0 at the supply, where the
+    orifice flow is, so [p_atm, supply] brackets every root.  The adiabatic
+    bisection starts from ``BRACKET_ULPS`` floats each way of a Newton root,
+    from the isochoric one, where the residual is >= 0 at the lower end and
+    <= 0 at the upper, else from [p_atm, supply].  A root is accepted when
+    its flows are finite and the residual is >= 0 at lo and <= 0 at hi: the
+    final bisection bracket (adiabatic), or the closed-form root widened by
+    ``ROOT_ULPS`` ulps each way within [p_atm, supply] (isochoric).  A row
+    failing that raises :class:`InconsistencyError` naming the window and
+    both residuals; the earliest failing row is named ``row k``, k being its
+    entry in ``rows`` (default 1..n)."""
     if model not in ("adiabatic", "isochoric"):
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
@@ -194,35 +197,34 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     # the other rows still run and the earliest failure can be named.
     invalid = (nonpositive.any(axis=1) | low_supply | overflow)[:, None]
     a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
+    larger = np.fmax(a, b)
+    a, b = a / larger, b / larger
+    orifice_scale = b * ps
 
+    def flows(p, buffers=None, slopes=None):
+        """Orifice- and sensor-side flows at back-pressures p in [p_atm, ps]
+        (n or k x n) into [0] of ``buffers``, four 2 x p.shape arrays (new
+        without it), from one flow-factor pass: [1] gets both ratios, in
+        [0, 1] (0 where p_atm / p underflows), [2] both flow factors, and
+        ``slopes`` their slopes (adiabatic)."""
+        out, ratios, *work = np.empty((4, 2) + p.shape) if buffers is None else buffers
+        np.divide(p, ps, out=ratios[0])
+        np.divide(p_atm, p, out=ratios[1])
+        factor = (_adiabatic_factor(ratios, gamma, work, slopes) if model == "adiabatic"
+                  else _isochoric_factor(ratios, work))
+        np.multiply(orifice_scale, factor[0], out=out[0])
+        np.multiply(a, p, out=out[1])
+        np.multiply(out[1], factor[1], out=out[1])
+        return out
+
+    root = np.fmin(np.fmax(_isochoric_root(ps, a, b, p_atm), p_atm), ps)  # NaN -> p_atm
     if model == "adiabatic":
-        # both restrictors' ratios in one 2 x p.shape stack, one flow-factor pass
-        orifice_scale = b * ps
-
-        def flows(p, buffers=None, slopes=None):
-            """Orifice- and sensor-side flows at back-pressures p in [p_atm, ps]
-            (n or k x n) into [0] of ``buffers``, four 2 x p.shape arrays (new
-            without it): [1] gets both ratios, in [0, 1] (0 where p_atm / p
-            underflows), [2] both flow factors, and ``slopes`` their slopes."""
-            out, ratios, *work = np.empty((4, 2) + p.shape) if buffers is None else buffers
-            np.divide(p, ps, out=ratios[0])
-            np.divide(p_atm, p, out=ratios[1])
-            factor = _adiabatic_factor(ratios, gamma, work, slopes)
-            np.multiply(orifice_scale, factor[0], out=out[0])
-            np.multiply(a, p, out=out[1])
-            np.multiply(out[1], factor[1], out=out[1])
-            return out
-
-        # Newton on R/a from the isochoric root at areas (1, b/a), both free of
-        # the area scale; a step that is not finite leaves its row in place
+        # Newton from the isochoric root; a step not finite leaves its row
         buffers, slopes, gap = np.empty((4, 2, len(ps))), np.empty((2, len(ps))), np.empty(len(ps))
         _, ratios, factor, _ = buffers
-        orifice_ratio = b / a
-        root = np.fmin(np.fmax(_isochoric_root(1.0, ps, orifice_ratio, p_atm), p_atm), ps)
         for _ in range(_NEWTON_STEPS):
-            flows(root, buffers, slopes)
-            step = root - ((orifice_ratio * ps * factor[0] - root * factor[1])
-                           / (orifice_ratio * slopes[0] - factor[1] + ratios[1] * slopes[1]))
+            orifice, sensor = flows(root, buffers, slopes)
+            step = root - (orifice - sensor) / (b * slopes[0] - a * (factor[1] - ratios[1] * slopes[1]))
             root = np.where(np.isfinite(step), np.fmin(np.fmax(step, p_atm), ps), root)
         # BRACKET_ULPS floats each way of it where their signs bracket a root,
         # else [p_atm, ps]
@@ -236,13 +238,9 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
         take_hi = np.abs(r_hi) < np.abs(r_lo)
         root, r_root = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
     else:
-        def flows(p):
-            return b * flow_factor_isochoric(ps, p), a * flow_factor_isochoric(p, p_atm)
-
-        root = np.fmin(np.fmax(_isochoric_root(a, ps, b, p_atm), p_atm), ps)  # NaN -> p_atm
         ulps = ROOT_ULPS * np.spacing(root)
         lo, hi = np.fmax(root - ulps, p_atm), np.fmin(root + ulps, ps)
-        r_lo, r_hi, r_root = (np.subtract(*flows(p)) for p in (lo, hi, root))
+        r_lo, r_hi, r_root = np.subtract(*flows(np.stack([lo, hi, root])))
     # the one acceptance rule, for both theories: finite flows at the root
     # (a finite residual there), a residual >= 0 at lo and <= 0 at hi
     uncertified = ~(np.isfinite(r_root) & (r_lo >= 0.0) & (r_hi <= 0.0))

@@ -25,12 +25,12 @@ SS_REL_TOL = 1e-8
 # changes sign within this many ulps of it: the isochoric closed form's root
 # is within 4 ulps of a four-candidate reference's at the choke points, and
 # a bisected root is 1 ulp from its sign change.  It bounds no root's
-# distance from the exact one, which reaches 5 ulps near the critical ratio.
+# distance from the exact one, which nears 4.5 ulps at the critical ratio.
 ROOT_ULPS = 4
 
 # The adiabatic bisection starts this many floats each way of a Newton root
 # and closes in ceil(log2(64)) = 6 steps, where [p_atm, supply] takes about
-# 53.  The bisected root lies at most 6 floats from Newton's on the tests'
-# row sets (the residual's sign is rounding noise that near), so 32 leaves
-# room; a row whose ends do not bracket a sign change gets [p_atm, supply].
+# 53.  The bisected root lies at most 4 floats from Newton's on the tests'
+# row sets and at inputs out to 1e300 (the residual's sign is noise that
+# near), so 32 leaves room; ends that bracket no sign change get [p_atm, ps].
 BRACKET_ULPS = 32

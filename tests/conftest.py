@@ -34,6 +34,19 @@ def adiabatic_factor():
 
 
 @pytest.fixture(scope="session")
+def isochoric_factor():
+    """The solvers' isochoric flow factor at a pressure ratio (a float or an
+    array), with the scratch arrays it writes into made here."""
+
+    def factor(pressure_ratio):
+        r = np.asarray(pressure_ratio, dtype=float)
+        out = gauge._isochoric_factor(r, (np.empty_like(r), np.empty_like(r)))
+        return out if out.ndim else float(out)
+
+    return factor
+
+
+@pytest.fixture(scope="session")
 def factorial():
     """The 11-run two-level factorial gauge design with center replicates,
     including the recorded simulation columns."""

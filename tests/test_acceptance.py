@@ -131,7 +131,7 @@ def test_criterion_5_gauge_solvers(factorial):
     print("[criterion 5] PASS - flow solvers match recorded columns within 0.5 kPa")
 
 
-def test_criterion_6_randomized_property_suite(adiabatic_factor):
+def test_criterion_6_randomized_property_suite(adiabatic_factor, isochoric_factor):
     rng = np.random.default_rng(9296)
     n_systems = 110
     for _ in range(n_systems):
@@ -188,8 +188,8 @@ def test_criterion_6_randomized_property_suite(adiabatic_factor):
         hi = adiabatic_factor(rc * (1 + 1e-12), gamma)
         assert abs(lo - hi) < 1e-9
     for p_up in np.linspace(120.0, 320.0, 10):
-        lo = gauge.flow_factor_isochoric(p_up, 0.5 * p_up * (1 - 1e-12))
-        hi = gauge.flow_factor_isochoric(p_up, 0.5 * p_up * (1 + 1e-12))
+        lo = p_up * isochoric_factor(0.5 * (1 - 1e-12))
+        hi = p_up * isochoric_factor(0.5 * (1 + 1e-12))
         assert abs(lo - hi) < 1e-9
 
     # monotonicity of the solved back-pressure on a 10x10 grid

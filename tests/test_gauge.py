@@ -91,15 +91,16 @@ def oracle_backpressure(model, point, k):
 
 
 # ---------------------------------------------------------------------------
-# Reference adiabatic array solver: Newton's steps from the isochoric root
-# narrow each bracket, then the masked lockstep bisection runs with two
-# flow-factor calls per residual, each on fresh arrays, and the midpoint
-# taken on the float order (halfway between the int64 bit patterns of lo and
-# hi, which sort as non-negative doubles do).  Its factor and slope are the
-# solver's arithmetic, the subsonic formula at max(r, critical ratio) from
-# one power u = r^(1/gamma), so the roots it finds are the solver's bit for
-# bit; the oracle's two-branch factor is the independent one.  numpy's
-# power, not math.pow (the two differ in the last bit of some results).
+# Reference adiabatic array solver: the areas divided by the larger of them,
+# Newton's steps from the isochoric root narrow each bracket, then the masked
+# lockstep bisection runs with two flow-factor calls per residual, each on
+# fresh arrays, and the midpoint taken on the float order (halfway between
+# the int64 bit patterns of lo and hi, which sort as non-negative doubles
+# do).  Its factor and slope are the solver's arithmetic, the subsonic
+# formula at max(r, critical ratio) from one power u = r^(1/gamma), so the
+# roots it finds are the solver's bit for bit; the oracle's two-branch
+# factor is the independent one.  numpy's power, not math.pow (the two
+# differ in the last bit of some results).
 # ---------------------------------------------------------------------------
 
 def reference_factor_adiabatic(r, gamma):
@@ -134,18 +135,18 @@ def reference_bisect(residual, lo, hi):
 
 
 def reference_bracket(a, ps, b, k, residual):
-    """Each row's bracket before the bisection: gauge._NEWTON_STEPS Newton
-    steps on R/a from the isochoric root at areas (1, b/a), each clamped to
-    [p_atm, ps], a step that is not finite leaving its row in place; then
-    BRACKET_ULPS floats each way of that root, within [p_atm, ps], where the
-    residual is >= 0 at the lower end and <= 0 at the upper, else [p_atm, ps]."""
-    ratio = b / a
-    p = np.fmin(np.fmax(gauge._isochoric_root(1.0, ps, ratio, k.p_atm), k.p_atm), ps)
+    """Each row's bracket before the bisection, at areas a, b over the larger
+    of them: gauge._NEWTON_STEPS Newton steps from the isochoric root, each
+    clamped to [p_atm, ps], a step that is not finite leaving its row in
+    place; then BRACKET_ULPS floats each way of that root, within
+    [p_atm, ps], where the residual is >= 0 at the lower end and <= 0 at the
+    upper, else [p_atm, ps]."""
+    p = np.fmin(np.fmax(gauge._isochoric_root(ps, a, b, k.p_atm), k.p_atm), ps)
     for _ in range(gauge._NEWTON_STEPS):
         (f_orifice, f_sensor), (s_orifice, s_sensor) = reference_factor_and_slope(
             np.stack([p / ps, k.p_atm / p]), k.gamma)
-        value = ratio * ps * f_orifice - p * f_sensor
-        slope = ratio * s_orifice - f_sensor + (k.p_atm / p) * s_sensor
+        value = b * ps * f_orifice - a * p * f_sensor
+        slope = b * s_orifice - a * (f_sensor - (k.p_atm / p) * s_sensor)
         step = p - value / slope
         p = np.where(np.isfinite(step), np.fmin(np.fmax(step, k.p_atm), ps), p)
     bits = p.view(np.int64)
@@ -166,6 +167,8 @@ def reference_adiabatic(points, k):
     scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
     invalid = (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
     a, ps, b = np.where(invalid[:, None], [1.0, 2.0 * k.p_atm, 1.0], scaled).T
+    larger = np.fmax(a, b)
+    a, b = a / larger, b / larger
 
     def flows(p):
         return (b * ps * reference_factor_adiabatic(p / ps, k.gamma),
@@ -183,20 +186,26 @@ def reference_adiabatic(points, k):
 
 
 # ---------------------------------------------------------------------------
-# Reference isochoric closed form: all four regime roots, each tested against
-# its own side of the ratio-1/2 lines with a slack of 1e-12, the first
-# self-consistent one kept, NaN where none is.
+# Reference isochoric closed form, at the areas over the larger of them: all
+# four regime roots, each tested against its own side of the ratio-1/2 lines
+# with a slack of 1e-12, the first self-consistent one kept, NaN where none
+# is.  The two orifice-choked roots divide by the sensor's area, which the
+# solver takes as 1 there.
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reference_isochoric(a, ps, b, p_atm):
-    a2, b2, pa2 = a * a, b * b, p_atm * p_atm
+    larger = np.fmax(a, b)
+    a, b = a / larger, b / larger
+    a2, b2 = a * a, b * b
     lin = b2 * ps - a2 * p_atm
-    disc = np.sqrt(lin * lin + 4.0 * a2 * b2 * pa2)
+    disc = np.hypot(lin, 2.0 * a * b * p_atm)
+    half = 0.5 * (b * ps) / a
     candidates = (
-        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), 2.0 * a2 * pa2 / (disc + np.abs(lin))),
-        p_atm + b2 * ps * ps / (4.0 * a2 * p_atm),
-        b2 * ps / (b2 + 0.25 * a2),
+        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2),
+                 p_atm * (2.0 * a2 * p_atm / (disc + np.abs(lin)))),
+        p_atm + half * (half / p_atm),
+        ps / (1.0 + (0.5 * a / b) ** 2),
         b * ps / a,
     )
 
@@ -268,23 +277,39 @@ class TestFlowFactorAdiabatic:
 
 
 class TestFlowFactorIsochoric:
-    def test_no_pressure_drop_no_flow(self):
-        assert gauge.flow_factor_isochoric(150.0, 150.0) == 0.0
+    """The clamped isochoric factor of a pressure ratio, times the upstream
+    pressure, is the oracle's flow factor of the two pressures."""
 
-    def test_branches_meet_at_half(self):
+    def test_no_pressure_drop_no_flow(self, isochoric_factor):
+        assert isochoric_factor(1.0) == 0.0
+
+    def test_branches_meet_at_half(self, isochoric_factor):
         p_up = 237.4
-        assert gauge.flow_factor_isochoric(p_up, 0.5 * p_up) == pytest.approx(
+        assert p_up * isochoric_factor(0.5) == pytest.approx(
             p_up / 2.0, abs=BRANCH_CONTINUITY_TOL
         )
 
-    def test_direct_evaluation(self):
-        assert gauge.flow_factor_isochoric(200.0, 150.0) == pytest.approx(
+    def test_direct_evaluation(self, isochoric_factor):
+        assert 200.0 * isochoric_factor(150.0 / 200.0) == pytest.approx(
             math.sqrt(150.0 * 50.0), rel=1e-12
         )
 
-    def test_ordering_violation(self):
-        with pytest.raises(AnalysisError):
-            gauge.flow_factor_isochoric(100.0, 150.0)
+    # p_up within 1e150 of 1, where the oracle's product of two pressures
+    # neither overflows nor underflows
+    @given(p_up=st.floats(1e-150, 1e150), r=st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 0.5, 1.0]),
+        st.floats(-1e-9, 1e-9).map(lambda d: 0.5 + d)))
+    @settings(deadline=None)
+    def test_matches_two_branch_oracle(self, isochoric_factor, p_up, r):
+        """Subsonic, the squared factors over p_up^2, c (1 - c) at most 1/4,
+        agree within 4 rounding units (the ratio is rounded once, and the
+        slope of c (1 - c) is at most 1); choked, they are equal."""
+        p_down = r * p_up
+        got = isochoric_factor(p_down / p_up)
+        want = oracle_factor_isochoric(p_up, p_down) / p_up
+        assert abs(got * got - want * want) <= 4.0 * 2.0**-52
+        if p_down / p_up < 0.5:
+            assert p_up * got == oracle_factor_isochoric(p_up, p_down)
 
 
 def factorial_inputs():
@@ -307,6 +332,45 @@ def factorial_inputs():
 def solve_one(model, point, k=DEFAULTS):
     """The back-pressure at one operating point, as a one-row solve."""
     return float(gauge.solve_backpressures(model, [point], k)[0])
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The (lo, hi) each adiabatic solve's bisection starts from."""
+    ends = []
+    bisect = gauge._bisect
+
+    def capturing(residual, lo, hi):
+        ends.append((lo.copy(), hi.copy()))
+        bisect(residual, lo, hi)
+
+    monkeypatch.setattr(gauge, "_bisect", capturing)
+    return ends
+
+
+@pytest.fixture
+def full_brackets(monkeypatch):
+    """Every adiabatic bisection starts from [p_atm, ps]: the Newton steps
+    start at ps, where the orifice's slope is infinite, so they stay there,
+    and the narrow bracket there misses the root (no known row does that)."""
+    monkeypatch.setattr(gauge, "_isochoric_root", lambda ps, a, b, p_atm: ps)
+
+
+@pytest.fixture
+def overflowing(monkeypatch):
+    """Make both flows overflow at the rows ``index`` picks (all by default),
+    which no row's flows do, since the areas are divided by the larger of
+    them: each flow factor there becomes inf, so the residual is inf - inf."""
+
+    def at(index=slice(None)):
+        for name in ("_adiabatic_factor", "_isochoric_factor"):
+            def patched(*args, factor=getattr(gauge, name)):
+                out = factor(*args)
+                out[..., index] = np.inf
+                return out
+            monkeypatch.setattr(gauge, name, patched)
+
+    return at
 
 
 class TestBackpressureSolvers:
@@ -360,33 +424,31 @@ class TestBackpressureSolvers:
             pv = solve_one("isochoric", point)
             assert abs(pa - pv) < 2.5
 
-    def test_adiabatic_root_is_free_of_the_area_scale(self):
-        # both flows scale with the areas, so a power of two leaves the root
-        # bit-identical, as long as no two residuals are multiplied: at tiny
-        # areas their product underflows to zero
-        k = np.arange(-1000, 1001)
-        points = np.repeat(np.array(factorial_inputs()), k.size, axis=0)
-        scale = np.tile(2.0 ** k, len(factorial_inputs()))
-        points[:, 0] *= scale
-        points[:, 2] *= scale
-        roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS).reshape(-1, k.size)
-        assert np.array_equal(roots, np.repeat(roots[:, k == 0], k.size, axis=1))
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_root_is_free_of_the_area_scale(self, model):
+        # the areas are divided by the larger of them, exactly for a power
+        # of two, so it leaves the root bit-identical
+        points = area_scaled_rows()
+        roots = gauge.solve_backpressures(model, points, DEFAULTS).reshape(-1, 2001)
+        assert np.array_equal(roots, np.repeat(roots[:, 1000:1001], 2001, axis=1))
 
-    def test_midpoint_of_huge_bracket_does_not_overflow(self):
+    def test_midpoint_of_huge_bracket_does_not_overflow(self, full_brackets, starts):
         # the bracket's ends sum past the largest double; a midpoint taken on
         # the float order never forms that sum
         p = solve_one("adiabatic", (0.1, 1e305, 0.503))
+        assert starts[0][1][0] == 1e308
         assert DEFAULTS.p_atm < p < 1e308
         assert p == pytest.approx(1e5 * solve_one("adiabatic", (0.1, 1e300, 0.503)), rel=1e-12)
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
-    def test_overflowing_flows_are_refused_without_warning(self, model):
-        # the orifice-side flow overflows everywhere on the bracket, and the
-        # sensor-side one too at one end, where the residual is inf - inf
+    def test_overflowing_flows_are_refused_without_warning(self, model, overflowing):
+        # areas of 1e307 each are those of (1, 1): no flow overflows there
+        assert solve_one(model, (1e307, 1.0, 1e307)) == solve_one(model, (1.0, 1.0, 1.0))
+        overflowing()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AnalysisError, match=r"^row 1: "):
-                solve_one(model, (1e307, 1.0, 1e307))
+                solve_one(model, (1.0, 1.0, 1.0))
 
     @given(b=st.floats(1e-3, 1e3), ratio=st.floats(2.0, 4.0, exclude_min=True),
            decade=st.floats(3.0, 300.0))
@@ -413,18 +475,59 @@ class TestBackpressureSolvers:
         with pytest.raises(AnalysisError, match=r"^row 1: supply pressure"):
             solve_one(model, (1.0, 0.2, 1.0), GaugeConstants(p_atm=1e308))
 
-    def test_bracket_error_reports_residuals(self):
+    def test_bracket_error_reports_residuals(self, overflowing):
         # so nearly dead-ended that the root lies within 1e-9 of the supply's
         # width below it: the bracket [p_atm, supply] still holds it
         for model in ("adiabatic", "isochoric"):
             assert solve_one(model, (1e-9, 0.199, 0.503)) == pytest.approx(199.0, rel=1e-9)
+            assert solve_one(model, (1e300, 1e10, 1e300)) == solve_one(model, (1.0, 1e10, 1.0))
         # both flows overflow: the refusal names the window and its residuals
+        overflowing()
         for model in ("adiabatic", "isochoric"):
             with pytest.raises(InconsistencyError, match=(
                     r"^row 1: flow equality has no certified root: "
                     r"residual \S+ at \S+ kPa and \S+ at \S+ kPa$")):
-                solve_one(model, (1e300, 1e10, 1e300))
+                solve_one(model, (1.0, 1e10, 1.0))
 
+
+# log-uniform extremes: areas 1e-300..1e300 mm^2, supplies from just above
+# p_atm (a factor 1 + 1e-15..2) to 1e300 MPa
+EXTREME_AREAS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+EXTREME_SUPPLIES = st.one_of(
+    st.floats(-15.0, 0.0).map(lambda e: DEFAULTS.p_atm / 1000.0 * (1.0 + 10.0 ** e)),
+    st.floats(math.log10(2.0 * DEFAULTS.p_atm / 1000.0), 300.0).map(lambda e: 10.0 ** e))
+
+
+class TestExtremeInputs:
+    """Both theories solve one residual at the areas over the larger of them,
+    and no intermediate of the isochoric closed form squares the supply or a
+    pressure, so at any inputs they accept the same rows."""
+
+    @given(point=st.tuples(EXTREME_AREAS, EXTREME_SUPPLIES, EXTREME_AREAS))
+    @settings(deadline=None, max_examples=300)
+    def test_both_theories_solve_or_both_name_the_row(self, point):
+        solved = []
+        for model in ("adiabatic", "isochoric"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    p = solve_one(model, point)
+                except AnalysisError as error:
+                    assert str(error).startswith("row 1: ")
+                    solved.append(False)
+                else:
+                    assert DEFAULTS.p_atm <= p <= point[1] * 1000.0
+                    solved.append(True)
+        assert solved[0] == solved[1]
+
+    def test_rows_whose_closed_form_overflowed(self):
+        # a^2 overflowed here; the areas over the larger are (1, 1)
+        assert solve_one("isochoric", (1e300, 0.2, 1e300)) == solve_one("isochoric", (1.0, 0.2, 1.0))
+        # b^2 underflowed to 0 here: the orifice is choked and the sensor
+        # subsonic, b ps / 2 = 500 = a sqrt(p_atm (p - p_atm)) with a = 1e3
+        p_atm = DEFAULTS.p_atm
+        assert solve_one("isochoric", (1e3, 1e300, 1e-300)) == pytest.approx(
+            p_atm + 0.25 / p_atm, rel=1e-15)
 
 
 def wide_rows(rng, n):
@@ -533,8 +636,8 @@ def test_every_root_certified(model, rows):
     solves every one, and the oracle's own bisection, on [p_atm, supply]
     with math.pow for numpy's power, finds a sign change of its residual
     near each root.  Each residual's rounding can move its computed sign
-    change by ROOT_ULPS ulps, so the two roots agree within twice that (4
-    ulps at most on these rows, adiabatic; 3 isochoric)."""
+    change by ROOT_ULPS ulps, so the two roots agree within twice that (6
+    ulps at most on these rows, adiabatic; 2 isochoric)."""
     points = rows(np.random.default_rng(17))
     roots = gauge.solve_backpressures(model, points, DEFAULTS)
     assert [i for i, (point, p) in enumerate(zip(points, roots))
@@ -586,19 +689,6 @@ class TestBisectionSteps:
         monkeypatch.setattr(gauge, "_bisect", counting)
         return counts
 
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """The (lo, hi) each adiabatic solve's bisection starts from."""
-        ends = []
-        bisect = gauge._bisect
-
-        def capturing(residual, lo, hi):
-            ends.append((lo.copy(), hi.copy()))
-            bisect(residual, lo, hi)
-
-        monkeypatch.setattr(gauge, "_bisect", capturing)
-        return ends
-
     def test_one_evaluation_per_reference_step(self, steps):
         points = gauge_sweep_rows(7)
         gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
@@ -626,11 +716,18 @@ class TestBisectionSteps:
         (solver, _), = steps
         assert 0 < solver <= math.ceil(math.log2(2 * BRACKET_ULPS))
 
-    def test_full_bracket_where_newton_does_not_narrow_it(self, starts):
-        # at these supplies the isochoric start overflows (it squares ps) and
-        # is clamped to ps, where the orifice's slope is infinite, so Newton
-        # stays there and its bracket misses the root: both rows bisect
-        # [p_atm, ps], and both roots are accepted
+    def test_huge_supply_narrows_too(self, steps):
+        # the isochoric start squares no pressure, so a row at 3.45e299 MPa
+        # narrows like the rest: no row's [p_atm, ps] sets the step count
+        points = gauge_sweep_rows(7)
+        points = np.vstack([points[identical_rows(points)[0]], (0.6175, 3.45e299, 658.63)])
+        gauge.solve_backpressures("adiabatic", points, DEFAULTS)
+        (solver, _), = steps
+        assert 0 < solver <= math.ceil(math.log2(2 * BRACKET_ULPS))
+
+    def test_full_bracket_where_newton_does_not_narrow_it(self, full_brackets, starts):
+        # Newton stays at ps and its bracket misses the root: both rows
+        # bisect [p_atm, ps], and both roots are accepted
         rows = np.array([(0.1, 1e305, 0.503), (0.6175, 3.45e299, 658.63)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -667,7 +764,8 @@ class TestIsochoricRegime:
     def roots(points):
         """The solver's closed-form roots and the reference's, unclamped."""
         a, ps, b = ([DEFAULTS.c_sensor, 1000.0, DEFAULTS.c_orifice] * points).T
-        return (gauge._isochoric_root(a, ps, b, DEFAULTS.p_atm),
+        larger = np.fmax(a, b)
+        return (gauge._isochoric_root(ps, a / larger, b / larger, DEFAULTS.p_atm),
                 reference_isochoric(a, ps, b, DEFAULTS.p_atm))
 
     def test_wide_rows(self):
@@ -765,8 +863,7 @@ class TestSubnormalAtmosphere:
         assert not refused.any()
         assert np.array_equal(adiabatic, root)
         a, ps, b = ([1.0, 1000.0, 1.0] * factorial.naturals).T
-        with np.errstate(divide="ignore"):  # its unpicked orifice-choked candidate
-            assert np.array_equal(isochoric, reference_isochoric(a, ps, b, p_atm))
+        assert np.array_equal(isochoric, reference_isochoric(a, ps, b, p_atm))
 
 
 class TestConstants:
@@ -863,17 +960,17 @@ class TestManyRows:
             gauge.simulate_design(design(rows), model, DEFAULTS)
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
-    def test_earliest_row_wins_across_checks(self, model):
+    def test_earliest_row_wins_across_checks(self, model, overflowing):
         # row 7 fails only after its root is sought (both flows overflow);
         # row 9 fails the input check that runs first: the error is still
         # about row 7
         rows = list(self.GOOD)
-        rows[6] = (1e300, 1e10, 1e300)
         rows[8] = (0.5, 0.2, 0.0)
+        with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive"):
+            gauge.simulate_design(design(rows), model, DEFAULTS)
+        overflowing(6)
         with pytest.raises(InconsistencyError, match=r"^row 7: flow equality"):
             gauge.simulate_design(design(rows), model, DEFAULTS)
-        with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive"):
-            gauge.simulate_design(design(self.GOOD[:7] + rows[7:]), model, DEFAULTS)
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
     def test_distant_replicates_bit_identical(self, model):
