@@ -69,7 +69,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def report_formats(flag: str | None) -> set[str]:
     """The report formats a ``--format`` value names; all of them when unset."""
-    formats = set(flag.split(",")) if flag else set(ALL_FORMATS)
+    formats = set(ALL_FORMATS) if flag is None else set(flag.split(","))
     unknown = formats - set(ALL_FORMATS)
     if unknown:
         raise AnalysisError(f"unknown report formats: {sorted(unknown)}")
@@ -80,7 +80,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     from . import analysis, config, inference, report
 
     # every flag is checked before any file is read
-    if args.theory and args.model != "hybrid":
+    if args.theory is not None and args.model != "hybrid":
         raise AnalysisError(f"--theory is for model=hybrid only, got model={args.model}")
     if args.model == "hybrid" and not args.theory:
         raise AnalysisError("model=hybrid requires a theory source")

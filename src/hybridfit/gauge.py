@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, identical_rows
+from .dataset import Dataset
 from .errors import AnalysisError, InconsistencyError, ShapeError
 from .tolerances import BRACKET_ULPS, ROOT_ULPS
 
@@ -165,7 +165,7 @@ def _isochoric_root(ps, a, b, p_atm) -> np.ndarray:
 # closed-form candidates the regime test does not pick and Newton steps at a
 # zero slope divide by 0 or overflow, and none of them needs a warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None) -> np.ndarray:
+def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.ndarray:
     """Back-pressures (kPa) in [p_atm, supply] balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
     ``points``.  Each row is checked for positive inputs and a supply finite
@@ -181,14 +181,18 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     final bisection bracket (adiabatic), or the closed-form root widened by
     ``ROOT_ULPS`` ulps each way within [p_atm, supply] (isochoric).  A row
     failing that raises :class:`InconsistencyError` naming the window and
-    both residuals; the earliest failing row is named ``row k``, k being its
-    entry in ``rows`` (default 1..n)."""
+    both residuals; the earliest failing row, the i-th of ``points``, is
+    named ``row i``.
+
+    A row's root depends on that row alone, not on where it stands or what
+    else is solved with it: every pass is elementwise, the Newton step count
+    is fixed, and a closed bracket is a fixed point of the bisection.  So
+    identical rows get bit-identical roots in one call or in many."""
     if model not in ("adiabatic", "isochoric"):
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ShapeError(f"operating points must be n x 3, got shape {points.shape}")
-    rows = np.arange(1, len(points) + 1) if rows is None else rows
     p_atm, gamma = constants.p_atm, constants.gamma
     scaled = [constants.c_sensor, 1000.0, constants.c_orifice] * points
     nonpositive, low_supply = ~(points > 0.0), ~(scaled[:, 1] > p_atm)
@@ -259,7 +263,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants, rows=None
     i = min((int(np.argmax(mask)) for mask, _, _ in checks if mask.any()), default=None)
     if i is not None:
         _, error, message = next(check for check in checks if check[0][i])
-        raise error(f"row {rows[i]}: {message(i)}")
+        raise error(f"row {i + 1}: {message(i)}")
     return root
 
 
@@ -268,9 +272,10 @@ def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> np.nd
 
     The dataset's factors must be (sensor area mm^2, supply pressure MPa,
     orifice area mm^2) in that order: a factor with a low level at or below
-    zero is refused up front.  Each distinct row is solved once and its value
-    copied to its repeats, so identical rows get bit-identical
-    back-pressures.  Errors name the first row that fails.
+    zero is refused up front.  Every row is solved where it stands, in one
+    :func:`solve_backpressures` call, whose roots depend on each row alone,
+    so identical rows get bit-identical back-pressures.  Errors name the
+    first row that fails.
     """
     if ds.n_factors != 3:
         raise ShapeError(f"gauge simulation needs the three factors (A, Ps, B), got {ds.n_factors}")
@@ -282,6 +287,4 @@ def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> np.nd
             "MPa, area_orifice mm^2) in natural units, and these low levels are "
             f"not positive: {', '.join(nonpositive)}"
         )
-    first, group = identical_rows(ds.naturals)
-    values = solve_backpressures(model, ds.naturals[first], constants, rows=first + 1)
-    return values[group]
+    return solve_backpressures(model, ds.naturals, constants)

@@ -278,29 +278,21 @@ def _fixed(v: np.ndarray, places: int) -> np.ndarray | None:
 
 
 def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
-    """One line per row, formatted over whole columns at once: ``row`` is a
-    ``%``-template with one conversion per column, ending in a newline.
+    """One line per row, formatted over whole columns at once: ``row`` is an
+    ASCII ``%``-template ending in a newline whose conversions are all
+    ``%.Nf`` (N = 1..9), one per 1-D float column of equal length, and
+    whose literal text holds no ``%`` or NUL.
 
-    A template whose conversions are all ``%.Nf`` (N = 1..9), on float
-    columns, is written from digit arrays, byte for byte as ``%`` writes it.
-    Each field is an int64 digit count k (:func:`_fixed`) and a sign; the
-    fields and the literal text go into one width x n byte buffer with NUL
-    bytes as padding that are cut out at the end.  Any other template goes
-    through ``%`` itself, and so does one with a column :func:`_fixed` gives
-    no digits for.
+    It is written from digit arrays, byte for byte as ``%`` writes it.  Each
+    field is an int64 digit count k (:func:`_fixed`) and a sign; the fields
+    and the literal text go into one width x n byte buffer with NUL bytes as
+    padding that are cut out at the end.  A template with a column
+    :func:`_fixed` gives no digits for goes through ``%`` itself.
     """
     parts = _CONVERSION.split(row)
     literals, places = parts[0::2], [int(p) for p in parts[1::2]]
-    columns = [np.asarray(c) for c in columns]
-    fields = None
-    if (
-        0 < len(places) == len(columns) and row.isascii() and "\0" not in row
-        and "%" not in "".join(literals)
-        and all(c.ndim == 1 and len(c) == len(columns[0]) for c in columns)
-        and np.result_type(*columns).kind == "f"  # % gets floats, not ints
-    ):
-        fields = [_fixed(np.asarray(c, dtype=float), p) for c, p in zip(columns, places)]
-    if fields is None or any(k is None for k in fields):
+    fields = [_fixed(c, p) for c, p in zip(columns, places)]
+    if any(k is None for k in fields):
         values = np.column_stack(columns).ravel().tolist()
         return (row * len(columns[0])) % tuple(values)
 

@@ -603,6 +603,25 @@ class TestRunConfig:
         assert capsys.readouterr().err == "error: unknown report formats: ['pdf']\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "mlr1", "--theory", ""], "--theory is for model=hybrid only, got model=mlr1"),
+        (["--format", ""], "unknown report formats: ['']"),
+        (["--format", "text,"], "unknown report formats: ['']"),
+    ], ids=["theory", "format", "format_with_trailing_comma"])
+    def test_empty_flag_value_is_given(self, flags, message, data_dir, tmp_path, capsys):
+        # an empty value is a flag given, not one left out: refused before
+        # the (missing) data file is read
+        rc = main([
+            "fit",
+            "--data", str(tmp_path / "nope.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            *flags,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model,theory", [
         ("mlr1", "bogus"), ("mlr2", "adiabatic"), ("mlr1", "column:nope"),
     ])

@@ -660,6 +660,44 @@ def gauge_sweep_rows(seed, rows=2000, repeat_share=0.25):
     return np.array(points)
 
 
+# Rows at huge supplies, solved ahead of the rows under test.
+LEADING = np.array([(1e149, 1e300, 1e-149), (0.1, 1e305, 0.503), (0.6175, 3.45e299, 658.63)])
+
+
+@pytest.mark.parametrize("rows", [
+    lambda rng: gauge_sweep_rows(1)[:1000],
+    lambda rng: gauge_sweep_rows(7)[:1000],
+    lambda rng: gauge_sweep_rows(11)[:1000],
+    lambda rng: wide_rows(rng, 600),
+], ids=["sweep1", "sweep7", "sweep11", "wide"])
+@pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+def test_root_depends_on_its_row_alone(model, rows):
+    """Each root of one call is bit-identical to its row solved alone and
+    solved behind three other rows, so replicates get identical roots
+    wherever they stand (pure error groups runs by their simulated z)."""
+    points = rows(np.random.default_rng(19))
+    roots = gauge.solve_backpressures(model, points, DEFAULTS)
+    alone = [solve_one(model, point) for point in points]
+    behind = gauge.solve_backpressures(model, np.vstack([LEADING, points]), DEFAULTS)
+    assert np.array_equal(roots, alone)
+    assert np.array_equal(roots, behind[3:])
+
+
+def test_closed_brackets_stay_closed_behind_an_open_one(starts, monkeypatch):
+    # the leading rows bisect [p_atm, ps] in 62 steps, where the rest close
+    # in 6: a closed bracket is a fixed point of the steps that follow
+    isochoric_root = gauge._isochoric_root
+    monkeypatch.setattr(gauge, "_isochoric_root", lambda ps, a, b, p_atm: np.where(
+        ps > 1e200, ps, isochoric_root(ps, a, b, p_atm)))
+    points = gauge_sweep_rows(7)[:600]
+    roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS)
+    behind = gauge.solve_backpressures("adiabatic", np.vstack([LEADING, points]), DEFAULTS)
+    assert np.array_equal(roots, behind[3:])
+    (lo, hi), = starts[1:]
+    assert np.array_equal(lo[:3], [DEFAULTS.p_atm] * 3)
+    assert np.array_equal(hi[:3], LEADING[:, 1] * 1000.0)
+
+
 class TestBisectionSteps:
     """The bisection evaluates the residual once per step the masked
     reference takes on the gauge_sweep rows, at most ceil(log2(2
@@ -813,17 +851,19 @@ class TestSimulateDesign:
         values = gauge.simulate_design(factorial, "adiabatic", DEFAULTS)
         assert values[8] == values[9] == values[10]
 
-    def test_each_distinct_row_solved_once(self, factorial, monkeypatch):
-        sizes = []
+    def test_every_row_solved_in_one_call(self, factorial, monkeypatch):
+        calls = []
         solve = gauge.solve_backpressures
 
-        def counting(model, points, *args, **kwargs):
-            sizes.append(len(points))
-            return solve(model, points, *args, **kwargs)
+        def recording(model, points, constants):
+            calls.append(points)
+            return solve(model, points, constants)
 
-        monkeypatch.setattr(gauge, "solve_backpressures", counting)
+        monkeypatch.setattr(gauge, "solve_backpressures", recording)
         gauge.simulate_design(factorial, "adiabatic", DEFAULTS)
-        assert sizes == [9]  # 11 runs, three of them the same centre point
+        # all 11 runs where they stand, the three centre runs included
+        (points,) = calls
+        assert np.array_equal(points, factorial.naturals)
 
     def test_row_index_in_errors(self, factorial):
         bad = GaugeConstants(p_atm=500.0)
@@ -983,4 +1023,4 @@ class TestManyRows:
         values = gauge.simulate_design(design(rows), model, DEFAULTS)
         assert values[59] == values[0] and values[41] == values[3]
         alone = gauge.solve_backpressures(model, rows[:1], DEFAULTS)[0]
-        assert values[0] == pytest.approx(alone, rel=1e-15)
+        assert values[0] == alone

@@ -218,18 +218,17 @@ def fixed_point_cells(places: int, wild: bool):
 
 @st.composite
 def templates_and_columns(draw):
-    """A ``%``-template of 1-3 conversions in ASCII literal text, mostly
-    ``%.1f``..``%.9f``, sometimes ``%.0f`` or a ``%%``, with one column of
-    cells per conversion."""
+    """A ``%``-template of 1-3 conversions ``%.1f``..``%.9f`` in ASCII
+    literal text with no ``%`` or NUL, as the writers pass, with one column
+    of cells per conversion."""
     n_convs = draw(st.integers(1, 3))
     convs = [
         f"%.{places}f"
-        for places in draw(st.lists(st.integers(0, 9), min_size=n_convs, max_size=n_convs))
+        for places in draw(st.lists(st.integers(1, 9), min_size=n_convs, max_size=n_convs))
     ]
-    text = st.text(st.characters(max_codepoint=127, exclude_characters="%"), max_size=6)
+    text = st.text(st.characters(min_codepoint=1, max_codepoint=127, exclude_characters="%"),
+                   max_size=6)
     literals = draw(st.lists(text, min_size=n_convs + 1, max_size=n_convs + 1))
-    if draw(st.integers(0, 7)) == 0:
-        literals[draw(st.integers(0, n_convs))] += "%%"
     row = "".join(lit + conv for lit, conv in zip(literals, convs)) + literals[-1] + "\n"
     n_rows = draw(st.integers(0, 12))
     columns = [
@@ -245,8 +244,6 @@ def templates_and_columns(draw):
 @given(templates_and_columns())
 @example(("%.2f\n", [np.array([2.675, 1.005, 0.125])]))
 @example(("x%.2fy%.1f\n", [np.array([-0.0, -0.001]), np.array([-0.04, 0.25])]))
-@example(("\0%.3f\n", [np.array([1.0])]))
-@example(("\u00b5%.3f\n", [np.array([1.0])]))
 @settings(deadline=None, max_examples=400)
 def test_fixed_point_rows_match_percent_formatting(case):
     row, columns = case
