@@ -143,11 +143,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import validation
 
-    data_dir = Path(args.data_dir) if args.data_dir else None
-    result = validation.run_validation(data_dir)
+    # an empty value is a flag given, refused before any file is read
+    for flag, value in (("--data-dir", args.data_dir), ("--out", args.out)):
+        if value == "":
+            raise AnalysisError(f"{flag} needs a directory, got an empty value")
+    result = validation.run_validation(args.data_dir)
     text = validation.render_validation_report(result)
     print(text, end="")
-    if args.out:
+    if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "validation_report.txt").write_text(text, encoding="utf-8")

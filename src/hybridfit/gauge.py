@@ -63,40 +63,30 @@ def critical_pressure_ratio(gamma: float) -> float:
     return (2.0 / (gamma + 1.0)) ** (gamma / (gamma - 1.0))
 
 
-def _adiabatic_factor(r, gamma: float, work, slope=None) -> np.ndarray:
-    """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], which it
-    leaves unmodified, written into ``work[0]`` of ``work``, two float arrays
-    shaped like ``r``.  Clamping r up to the critical ratio chokes the one
-    subsonic formula (r = 0, an underflowed ratio, too), and with
-    u = r^(1/gamma) its G = r^(2/gamma) - r^((gamma+1)/gamma) is u (u - r).
-    Into an array ``slope`` shaped like r goes the factor's derivative in r,
-    gamma/(gamma-1) G' / (2 factor) with G' = u (2u - r) / (gamma r) - u at
-    the clamped ratio: 0 at critical, so 0 up to rounding where choked."""
-    out, clamped = work
-    np.maximum(r, critical_pressure_ratio(gamma), out=clamped)
-    np.power(clamped, 1.0 / gamma, out=out)
-    if slope is not None:
-        slope[...] = (out * 2.0 - clamped) * out / (gamma * clamped) - out
-    np.subtract(out, clamped, out=clamped)
-    np.multiply(out, clamped, out=out)
+def _adiabatic_factor(r, gamma: float, slope: bool = False):
+    """The adiabatic flow factor at pressure ratios ``r`` in [0, 1], and with
+    ``slope`` the pair (factor, its derivative in r).  Clamping r up to the
+    critical ratio chokes the one subsonic formula (r = 0, an underflowed
+    ratio, too), and with u = r^(1/gamma) its G = r^(2/gamma) -
+    r^((gamma+1)/gamma) is u (u - r).  The slope is gamma/(gamma-1) G' /
+    (2 factor) with G' = u (2u - r) / (gamma r) - u at the clamped ratio: 0
+    at critical, so 0 up to rounding where choked."""
+    c = np.maximum(r, critical_pressure_ratio(gamma))
+    u = np.power(c, 1.0 / gamma)
     # u >= r exactly, but a power rounded low can make u (u - r) negative
-    np.maximum(out, 0.0, out=out)
-    np.multiply(out, gamma / (gamma - 1.0), out=out)
-    np.sqrt(out, out=out)
-    if slope is not None:
-        np.divide(slope * (gamma / (2.0 * (gamma - 1.0))), out, out=slope)
-    return out
+    factor = np.sqrt(np.maximum(u * (u - c), 0.0) * (gamma / (gamma - 1.0)))
+    if not slope:
+        return factor
+    g = (u * 2.0 - c) * u / (gamma * c) - u
+    return factor, g * (gamma / (2.0 * (gamma - 1.0))) / factor
 
 
-def _isochoric_factor(r, work) -> np.ndarray:
-    """The isochoric flow factor at pressure ratios ``r`` in [0, 1], written
-    as ``_adiabatic_factor``'s: sqrt(c (1 - c)) at c = max(r, 1/2), so the
-    flow chokes below a ratio of one half at its value there."""
-    out, clamped = work
-    np.maximum(r, 0.5, out=clamped)
-    np.subtract(1.0, clamped, out=out)
-    np.multiply(out, clamped, out=out)
-    return np.sqrt(out, out=out)
+def _isochoric_factor(r) -> np.ndarray:
+    """The isochoric flow factor at pressure ratios ``r`` in [0, 1]:
+    sqrt(c (1 - c)) at c = max(r, 1/2), so the flow chokes below a ratio of
+    one half at its value there."""
+    c = np.maximum(r, 0.5)
+    return np.sqrt((1.0 - c) * c)
 
 
 def _bisect(residual, lo, hi) -> None:
@@ -104,10 +94,9 @@ def _bisect(residual, lo, hi) -> None:
     0 <= lo < hi, where the residual is >= 0 at lo and <= 0 at hi, until it
     collapses to adjacent floats or hits an exact zero (then lo = hi).  Only
     the sign of the residual at each midpoint is read, never a product of two
-    residuals, which would underflow to zero for tiny ones.  Each step reuses
-    the buffers made here, and ``residual`` may return the same array every
-    time.  The solver's brackets lie within [p_atm, ps], stand-in rows
-    included, and ``GaugeConstants`` checks that p_atm > 0.
+    residuals, which would underflow to zero for tiny ones.  The solver's
+    brackets lie within [p_atm, ps] of rows whose inputs were checked before
+    the solve, and ``GaugeConstants`` checks that p_atm > 0.
 
     Non-negative doubles sort as their int64 bit patterns, so the midpoint is
     taken on the float order: lo + (hi - lo) // 2 in those patterns, which
@@ -119,19 +108,14 @@ def _bisect(residual, lo, hi) -> None:
     >= 0 and only lo moves, to itself; lo = hi gives lo.
     """
     lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
-    mid_bits = np.empty_like(lo_bits)
-    mid, move = mid_bits.view(np.float64), np.empty(lo.shape, bool)
     widest = int(np.max(hi_bits - lo_bits, initial=1))
     for _ in range((widest - 1).bit_length()):
-        np.subtract(hi_bits, lo_bits, out=mid_bits)
-        mid_bits >>= 1
-        mid_bits += lo_bits
+        mid = (lo_bits + ((hi_bits - lo_bits) >> 1)).view(np.float64)
         value = residual(mid)
         # hi moves where the residual at mid is <= 0, lo where it is >= 0
         # (or NaN); both, to mid, at a root
-        np.putmask(hi, np.less_equal(value, 0.0, out=move), mid)
-        np.less(value, 0.0, out=move)
-        np.putmask(lo, np.logical_not(move, out=move), mid)
+        np.putmask(hi, value <= 0.0, mid)
+        np.putmask(lo, ~(value < 0.0), mid)
 
 
 def _isochoric_root(ps, a, b, p_atm) -> np.ndarray:
@@ -161,28 +145,29 @@ def _isochoric_root(ps, a, b, p_atm) -> np.ndarray:
     )
 
 
-# With the areas over the larger, no flow overflows.  Stand-in rows, the
-# closed-form candidates the regime test does not pick and Newton steps at a
-# zero slope divide by 0 or overflow, and none of them needs a warning.
+# With the areas over the larger, no flow overflows.  The closed-form
+# candidates the regime test does not pick and Newton steps at a zero slope
+# divide by 0 or overflow, and none of them needs a warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.ndarray:
     """Back-pressures (kPa) in [p_atm, supply] balancing orifice and sensor
     flow at each row (sensor area mm^2, supply MPa, orifice area mm^2) of
-    ``points``.  Each row is checked for positive inputs and a supply finite
-    in kPa and above p_atm.  Both theories solve one residual, orifice-side
-    minus sensor-side flow, b ps F(p/ps) - a p F(p_atm/p), with the areas
-    over the larger of them and F the theory's flow factor.  It is >= 0 at
-    p_atm, where the sensor flow is 0, and <= 0 at the supply, where the
-    orifice flow is, so [p_atm, supply] brackets every root.  The adiabatic
-    bisection starts from ``BRACKET_ULPS`` floats each way of a Newton root,
-    from the isochoric one, where the residual is >= 0 at the lower end and
-    <= 0 at the upper, else from [p_atm, supply].  A root is accepted when
-    its flows are finite and the residual is >= 0 at lo and <= 0 at hi: the
-    final bisection bracket (adiabatic), or the closed-form root widened by
-    ``ROOT_ULPS`` ulps each way within [p_atm, supply] (isochoric).  A row
-    failing that raises :class:`InconsistencyError` naming the window and
-    both residuals; the earliest failing row, the i-th of ``points``, is
-    named ``row i``.
+    ``points``.  Every row is checked before any is solved, for positive
+    inputs and a supply finite in kPa and above p_atm; the earliest row that
+    fails raises :class:`AnalysisError`.  Both theories solve one residual,
+    orifice-side minus sensor-side flow, b ps F(p/ps) - a p F(p_atm/p), with
+    the areas over the larger of them and F the theory's flow factor.  It is
+    >= 0 at p_atm, where the sensor flow is 0, and <= 0 at the supply, where
+    the orifice flow is, so [p_atm, supply] brackets every root.  The
+    adiabatic bisection starts from ``BRACKET_ULPS`` floats each way of a
+    Newton root, from the isochoric one, where the residual is >= 0 at the
+    lower end and <= 0 at the upper, else from [p_atm, supply].  A root is
+    accepted when its flows are finite and the residual is >= 0 at lo and
+    <= 0 at hi: the final bisection bracket (adiabatic), or the closed-form
+    root widened by ``ROOT_ULPS`` ulps each way within [p_atm, supply]
+    (isochoric).  Otherwise :class:`InconsistencyError` names the window and
+    both residuals of the earliest such row.  Errors name the i-th row of
+    ``points`` ``row i``.
 
     A row's root depends on that row alone, not on where it stands or what
     else is solved with it: every pass is elementwise, the Newton step count
@@ -196,74 +181,69 @@ def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.nda
     p_atm, gamma = constants.p_atm, constants.gamma
     scaled = [constants.c_sensor, 1000.0, constants.c_orifice] * points
     nonpositive, low_supply = ~(points > 0.0), ~(scaled[:, 1] > p_atm)
-    overflow = scaled[:, 1] == np.inf
-    # Rows failing these checks are solved at a harmless stand-in point, so
-    # the other rows still run and the earliest failure can be named.
-    invalid = (nonpositive.any(axis=1) | low_supply | overflow)[:, None]
-    a, ps, b = np.where(invalid, [1.0, 2.0 * p_atm, 1.0], scaled).T
+    refused = nonpositive.any(axis=1) | low_supply | (scaled[:, 1] == np.inf)
+    if refused.any():
+        i = int(np.argmax(refused))
+        if nonpositive[i].any():
+            message = "{} must be positive, got {}".format(
+                *next((n, v) for n, v in zip(_INPUT_NAMES, points[i]) if not v > 0.0))
+        elif low_supply[i]:
+            message = f"supply pressure {scaled[i, 1]} kPa must exceed outlet pressure {p_atm} kPa"
+        else:
+            message = f"supply pressure {points[i, 1]} MPa overflows in kPa"
+        raise AnalysisError(f"row {i + 1}: {message}")
+    a, ps, b = scaled.T
     larger = np.fmax(a, b)
     a, b = a / larger, b / larger
     orifice_scale = b * ps
 
-    def flows(p, buffers=None, slopes=None):
-        """Orifice- and sensor-side flows at back-pressures p in [p_atm, ps]
-        (n or k x n) into [0] of ``buffers``, four 2 x p.shape arrays (new
-        without it), from one flow-factor pass: [1] gets both ratios, in
-        [0, 1] (0 where p_atm / p underflows), [2] both flow factors, and
-        ``slopes`` their slopes (adiabatic)."""
-        out, ratios, *work = np.empty((4, 2) + p.shape) if buffers is None else buffers
-        np.divide(p, ps, out=ratios[0])
-        np.divide(p_atm, p, out=ratios[1])
-        factor = (_adiabatic_factor(ratios, gamma, work, slopes) if model == "adiabatic"
-                  else _isochoric_factor(ratios, work))
-        np.multiply(orifice_scale, factor[0], out=out[0])
-        np.multiply(a, p, out=out[1])
-        np.multiply(out[1], factor[1], out=out[1])
+    def ratios(p):
+        """p / ps and p_atm / p, in [0, 1] (0 where p_atm / p underflows),
+        stacked ahead of the shape of p (n or k x n)."""
+        out = np.empty((2,) + p.shape)
+        np.divide(p, ps, out=out[0])
+        np.divide(p_atm, p, out=out[1])
         return out
+
+    def residual(p):
+        """Orifice- minus sensor-side flow at back-pressures p in [p_atm, ps],
+        from one flow-factor pass over both ratios."""
+        factor = (_adiabatic_factor(ratios(p), gamma) if model == "adiabatic"
+                  else _isochoric_factor(ratios(p)))
+        return orifice_scale * factor[0] - (a * p) * factor[1]
 
     root = np.fmin(np.fmax(_isochoric_root(ps, a, b, p_atm), p_atm), ps)  # NaN -> p_atm
     if model == "adiabatic":
         # Newton from the isochoric root; a step not finite leaves its row
-        buffers, slopes, gap = np.empty((4, 2, len(ps))), np.empty((2, len(ps))), np.empty(len(ps))
-        _, ratios, factor, _ = buffers
         for _ in range(_NEWTON_STEPS):
-            orifice, sensor = flows(root, buffers, slopes)
-            step = root - (orifice - sensor) / (b * slopes[0] - a * (factor[1] - ratios[1] * slopes[1]))
+            r = ratios(root)
+            factor, slope = _adiabatic_factor(r, gamma, slope=True)
+            value = orifice_scale * factor[0] - (a * root) * factor[1]
+            step = root - value / (b * slope[0] - a * (factor[1] - r[1] * slope[1]))
             root = np.where(np.isfinite(step), np.fmin(np.fmax(step, p_atm), ps), root)
         # BRACKET_ULPS floats each way of it where their signs bracket a root,
         # else [p_atm, ps]
         bits = root.view(np.int64)
         ends = np.stack([np.maximum(bits - BRACKET_ULPS, np.array(p_atm).view(np.int64)),
                          np.minimum(bits + BRACKET_ULPS, ps.view(np.int64))]).view(np.float64)
-        r_lo, r_hi = np.subtract(*flows(ends))
+        r_lo, r_hi = residual(ends)
         lo, hi = np.where((r_lo >= 0.0) & (r_hi <= 0.0), ends, [np.full_like(ps, p_atm), ps])
-        _bisect(lambda p: np.subtract(*flows(p, buffers), out=gap), lo, hi)
-        r_lo, r_hi = np.subtract(*flows(np.stack([lo, hi])))
+        _bisect(residual, lo, hi)
+        r_lo, r_hi = residual(np.stack([lo, hi]))
         take_hi = np.abs(r_hi) < np.abs(r_lo)
         root, r_root = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
     else:
         ulps = ROOT_ULPS * np.spacing(root)
         lo, hi = np.fmax(root - ulps, p_atm), np.fmin(root + ulps, ps)
-        r_lo, r_hi, r_root = np.subtract(*flows(np.stack([lo, hi, root])))
+        r_lo, r_hi, r_root = residual(np.stack([lo, hi, root]))
     # the one acceptance rule, for both theories: finite flows at the root
     # (a finite residual there), a residual >= 0 at lo and <= 0 at hi
     uncertified = ~(np.isfinite(r_root) & (r_lo >= 0.0) & (r_hi <= 0.0))
-
-    checks = [
-        (nonpositive.any(axis=1), AnalysisError, lambda i: "{} must be positive, got {}".format(
-            *next((n, v) for n, v in zip(_INPUT_NAMES, points[i]) if not v > 0.0))),
-        (low_supply, AnalysisError, lambda i: (
-            f"supply pressure {scaled[i, 1]} kPa must exceed outlet pressure {p_atm} kPa")),
-        (overflow, AnalysisError, lambda i: (
-            f"supply pressure {points[i, 1]} MPa overflows in kPa")),
-        (uncertified, InconsistencyError, lambda i: (
-            f"flow equality has no certified root: residual {r_lo[i]:.6g} at "
-            f"{lo[i]:.17g} kPa and {r_hi[i]:.6g} at {hi[i]:.17g} kPa")),
-    ]
-    i = min((int(np.argmax(mask)) for mask, _, _ in checks if mask.any()), default=None)
-    if i is not None:
-        _, error, message = next(check for check in checks if check[0][i])
-        raise error(f"row {i + 1}: {message(i)}")
+    if uncertified.any():
+        i = int(np.argmax(uncertified))
+        raise InconsistencyError(
+            f"row {i + 1}: flow equality has no certified root: residual {r_lo[i]:.6g} at "
+            f"{lo[i]:.17g} kPa and {r_hi[i]:.6g} at {hi[i]:.17g} kPa")
     return root
 
 

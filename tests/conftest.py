@@ -22,12 +22,10 @@ def data_dir() -> Path:
 @pytest.fixture(scope="session")
 def adiabatic_factor():
     """The solvers' adiabatic flow factor at a pressure ratio (a float or an
-    array), with the scratch arrays it writes into made here."""
+    array)."""
 
     def factor(pressure_ratio, gamma):
-        r = np.asarray(pressure_ratio, dtype=float)
-        work = np.empty_like(r), np.empty_like(r)
-        out = gauge._adiabatic_factor(r, gamma, work)
+        out = gauge._adiabatic_factor(np.asarray(pressure_ratio, dtype=float), gamma)
         return out if out.ndim else float(out)
 
     return factor
@@ -36,11 +34,10 @@ def adiabatic_factor():
 @pytest.fixture(scope="session")
 def isochoric_factor():
     """The solvers' isochoric flow factor at a pressure ratio (a float or an
-    array), with the scratch arrays it writes into made here."""
+    array)."""
 
     def factor(pressure_ratio):
-        r = np.asarray(pressure_ratio, dtype=float)
-        out = gauge._isochoric_factor(r, (np.empty_like(r), np.empty_like(r)))
+        out = gauge._isochoric_factor(np.asarray(pressure_ratio, dtype=float))
         return out if out.ndim else float(out)
 
     return factor

@@ -94,10 +94,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("theory", ["adiabatic", "isochoric"])
     def test_overflowing_flows_raise_no_warning(self, theory, data_dir, tmp_path, capsys):
-        # row 2 at a supply of 1e300 MPa: some intermediates overflow, which under
-        # filterwarnings = error would escape as a RuntimeWarning, and both
-        # theories solve the row; at 1e306 MPa the supply itself overflows
-        # in kPa, and both theories refuse it
+        # row 2 at a supply of 1e300 MPa: no flow overflows, but a
+        # closed-form candidate the isochoric regime test does not pick
+        # does, which under filterwarnings = error would escape as a
+        # RuntimeWarning, and both theories solve the row; at 1e306 MPa the
+        # supply itself overflows in kPa, and both theories refuse it
         lines = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
         cells = lines[2].split("\t")
         for supply in ("1e300", "1e306"):
@@ -689,6 +690,16 @@ class TestValidate:
         a = (tmp_path / "a" / "validation_report.txt").read_bytes()
         b = (tmp_path / "b" / "validation_report.txt").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("flag", ["--data-dir", "--out"])
+    def test_empty_flag_value_is_given(self, flag, tmp_path, monkeypatch, capsys):
+        # an empty value is a flag given, not one left out: refused before
+        # any table is read or any report written
+        monkeypatch.chdir(tmp_path)
+        rc = main(["validate", flag, ""])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {flag} needs a directory, got an empty value\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         rc = main(["validate", "--data-dir", str(tmp_path)])

@@ -156,17 +156,25 @@ def reference_bracket(a, ps, b, k, residual):
     return np.where(narrowed, lo, k.p_atm), np.where(narrowed, hi, ps)
 
 
-# as the solver: a supply of 1e306 MPa in kPa, a slope that is infinite
+@np.errstate(over="ignore")  # a supply of 1e306 MPa in kPa
+def input_refused(points, k):
+    """Whether the solver refuses each row on its inputs: an input not
+    positive, a supply not above p_atm or one that overflows in kPa."""
+    scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
+    return (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
+
+
+# as the solver: a slope that is infinite, a closed-form candidate not picked
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def reference_adiabatic(points, k):
     """The final bracket (lo, hi), the root and whether the solver refuses
-    it, of every row; a row refused on its inputs is solved at the solver's
-    stand-in point.  A root is refused unless its flows are finite and the
-    residual is >= 0 at lo and <= 0 at hi."""
+    it, of every row; rows refused on their inputs are refused up front, as
+    the solver refuses them.  A root is refused unless its flows are finite
+    and the residual is >= 0 at lo and <= 0 at hi."""
     points = np.asarray(points, dtype=float)
-    scaled = [k.c_sensor, 1000.0, k.c_orifice] * points
-    invalid = (~(points > 0.0)).any(axis=1) | ~(scaled[:, 1] > k.p_atm) | (scaled[:, 1] == np.inf)
-    a, ps, b = np.where(invalid[:, None], [1.0, 2.0 * k.p_atm, 1.0], scaled).T
+    if input_refused(points, k).any():
+        raise AnalysisError("the reference solves rows with checked inputs only")
+    a, ps, b = ([k.c_sensor, 1000.0, k.c_orifice] * points).T
     larger = np.fmax(a, b)
     a, b = a / larger, b / larger
 
@@ -182,7 +190,7 @@ def reference_adiabatic(points, k):
     r_lo, r_hi = residual(lo), residual(hi)
     root = np.where(np.abs(r_hi) < np.abs(r_lo), hi, lo)
     certified = np.isfinite(residual(root)) & (r_lo >= 0.0) & (r_hi <= 0.0)
-    return lo, hi, root, invalid | ~certified
+    return lo, hi, root, ~certified
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +372,10 @@ def overflowing(monkeypatch):
 
     def at(index=slice(None)):
         for name in ("_adiabatic_factor", "_isochoric_factor"):
-            def patched(*args, factor=getattr(gauge, name)):
-                out = factor(*args)
-                out[..., index] = np.inf
+            def patched(*args, factor=getattr(gauge, name), **kwargs):
+                out = factor(*args, **kwargs)
+                # the factor alone, or the (factor, slope) of a Newton step
+                (out[0] if isinstance(out, tuple) else out)[..., index] = np.inf
                 return out
             monkeypatch.setattr(gauge, name, patched)
 
@@ -470,8 +479,8 @@ class TestBackpressureSolvers:
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
     def test_supply_below_a_huge_atmosphere_is_named(self, model):
-        # the refused row is solved at a stand-in supply of 2 p_atm, which
-        # overflows to inf here
+        # 2 p_atm overflows to inf at this atmosphere: the row is refused
+        # on its inputs before any row is solved
         with pytest.raises(AnalysisError, match=r"^row 1: supply pressure"):
             solve_one(model, (1.0, 0.2, 1.0), GaugeConstants(p_atm=1e308))
 
@@ -588,7 +597,8 @@ def mixed_rows(rng, n):
 
 class TestAgainstReference:
     """The adiabatic solver finds the reference's final bracket and root for
-    every row, bit for bit, and refuses the rows it refuses."""
+    every row, bit for bit, and refuses a set with a row refused on its
+    inputs before solving any row."""
 
     @pytest.fixture
     def brackets(self, monkeypatch):
@@ -611,18 +621,20 @@ class TestAgainstReference:
     ], ids=["wide", "near_critical", "area_scaled", "mixed"])
     def test_bit_for_bit(self, rows, brackets):
         points = rows(np.random.default_rng(17))
-        lo, hi, root, refused = reference_adiabatic(points, DEFAULTS)
+        refused = input_refused(points, DEFAULTS)
         if refused.any():
-            with pytest.raises(AnalysisError):
+            # mixed: its first row has a sensor area of 0
+            with pytest.raises(AnalysisError, match=r"^row 1: area_sensor must be positive, got 0.0$"):
                 gauge.solve_backpressures("adiabatic", points, DEFAULTS)
-        else:
-            assert np.array_equal(gauge.solve_backpressures("adiabatic", points, DEFAULTS), root)
+            assert brackets == []
+            for point in points[refused][:100]:
+                with pytest.raises(AnalysisError, match=r"^row 1: "):
+                    solve_one("adiabatic", point)
+        points = points[~refused]
+        lo, hi, root, uncertified = reference_adiabatic(points, DEFAULTS)
+        assert not uncertified.any()
+        assert np.array_equal(gauge.solve_backpressures("adiabatic", points, DEFAULTS), root)
         assert np.array_equal(brackets[0][0], lo) and np.array_equal(brackets[0][1], hi)
-        kept = gauge.solve_backpressures("adiabatic", points[~refused], DEFAULTS)
-        assert np.array_equal(kept, root[~refused])
-        for point in points[refused][:100]:
-            with pytest.raises(AnalysisError):
-                solve_one("adiabatic", point)
 
 
 @pytest.mark.parametrize("rows", [
@@ -1000,17 +1012,36 @@ class TestManyRows:
             gauge.simulate_design(design(rows), model, DEFAULTS)
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
-    def test_earliest_row_wins_across_checks(self, model, overflowing):
-        # row 7 fails only after its root is sought (both flows overflow);
-        # row 9 fails the input check that runs first: the error is still
-        # about row 7
+    def test_input_checks_precede_the_solve(self, model, overflowing):
+        # rows 7 and 11 fail only after their roots are sought (both flows
+        # overflow); row 9 fails the input check, which runs on every row
+        # before any is solved, so the error is about row 9
         rows = list(self.GOOD)
         rows[8] = (0.5, 0.2, 0.0)
-        with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive"):
+        overflowing([6, 10])
+        with pytest.raises(AnalysisError, match=r"^row 9: area_orifice must be positive") as error:
             gauge.simulate_design(design(rows), model, DEFAULTS)
-        overflowing(6)
+        assert not isinstance(error.value, InconsistencyError)
+        # every input good: the earliest uncertified row is named
+        rows[8] = self.GOOD[8]
         with pytest.raises(InconsistencyError, match=r"^row 7: flow equality"):
             gauge.simulate_design(design(rows), model, DEFAULTS)
+
+    @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
+    def test_refused_row_stops_the_batch_before_any_solve(self, model, monkeypatch):
+        calls = []
+        for name in ("_isochoric_root", "_bisect"):
+            def counted(*args, solve=getattr(gauge, name), name=name):
+                calls.append(name)
+                return solve(*args)
+            monkeypatch.setattr(gauge, name, counted)
+        rows = np.array(self.GOOD)
+        rows[-1, 1] = 1e306
+        with pytest.raises(AnalysisError, match=r"^row 12: supply pressure 1e\+306 MPa overflows in kPa$"):
+            gauge.solve_backpressures(model, rows, DEFAULTS)
+        assert calls == []
+        gauge.solve_backpressures(model, rows[:-1], DEFAULTS)
+        assert calls == ["_isochoric_root", "_bisect"][:2 if model == "adiabatic" else 1]
 
     @pytest.mark.parametrize("model", ["adiabatic", "isochoric"])
     def test_distant_replicates_bit_identical(self, model):
