@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config, dataset, gauge, hybrid, inference
-from .errors import AnalysisError, ConstantResponseError, SaturatedModelError
+from .errors import AnalysisError
 from .tolerances import ROUNDOFF_SS_TOL
 
 # Polynomial order of each model's design.
@@ -135,7 +135,7 @@ def analyze(
         raise AnalysisError(f"unknown model {model!r}")
     y = ds.response
     if np.ptp(y) == 0:
-        raise ConstantResponseError(
+        raise AnalysisError(
             "response is constant; R-squared and F tests are undefined"
         )
     with np.errstate(over="ignore"):  # reported as one error just below
@@ -151,7 +151,7 @@ def analyze(
     system = hybrid.assemble(design, z)
     fit = hybrid.solve(system, y)
     if fit.ss_residual <= ROUNDOFF_SS_TOL * fit.ss_total:
-        raise SaturatedModelError(
+        raise AnalysisError(
             f"residual sum of squares {fit.ss_residual:.3e} is roundoff next to "
             f"y'y = {fit.ss_total:.6g}; F statistics are undefined"
         )

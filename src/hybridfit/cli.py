@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.filename is None:
             raise
         # every input is read through dataset.read_text, which raises
-        # InputFileError, so a file error here is an output that failed
+        # AnalysisError, so a file error here is an output that failed
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import dataset
 from .dataset import Dataset, FactorSpec, Table
-from .errors import SchemaError
+from .errors import AnalysisError
 from .gauge import GaugeConstants
 
 # The fields of each key section: factor keys are factor.<name>.<field>,
@@ -45,7 +45,7 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
     """Parse a key-value file, preserving first-appearance order of keys.
 
     A line that is not ``key = value``, a key no reader knows and a key set
-    a second time raise :class:`SchemaError` naming the file and the line.
+    a second time raise :class:`AnalysisError` naming the file and the line.
     """
     values: dict[str, str] = {}
     first_set: dict[str, int] = {}
@@ -54,15 +54,15 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise AnalysisError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         parts = key.split(".")
         depth = 3 if parts[0] == "factor" else 2
         if len(parts) != depth or parts[-1] not in KEY_FIELDS.get(parts[0], ()):
-            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+            raise AnalysisError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_set:
-            raise SchemaError(
+            raise AnalysisError(
                 f"{path}:{lineno}: key {key!r} was already set on line {first_set[key]}"
             )
         first_set[key] = lineno
@@ -72,11 +72,11 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
 
 def as_float(cfg: dict[str, str], key: str) -> float:
     """The number at ``key``; a value that is not one raises
-    :class:`SchemaError` naming the key."""
+    :class:`AnalysisError` naming the key."""
     try:
         return float(cfg[key])
     except ValueError:
-        raise SchemaError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
+        raise AnalysisError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
 
 
 def factor_specs(cfg: dict[str, str]) -> tuple[FactorSpec, ...]:
@@ -88,12 +88,12 @@ def factor_specs(cfg: dict[str, str]) -> tuple[FactorSpec, ...]:
             if name not in names:
                 names.append(name)
     if not names:
-        raise SchemaError("config declares no factors")
+        raise AnalysisError("config declares no factors")
     specs = []
     for name in names:
         for required in ("low", "high"):
             if f"factor.{name}.{required}" not in cfg:
-                raise SchemaError(f"factor {name!r} is missing {required!r}")
+                raise AnalysisError(f"factor {name!r} is missing {required!r}")
         center_key = f"factor.{name}.center"
         specs.append(
             FactorSpec(
@@ -110,7 +110,7 @@ def factor_specs(cfg: dict[str, str]) -> tuple[FactorSpec, ...]:
 def response_column(cfg: dict[str, str]) -> tuple[str, str]:
     """Name and units of the response column."""
     if "response.column" not in cfg:
-        raise SchemaError("config is missing 'response.column'")
+        raise AnalysisError("config is missing 'response.column'")
     return cfg["response.column"], cfg.get("response.units", "")
 
 

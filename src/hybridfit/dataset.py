@@ -22,13 +22,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateFactorError,
-    InputFileError,
-    SchemaError,
-    ShapeError,
-    TableParseError,
-)
+from .errors import AnalysisError
 
 
 class _FactorSpecFields(NamedTuple):
@@ -55,7 +49,7 @@ class FactorSpec(_FactorSpecFields):
         if center is None:
             center = (low + high) / 2.0
         if not (low < center < high):
-            raise DegenerateFactorError(
+            raise AnalysisError(
                 f"factor {name!r} needs low < center < high, got "
                 f"{low}, {center}, {high}"
             )
@@ -99,19 +93,19 @@ class Dataset(_DatasetFields):
         response = np.asarray(response, dtype=float).ravel()
         extras = {} if extras is None else extras
         if naturals.shape[0] == 0:
-            raise ShapeError("dataset needs at least one row")
+            raise AnalysisError("dataset needs at least one row")
         if naturals.shape[1] != len(factors):
-            raise ShapeError(
+            raise AnalysisError(
                 f"{naturals.shape[1]} factor columns but "
                 f"{len(factors)} factor specs"
             )
         if response.shape[0] != naturals.shape[0]:
-            raise ShapeError(
+            raise AnalysisError(
                 f"{naturals.shape[0]} rows but {response.shape[0]} responses"
             )
         for name, col in extras.items():
             if np.asarray(col).shape != (naturals.shape[0],):
-                raise ShapeError(f"extra column {name!r} has the wrong length")
+                raise AnalysisError(f"extra column {name!r} has the wrong length")
         return super().__new__(cls, factors, naturals, response, response_units, extras)
 
     @property
@@ -136,9 +130,9 @@ class DesignMatrix(_DesignMatrixFields):
     def __new__(cls, values, column_labels: tuple[str, ...]):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[1] != len(column_labels):
-            raise ShapeError("one label per design column required")
+            raise AnalysisError("one label per design column required")
         if not np.all(values[:, 0] == 1.0):
-            raise ShapeError("first design column must be the intercept (all ones)")
+            raise AnalysisError("first design column must be the intercept (all ones)")
         return super().__new__(cls, values, column_labels)
 
     @property
@@ -152,27 +146,27 @@ class DesignMatrix(_DesignMatrixFields):
 
 def _split_line(line: str, delimiter: str | None, row: str) -> list[str]:
     """The cells of ``line``; a line the CSV reader rejects (a carriage
-    return inside an unquoted cell) raises :class:`TableParseError` naming
+    return inside an unquoted cell) raises :class:`AnalysisError` naming
     ``row``."""
     if delimiter is None:
         return line.split()
     try:
         return next(csv.reader([line], delimiter=delimiter))
     except csv.Error as exc:
-        raise TableParseError(f"{row}: {exc}") from None
+        raise AnalysisError(f"{row}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:
     """A UTF-8 input file's text, without a leading byte-order mark; a file
-    that is missing or unreadable raises :class:`InputFileError` naming it.
+    that is missing or unreadable raises :class:`AnalysisError` naming it.
     This is the only reader of input files, and the only place a byte-order
     mark is stripped."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise AnalysisError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise InputFileError(f"cannot read {path}: not UTF-8 text") from None
+        raise AnalysisError(f"cannot read {path}: not UTF-8 text") from None
 
 
 class Table(NamedTuple):
@@ -187,16 +181,16 @@ class Table(NamedTuple):
 def _tab_rows(lines: list[str], delimiter: str | None, n: int) -> list[str]:
     """``lines`` split one by one on ``delimiter`` (the CSV reader's split;
     whitespace for None) and joined by tabs.  A row that does not hold
-    ``n`` cells, or a cell holding a tab, raises :class:`TableParseError`
+    ``n`` cells, or a cell holding a tab, raises :class:`AnalysisError`
     naming its row."""
     rows = []
     for i, line in enumerate(lines, start=1):
         cells = _split_line(line, delimiter, f"row {i}")
         if len(cells) != n:
-            raise TableParseError(f"row {i}: {len(cells)} cells under {n} column names")
+            raise AnalysisError(f"row {i}: {len(cells)} cells under {n} column names")
         line = "\t".join(cells)
         if line.count("\t") != n - 1:
-            raise TableParseError(f"row {i}: a cell holds a tab")
+            raise AnalysisError(f"row {i}: a cell holds a tab")
         rows.append(line)
     return rows
 
@@ -213,14 +207,14 @@ def split_table(text: str) -> Table:
 
     A header name or cell holding a tab (a quoted cell, or any cell of a
     comma- or semicolon-separated table, can) and a row whose cells the
-    header does not name one for one raise :class:`TableParseError` naming
+    header does not name one for one raise :class:`AnalysisError` naming
     the row: every command refuses them alike.
     """
     text = (text + "\n").replace("\r\n", "\n")
     lines = text.split("\n")
     head = next((i for i, line in enumerate(lines) if line.strip()), None)
     if head is None:
-        raise SchemaError("empty file: no header row")
+        raise AnalysisError("empty file: no header row")
     delimiter = next((c for c in "\t,;" if c in lines[head]), None)
     lines = [
         line for line in lines[head:] if line.strip() or delimiter and delimiter in line
@@ -228,7 +222,7 @@ def split_table(text: str) -> Table:
     header = [h.strip() for h in _split_line(lines[0], delimiter, "header row")]
     n = len(header)
     if "\t".join(header).count("\t") != n - 1:
-        raise TableParseError("header row: a column name holds a tab")
+        raise AnalysisError("header row: a column name holds a tab")
     rows = lines[1:]
     # Without quotes, bare carriage returns and (in a comma or semicolon
     # table) tabs, the CSV reader splits a line as str.split does: one
@@ -269,7 +263,7 @@ def _parse_block(rows: list[str], usecols: list[int]) -> np.ndarray | None:
 def _parse_cells(rows: list[str], usecols: list[int], names: list[str]) -> np.ndarray:
     """The cells ``usecols`` of every row as one (column, row) array, one
     ``float()`` per cell; the first cell that is not a number raises
-    :class:`TableParseError` naming its row and column."""
+    :class:`AnalysisError` naming its row and column."""
     parsed: list[list[float]] = [[] for _ in usecols]
     for i, line in enumerate(rows, start=1):
         cells = line.split("\t")
@@ -278,7 +272,7 @@ def _parse_cells(rows: list[str], usecols: list[int], names: list[str]) -> np.nd
             try:
                 values.append(float(token))
             except ValueError:
-                raise TableParseError(
+                raise AnalysisError(
                     f"row {i}, column {name!r}: cannot parse {token!r} as a number"
                 ) from None
     return np.array(parsed)
@@ -296,23 +290,22 @@ def load_table(
     the ``extras`` to carry along.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
-    :class:`SchemaError` when a named column is missing or appears twice and
-    :class:`TableParseError` (with row and column) on a non-numeric or
-    non-finite cell.
+    :class:`AnalysisError` when a named column is missing or appears twice,
+    and (with row and column) on a non-numeric or non-finite cell.
     """
     header, rows = table
     col_index: dict[str, int] = {}
     for name in [f.name for f in factors] + [response, *extras]:
         if name not in header:
-            raise SchemaError(f"column {name!r} not found; header has {header}")
+            raise AnalysisError(f"column {name!r} not found; header has {header}")
         if header.count(name) > 1:
-            raise SchemaError(
+            raise AnalysisError(
                 f"column {name!r} appears {header.count(name)} times in the header"
             )
         col_index[name] = header.index(name)
 
     if not rows:
-        raise SchemaError("no data rows after the header")
+        raise AnalysisError("no data rows after the header")
 
     names = list(col_index)
     usecols = list(col_index.values())
@@ -323,7 +316,7 @@ def load_table(
     bad = np.argwhere(~np.isfinite(table.T))
     if bad.size:
         row, col = bad[0]
-        raise TableParseError(
+        raise AnalysisError(
             f"row {row + 1}, column {names[col]!r}: non-finite value "
             f"{float(table[col, row])!r}"
         )
@@ -360,7 +353,7 @@ def build_design(
     k = coded.shape[1]
     names = list(names) if names is not None else [f"x{j + 1}" for j in range(k)]
     if len(names) != k:
-        raise ShapeError("one name per coded column required")
+        raise AnalysisError("one name per coded column required")
 
     columns = [np.ones(coded.shape[0])]
     labels = ["1"]

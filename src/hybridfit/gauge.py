@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import AnalysisError, InconsistencyError, ShapeError
+from .errors import AnalysisError, InconsistencyError
 from .tolerances import BRACKET_ULPS, ROOT_ULPS
 
 _NEWTON_STEPS = 4  # from the isochoric root toward the adiabatic one
@@ -51,6 +51,9 @@ class GaugeConstants(_GaugeConstantsFields):
             raise AnalysisError(f"gamma must exceed 1, got {self.gamma}")
         if not self.p_atm > 0.0:
             raise AnalysisError(f"p_atm must be positive, got {self.p_atm}")
+        for name, value in (("gamma", self.gamma), ("p_atm", self.p_atm)):
+            if not np.isfinite(value):
+                raise AnalysisError(f"{name} must be finite, got {value}")
         for name in ("c_orifice", "c_sensor"):
             c = getattr(self, name)
             if not 0.0 < c <= 1.0:
@@ -177,7 +180,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.nda
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
-        raise ShapeError(f"operating points must be n x 3, got shape {points.shape}")
+        raise AnalysisError(f"operating points must be n x 3, got shape {points.shape}")
     p_atm, gamma = constants.p_atm, constants.gamma
     scaled = [constants.c_sensor, 1000.0, constants.c_orifice] * points
     nonpositive, low_supply = ~(points > 0.0), ~(scaled[:, 1] > p_atm)
@@ -258,7 +261,7 @@ def simulate_design(ds: Dataset, model: str, constants: GaugeConstants) -> np.nd
     first row that fails.
     """
     if ds.n_factors != 3:
-        raise ShapeError(f"gauge simulation needs the three factors (A, Ps, B), got {ds.n_factors}")
+        raise AnalysisError(f"gauge simulation needs the three factors (A, Ps, B), got {ds.n_factors}")
     nonpositive = [f"{f.name} = {f.low:g}" for f in ds.factors if not f.low > 0.0]
     if nonpositive:
         raise AnalysisError(

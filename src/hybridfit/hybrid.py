@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DesignMatrix
-from .errors import InconsistencyError, RankError, SaturatedModelError, ShapeError
+from .errors import AnalysisError, InconsistencyError
 from .tolerances import CROSS_CHECK_TOL, RANK_TOL
 
 
@@ -157,9 +157,9 @@ def assemble(design: DesignMatrix, z: np.ndarray | None) -> HybridSystem:
                             svd_x.coef_map, svd_x.rank)
     z = np.asarray(z, dtype=float).ravel()
     if z.size != design.n_rows:
-        raise ShapeError(f"{design.n_rows} design rows but {z.size} theory values")
+        raise AnalysisError(f"{design.n_rows} design rows but {z.size} theory values")
     if not np.all(np.isfinite(z)):
-        raise ShapeError("theory vector has non-finite entries")
+        raise AnalysisError("theory vector has non-finite entries")
     augmented = np.hstack([x, (z - 1.0)[:, None] * x])
     # Q_E is cut from (z/m - 1) X, m = max|z|: modulo col(X) the span of the
     # excess block, but free of the units of z and exactly zero for constant z.
@@ -208,22 +208,22 @@ def solve(sys: HybridSystem, y: np.ndarray) -> HybridFit:
     vectors and of the residual are the model's sums of squares, and
     ``coef_map`` is the factor of the coefficient covariance: the bases are
     orthonormal, so it is sigma2 * coef_map @ coef_map'.  Raises
-    :class:`RankError` when the design is rank deficient,
-    :class:`SaturatedModelError` when the residual has no degrees of freedom
-    and :class:`InconsistencyError` when the fitted values of the two routes
-    disagree or the sums of squares do not add up to y'y.
+    :class:`AnalysisError` when the design is rank deficient or the residual
+    has no degrees of freedom, and :class:`InconsistencyError` when the
+    fitted values of the two routes disagree or the sums of squares do not
+    add up to y'y.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != sys.n_runs:
-        raise ShapeError(f"{sys.n_runs} runs but {y.shape[0]} responses")
+        raise AnalysisError(f"{sys.n_runs} runs but {y.shape[0]} responses")
     if sys.basis_design.shape[1] < sys.n_coef:
-        raise RankError(
+        raise AnalysisError(
             f"design matrix of shape {sys.design.values.shape} is rank "
             f"deficient (rank {sys.basis_design.shape[1]} of {sys.n_coef} "
             "columns); its coefficients are not estimable"
         )
     if sys.df_residual <= 0:
-        raise SaturatedModelError(
+        raise AnalysisError(
             "no residual degrees of freedom: the error variance is not "
             "estimable; add replicate runs"
         )

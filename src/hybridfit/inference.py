@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistencyError, ShapeError
+from .errors import AnalysisError, InconsistencyError
 from .hybrid import HybridFit, sum_of_squares
 from .tolerances import SS_REL_TOL
 
@@ -258,7 +258,7 @@ _LN_X_LIMIT = 690.0
 
 def _check_dof(df1: int, df2: int) -> None:
     if df1 < 1 or df2 < 1:
-        raise ShapeError(f"degrees of freedom must be >= 1, got {df1}, {df2}")
+        raise AnalysisError(f"degrees of freedom must be >= 1, got {df1}, {df2}")
 
 
 def f_sf(x: float, df1: int, df2: int) -> float:
@@ -283,7 +283,7 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
     bracket the iterates build guards steps that leave it.
     """
     if not 0.0 < alpha < 1.0:
-        raise ShapeError(f"alpha must lie in (0, 1), got {alpha}")
+        raise AnalysisError(f"alpha must lie in (0, 1), got {alpha}")
     _check_dof(df1, df2)
     z = -float(_probit(alpha))  # upper alpha-point of the normal
     c1, c2 = 2.0 / (9.0 * df1), 2.0 / (9.0 * df2)
@@ -410,7 +410,7 @@ def box_wetz_ratio(f_critical: float, f_lack_of_fit: float) -> tuple[float, bool
     fitted model is only a useful predictor when the margin is at least
     four."""
     if not f_lack_of_fit > 0.0:
-        raise ShapeError(
+        raise AnalysisError(
             f"lack-of-fit F must be positive, got {f_lack_of_fit}"
         )
     ratio = f_critical / f_lack_of_fit

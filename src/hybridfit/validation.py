@@ -106,7 +106,7 @@ def run_validation(data_dir: Path | None = None) -> ValidationResult:
     The result carries the individual check outcomes, notes on the known
     discrepancies in the reference tables (logged, never matched), and the
     gauge constants used for the solver checks.  A bundled file that cannot
-    be read raises :class:`~hybridfit.errors.InputFileError` naming it.
+    be read raises :class:`~hybridfit.errors.AnalysisError` naming it.
     """
     data_dir = Path(data_dir) if data_dir is not None else default_data_dir()
     checks: list[CheckResult] = []

@@ -138,6 +138,20 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         assert len((tmp_path / "out" / "simulated.tsv").read_text().splitlines()) == 12
 
+    def test_infinite_gamma_is_refused_as_input(self, data_dir, tmp_path, capsys):
+        # the flow factors at gamma = inf are nan: refused as a constant, not
+        # as a row whose root the solver could not certify
+        text = (data_dir / "gauge_factorial_spec.txt").read_text()
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text.replace("gauge.gamma = 1.4", "gauge.gamma = inf"))
+        rc = main([
+            "simulate", "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec), "--theory", "adiabatic", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: gamma must be finite, got inf\n")
+        assert not (tmp_path / "out").exists()
+
     def test_carried_columns_keep_header_order(self, data_dir, tmp_path):
         # carried columns before and between the factors: every column stays
         # where the input has it, each cell spelled as the input spells it,
@@ -600,9 +614,10 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
     def test_unknown_format(self, data_dir, tmp_path, capsys):
-        assert self.fit(data_dir, tmp_path, "--format", "pdf,text") == 1
-        assert capsys.readouterr().err == "error: unknown report formats: ['pdf']\n"
-        assert not (tmp_path / "out").exists()
+        for formats in ("pdf,text", "pdf"):
+            assert self.fit(data_dir, tmp_path, "--format", formats) == 1
+            assert capsys.readouterr().err == "error: unknown report formats: ['pdf']\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--model", "mlr1", "--theory", ""], "--theory is for model=hybrid only, got model=mlr1"),
@@ -624,7 +639,7 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("model,theory", [
-        ("mlr1", "bogus"), ("mlr2", "adiabatic"), ("mlr1", "column:nope"),
+        ("mlr1", "bogus"), ("mlr1", "adiabatic"), ("mlr2", "adiabatic"), ("mlr1", "column:nope"),
     ])
     def test_theory_flag_is_for_hybrid_only(
         self, model, theory, data_dir, tmp_path, capsys

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridfit import gauge
 from hybridfit.dataset import Dataset, FactorSpec, identical_rows
-from hybridfit.errors import AnalysisError, InconsistencyError, ShapeError
+from hybridfit.errors import AnalysisError, InconsistencyError
 from hybridfit.gauge import GaugeConstants
 from hybridfit.tolerances import BRACKET_ULPS, ROOT_ULPS
 
@@ -894,7 +894,8 @@ class TestSimulateDesign:
             naturals=np.array([[0.5]]),
             response=np.array([1.0]),
         )
-        with pytest.raises(ShapeError):
+        with pytest.raises(AnalysisError, match=r"^gauge simulation needs the three "
+                           r"factors \(A, Ps, B\), got 1$"):
             gauge.simulate_design(ds, "adiabatic", DEFAULTS)
 
 

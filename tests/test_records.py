@@ -7,7 +7,7 @@ import pytest
 from hybridfit import analysis, hybrid, inference, report
 from hybridfit.cli import report_formats
 from hybridfit.dataset import Dataset, DesignMatrix, FactorSpec
-from hybridfit.errors import AnalysisError, DegenerateFactorError, ShapeError
+from hybridfit.errors import AnalysisError
 from hybridfit.gauge import GaugeConstants, solve_backpressures
 from hybridfit.validation import CheckResult, ValidationResult
 
@@ -54,28 +54,30 @@ def test_assigning_a_field_raises(records):
     (lambda: report_formats("pdf,text"),
      AnalysisError, "unknown report formats: ['pdf']"),
     (lambda: FactorSpec("A", 1.0, 1.0),
-     DegenerateFactorError, "factor 'A' needs low < center < high, got 1.0, 1.0, 1.0"),
+     AnalysisError, "factor 'A' needs low < center < high, got 1.0, 1.0, 1.0"),
     (lambda: FactorSpec("A", 0.0, 1.0, center=1.0),
-     DegenerateFactorError, "factor 'A' needs low < center < high, got 0.0, 1.0, 1.0"),
+     AnalysisError, "factor 'A' needs low < center < high, got 0.0, 1.0, 1.0"),
     (lambda: Dataset((), np.empty((0, 0)), []),
-     ShapeError, "dataset needs at least one row"),
+     AnalysisError, "dataset needs at least one row"),
     (lambda: Dataset((FactorSpec("A", 0.0, 1.0),), [[0.5, 0.5]], [1.0]),
-     ShapeError, "2 factor columns but 1 factor specs"),
+     AnalysisError, "2 factor columns but 1 factor specs"),
     (lambda: Dataset((FactorSpec("A", 0.0, 1.0),), [[0.5]], [1.0, 2.0]),
-     ShapeError, "1 rows but 2 responses"),
+     AnalysisError, "1 rows but 2 responses"),
     (lambda: Dataset((FactorSpec("A", 0.0, 1.0),), [[0.5]], [1.0],
                      extras={"z": np.ones(2)}),
-     ShapeError, "extra column 'z' has the wrong length"),
+     AnalysisError, "extra column 'z' has the wrong length"),
     (lambda: DesignMatrix(np.ones((2, 2)), ("1",)),
-     ShapeError, "one label per design column required"),
+     AnalysisError, "one label per design column required"),
     (lambda: DesignMatrix([[1.0, 0.0], [0.0, 1.0]], ("1", "x1")),
-     ShapeError, "first design column must be the intercept (all ones)"),
+     AnalysisError, "first design column must be the intercept (all ones)"),
     (lambda: hybrid.assemble(DesignMatrix(np.ones((2, 1)), ("1",)), []),
-     ShapeError, "2 design rows but 0 theory values"),
+     AnalysisError, "2 design rows but 0 theory values"),
     (lambda: hybrid.assemble(DesignMatrix(np.ones((2, 1)), ("1",)), [1.0, np.inf]),
-     ShapeError, "theory vector has non-finite entries"),
+     AnalysisError, "theory vector has non-finite entries"),
     (lambda: GaugeConstants(gamma=1.0), AnalysisError, "gamma must exceed 1, got 1.0"),
     (lambda: GaugeConstants(p_atm=0.0), AnalysisError, "p_atm must be positive, got 0.0"),
+    (lambda: GaugeConstants(gamma=np.inf), AnalysisError, "gamma must be finite, got inf"),
+    (lambda: GaugeConstants(p_atm=np.inf), AnalysisError, "p_atm must be finite, got inf"),
     (lambda: GaugeConstants(c_orifice=1.5),
      AnalysisError, "c_orifice must lie in (0, 1], got 1.5"),
     (lambda: GaugeConstants(1.4, 101.325, 1.0, 0.0),

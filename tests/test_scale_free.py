@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hybridfit.analysis import analyze
 from hybridfit.cli import main
 from hybridfit.dataset import Dataset, FactorSpec
-from hybridfit.errors import ConstantResponseError
+from hybridfit.errors import AnalysisError
 
 SUMMARY_KEYS = ("R^2", "lack of fit", "model adequacy verdict", "runs")
 
@@ -88,7 +88,7 @@ class TestBundledFactorial:
 
     def test_equal_tenths_are_constant(self, factorial):
         ds = Dataset(factorial.factors, factorial.naturals, np.full(11, 0.1))
-        with pytest.raises(ConstantResponseError):
+        with pytest.raises(AnalysisError, match="^response is constant; "):
             analyze(ds, {}, "mlr1")
 
 
