@@ -84,6 +84,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise AnalysisError(f"--theory is for model=hybrid only, got model={args.model}")
     if args.model == "hybrid" and not args.theory:
         raise AnalysisError("model=hybrid requires a theory source")
+    if args.theory is not None and args.theory not in ("adiabatic", "isochoric") and not (
+        args.theory.startswith("column:") and len(args.theory) > len("column:")
+    ):
+        raise AnalysisError(
+            f"unknown theory source {args.theory!r}: expected adiabatic, isochoric "
+            "or column:<name>"
+        )
     if not 0.0 < args.alpha < 1.0:  # NaN included
         raise AnalysisError(f"alpha must lie in (0, 1), got {args.alpha}")
     theory = args.theory or "none"

@@ -1,6 +1,9 @@
 import argparse
 import collections
+import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +17,9 @@ from hybridfit import dataset
 from hybridfit.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+THEORIES = ("adiabatic", "isochoric")
 FIRST_ORDER_COEF = (208.423, -34.409, 36.616, 18.277)
 
 
@@ -548,14 +554,13 @@ class TestFit:
         spec = tmp_path / "spec.txt"
         spec.write_text("".join(f"factor.x{j}.low = -1\nfactor.x{j}.high = 1\n"
                                 for j in (1, 2, 3)) + "response.column = P_obs\n")
-        src = Path(__file__).resolve().parents[1] / "src"
         for threads in ("1", "2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "hybridfit.cli", "fit", "--data", str(data),
                  "--spec", str(spec), "--model", "mlr2", "--format", "text,rows",
                  "--out", str(tmp_path / threads)],
                 capture_output=True, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR), "OPENBLAS_NUM_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
         assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "2")
@@ -597,6 +602,10 @@ class TestRunConfig:
         (["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
         (["--model", "hybrid", "--theory", "adiabatic", "--alpha", "0"],
          "alpha must lie in (0, 1), got 0.0"),
+        (["--model", "hybrid", "--theory", "bogus"],
+         "unknown theory source 'bogus': expected adiabatic, isochoric or column:<name>"),
+        (["--model", "hybrid", "--theory", "column:"],
+         "unknown theory source 'column:': expected adiabatic, isochoric or column:<name>"),
     ])
     def test_flags_are_checked_before_any_file_is_read(
         self, flags, message, data_dir, tmp_path, capsys
@@ -676,6 +685,16 @@ class TestValidate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("in_checkout", [True, False], ids=["checkout", "elsewhere"])
+    def test_bundled_data_is_found_without_the_flag(
+        self, in_checkout, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        # ./data first, then the data directory of the source checkout
+        monkeypatch.chdir(data_dir.parent if in_checkout else tmp_path)
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("case-study validation: 108/108 checks passed\n")
 
     def test_perturbed_data_fails_with_expected_vs_got(self, data_dir, tmp_path, capsys):
         work = tmp_path / "data"
@@ -867,8 +886,11 @@ class TestInputFiles:
             paths[-1].write_bytes(edit((data_dir / name).read_bytes()))
         return paths
 
-    def test_byte_order_mark_is_ignored(self, data_dir, tmp_path):
-        command = ["fit", "--model", "hybrid", "--theory", "column:P_adiabatic"]
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "hybrid", "--theory", "column:P_adiabatic"],
+        ["simulate", "--theory", "isochoric"],
+    ], ids=["fit", "simulate"])
+    def test_byte_order_mark_is_ignored(self, command, data_dir, tmp_path):
         bom = self.copies(data_dir, tmp_path, "bom", lambda b: b"\xef\xbb\xbf" + b)
         plain = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
         assert (
@@ -879,7 +901,8 @@ class TestInputFiles:
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "hybrid", "--theory", "column:P_isochoric"],
         ["simulate", "--theory", "isochoric"],
-    ], ids=["fit", "simulate"])
+        ["fit", "--model", "hybrid", "--theory", "adiabatic"],
+    ], ids=["fit", "simulate", "fit_adiabatic"])
     def test_crlf_line_endings_give_the_same_files(self, command, data_dir, tmp_path):
         crlf = self.copies(data_dir, tmp_path, "crlf", lambda b: b.replace(b"\n", b"\r\n"))
         lf = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
@@ -888,13 +911,16 @@ class TestInputFiles:
             == self.outputs(*crlf, command, tmp_path / "crlf")
         )
 
-    @pytest.mark.parametrize("sep", [",", ";", " ", "  "],
-                             ids=["comma", "semicolon", "space", "spaces"])
-    def test_other_delimiters_simulate_as_tabs(self, sep, data_dir, tmp_path):
+    @pytest.mark.parametrize("sep, theory", [
+        pytest.param(sep, theory, id=name if theory == "adiabatic" else f"{name}-{theory}")
+        for theory in THEORIES
+        for name, sep in (("comma", ","), ("semicolon", ";"), ("space", " "), ("spaces", "  "))
+    ])
+    def test_other_delimiters_simulate_as_tabs(self, sep, theory, data_dir, tmp_path):
         # each line is split on its delimiter and written with tabs
         table = self.copies(data_dir, tmp_path, "sep", lambda b: b.replace(b"\t", sep.encode()))
         tabs = (data_dir / "gauge_factorial.tsv", data_dir / "gauge_factorial_spec.txt")
-        command = ["simulate", "--theory", "adiabatic"]
+        command = ["simulate", "--theory", theory]
         assert (
             self.outputs(*tabs, command, tmp_path / "tabs")
             == self.outputs(*table, command, tmp_path / "sep")
@@ -924,6 +950,149 @@ class TestInputFiles:
         lineno = len(text.splitlines()) + 1
         assert capsys.readouterr().err == f"error: {spec}:{lineno}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+def factorial_with(rows):
+    """The bundled factorial's text with each data row i of ``rows`` edited:
+    the cells it names set, or the whole line replaced by a string."""
+    lines = (DATA_DIR / "gauge_factorial.tsv").read_text().splitlines()
+    header = lines[0].split("\t")
+    for i, edit in rows.items():
+        if isinstance(edit, str):
+            lines[i] = edit
+            continue
+        cells = lines[i].split("\t")
+        for name, value in edit.items():
+            cells[header.index(name)] = value
+        lines[i] = "\t".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def sampled_table(p_obs):
+    """2000 runs drawn in the factorial's ranges, each factor to six
+    decimals, with P_obs printed by the %-format ``p_obs``."""
+    rng = random.Random(7)
+    ranges = ((0.251, 1.257), (0.199, 0.297), (0.503, 1.131))
+    lines = ["A\tPs\tB\tP_obs"]
+    for _ in range(2000):
+        cells = [repr(round(rng.uniform(low, high), 6)) for low, high in ranges]
+        lines.append("\t".join(cells + [p_obs % rng.uniform(100.0, 300.0)]))
+    return "\n".join(lines) + "\n"
+
+
+def simulated(name, source, spec_edit=None, theories=THEORIES, column="P_{}_sim", cells=None):
+    """A ``simulate`` case per theory that must write the column named
+    ``column`` and, where given, the computed ``cells`` {data row: cell}."""
+    return [
+        pytest.param(source, spec_edit, ["simulate", "--theory", theory],
+                     {0: column.format(theory), **(cells or {})}, id=f"{name}-{theory}")
+        for theory in theories
+    ]
+
+
+EDGE_CASES = [
+    # supplies near the largest double (rows 2 and 3) and areas whose squares
+    # overflow or underflow (rows 4 and 5): the areas over the larger keep
+    # every flow finite, and the isochoric closed form squares no pressure
+    *simulated("huge_rows", factorial_with({
+        2: {"A": "0.1", "Ps": "1e305"},
+        3: {"A": "0.6175", "Ps": "3.45e299", "B": "658.63"},
+        4: {"A": "1e300", "Ps": "0.2", "B": "1e300"},
+        5: {"A": "1e3", "Ps": "1e300", "B": "1e-300"},
+    })),
+    # roots at the ends of [p_atm, supply], each certified: a supply 1e-9
+    # above p_atm, and a nearly dead-ended nozzle
+    *simulated("near_atm", factorial_with({2: {"Ps": "0.101325000101325"}}), cells={2: "101.325"}),
+    *simulated("dead_ended", factorial_with({2: {"A": "1e-9"}}), cells={2: "199.000"}),
+    # critical (choking) ratios of 0.595 and 0.487, away from air's 0.528
+    *simulated("gamma_1.05", factorial_with({}), ("gauge.gamma = 1.4", "gauge.gamma = 1.05"),
+               theories=["adiabatic"]),
+    *simulated("gamma_1.67", factorial_with({}), ("gauge.gamma = 1.4", "gauge.gamma = 1.67"),
+               theories=["adiabatic"]),
+    # carried cells come back byte for byte, short decimals and a P_obs of
+    # 17 significant digits alike
+    *simulated("short_p_obs", sampled_table("%.3f"), column="P_{}"),
+    *simulated("long_p_obs", sampled_table("%.14f"), column="P_{}"),
+    # a row made only of tabs is a row of empty cells, not a blank line
+    *(pytest.param(factorial_with({2: "\t" * 5}), None, command,
+                   "row 2, column 'A': cannot parse '' as a number", id=f"tab_only_row-{command[0]}")
+      for command in (["simulate", "--theory", "isochoric"], ["fit", "--model", "mlr1"])),
+]
+
+
+class TestEdgeInputs:
+    """Inputs at the edges of what the commands take, each run through
+    ``main`` in process, where any warning fails the test.  A command that
+    succeeds prints nothing to stderr and writes every input line back as
+    read, with a computed ``%.3f`` cell appended; one that fails prints one
+    error line and writes nothing."""
+
+    @pytest.mark.parametrize("source, spec_edit, command, expected", EDGE_CASES)
+    def test_command_on_edge_input(
+        self, source, spec_edit, command, expected, data_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data.tsv"
+        data.write_text(source)
+        spec_text = (data_dir / "gauge_factorial_spec.txt").read_text()
+        if spec_edit is not None:
+            assert spec_edit[0] in spec_text
+            spec_text = spec_text.replace(*spec_edit)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(spec_text)
+        out = tmp_path / "out"
+        rc = main([command[0], "--data", str(data), "--spec", str(spec),
+                   *command[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        if isinstance(expected, str):
+            assert (rc, err) == (1, f"error: {expected}\n")
+            assert not out.exists()
+            return
+        assert (rc, err) == (0, "")
+        written = (out / "simulated.tsv").read_text().splitlines()
+        for i, (line, src) in enumerate(zip(written, source.splitlines(), strict=True)):
+            carried, computed = line.rsplit("\t", 1)
+            assert carried == src, i
+            if i in expected:
+                assert computed == expected[i], i
+            else:
+                assert re.fullmatch(r"[0-9]+\.[0-9]{3}", computed), line
+
+
+# Runs each command of a JSON list of argument lists through main, in one
+# interpreter, and exits with the largest exit status.
+FRESH_RUNS = """
+import json, sys
+from hybridfit.cli import main
+sys.exit(max(main(args) for args in json.loads(sys.argv[1])))
+"""
+
+
+def test_fresh_processes_write_identical_files(data_dir, tmp_path):
+    # two interpreters with different string-hash seeds, so an output that
+    # took its order from a set or a dict of strings differs between them
+    factorial = ["--data", str(data_dir / "gauge_factorial.tsv"),
+                 "--spec", str(data_dir / "gauge_factorial_spec.txt")]
+    boxbehnken = ["--data", str(data_dir / "gauge_boxbehnken.tsv"),
+                  "--spec", str(data_dir / "gauge_boxbehnken_spec.txt")]
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        runs = [
+            ["fit", *factorial, "--model", "hybrid", "--theory", "adiabatic",
+             "--out", str(out / "fit_hybrid")],
+            ["fit", *boxbehnken, "--model", "mlr2", "--out", str(out / "fit_mlr2")],
+            *(["simulate", *factorial, "--theory", theory, "--out", str(out / f"simulate_{theory}")]
+              for theory in THEORIES),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_RUNS, json.dumps(runs)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+    first = tree_bytes(tmp_path / "1")
+    assert {Path(name).parts[0] for name in first} == {
+        "fit_hybrid", "fit_mlr2", "simulate_adiabatic", "simulate_isochoric"}
+    assert first == tree_bytes(tmp_path / "2")
 
 
 class TestOutputDirectory:
@@ -990,11 +1159,10 @@ sys.exit(rc)
 
 
 def test_runtime_needs_no_scipy(data_dir):
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_BLOCKED, str(data_dir)],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

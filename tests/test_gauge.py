@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -917,6 +918,30 @@ class TestSubnormalAtmosphere:
         assert np.array_equal(adiabatic, root)
         a, ps, b = ([1.0, 1000.0, 1.0] * factorial.naturals).T
         assert np.array_equal(isochoric, reference_isochoric(a, ps, b, p_atm))
+
+
+class TestMemory:
+    """``solve_backpressures`` holds O(n) memory: a fixed number of arrays per
+    row, with no n x n array and no history of its steps."""
+
+    @staticmethod
+    def peak_per_row(model: str, n: int) -> float:
+        points = np.random.default_rng(7).uniform(
+            [0.251, 0.199, 0.503], [1.257, 0.297, 1.131], size=(n, 3))
+        tracemalloc.start()
+        try:
+            gauge.solve_backpressures(model, points, DEFAULTS)
+            return tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+
+    # about 358 B per row adiabatic and 310 B isochoric, at n = 4000 and 16000
+    @pytest.mark.parametrize("model, bound", [("adiabatic", 720), ("isochoric", 620)],
+                             ids=["adiabatic", "isochoric"])
+    def test_peak_per_row_is_bounded_and_flat_in_n(self, model, bound):
+        small = self.peak_per_row(model, 4000)
+        assert small < bound
+        assert self.peak_per_row(model, 16000) < 1.25 * small
 
 
 class TestConstants:
