@@ -139,9 +139,10 @@ def load_case(
     describes: its factor and response columns, and the ``extras`` named
     to carry along (for example a recorded theory column).
 
-    Returns the parsed spec, the split table and the loaded
-    :class:`~hybridfit.dataset.Dataset`.  This is the one place that reads a
-    case, so every command reads each file once, the spec first.
+    Returns the parsed spec, the split table, whose rows the load has
+    checked, and the loaded :class:`~hybridfit.dataset.Dataset`.  This is
+    the one place that reads a case, so every command reads each file once,
+    the spec first, and no command writes out a row the load refused.
     """
     cfg = read_keyvalues(spec)
     table = dataset.split_table(dataset.read_text(data))

@@ -2,15 +2,16 @@
 
 :func:`read_text` reads an input file and :func:`split_table` splits its
 text, once per command and the same way for every command: a header, and
-each data row as a tab-separated line of its cells as read, one cell per
-column name, so a ragged row is refused wherever it is read.
-:func:`load_table` parses those lines into a :class:`Dataset`, which holds
-runs in natural units exactly as written, and a writer that carries the
-rows writes the lines.  Fitting happens in coded units, where each
-factor's low/center/high settings sit at -1/0/+1; :func:`code` applies
-that affine transform, and :func:`build_design` expands coded levels into
-a polynomial basis matrix.  :func:`identical_rows` numbers the groups of
-equal rows that pure error pools over.
+each data row as a tab-separated line of its cells as read.
+:func:`load_table` checks that every row holds one cell per column name,
+so a ragged row is refused wherever it is read, and parses those lines
+into a :class:`Dataset`, which holds runs in natural units exactly as
+written; a writer that carries the rows writes the lines it checked.
+Fitting happens in coded units, where each factor's low/center/high
+settings sit at -1/0/+1; :func:`code` applies that affine transform, and
+:func:`build_design` expands coded levels into a polynomial basis matrix.
+:func:`identical_rows` numbers the groups of equal rows that pure error
+pools over.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def read_text(path: str | Path) -> str:
 
 class Table(NamedTuple):
     """A table's text split once: the header's column names, and each data
-    row as a tab-separated line with one cell per name, blank lines
-    skipped."""
+    row as a tab-separated line of its cells as read, blank lines skipped.
+    :func:`load_table` checks that every row holds one cell per name."""
 
     header: list[str]
     rows: list[str]
@@ -206,11 +207,12 @@ def split_table(text: str) -> Table:
     ``" , "`` is; any other line of whitespace is blank and skipped.
 
     A header name or cell holding a tab (a quoted cell, or any cell of a
-    comma- or semicolon-separated table, can) and a row whose cells the
-    header does not name one for one raise :class:`AnalysisError` naming
-    the row: every command refuses them alike.
+    comma- or semicolon-separated table, can) raises :class:`AnalysisError`
+    naming the row: every command refuses them alike.  The CSV reader's
+    row loop checks each row's width too; :func:`load_table` checks all.
     """
-    text = (text + "\n").replace("\r\n", "\n")
+    if "\r" in text:
+        text = (text + "\n").replace("\r\n", "\n")
     lines = text.split("\n")
     head = next((i for i, line in enumerate(lines) if line.strip()), None)
     if head is None:
@@ -225,29 +227,38 @@ def split_table(text: str) -> Table:
         raise AnalysisError("header row: a column name holds a tab")
     rows = lines[1:]
     # Without quotes, bare carriage returns and (in a comma or semicolon
-    # table) tabs, the CSV reader splits a line as str.split does: one
-    # replace per row makes the tab lines, and one tab count per row, at C
-    # level, checks them.  The row loop names the first bad row.
+    # table) tabs, the CSV reader splits a line as str.split does, so one
+    # replace per row makes the tab lines.
     if delimiter is None:
-        rows = list(map("\t".join, map(str.split, rows)))
-    elif '"' in text or "\r" in text or (delimiter != "\t" and "\t" in text):
+        return Table(header, list(map("\t".join, map(str.split, rows))))
+    if '"' in text or "\r" in text or (delimiter != "\t" and "\t" in text):
         return Table(header, _tab_rows(rows, delimiter, n))
-    elif delimiter != "\t":
+    if delimiter != "\t":
         rows = [line.replace(delimiter, "\t") for line in rows]
-    if set(map(str.count, rows, repeat("\t"))) <= {n - 1}:
-        return Table(header, rows)
-    return Table(header, _tab_rows(lines[1:], delimiter, n))
+    return Table(header, rows)
 
 
-def _parse_block(rows: list[str], usecols: list[int]) -> np.ndarray | None:
-    """The cells ``usecols`` of every row as one (column, row) array, parsed
-    in one numpy call; None when :func:`_parse_cells` must decide.
+def _check_widths(rows: list[str], n: int) -> None:
+    """Raise :class:`AnalysisError` naming the first row that does not hold
+    ``n`` tab-separated cells."""
+    for i, tabs in enumerate(map(str.count, rows, repeat("\t")), start=1):
+        if tabs != n - 1:
+            raise AnalysisError(f"row {i}: {tabs + 1} cells under {n} column names")
+
+
+def _parse_block(rows: list[str], usecols: list[int] | None = None) -> np.ndarray | None:
+    """The cells of every row, or its cells ``usecols``, as one (row,
+    column) array parsed in one numpy call; None for no rows (numpy warns on
+    them) or when :func:`_parse_cells` must decide.
 
     numpy accepts a subset of the tokens ``float()`` accepts (not ``1_0`` or
     non-ASCII digits) and gives the same double for each.  No cell holds a
-    tab, so numpy splits each row as ``str.split("\\t")`` does; a table it
-    rejects takes the per-cell path.
+    tab, so numpy splits each row as ``str.split("\\t")`` does; without
+    ``usecols`` it refuses a row whose cell count differs from the first
+    row's, so an array as wide as the header proves every row's width.
     """
+    if not rows:
+        return None
     try:
         block = np.loadtxt(
             rows, delimiter="\t", usecols=usecols, comments=None,
@@ -257,7 +268,7 @@ def _parse_block(rows: list[str], usecols: list[int]) -> np.ndarray | None:
         return None
     if block.shape[0] != len(rows):  # numpy skipped a line it read as empty
         return None
-    return np.ascontiguousarray(block.T)
+    return block
 
 
 def _parse_cells(rows: list[str], usecols: list[int], names: list[str]) -> np.ndarray:
@@ -290,10 +301,15 @@ def load_table(
     the ``extras`` to carry along.
 
     Natural units are preserved verbatim and rows keep file order.  Raises
-    :class:`AnalysisError` when a named column is missing or appears twice,
-    and (with row and column) on a non-numeric or non-finite cell.
+    :class:`AnalysisError`, first for a row without one cell per header
+    name, then for a named column missing or appearing twice, for no rows,
+    and (with row and column) for a non-numeric or non-finite cell.
     """
     header, rows = table
+    block = _parse_block(rows)
+    if block is None or block.shape[1] != len(header):
+        block = None
+        _check_widths(rows, len(header))
     col_index: dict[str, int] = {}
     for name in [f.name for f in factors] + [response, *extras]:
         if name not in header:
@@ -309,9 +325,11 @@ def load_table(
 
     names = list(col_index)
     usecols = list(col_index.values())
-    table = _parse_block(rows, usecols)
-    if table is None:
-        table = _parse_cells(rows, usecols, names)
+    if block is not None:
+        table = np.ascontiguousarray(block.T[usecols])
+    else:  # numpy refused a cell, maybe one of a column not used
+        block = _parse_block(rows, usecols)
+        table = _parse_cells(rows, usecols, names) if block is None else block.T.copy()
     # float() accepts "nan" and "inf": reject them in one pass over the table.
     bad = np.argwhere(~np.isfinite(table.T))
     if bad.size:
@@ -398,16 +416,16 @@ def identical_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # values.  Rows are grouped by a hash of those bytes, and every row is
     # checked bit for bit against its group's first row; on a collision, one
     # sort of the byte keys groups them instead.  Either is much cheaper than
-    # np.unique(axis=0).
+    # np.unique(axis=0).  A running count of the first rows numbers groups.
     rows = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)) + 0.0)
     words = rows.view(np.uint64)
     _, first, inverse = np.unique(_row_hash(words), return_index=True, return_inverse=True)
-    if not np.array_equal(words, words[first[inverse]]):
+    firsts = first[inverse]
+    if not np.array_equal(words, words[firsts]):
         keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
         _, first, inverse = np.unique(
             keys.ravel(), return_index=True, return_inverse=True
         )
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return first[order], number[inverse.ravel()]
+        firsts = first[inverse]
+    is_first = firsts == np.arange(firsts.size)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[firsts]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import AnalysisError, InconsistencyError
-from .tolerances import BRACKET_ULPS, ROOT_ULPS
+from .tolerances import BRACKET_ULPS, MIN_GAMMA_EXCESS, ROOT_ULPS
 
 _NEWTON_STEPS = 4  # from the isochoric root toward the adiabatic one
 
@@ -49,6 +49,10 @@ class GaugeConstants(_GaugeConstantsFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.gamma > 1.0:
             raise AnalysisError(f"gamma must exceed 1, got {self.gamma}")
+        if self.gamma < 1.0 + MIN_GAMMA_EXCESS:
+            raise AnalysisError(
+                f"gamma must be at least 1 + {MIN_GAMMA_EXCESS:g}, got {self.gamma}"
+            )
         if not self.p_atm > 0.0:
             raise AnalysisError(f"p_atm must be positive, got {self.p_atm}")
         for name, value in (("gamma", self.gamma), ("p_atm", self.p_atm)):

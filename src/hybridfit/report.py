@@ -418,12 +418,12 @@ def scatter_svg(
             f'<line x1="{margin}" y1="{py(0):.2f}" x2="{width - margin}" '
             f'y2="{py(0):.2f}" stroke="#bbbbbb" stroke-dasharray="4 3"/>'
         )
-    circles = _format_rows(
-        '<circle cx="%.2f" cy="%.2f" r="3.5" '
-        'fill="none" stroke="#1f4e9c" stroke-width="1.4"/>\n',
-        (px(xs), py(ys)),
+    parts.append(
+        '<defs><circle id="m" r="3.5" fill="none" stroke="#1f4e9c" '
+        'stroke-width="1.4"/></defs>'
     )
-    return "\n".join(parts) + "\n" + circles + "</svg>\n"
+    markers = _format_rows('<use href="#m" x="%.2f" y="%.2f"/>\n', (px(xs), py(ys)))
+    return "\n".join(parts) + "\n" + markers + "</svg>\n"
 
 
 def write_diagnostic_files(

@@ -34,3 +34,9 @@ ROOT_ULPS = 4
 # row sets and at inputs out to 1e300 (the residual's sign is noise that
 # near), so 32 leaves room; ends that bracket no sign change get [p_atm, ps].
 BRACKET_ULPS = 32
+
+# The smallest gamma - 1 the flow solvers take.  The adiabatic flow factor's
+# G = u (u - c), u = c^(1/gamma), cancels as gamma nears 1: at the critical
+# ratio its relative error is about 4 eps gamma / (gamma - 1), 1e-9 here,
+# and at gamma - 1 = 1e-12 a root moves in its sixth digit.
+MIN_GAMMA_EXCESS = 1e-6

@@ -158,6 +158,22 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "error: gamma must be finite, got inf\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("gamma", ["1.000000000001", "1.0000000000000002"])
+    def test_gamma_too_near_one_is_refused_as_input(self, gamma, data_dir, tmp_path, capsys):
+        # both once exited 0, with row 11 at 212.0369 and 204.4634 kPa
+        text = (data_dir / "gauge_factorial_spec.txt").read_text()
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text.replace("gauge.gamma = 1.4", f"gauge.gamma = {gamma}"))
+        rc = main([
+            "simulate", "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(spec), "--theory", "adiabatic", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: gamma must be at least 1 + 1e-06, got {gamma}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_carried_columns_keep_header_order(self, data_dir, tmp_path):
         # carried columns before and between the factors: every column stays
         # where the input has it, each cell spelled as the input spells it,
@@ -300,6 +316,35 @@ class TestFit:
             root = ET.parse(tmp_path / "out" / name).getroot()
             texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
             assert f"residual ({units})" in texts[2]
+
+    @pytest.mark.parametrize("base, flags", [
+        ("gauge_factorial", ["--model", "hybrid", "--theory", "adiabatic"]),
+        ("gauge_boxbehnken", ["--model", "mlr2"]),
+    ], ids=["hybrid", "mlr2"])
+    def test_svg_markers_are_one_defined_circle(self, base, flags, data_dir, tmp_path):
+        rc = main([
+            "fit",
+            "--data", str(data_dir / f"{base}.tsv"),
+            "--spec", str(data_dir / f"{base}_spec.txt"),
+            *flags,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        runs = len(dataset.split_table((data_dir / f"{base}.tsv").read_text()).rows)
+        svgs = sorted(tmp_path.glob("*.svg"))
+        assert [p.name for p in svgs] == ["residuals_fitted.svg", "residuals_normal.svg"]
+        for path in svgs:
+            root = ET.parse(path).getroot()
+            ns = "{http://www.w3.org/2000/svg}"
+            (defs,) = root.findall(f"{ns}defs")
+            (marker,) = defs
+            assert marker.tag == f"{ns}circle" and marker.get("id") == "m"
+            assert marker.get("r") == "3.5"
+            ids = {el.get("id") for el in root.iter() if el.get("id")}
+            uses = root.findall(f"{ns}use")
+            assert len(uses) == runs
+            assert {use.get("href") for use in uses} <= {f"#{i}" for i in ids}
+            assert not root.findall(f"{ns}circle")  # no circle outside <defs>
 
     def test_mlr1_matches_reference(self, data_dir, tmp_path):
         rc = main([

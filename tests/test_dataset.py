@@ -213,10 +213,11 @@ def tables(draw):
 QUOTED_COLUMNS = ((FactorSpec("c2", 0.0, 1.0),), "c1", ())
 
 
-def load_outcome(text: str, columns: tuple):
-    """The loaded arrays as bytes, or the error's type and message."""
+def load_outcome(text: str, columns: tuple, split=dataset.split_table):
+    """The arrays loaded from ``split(text)`` as bytes, or the error's type
+    and message."""
     try:
-        ds = load_text(text, *columns)
+        ds = dataset.load_table(split(text), *columns)
     except Exception as exc:  # compared, not handled: any error must match
         return type(exc), str(exc)
     return (
@@ -246,19 +247,49 @@ class TestFastPath:
 
     @pytest.mark.parametrize("sep", ["\t", ",", ";", " "])
     def test_clean_table_takes_the_fast_path(self, sep):
+        # one numpy parse proves every row's width: no Python pass over the
+        # rows counts their cells, and none parses a cell
         rng = np.random.default_rng(5)
         values = rng.normal(size=(3000, 4)) * 10.0 ** rng.integers(-5, 6, (3000, 4))
-        text = sep.join(["A", "y", "z", "w"]) + "\n" + "".join(
-            sep.join(map(repr, row)) + "\n" for row in values.tolist()
-        )
-        def per_cell(*args):
-            raise AssertionError("clean table fell back to the per-cell parser")
+        lines = [sep.join(["A", "y", "z", "w"])] + [
+            sep.join(map(repr, row)) for row in values.tolist()
+        ]
 
-        with patch.object(dataset, "_parse_cells", per_cell):
-            ds = load_text(text, (spec_a(),), "y", ("w",))
-        assert np.array_equal(ds.naturals[:, 0], values[:, 0])
-        assert np.array_equal(ds.response, values[:, 1])
-        assert np.array_equal(ds.extras["w"], values[:, 3])
+        def fail(*args):
+            raise AssertionError("clean table took a per-row Python pass")
+
+        for end in ("\n", "\r\n"):
+            with patch.multiple(dataset, _parse_cells=fail, _check_widths=fail, _tab_rows=fail):
+                ds = load_text(end.join(lines) + end, (spec_a(),), "y", ("w",))
+            assert np.array_equal(ds.naturals[:, 0], values[:, 0])
+            assert np.array_equal(ds.response, values[:, 1])
+            assert np.array_equal(ds.extras["w"], values[:, 3])
+
+    @pytest.mark.parametrize("rows", [["1\t2", "3"], ["1\t2", "3\t4\t5"], ["1", "2\t3"]])
+    def test_numpy_refuses_a_changed_column_count(self, rows):
+        # the loader's width check rests on this: parsed without usecols, a
+        # row with fewer or more cells than the first is refused
+        with pytest.raises(ValueError, match="number of columns changed"):
+            np.loadtxt(rows, delimiter="\t", comments=None, quotechar=None, ndmin=2)
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "per_cell"])
+    @pytest.mark.parametrize("text, response, message", [
+        # a ragged row is found before a missing column
+        ("A\ty\n0.5\t2\n0.6\n", "z", "^row 2: 1 cells under 2 column names$"),
+        # and before a cell of an earlier row that is not a number
+        ("A\ty\n0.5\toops\n0.6\t2\t3\n", "y", "^row 2: 3 cells under 2 column names$"),
+        # every row as wide, but not as wide as the header
+        ("A\ty\tw\n0.5\t2\n0.6\t3\n", "y", "^row 1: 2 cells under 3 column names$"),
+        # a missing column is found before the lack of data rows
+        ("A\ty\n", "z", r"^column 'z' not found; header has \['A', 'y'\]$"),
+        ("A\ty\n\n", "y", "^no data rows after the header$"),
+    ], ids=["ragged_and_missing", "ragged_and_text", "all_narrow", "no_rows_and_missing",
+            "no_rows"])
+    def test_order_of_errors(self, text, response, message, fast_path):
+        parse_block = dataset._parse_block if fast_path else (lambda *args: None)
+        with patch.object(dataset, "_parse_block", parse_block):
+            with pytest.raises(AnalysisError, match=message):
+                load_text(text, (spec_a(),), response)
 
 
 
@@ -295,9 +326,15 @@ def carried_tables(draw):
     return end.join(lines) + draw(st.sampled_from(["", end])), header, rows
 
 
+# Column a as a factor and b as the response: the columns every table of
+# the width and tab tests below has.
+AB = ((FactorSpec("a", 0.0, 1.0),), "b")
+
+
 class TestCarriedColumns:
     """``split_table`` gives every row of a table as tab-separated cells in
-    the input's column order, each cell as the input spells it."""
+    the input's column order, each cell as the input spells it; a table
+    whose rows ``load_table`` refuses is refused by every command."""
 
     @given(carried_tables())
     @example(("P_isochoric B A P_obs\n187.410 .5 +0.25 1e2\n", ["P_isochoric", "B", "A", "P_obs"],
@@ -314,7 +351,7 @@ class TestCarriedColumns:
     def test_ragged_row_names_its_row(self, sep, row, cells):
         text = f"a{sep}b{sep}c\n1{sep}2{sep}3\n\n{row.replace(' ', sep)}\n"
         with pytest.raises(AnalysisError, match=f"^row 2: {cells} cells under 3 column names$"):
-            dataset.split_table(text)
+            load_text(text, *AB)
 
     @pytest.mark.parametrize("text, where", [
         ('a,b\n1,"x\ty"\n', "row 1"), ("a,b\n1,2\n1,x\ty\n", "row 2"),
@@ -326,7 +363,7 @@ class TestCarriedColumns:
     ])
     def test_cell_holding_a_tab_is_refused(self, text, where):
         with pytest.raises(AnalysisError, match=f"^{where}: "):
-            dataset.split_table(text)
+            load_text(text, *AB)
 
 
 # Cells without quotes or carriage returns: numbers, empty and padded
@@ -339,19 +376,22 @@ UNQUOTED_TOKENS = st.one_of(
 
 @st.composite
 def unquoted_tables(draw):
-    """A tab, comma or semicolon table without quotes or bare carriage
-    returns, some rows ragged, and its delimiter, width and non-blank data
-    lines."""
-    delimiter = draw(st.sampled_from(["\t", ",", ";"]))
+    """A tab, comma, semicolon or whitespace table without quotes or bare
+    carriage returns, some rows ragged, and its delimiter, width and
+    non-blank data lines."""
+    delimiter = draw(st.sampled_from(["\t", ",", ";", None]))
+    sep = delimiter or " "
     k = draw(st.integers(2, 5))
-    cells = UNQUOTED_TOKENS.filter(lambda t: delimiter not in t)
+    cells = UNQUOTED_TOKENS.filter(lambda t: sep not in t)
     lines = [
-        delimiter.join(draw(st.lists(cells, min_size=k - 1, max_size=k + 1)))
+        sep.join(draw(st.lists(cells, min_size=k - 1, max_size=k + 1)))
         for _ in range(draw(st.integers(0, 6)))
     ]
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    text = end.join([delimiter.join(f"c{j}" for j in range(k)), *lines]) + end
-    return text, delimiter, k, [line for line in lines if line.strip() or delimiter in line]
+    text = end.join([sep.join(f"c{j}" for j in range(k)), *lines]) + end
+    return text, delimiter, k, [
+        line for line in lines if line.strip() or delimiter and delimiter in line
+    ]
 
 
 def split_outcome(split, *args):
@@ -364,16 +404,21 @@ def split_outcome(split, *args):
 
 class TestSplitFastPath:
     """Without quotes or bare carriage returns, ``split_table`` makes tab
-    lines with one replace per row and checks them with one tab count per
-    row; the CSV reader's row loop must give the same rows or the same
-    error."""
+    lines with one replace per row, and ``load_table`` checks their widths;
+    the CSV reader's row loop, which checks each row as it splits it, must
+    give the same rows, and the loader the same table or the same error."""
 
     @given(unquoted_tables())
     @settings(deadline=None, max_examples=300)
     def test_same_rows_as_the_csv_loop(self, case):
         text, delimiter, k, lines = case
-        fast = split_outcome(lambda t: dataset.split_table(t).rows, text)
-        assert fast == split_outcome(dataset._tab_rows, lines, delimiter, k)
+        header = [f"c{j}" for j in range(k)]
+        columns = ((FactorSpec("c0", 0.0, 1.0),), header[-1], tuple(header[1:-1]))
+        rows = split_outcome(dataset._tab_rows, lines, delimiter, k)
+        if isinstance(rows, list):
+            assert dataset.split_table(text).rows == rows
+        loop = lambda t: dataset.Table(header, dataset._tab_rows(lines, delimiter, k))
+        assert load_outcome(text, columns) == load_outcome(text, columns, loop)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("sep", ["\t", ",", ";"])

@@ -953,6 +953,24 @@ class TestConstants:
         with pytest.raises(AnalysisError):
             solve_one("adiabatic", (-1.0, 0.2, 0.5))
 
+    @pytest.mark.parametrize("gamma", [1 + 2.0**-52, 1 + 1e-14, 1 + 1e-12, 1.0000009])
+    def test_gamma_too_near_one_is_refused(self, gamma):
+        # u (u - c) is rounding noise this near 1, and the solver certified
+        # a root from it: row 11 of the factorial (0.754, 0.248, 0.817)
+        # solved to 212.0369 kPa at 1 + 1e-12 and 204.46 at 1 + 2**-52
+        with pytest.raises(
+            AnalysisError, match=rf"^gamma must be at least 1 \+ 1e-06, got {gamma}$"
+        ):
+            GaugeConstants(gamma=gamma)
+
+    def test_gamma_at_the_bound_solves_on_the_trend(self):
+        # the root falls by about 17 kPa per unit of gamma - 1 near 1: from
+        # 1 + 1e-5 to the bound it moves by 9e-6 of that
+        point = (0.754, 0.248, 0.817)
+        near, bound = (solve_one("adiabatic", point, GaugeConstants(gamma=g))
+                       for g in (1.00001, 1.000001))
+        assert bound - near == pytest.approx(17.1 * 9e-6, rel=0.01)
+
 
 # operating points and constants well inside the solvers' domain
 AREAS = st.floats(0.05, 5.0)

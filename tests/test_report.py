@@ -59,9 +59,10 @@ POINTS = st.tuples(
 ).map(lambda case: case[0][:1] * len(case[0]) if case[1] else case[0])
 
 
-def scalar_circles(points, width=640, height=480, margin=70.0):
-    """The circles of a scatter plot, one point at a time in Python floats:
-    the reference the column-wise writer must reproduce byte for byte."""
+def scalar_markers(points, width=640, height=480, margin=70.0):
+    """The (x, y) of each marker of a scatter plot, printed one point at a
+    time in Python floats: the reference the column-wise writer must
+    reproduce byte for byte."""
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     x_lo, x_hi = min(xs), max(xs)
@@ -77,11 +78,7 @@ def scalar_circles(points, width=640, height=480, margin=70.0):
     def py(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
-    return [
-        f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
-        f'fill="none" stroke="#1f4e9c" stroke-width="1.4"/>'
-        for x, y in points
-    ]
+    return [(f"{px(x):.2f}", f"{py(y):.2f}") for x, y in points]
 
 
 @given(POINTS)
@@ -95,11 +92,16 @@ def test_point_file_matches_scalar_formatting(points):
 @given(POINTS)
 @settings(deadline=None)
 def test_svg_circles_match_scalar_formatting(points):
+    # every point is a <use> of the one marker circle, at its pixel position
+    # as %.2f prints it
     xs, ys = (np.array(col) for col in zip(*points))
     svg = report.scatter_svg(xs, ys, "x", "y", "t")
-    circles = [line for line in svg.splitlines() if line.startswith("<circle")]
-    assert circles == scalar_circles(points)
-    assert svg.endswith('stroke-width="1.4"/>\n</svg>\n')
+    uses = ET.fromstring(svg).findall(f"{SVG}use")
+    assert [(use.get("x"), use.get("y")) for use in uses] == scalar_markers(points)
+    assert [use.get("href") for use in uses] == ["#m"] * len(points)
+    markers = [line for line in svg.splitlines() if line.startswith("<use")]
+    assert markers == [f'<use href="#m" x="{x}" y="{y}"/>' for x, y in scalar_markers(points)]
+    assert svg.endswith('"/>\n</svg>\n')
 
 
 # Cells at the edges of what ``repr`` writes: powers of two from 2**-20 to
