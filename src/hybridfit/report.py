@@ -245,13 +245,14 @@ def summary_lines(a: Analysis) -> list[str]:
 def render_coefficients(
     labels: Sequence[str],
     estimates: np.ndarray,
-    std_errors: np.ndarray | None = None,
+    std_errors: np.ndarray,
 ) -> str:
     """Tab-separated coefficient table: term, estimate, standard error."""
     lines = ["\t".join(["term", "estimate", "std_error"])]
     for i, label in enumerate(labels):
-        se = "" if std_errors is None else f"{std_errors[i]:.6g}"
-        lines.append("\t".join([label, f"{estimates[i]:.3f}", se]))
+        lines.append(
+            "\t".join([label, f"{estimates[i]:.3f}", f"{std_errors[i]:.6g}"])
+        )
     return "\n".join(lines) + "\n"
 
 

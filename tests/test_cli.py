@@ -1187,11 +1187,14 @@ def test_parser_is_built_once_per_process(data_dir, tmp_path, monkeypatch):
     assert len(built) <= 1
 
 
-# Blocks scipy before the package is imported, so any import of it fails.
+# Blocks scipy before the package is imported, so any import of it fails,
+# then imports every module the package holds, found rather than listed.
 SCIPY_BLOCKED = """
-import sys
+import importlib, pkgutil, sys
 sys.modules["scipy"] = None
 import hybridfit
+for module in pkgutil.iter_modules(hybridfit.__path__):
+    importlib.import_module(f"hybridfit.{module.name}")
 from hybridfit import cli
 rc = cli.main(["validate", "--data-dir", sys.argv[1]])
 loaded = sorted(
