@@ -130,7 +130,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"data: {Path(args.data)}",
         f"config: {Path(args.spec)}",
         f"model: {args.model}",
-        f"alpha: {args.alpha:g}",
+        f"alpha: {args.alpha!r}",
         "",
     ]
     summary_path = out_dir / "summary.txt"

@@ -251,8 +251,8 @@ def _f_sf_and_prefactor(x: float, df1: int, df2: int) -> tuple[float, float]:
     return 1.0 - pre * _beta_fraction(b, a, w, t, -lam), pre
 
 
-# Quantiles beyond e^690 (about 1e300) read as infinite, below e^-690 as 0,
-# so that df1 * x stays finite.
+# Iterates are capped at e^690 (about 1e300), so that df1 * x stays finite;
+# a quantile beyond the cap reads as infinite.
 _LN_X_LIMIT = 690.0
 
 
@@ -276,51 +276,34 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
     """Upper alpha-point of the F distribution: the x with
     ``f_sf(x, df1, df2) == alpha``.
 
-    The log of the tail is concave in ln x (the log of an F variate has a
-    log-concave density), so Newton's method on it converges from any start
-    and approaches the root from above after its first step.  It starts from
-    Paulson's normal approximation to the cube root of F; bisection on the
-    bracket the iterates build guards steps that leave it.
+    Newton's method on the log of the tail in s = ln x, from s = 0.  That
+    log is concave in s (the log of an F variate has a log-concave
+    density), so the first step lands at or above the root, and each later
+    one between the root and the iterate before it.  Only a step that
+    overshoots to the right can underflow the tail or its slope, and lo is
+    finite by then: the next iterate is the midpoint of the bracket
+    [lo, hi] the iterates have built.  The root lies above e^-690 for every
+    float alpha below 1, so s needs no lower bound.
     """
     if not 0.0 < alpha < 1.0:
         raise AnalysisError(f"alpha must lie in (0, 1), got {alpha}")
     _check_dof(df1, df2)
-    z = -float(_probit(alpha))  # upper alpha-point of the normal
-    c1, c2 = 2.0 / (9.0 * df1), 2.0 / (9.0 * df2)
-    # (1 - c2) y - (1 - c1) = z sqrt(c1 + c2 y^2), solved for y = x^(1/3)
-    quad = (1.0 - c2) ** 2 - z * z * c2
-    disc = ((1.0 - c1) * (1.0 - c2)) ** 2 - quad * ((1.0 - c1) ** 2 - z * z * c1)
-    s = 0.0
-    if quad > 0.0 and disc >= 0.0:
-        y = ((1.0 - c1) * (1.0 - c2) + math.copysign(math.sqrt(disc), z)) / quad
-        if y > 0.0:
-            s = 3.0 * math.log(y)
     target = math.log(alpha)
     lo, hi = -math.inf, math.inf
+    s = 0.0
     for _ in range(200):
         p, pre = _f_sf_and_prefactor(math.exp(s), df1, df2)
         if p > alpha:
             if s >= _LN_X_LIMIT:
                 return math.inf
             lo = s
-        elif p < alpha:
-            if s <= -_LN_X_LIMIT:
-                return 0.0
-            hi = s
         else:
-            return math.exp(s)
+            hi = s
         step = (math.log(p) - target) * p / pre if p > 0.0 and pre > 0.0 else math.nan
         if abs(step) <= 1e-12:
             return math.exp(s + step)
         s_next = s + step
-        if not lo < s_next < hi:
-            if math.isinf(hi):
-                s_next = s + 2.0
-            elif math.isinf(lo):
-                s_next = s - 2.0
-            else:
-                s_next = 0.5 * (lo + hi)
-        s = min(max(s_next, -_LN_X_LIMIT), _LN_X_LIMIT)
+        s = min(s_next if lo < s_next < hi else 0.5 * (lo + hi), _LN_X_LIMIT)
     raise InconsistencyError(
         f"F quantile did not converge at alpha={alpha}, df=({df1}, {df2})"
     )

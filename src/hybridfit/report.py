@@ -187,7 +187,7 @@ def _f_line(name: str, test: FTest, alpha: float, with_p: bool) -> str:
     p = f"p = {test.p:.4g}, " if with_p else ""
     return (
         f"{name}: F({test.df_num},{test.df_den}) = {test.f:.6g}, {p}"
-        f"critical at alpha={alpha:g}: {test.critical:.6g}"
+        f"critical at alpha={float(alpha)!r}: {test.critical:.6g}"
     )
 
 

@@ -389,6 +389,41 @@ class TestFit:
             (15.429, 5.647, 7.694, 2.555, 0.971, -0.006, -0.026, -0.013), abs=5e-3
         )
 
+    @pytest.mark.parametrize("alpha", ["0.9999999999", "0.05000001"])
+    def test_alpha_is_echoed_with_every_digit(self, alpha, data_dir, tmp_path):
+        # six significant digits would print 1, a level the CLI refuses, and
+        # 0.05, a different test
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--model", "mlr1",
+            "--alpha", alpha,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert f"alpha: {alpha}" in lines
+        critical = [ln for ln in lines if "critical at alpha=" in ln]
+        assert len(critical) == 2
+        assert all(f"critical at alpha={alpha}: " in ln for ln in critical)
+
+    def test_critical_value_beyond_every_float_reads_inf(self, data_dir, tmp_path):
+        # P(F(1, 2) > 1e300) is about 2e-300, still above alpha
+        rc = main([
+            "fit",
+            "--data", str(data_dir / "gauge_factorial.tsv"),
+            "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+            "--model", "hybrid",
+            "--theory", "column:P_isochoric",
+            "--alpha", "1e-300",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert "alpha: 1e-300" in lines
+        assert "lack of fit: F(1,2) = 3.45405, p = 0.2042, critical at alpha=1e-300: inf" in lines
+
     def test_hybrid_simulated_theory_runs(self, data_dir, tmp_path):
         rc = main([
             "fit",

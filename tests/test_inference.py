@@ -385,6 +385,44 @@ class TestFCdf:
         crit = inference.f_critical(alpha, d1, d2)
         assert inference.f_sf(crit, d1, d2) == pytest.approx(alpha, rel=1e-12)
 
+    def test_critical_beyond_the_cap_is_infinite(self):
+        # P(F(1, 1) > e^690) is about 1e-150, far above alpha
+        assert inference.f_critical(1e-300, 1, 1) == math.inf
+
+    @pytest.mark.parametrize(
+        "alpha, d1, d2", [(1e-10, 1, 126), (1e-300, 3, 1000), (1e-300, 1, 3)]
+    )
+    def test_critical_after_an_underflowing_step(self, alpha, d1, d2):
+        # Newton overshoots from x = 1 to where the tail or its slope
+        # underflows, so the next iterate is the bracket's midpoint
+        crit = inference.f_critical(alpha, d1, d2)
+        assert inference.f_sf(crit, d1, d2) == pytest.approx(alpha, rel=1e-11)
+
+    def test_critical_on_the_whole_grid(self, monkeypatch):
+        calls = 0
+        tail = inference._f_sf_and_prefactor
+
+        def counted(x, df1, df2):
+            nonlocal calls
+            calls += 1
+            return tail(x, df1, df2)
+
+        monkeypatch.setattr(inference, "_f_sf_and_prefactor", counted)
+        alphas = [1e-300, 1e-100, 1e-30, *np.logspace(-10, math.log10(0.999), 9)]
+        dfs = [int(d) for d in np.round(np.logspace(0, 7, 11))]
+        for alpha in map(float, alphas):
+            for d1 in dfs:
+                for d2 in dfs:
+                    calls = 0
+                    crit = inference.f_critical(alpha, d1, d2)
+                    assert calls <= 24, (alpha, d1, d2)
+                    if crit == math.inf:
+                        assert inference.f_sf(math.exp(inference._LN_X_LIMIT), d1, d2) > alpha
+                    else:
+                        assert inference.f_sf(crit, d1, d2) == pytest.approx(
+                            alpha, rel=1e-11
+                        ), (alpha, d1, d2)
+
 
 class TestNormalQuantile:
     def test_plot_positions_match_scipy(self):
