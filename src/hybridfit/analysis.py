@@ -37,7 +37,7 @@ class Analysis(NamedTuple):
     """Everything ``fit`` reports and ``validate`` checks for one model."""
 
     model: str                      # mlr1 | mlr2 | hybrid
-    theory: str                     # z's source; "none" for mlr1 and mlr2
+    theory: str | None              # z's source; None for mlr1 and mlr2
     alpha: float
     system: hybrid.HybridSystem
     fit: hybrid.HybridFit
@@ -94,45 +94,51 @@ class Analysis(NamedTuple):
         return float(np.sqrt(self.fit.ss_residual / (self.system.n_runs - 1)))
 
 
-def _theory(
-    ds: dataset.Dataset, cfg: dict[str, str], model: str, theory: str
-) -> tuple[np.ndarray | None, tuple[gauge.GaugeConstants, tuple[str, ...]] | None]:
-    if model != "hybrid":
-        return None, None
-    if theory.startswith("column:"):
-        name = theory.split(":", 1)[1]
-        if name not in ds.extras:
-            raise AnalysisError(
-                f"theory column {name!r} is not in the dataset; its extra "
-                f"columns are {sorted(ds.extras)}"
-            )
-        return ds.extras[name], None
-    if theory == "none":
+def theory_column(model: str, theory: str | None, alpha: float) -> str | None:
+    """Check a fit request before any data is read; return the data column a
+    ``column:<name>`` theory reads, or None.  Raises :class:`AnalysisError`
+    at the first rule broken: a model of ``ORDERS``; a theory for ``hybrid``
+    and for it alone, named in ``gauge.THEORIES`` or ``column:<name>``; alpha
+    in (0, 1)."""
+    if model not in ORDERS:
+        raise AnalysisError(f"unknown model {model!r}")
+    if theory is not None and model != "hybrid":
+        raise AnalysisError(f"--theory is for model=hybrid only, got model={model}")
+    if model == "hybrid" and not theory:
         raise AnalysisError("model=hybrid requires a theory source")
-    constants = config.gauge_constants(cfg)
-    return gauge.simulate_design(ds, theory, constants[0]), constants
+    column = None
+    if theory is not None and theory not in gauge.THEORIES:
+        prefix, _, column = theory.partition(":")
+        if prefix != "column" or not column:
+            raise AnalysisError(
+                f"unknown theory source {theory!r}: expected "
+                f"{', '.join(gauge.THEORIES)} or column:<name>"
+            )
+    if not 0.0 < alpha < 1.0:  # NaN included
+        raise AnalysisError(f"alpha must lie in (0, 1), got {alpha}")
+    return column
 
 
 def analyze(
     ds: dataset.Dataset,
     cfg: dict[str, str],
     model: str,
-    theory: str = "none",
+    theory: str | None = None,
     alpha: float = 0.05,
 ) -> Analysis:
     """Fit ``model`` to ``ds`` and compute everything its reports need.
 
-    ``theory`` is read for ``model="hybrid"`` only: ``adiabatic`` or
+    The request is checked first, by :func:`theory_column` as ``fit`` checks
+    it.  ``theory`` is given for ``model="hybrid"`` only: ``adiabatic`` or
     ``isochoric`` simulate z with the gauge constants of ``cfg``, and
     ``column:<name>`` takes it from an extra column of ``ds``.  Raises
     :class:`AnalysisError` when the response is constant or overflows
-    (checked first), the theory column is missing, the design is rank
+    (checked next), the theory column is missing, the design is rank
     deficient, the model is saturated (raised by the solve), or the residual
     is roundoff (``ROUNDOFF_SS_TOL`` y'y or less).  Statistical inadequacy
     is a reported verdict, not an error.
     """
-    if model not in ORDERS:
-        raise AnalysisError(f"unknown model {model!r}")
+    column = theory_column(model, theory, alpha)
     y = ds.response
     if np.ptp(y) == 0:
         raise AnalysisError(
@@ -147,7 +153,17 @@ def analyze(
 
     coded = dataset.code(ds)
     design = dataset.build_design(coded, ORDERS[model], [s.name for s in ds.factors])
-    z, constants = _theory(ds, cfg, model, theory)
+    z, constants = None, None
+    if column is not None:
+        if column not in ds.extras:
+            raise AnalysisError(
+                f"theory column {column!r} is not in the dataset; its extra "
+                f"columns are {sorted(ds.extras)}"
+            )
+        z = ds.extras[column]
+    elif theory is not None:
+        constants = config.gauge_constants(cfg)
+        z = gauge.simulate_design(ds, theory, constants[0])
     system = hybrid.assemble(design, z)
     fit = hybrid.solve(system, y)
     if fit.ss_residual <= ROUNDOFF_SS_TOL * fit.ss_total:
@@ -189,7 +205,7 @@ def analyze(
 
     return Analysis(
         model=model,
-        theory=theory if model == "hybrid" else "none",
+        theory=theory,
         alpha=alpha,
         system=system,
         fit=fit,

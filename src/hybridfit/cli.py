@@ -7,12 +7,13 @@ a ragged row for every command alike, and loads it), one call into the
 library, and file writing.  ``simulate`` runs a flow solver over a design
 file and writes the split table's header and rows, tab-separated with each
 cell as read, with the computed back-pressure column appended.  ``fit``
-takes model, theory, alpha and formats from its flags, runs
-:func:`hybridfit.analysis.analyze` and writes the coefficient, ANOVA,
-summary, and residual-plot files that :mod:`hybridfit.report` renders from
-its result.  ``validate`` runs :func:`hybridfit.validation.run_validation`,
-which checks the same ``analyze`` results against the bundled case study's
-reference numbers.
+has :func:`hybridfit.analysis.theory_column` check its model, theory and
+alpha flags and checks ``--format`` itself before it reads a file, runs
+:func:`hybridfit.analysis.analyze`, and writes the files (``summary.txt``
+among them) that :mod:`hybridfit.report` renders from its result.
+``validate`` runs :func:`hybridfit.validation.run_validation`, which checks
+the same ``analyze`` results against the bundled case study's reference
+numbers.
 All outputs are deterministic: identical inputs give byte-identical files.
 
 Each command imports the layers it runs when it runs, so ``--help`` loads
@@ -30,9 +31,10 @@ from pathlib import Path
 from .errors import AnalysisError
 
 ALL_FORMATS = ("text", "rows", "plots")
-# The keys of hybridfit.analysis.ORDERS, spelled out so that building the
-# parser loads no numerical layer.
+# The keys of hybridfit.analysis.ORDERS and hybridfit.gauge.THEORIES, spelled
+# out so that building the parser loads no numerical layer.
 MODELS = ("mlr1", "mlr2", "hybrid")
+THEORIES = ("adiabatic", "isochoric")
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +82,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     from . import analysis, config, inference, report
 
     # every flag is checked before any file is read
-    if args.theory is not None and args.model != "hybrid":
-        raise AnalysisError(f"--theory is for model=hybrid only, got model={args.model}")
-    if args.model == "hybrid" and not args.theory:
-        raise AnalysisError("model=hybrid requires a theory source")
-    if args.theory is not None and args.theory not in ("adiabatic", "isochoric") and not (
-        args.theory.startswith("column:") and len(args.theory) > len("column:")
-    ):
-        raise AnalysisError(
-            f"unknown theory source {args.theory!r}: expected adiabatic, isochoric "
-            "or column:<name>"
-        )
-    if not 0.0 < args.alpha < 1.0:  # NaN included
-        raise AnalysisError(f"alpha must lie in (0, 1), got {args.alpha}")
-    theory = args.theory or "none"
+    column = analysis.theory_column(args.model, args.theory, args.alpha)
     formats = report_formats(args.format)
 
-    extras = (theory.split(":", 1)[1],) if theory.startswith("column:") else ()
+    extras = () if column is None else (column,)
     cfg, _, ds = config.load_case(args.data, args.spec, extras)
-    result = analysis.analyze(ds, cfg, args.model, theory, args.alpha)
+    result = analysis.analyze(ds, cfg, args.model, args.theory, args.alpha)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,17 +114,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         diag = inference.residual_diagnostics(result.fit)
         written += report.write_diagnostic_files(diag, out_dir, ds.response_units)
 
-    header = [
-        "fit report",
-        f"data: {Path(args.data)}",
-        f"config: {Path(args.spec)}",
-        f"model: {args.model}",
-        f"alpha: {args.alpha!r}",
-        "",
-    ]
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(
-        "\n".join(header + report.summary_lines(result)) + "\n", encoding="utf-8"
+        report.summary_text(result, args.data, args.spec), encoding="utf-8"
     )
     written.append(summary_path)
     for path in written:
@@ -187,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--data", required=True, help="design table (delimited text)")
     p_sim.add_argument("--spec", required=True, help="factor/constants config file")
     p_sim.add_argument(
-        "--theory", required=True, choices=("adiabatic", "isochoric"),
+        "--theory", required=True, choices=THEORIES,
         help="flow model to run",
     )
     p_sim.add_argument("--out", required=True, help="output directory")

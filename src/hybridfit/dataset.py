@@ -60,15 +60,14 @@ class FactorSpec(_FactorSpecFields):
     def half_range(self) -> float:
         return (self.high - self.low) / 2.0
 
-    def code(self, natural):
+    def code(self, natural) -> np.ndarray:
         """Map natural values to coded units; low/center/high land exactly
         on -1/0/+1."""
         natural = np.asarray(natural, dtype=float)
         coded = (natural - self.center) / self.half_range
         coded = np.where(natural == self.low, -1.0, coded)
         coded = np.where(natural == self.high, 1.0, coded)
-        coded = np.where(natural == self.center, 0.0, coded)
-        return coded if coded.ndim else float(coded)
+        return np.where(natural == self.center, 0.0, coded)
 
 
 class _DatasetFields(NamedTuple):

@@ -28,6 +28,8 @@ from .dataset import Dataset
 from .errors import AnalysisError, InconsistencyError
 from .tolerances import BRACKET_ULPS, MIN_GAMMA_EXCESS, ROOT_ULPS
 
+THEORIES = ("adiabatic", "isochoric")  # the flow idealizations, by name
+
 _NEWTON_STEPS = 4  # from the isochoric root toward the adiabatic one
 
 _INPUT_NAMES = ("area_sensor", "pressure_supply", "area_orifice")
@@ -180,7 +182,7 @@ def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.nda
     else is solved with it: every pass is elementwise, the Newton step count
     is fixed, and a closed bracket is a fixed point of the bisection.  So
     identical rows get bit-identical roots in one call or in many."""
-    if model not in ("adiabatic", "isochoric"):
+    if model not in THEORIES:
         raise AnalysisError(f"unknown gauge model {model!r}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:

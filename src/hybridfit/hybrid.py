@@ -94,7 +94,6 @@ class HybridSystem(NamedTuple):
     """
 
     design: DesignMatrix
-    z: np.ndarray | None        # theory response of each run; None: plain fit
     augmented: np.ndarray       # [X | (diag(z) - I) X], or X alone
     basis_design: np.ndarray    # Q_X: orthonormal basis of col(X)
     basis_excess: np.ndarray    # Q_E: the excess block outside col(X)
@@ -153,7 +152,7 @@ def assemble(design: DesignMatrix, z: np.ndarray | None) -> HybridSystem:
     svd_x = thin_svd(x)
     q_x = svd_x.basis
     if z is None:
-        return HybridSystem(design, None, x, q_x, np.zeros((design.n_rows, 0)),
+        return HybridSystem(design, x, q_x, np.zeros((design.n_rows, 0)),
                             svd_x.coef_map, svd_x.rank)
     z = np.asarray(z, dtype=float).ravel()
     if z.size != design.n_rows:
@@ -188,7 +187,6 @@ def assemble(design: DesignMatrix, z: np.ndarray | None) -> HybridSystem:
     ])
     return HybridSystem(
         design=design,
-        z=z,
         augmented=augmented,
         basis_design=q_x,
         basis_excess=svd_e.basis,

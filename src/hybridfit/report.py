@@ -1,4 +1,4 @@
-"""Report rendering: the summary lines and the three ANOVA tables of an
+"""Report rendering: all of ``summary.txt`` and the three ANOVA tables of an
 :class:`~hybridfit.analysis.Analysis`, ANOVA tables as text and delimited
 rows, coefficient files, tab-separated column tables (residual-plot points,
 simulated designs), and standalone SVG plots.
@@ -191,15 +191,18 @@ def _f_line(name: str, test: FTest, alpha: float, with_p: bool) -> str:
     )
 
 
-def summary_lines(a: Analysis) -> list[str]:
-    """The body of ``summary.txt``: sizes, error variance, R-squared, the F
+def summary_text(a: Analysis, data: str | Path, spec: str | Path) -> str:
+    """All of ``summary.txt``: a header naming the ``data`` and ``spec``
+    files, the model and alpha, then sizes, error variance, R-squared, the F
     tests, and the lack-of-fit verdict with its prediction margin."""
     sys = a.system
+    lines = ["fit report", f"data: {Path(data)}", f"config: {Path(spec)}",
+             f"model: {a.model}", f"alpha: {a.alpha!r}", ""]
     if a.is_mlr:
-        lines = [f"runs: {sys.n_runs}; coefficients: {sys.n_coef}"]
+        lines.append(f"runs: {sys.n_runs}; coefficients: {sys.n_coef}")
         tests = [("significance of regression", a.regression, True)]
     else:
-        lines = [
+        lines += [
             f"theory source: {a.theory}",
             f"runs: {sys.n_runs}; coefficients per block: {sys.n_coef}; "
             f"model rank: {sys.rank}",
@@ -239,7 +242,7 @@ def summary_lines(a: Analysis) -> list[str]:
         ]
     if a.constants is not None:
         lines.append(constants_line(*a.constants))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def render_coefficients(

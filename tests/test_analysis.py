@@ -79,8 +79,8 @@ class TestPlainFitIsTheUnitTheorySolve:
     def test_excess_block_vanishes(self, factorial, factorial_config):
         # no theory, so no excess block: the system is X alone
         a = analyze(factorial, factorial_config, "mlr1")
-        assert a.system.z is None
-        assert a.theory == "none"
+        assert a.system.augmented is a.system.design.values
+        assert a.theory is None
         assert a.system.rank == 4 and a.system.df_residual == 11 - 4
         assert a.fit.coef.shape == (4,) and a.fit.coef_cov.shape == (4, 4)
         assert a.labels == ("1", "A", "Ps", "B")
@@ -126,7 +126,7 @@ class TestResidualSampleSd:
         )
         assert a.residual_sample_sd == pytest.approx(2.965, rel=0.02)
         line = next(
-            ln for ln in report.summary_lines(a)
+            ln for ln in report.summary_text(a, "data.tsv", "spec.txt").splitlines()
             if ln.startswith("residual sample standard deviation")
         )
         assert line.endswith(f": {a.residual_sample_sd:.3f}")

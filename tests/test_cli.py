@@ -14,13 +14,34 @@ import numpy as np
 import pytest
 
 from hybridfit import dataset
-from hybridfit.cli import main
+from hybridfit.analysis import analyze
+from hybridfit.cli import build_parser, main
+from hybridfit.errors import AnalysisError
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 THEORIES = ("adiabatic", "isochoric")
 FIRST_ORDER_COEF = (208.423, -34.409, 36.616, 18.277)
+# fit flags that make a refused request, and the message of its one error
+# line, the same from `fit` and from `analyze`
+REFUSED_REQUESTS = [
+    (["--model", "hybrid"], "model=hybrid requires a theory source"),
+    (["--model", "hybrid", "--alpha", "2"], "model=hybrid requires a theory source"),
+    (["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    (["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+    (["--model", "hybrid", "--theory", "adiabatic", "--alpha", "0"],
+     "alpha must lie in (0, 1), got 0.0"),
+    (["--model", "hybrid", "--theory", "bogus"],
+     "unknown theory source 'bogus': expected adiabatic, isochoric or column:<name>"),
+    (["--model", "hybrid", "--theory", "column:"],
+     "unknown theory source 'column:': expected adiabatic, isochoric or column:<name>"),
+    (["--theory", "column:P_adiabatic"], "--theory is for model=hybrid only, got model=mlr1"),
+    (["--model", "mlr2", "--theory", "bogus", "--alpha", "2"],
+     "--theory is for model=hybrid only, got model=mlr2"),
+    (["--theory", ""], "--theory is for model=hybrid only, got model=mlr1"),
+    (["--model", "hybrid", "--theory", ""], "model=hybrid requires a theory source"),
+]
 
 
 def read_coefficients(path: Path) -> list[tuple[str, float]]:
@@ -675,18 +696,7 @@ class TestRunConfig:
         assert capsys.readouterr().err == "error: alpha must lie in (0, 1), got 1.5\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--model", "hybrid"], "model=hybrid requires a theory source"),
-        (["--model", "hybrid", "--alpha", "2"], "model=hybrid requires a theory source"),
-        (["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
-        (["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
-        (["--model", "hybrid", "--theory", "adiabatic", "--alpha", "0"],
-         "alpha must lie in (0, 1), got 0.0"),
-        (["--model", "hybrid", "--theory", "bogus"],
-         "unknown theory source 'bogus': expected adiabatic, isochoric or column:<name>"),
-        (["--model", "hybrid", "--theory", "column:"],
-         "unknown theory source 'column:': expected adiabatic, isochoric or column:<name>"),
-    ])
+    @pytest.mark.parametrize("flags,message", REFUSED_REQUESTS)
     def test_flags_are_checked_before_any_file_is_read(
         self, flags, message, data_dir, tmp_path, capsys
     ):
@@ -701,6 +711,18 @@ class TestRunConfig:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,message", REFUSED_REQUESTS)
+    def test_analyze_refuses_what_fit_refuses(
+        self, flags, message, factorial, factorial_config
+    ):
+        # the request fit parses from these flags, made to the library
+        args = build_parser().parse_args(
+            ["fit", "--data", "-", "--spec", "-", "--out", "-", *flags]
+        )
+        with pytest.raises(AnalysisError) as info:
+            analyze(factorial, factorial_config, args.model, args.theory, args.alpha)
+        assert str(info.value) == message
 
     def test_unknown_format(self, data_dir, tmp_path, capsys):
         for formats in ("pdf,text", "pdf"):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import hybridfit
-from hybridfit import analysis, cli
+from hybridfit import analysis, cli, gauge
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -127,3 +127,7 @@ def test_asserted_modules_exist():
 
 def test_cli_model_choices_are_the_analysis_models():
     assert set(cli.MODELS) == set(analysis.ORDERS)
+
+
+def test_cli_theory_choices_are_the_gauge_theories():
+    assert cli.THEORIES == gauge.THEORIES

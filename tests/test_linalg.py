@@ -145,13 +145,18 @@ class TestSvdCalls:
         return made
 
     @pytest.mark.parametrize("model, theory, n_calls", [
-        ("mlr1", "none", 1), ("mlr2", "none", 1), ("hybrid", "column:P_isochoric", 2),
+        ("mlr1", None, 1), ("mlr2", None, 1), ("hybrid", "column:P_isochoric", 2),
     ])
     def test_calls_per_fit(self, model, theory, n_calls, calls, request):
         case = "boxbehnken" if model == "mlr2" else "factorial"
         ds, cfg = request.getfixturevalue(case), request.getfixturevalue(f"{case}_config")
         analyze(ds, cfg, model, theory)
         assert len(calls) == n_calls
+
+    def test_alpha_is_refused_before_any_factorization(self, calls, factorial, factorial_config):
+        with pytest.raises(AnalysisError, match=r"^alpha must lie in \(0, 1\), got 2\.0$"):
+            analyze(factorial, factorial_config, "mlr1", alpha=2.0)
+        assert calls == []
 
     def test_constant_theory_has_an_empty_excess_basis(self, factorial_design):
         sys = hybrid.assemble(factorial_design, np.full(factorial_design.n_rows, 3.0))

@@ -121,7 +121,7 @@ def cases(draw, models=("mlr1", "mlr2", "hybrid")):
 
 def run(model, x, y, z):
     ds = Dataset(FACTORS, x, y, extras={"z": z})
-    theory = "column:z" if model == "hybrid" else "none"
+    theory = "column:z" if model == "hybrid" else None
     return analyze(ds, {}, model, theory)
 
 
