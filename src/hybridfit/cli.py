@@ -4,16 +4,16 @@ The spec file describes the data; the flags choose what to do with it.
 Each command is argument parsing, one :func:`hybridfit.config.load_case`
 (which reads the spec, then reads and splits the data file once, refusing
 a ragged row for every command alike, and loads it), one call into the
-library, and file writing.  ``simulate`` runs a flow solver over a design
-file and writes the split table's header and rows, tab-separated with each
-cell as read, with the computed back-pressure column appended.  ``fit``
-has :func:`hybridfit.analysis.theory_column` check its model, theory and
-alpha flags and checks ``--format`` itself before it reads a file, runs
-:func:`hybridfit.analysis.analyze`, and writes the files (``summary.txt``
-among them) that :mod:`hybridfit.report` renders from its result.
-``validate`` runs :func:`hybridfit.validation.run_validation`, which checks
-the same ``analyze`` results against the bundled case study's reference
-numbers.
+library, and one call of :func:`write_files`, the one writer of output
+files.  ``simulate`` runs a flow solver over a design file and writes the
+split table's header and rows, tab-separated with each cell as read, with
+the computed back-pressure column appended.  ``fit`` has
+:func:`hybridfit.analysis.theory_column` check its model, theory and alpha
+flags and checks ``--format`` itself before it reads a file, runs
+:func:`hybridfit.analysis.analyze`, and writes each file (``summary.txt``
+last) as :mod:`hybridfit.report` renders it from its result.  ``validate``
+runs :func:`hybridfit.validation.run_validation`, which checks the same
+``analyze`` results against the bundled case study's reference numbers.
 All outputs are deterministic: identical inputs give byte-identical files.
 
 Each command imports the layers it runs when it runs, so ``--help`` loads
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -35,6 +36,30 @@ ALL_FORMATS = ("text", "rows", "plots")
 # out so that building the parser loads no numerical layer.
 MODELS = ("mlr1", "mlr2", "hybrid")
 THEORIES = ("adiabatic", "isochoric")
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def write_files(out: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
+    """Make the directory ``out`` and write each ``(file name, text)`` pair
+    of ``files`` into it as UTF-8, in the order given; the paths written.
+
+    An error while making the directory or writing a file, a full disk
+    included, is an :class:`AnalysisError` naming that path.
+    """
+    out_dir = path = Path(out)
+    written = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
+    except OSError as exc:
+        raise AnalysisError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +77,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     column = f"P_{args.theory}"
     while column in table.header:
         column += "_sim"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "simulated.tsv"
-    out_path.write_text(
-        report.append_column("\t".join(table.header), table.rows, column, backpressures),
-        encoding="utf-8",
-    )
+    text = report.append_column("\t".join(table.header), table.rows, column, backpressures)
+    [out_path] = write_files(args.out, [("simulated.tsv", text)])
 
     print(report.constants_line(constants, defaulted))
     print(f"wrote {out_path} with back-pressure column {column!r} ({args.theory})")
@@ -89,37 +109,22 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg, _, ds = config.load_case(args.data, args.spec, extras)
     result = analysis.analyze(ds, cfg, args.model, args.theory, args.alpha)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    def files():
+        yield "coefficients.tsv", report.render_coefficients(
+            result.labels, result.coef, result.std_errors
+        )
+        for name, rep in report.anova_tables(result).items():
+            if "text" in formats:
+                yield f"{name}.txt", report.render_anova_text(rep)
+            if "rows" in formats:
+                yield f"{name}.tsv", report.render_anova_rows(rep)
+        if "plots" in formats:
+            diag = inference.residual_diagnostics(result.fit)
+            yield from report.diagnostic_files(diag, ds.response_units)
+        yield "summary.txt", report.summary_text(result, args.data, args.spec)
 
-    coef_path = out_dir / "coefficients.tsv"
-    coef_path.write_text(
-        report.render_coefficients(result.labels, result.coef, result.std_errors),
-        encoding="utf-8",
-    )
-    written.append(coef_path)
-
-    for name, rep in report.anova_tables(result).items():
-        if "text" in formats:
-            path = out_dir / f"{name}.txt"
-            path.write_text(report.render_anova_text(rep), encoding="utf-8")
-            written.append(path)
-        if "rows" in formats:
-            path = out_dir / f"{name}.tsv"
-            path.write_text(report.render_anova_rows(rep), encoding="utf-8")
-            written.append(path)
-
-    if "plots" in formats:
-        diag = inference.residual_diagnostics(result.fit)
-        written += report.write_diagnostic_files(diag, out_dir, ds.response_units)
-
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text(
-        report.summary_text(result, args.data, args.spec), encoding="utf-8"
-    )
-    written.append(summary_path)
-    for path in written:
+    # each file is written as it is rendered
+    for path in write_files(args.out, files()):
         print(f"wrote {path}")
     return 0
 
@@ -139,9 +144,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     text = validation.render_validation_report(result)
     print(text, end="")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "validation_report.txt").write_text(text, encoding="utf-8")
+        write_files(args.out, [("validation_report.txt", text)])
     return 0 if result.passed else 1
 
 
@@ -212,13 +215,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        if exc.filename is None:
-            raise
-        # every input is read through dataset.read_text, which raises
-        # AnalysisError, so a file error here is an output that failed
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -311,7 +311,10 @@ def f_critical(alpha: float, df1: int, df2: int) -> float:
 
 # Wichura's AS241 (PPND16): rational approximations to the normal quantile
 # in r = 0.180625 - q^2 for |q| = |p - 1/2| <= 0.425, else in
-# r = sqrt(-ln min(p, 1 - p)) - 1.6 up to r = 5 and r - 5 beyond.
+# r = sqrt(-ln min(p, 1 - p)) - 1.6 up to r = 5.  AS241's third branch,
+# r > 5, is left out: the only probabilities asked for are Blom's plotting
+# positions, whose smallest, 0.625 / (n + 0.25), stays above e^-25 (about
+# 1.4e-11, r = 5) for every n below 4.5e10.
 # Coefficients run from the constant term up.
 _PROBIT_CENTRAL = (
     (3.3871328727963666080e0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
@@ -329,14 +332,6 @@ _PROBIT_NEAR = (
      6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
      5.47593808499534494600e-4, 1.05075007164441684324e-9),
 )
-_PROBIT_FAR = (
-    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-     2.71155556874348757815e-5, 2.01033439929228813265e-7),
-    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-     1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
-     1.42151175831644588870e-7, 2.04426310338993978564e-15),
-)
 
 
 def _rational(coefs, r):
@@ -353,14 +348,11 @@ def _rational(coefs, r):
 
 
 def _probit(p):
-    """Standard-normal quantile of p in (0, 1), a float or an array."""
+    """Standard-normal quantile of p in [e^-25, 1 - e^-25], a float or an
+    array."""
     q = p - 0.5
     central = q * _rational(_PROBIT_CENTRAL, 0.180625 - q * q)
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-    tail = _rational(_PROBIT_NEAR, r - 1.6)
-    far = r > 5.0
-    if np.any(far):  # p below about 1.4e-11
-        tail = np.where(far, _rational(_PROBIT_FAR, r - 5.0), tail)
+    tail = _rational(_PROBIT_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6)
     return np.where(np.abs(q) <= 0.425, central, np.copysign(tail, q))
 
 
@@ -379,8 +371,10 @@ def residual_diagnostics(fit) -> ResidualDiagnostics:
     """
     resid = np.asarray(fit.residuals, dtype=float)
     fitted = np.asarray(fit.fitted, dtype=float)
-    # stable sort: ties keep run order
-    ordered = resid[np.argsort(resid, kind="stable")]
+    # equal finite values are equal bits, except -0.0 and 0.0: put the signed
+    # zeros back in run order, as a stable sort leaves them
+    ordered = np.sort(resid)
+    ordered[ordered == 0.0] = resid[resid == 0.0]
     return ResidualDiagnostics(
         normal_plot=(normal_plot_positions(resid.shape[0]), ordered),
         scatter=(fitted, resid),

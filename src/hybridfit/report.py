@@ -3,6 +3,9 @@
 rows, coefficient files, tab-separated column tables (residual-plot points,
 simulated designs), and standalone SVG plots.
 
+Every function here returns text and touches no file: the CLI's
+:func:`hybridfit.cli.write_files` writes what it renders.
+
 Rendering computes nothing statistical: sums of squares come from the
 analysis's solved fit and pure-error split, degrees of freedom from its
 system, every F and p from its :class:`~hybridfit.inference.FTest` results;
@@ -21,7 +24,7 @@ import math
 import re
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,10 +433,11 @@ def scatter_svg(
     return "\n".join(parts) + "\n" + markers + "</svg>\n"
 
 
-def write_diagnostic_files(
-    diag: ResidualDiagnostics, out_dir: Path, response_units: str
-) -> list[Path]:
-    """Write residual plot point files and SVG plots with stable names."""
+def diagnostic_files(
+    diag: ResidualDiagnostics, response_units: str
+) -> Iterator[tuple[str, str]]:
+    """The residual plots' point files and SVGs, as ``(file name, text)``
+    pairs with stable names."""
     unit = f" ({response_units})" if response_units else ""
     plots = (
         (
@@ -446,13 +450,6 @@ def write_diagnostic_files(
             (f"fitted value{unit}", f"residual{unit}", "Residuals versus fitted values"),
         ),
     )
-    written = []
     for stem, (xs, ys), names, labels in plots:
-        for suffix, text in (
-            (".tsv", render_points(xs, ys, *names)),
-            (".svg", scatter_svg(xs, ys, *labels)),
-        ):
-            path = out_dir / f"{stem}{suffix}"
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    return written
+        yield f"{stem}.tsv", render_points(xs, ys, *names)
+        yield f"{stem}.svg", scatter_svg(xs, ys, *labels)

@@ -1198,28 +1198,51 @@ def test_fresh_processes_write_identical_files(data_dir, tmp_path):
 
 
 class TestOutputDirectory:
-    """An --out that cannot be created is one error line and exit status 1,
-    not a traceback."""
+    """An --out that cannot be created, or a file in it that cannot be
+    written, is one error line and exit status 1, not a traceback."""
 
-    @pytest.mark.parametrize("command", [
+    COMMANDS = [
         ["simulate", "--theory", "adiabatic"],
         ["fit", "--model", "mlr1"],
         ["validate"],
-    ])
-    def test_unwritable_out_is_one_error_line(self, command, data_dir, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory\n")
-        out = blocker / "out"
+    ]
+
+    @staticmethod
+    def run(command, data_dir, out):
         inputs = (
             ["--data-dir", str(data_dir)] if command[0] == "validate" else [
                 "--data", str(data_dir / "gauge_factorial.tsv"),
                 "--spec", str(data_dir / "gauge_factorial_spec.txt"),
             ]
         )
-        rc = main([*command, *inputs, "--out", str(out)])
-        assert rc == 1
+        return main([*command, *inputs, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_out_is_one_error_line(self, command, data_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        # a nested --out is named whole, not by the level that failed
+        for out in (blocker / "out", blocker / "a" / "b"):
+            assert self.run(command, data_dir, out) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: cannot write {out}: Not a directory"
+            ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command, name", [
+        (COMMANDS[0], "simulated.tsv"),
+        (COMMANDS[1], "residuals_normal.svg"),
+        (COMMANDS[2], "validation_report.txt"),
+    ])
+    def test_full_disk_is_one_error_line(self, command, name, data_dir, tmp_path, capsys):
+        # /dev/full opens, then fails every write with ENOSPC, which names
+        # no file
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert self.run(command, data_dir, out) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: cannot write {out}: Not a directory"
+            f"error: cannot write {out / name}: No space left on device"
         ]
 
 

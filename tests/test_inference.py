@@ -433,14 +433,14 @@ class TestNormalQuantile:
         got = inference.normal_plot_positions(n)
         assert np.max(np.abs(got - special.ndtri(probs))) <= 2e-15
 
-    def test_all_three_branches(self):
+    def test_central_and_near_tail(self):
         from scipy import special
 
+        # Blom's positions for n below 4.5e10 lie in [1.39e-11, 1 - 1.39e-11]
         p = np.concatenate([
-            np.logspace(-300, -12, 60),     # far tail, r > 5
-            np.logspace(-11, -1.2, 60),     # near tail
+            np.logspace(-10.85, -1.2, 60),  # near tail
             np.linspace(0.076, 0.924, 61),  # central
-            1.0 - np.logspace(-15, -2, 30),
+            1.0 - np.logspace(-10.85, -2, 30),
         ])
         ref = special.ndtri(p)
         got = inference._probit(p)
@@ -469,6 +469,28 @@ class TestResidualDiagnostics:
         _, fit = adiabatic_case
         diag = inference.residual_diagnostics(fit)
         assert diag.scatter[0].tolist() == list(fit.fitted)
+
+    def test_signed_zeros_keep_run_order(self):
+        from types import SimpleNamespace
+
+        diag = inference.residual_diagnostics(SimpleNamespace(
+            fitted=np.zeros(5), residuals=np.array([0.0, -0.0, 1.0, -0.0, 0.0])
+        ))
+        ordered = diag.normal_plot[1]
+        assert ordered.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert np.signbit(ordered).tolist() == [False, True, True, False, False]
+
+    def test_ordinates_are_the_stable_sort(self):
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(5)
+        resid = rng.integers(-3, 4, 500) * 0.5
+        resid[rng.random(500) < 0.2] *= -1.0  # signed zeros among the ties
+        diag = inference.residual_diagnostics(
+            SimpleNamespace(fitted=np.zeros(500), residuals=resid)
+        )
+        stable = resid[np.argsort(resid, kind="stable")]
+        assert diag.normal_plot[1].tobytes() == stable.tobytes()
 
     def test_symmetric_pair_positions(self):
         from types import SimpleNamespace

@@ -1,12 +1,14 @@
 """Report writers: SVG axis labels and escaping, the byte contract of the
-column-wise point, circle and table writers, and the digits of the ANOVA
-cells."""
+column-wise point, circle and table writers, the digits of the ANOVA
+cells, and a renderer that touches no file."""
 
+import ast
 import math
 import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,27 @@ SVG = "{http://www.w3.org/2000/svg}"
 def x_tick_labels(svg: str) -> list[str]:
     # x-axis labels sit 20 px below the axis line, at y = 480 - 70 + 20
     return re.findall(r'<text x="[0-9.]+" y="430.0" [^>]*>([^<]*)</text>', svg)
+
+
+def test_report_touches_no_file():
+    # report renders text; hybridfit.cli.write_files is the one writer
+    tree = ast.parse(Path(report.__file__).read_text(encoding="utf-8"))
+    calls = sorted(
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"write_text", "write_bytes", "open", "mkdir"}
+            or isinstance(node.func, ast.Name) and node.func.id == "open"
+        )
+    )
+    params = sorted(
+        arg.arg
+        for node in ast.walk(tree) if isinstance(node, ast.arguments)
+        for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs)
+        if arg.arg == "out_dir"
+    )
+    assert (calls, params) == ([], [])
 
 
 def test_symmetric_points_label_the_middle_tick_zero():
