@@ -100,12 +100,13 @@ def _isochoric_factor(r) -> np.ndarray:
 
 def _bisect(residual, lo, hi) -> None:
     """Bisect in place, in lockstep, every row's bracket [lo, hi] with
-    0 <= lo < hi, where the residual is >= 0 at lo and <= 0 at hi, until it
-    collapses to adjacent floats or hits an exact zero (then lo = hi).  Only
-    the sign of the residual at each midpoint is read, never a product of two
-    residuals, which would underflow to zero for tiny ones.  The solver's
-    brackets lie within [p_atm, ps] of rows whose inputs were checked before
-    the solve, and ``GaugeConstants`` checks that p_atm > 0.
+    0 <= lo <= hi until it collapses to adjacent floats or hits an exact zero
+    (then lo = hi).  A residual >= 0 at lo and <= 0 at hi stays so; a bracket
+    without that closes all the same, for the caller's acceptance rule.
+    Only the sign of the residual at each midpoint is read, never a product
+    of two residuals, which would underflow to zero for tiny ones.  The
+    solver's brackets lie within [p_atm, ps] of rows whose inputs were
+    checked before the solve, and ``GaugeConstants`` checks that p_atm > 0.
 
     Non-negative doubles sort as their int64 bit patterns, so the midpoint is
     taken on the float order: lo + (hi - lo) // 2 in those patterns, which
@@ -113,8 +114,9 @@ def _bisect(residual, lo, hi) -> None:
     bracket of n spacings reaches adjacent floats in ceil(log2(n)) steps, at
     most 63, so the loop runs the widest bracket's count, known before it
     starts.  A closed bracket is a fixed point of the update, so no row is
-    masked out: at adjacent floats the midpoint is lo, where the residual is
-    >= 0 and only lo moves, to itself; lo = hi gives lo.
+    masked out: at adjacent floats the midpoint is lo, where an accepted
+    bracket's residual is >= 0 and lo moves to itself (hi to lo where it is
+    0, which leaves the root lo); lo = hi gives lo.
     """
     lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
     widest = int(np.max(hi_bits - lo_bits, initial=1))
@@ -139,19 +141,19 @@ def _isochoric_root(ps, a, b, p_atm) -> np.ndarray:
     so a = 1 in both its regimes; where the sensor alone chokes,
     a / (2b) <= 1; where neither does, ps <= 4 p_atm, and a squared area
     that underflows leaves the root at its limit."""
-    c = np.clip(2.0 * p_atm / ps, 0.5, 1.0)
+    c = np.minimum(np.maximum(2.0 * p_atm / ps, 0.5), 1.0)
     g = np.sqrt(c * (1.0 - c))
     orifice, a2, b2 = b * ps, a * a, b * b  # orifice: its flow over its factor
     orifice_choked, sensor_choked = a * g > b, orifice * g > a * p_atm
     lin = b2 * ps - a2 * p_atm
     disc = np.hypot(lin, 2.0 * a * b * p_atm)
-    return np.select(
-        [orifice_choked & sensor_choked, orifice_choked, sensor_choked],
-        [orifice, p_atm + orifice * (0.25 * orifice / p_atm), ps / (1.0 + (0.5 * a / b) ** 2)],
-        # both subsonic: the positive root of b2 p^2 - lin p - a2 p_atm^2 = 0,
-        # without cancellation
-        np.where(lin >= 0.0, (lin + disc) / (2.0 * b2), p_atm * (2.0 * a2 * p_atm / (disc + np.abs(lin)))),
-    )
+    # both subsonic: the positive root of b2 p^2 - lin p - a2 p_atm^2 = 0,
+    # without cancellation
+    subsonic = np.where(lin >= 0.0, (lin + disc) / (2.0 * b2),
+                        p_atm * (2.0 * a2 * p_atm / (disc + np.abs(lin))))
+    return np.where(orifice_choked,
+                    np.where(sensor_choked, orifice, p_atm + orifice * (0.25 * orifice / p_atm)),
+                    np.where(sensor_choked, ps / (1.0 + (0.5 * a / b) ** 2), subsonic))
 
 
 # With the areas over the larger, no flow overflows.  The closed-form
@@ -169,14 +171,14 @@ def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.nda
     >= 0 at p_atm, where the sensor flow is 0, and <= 0 at the supply, where
     the orifice flow is, so [p_atm, supply] brackets every root.  The
     adiabatic bisection starts from ``BRACKET_ULPS`` floats each way of a
-    Newton root, from the isochoric one, where the residual is >= 0 at the
-    lower end and <= 0 at the upper, else from [p_atm, supply].  A root is
-    accepted when its flows are finite and the residual is >= 0 at lo and
-    <= 0 at hi: the final bisection bracket (adiabatic), or the closed-form
-    root widened by ``ROOT_ULPS`` ulps each way within [p_atm, supply]
-    (isochoric).  Otherwise :class:`InconsistencyError` names the window and
-    both residuals of the earliest such row.  Errors name the i-th row of
-    ``points`` ``row i``.
+    Newton root, from the isochoric one, with no end checked; a row whose
+    closed bracket fails the acceptance rule is bisected again from
+    [p_atm, supply].  A root is accepted when its flows are finite and the
+    residual is >= 0 at lo and <= 0 at hi: the final bisection bracket
+    (adiabatic), or the closed-form root widened by ``ROOT_ULPS`` ulps each
+    way within [p_atm, supply] (isochoric).  Otherwise
+    :class:`InconsistencyError` names the window and both residuals of the
+    earliest such row.  Errors name the i-th row of ``points`` ``row i``.
 
     A row's root depends on that row alone, not on where it stands or what
     else is solved with it: every pass is elementwise, the Newton step count
@@ -230,15 +232,18 @@ def solve_backpressures(model: str, points, constants: GaugeConstants) -> np.nda
             value = orifice_scale * factor[0] - (a * root) * factor[1]
             step = root - value / (b * slope[0] - a * (factor[1] - r[1] * slope[1]))
             root = np.where(np.isfinite(step), np.fmin(np.fmax(step, p_atm), ps), root)
-        # BRACKET_ULPS floats each way of it where their signs bracket a root,
-        # else [p_atm, ps]
+        # bisect BRACKET_ULPS floats each way of it; rows whose closed window
+        # fails the acceptance rule bisect [p_atm, ps], the rest stay put
         bits = root.view(np.int64)
-        ends = np.stack([np.maximum(bits - BRACKET_ULPS, np.array(p_atm).view(np.int64)),
-                         np.minimum(bits + BRACKET_ULPS, ps.view(np.int64))]).view(np.float64)
-        r_lo, r_hi = residual(ends)
-        lo, hi = np.where((r_lo >= 0.0) & (r_hi <= 0.0), ends, [np.full_like(ps, p_atm), ps])
+        lo = np.maximum(bits - BRACKET_ULPS, np.array(p_atm).view(np.int64)).view(np.float64)
+        hi = np.minimum(bits + BRACKET_ULPS, ps.view(np.int64)).view(np.float64)
         _bisect(residual, lo, hi)
         r_lo, r_hi = residual(np.stack([lo, hi]))
+        missed = ~((r_lo >= 0.0) & (r_hi <= 0.0))
+        if missed.any():
+            lo[missed], hi[missed] = p_atm, ps[missed]
+            _bisect(residual, lo, hi)
+            r_lo, r_hi = residual(np.stack([lo, hi]))
         take_hi = np.abs(r_hi) < np.abs(r_lo)
         root, r_root = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
     else:

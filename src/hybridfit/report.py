@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import identical_rows
+
 if TYPE_CHECKING:  # annotations only: rendering needs none of these layers
     from .analysis import Analysis
     from .gauge import GaugeConstants
@@ -224,12 +226,13 @@ def summary_text(a: Analysis, data: str | Path, spec: str | Path) -> str:
     lines += [
         _f_line(name, test, a.alpha, with_p)
         + (" -> significant" if test.significant else " -> not significant")
+        if test is not None  # the theory correction, where it adds no rank
+        else f"{name}: no test: the theory column adds no rank to the design"
         for name, test, with_p in tests
-        if test is not None
     ]
     lof = a.lack_of_fit
     if lof is None:
-        lines.append("lack of fit: test unavailable (no replicate runs)")
+        lines.append(f"lack of fit: test unavailable ({_no_lack_of_fit(a)})")
     else:
         lines += [
             _f_line("lack of fit", lof, a.alpha, with_p=True),
@@ -246,6 +249,20 @@ def summary_text(a: Analysis, data: str | Path, spec: str | Path) -> str:
     if a.constants is not None:
         lines.append(constants_line(*a.constants))
     return "\n".join(lines) + "\n"
+
+
+def _no_lack_of_fit(a: Analysis) -> str:
+    """Why ``a`` has no lack-of-fit test: replicates with zero scatter, or
+    none, where runs may share coded settings (design rows) but not z."""
+    df = a.pure_error.df_pure_error
+    if df > 0:
+        return f"the replicates have zero scatter: pure error 0 on {df} df"
+    counts = np.bincount(identical_rows(a.system.design.values)[1])
+    shared = counts[counts > 1]
+    if not shared.size:
+        return "no replicate runs"
+    return (f"{shared.sum()} runs share coded settings but not theory values, "
+            f"on {shared.size} setting{'s' * (shared.size > 1)}")
 
 
 def render_coefficients(

@@ -479,7 +479,48 @@ class TestFit:
         ])
         assert rc == 0
         summary = (tmp_path / "out" / "summary.txt").read_text()
-        assert "lack of fit: test unavailable (no replicate runs)" in summary
+        assert ("lack of fit: test unavailable (3 runs share coded settings but not "
+                "theory values, on 1 setting)") in summary.splitlines()
+        assert "no replicate runs" not in summary
+
+    # The bundled factorial, with a column z1 = 1, edited so that a verdict
+    # goes missing: (the edit of row i's cells, model, theory, the summary
+    # line that says why).  Rows 8-10 are the three center runs.
+    MISSING_VERDICTS = {
+        # their theory values differ in the last printed digit
+        "theory_values_differ": (
+            lambda i, cells: cells[:5] + [{9: "204.464", 10: "204.462"}.get(i, cells[5])] + cells[6:],
+            "hybrid", "column:P_isochoric",
+            "lack of fit: test unavailable (3 runs share coded settings but not theory "
+            "values, on 1 setting)"),
+        # their responses are equal
+        "zero_scatter": (
+            lambda i, cells: cells[:3] + ["212.500" if i >= 8 else cells[3]] + cells[4:],
+            "mlr1", None,
+            "lack of fit: test unavailable (the replicates have zero scatter: pure error "
+            "0 on 2 df)"),
+        # the theory is z1
+        "theory_adds_no_rank": (
+            lambda i, cells: cells, "hybrid", "column:z1",
+            "theory correction: no test: the theory column adds no rank to the design"),
+    }
+
+    @pytest.mark.parametrize("case", MISSING_VERDICTS.values(), ids=MISSING_VERDICTS.keys())
+    def test_missing_verdict_says_why(self, case, data_dir, tmp_path):
+        edit, model, theory, reason = case
+        header, *rows = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
+        rows = ["\t".join(edit(i, ln.split("\t") + ["1"])) for i, ln in enumerate(rows)]
+        data = tmp_path / "edited.tsv"
+        data.write_text("\n".join([header + "\tz1"] + rows) + "\n")
+        rc = main(["fit", "--data", str(data), "--spec", str(data_dir / "gauge_factorial_spec.txt"),
+                   "--model", model, *(["--theory", theory] if theory else []),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert reason in lines
+        assert not any("no replicate runs" in ln for ln in lines)
+        if theory != "column:z1":  # no lack-of-fit F: no verdict and no margin
+            assert not any(ln.startswith(("model adequacy", "prediction margin")) for ln in lines)
 
     def test_hybrid_with_ones_column_reproduces_mlr1(self, data_dir, tmp_path):
         src = (data_dir / "gauge_factorial.tsv").read_text().splitlines()

@@ -15,7 +15,11 @@ distance of the solver's root from the exact root in ulps, and exits 1 if
 it exceeds ``K_ULPS``.  It then does the same for the adiabatic roots of
 250 rows whose sensor ratio is within 1e-12 of critical, where some roots
 are more than ``K_ULPS`` ulps off, and exits 1 if one is more than
-``NEAR_CRITICAL_ULPS`` off:
+``NEAR_CRITICAL_ULPS`` off.  Last, it prints the largest distance in floats
+of the adiabatic Newton root from the accepted root on the gauge_sweep rows
+of seeds 1-40 and on 20000 rows with supplies up to 1e300 MPa, and exits 1
+if one reaches ``BRACKET_ULPS``, where that row's window would miss its
+root and the solver would bisect [p_atm, supply] for it:
 
     PYTHONPATH=src python tests/test_exact_roots.py
 """
@@ -30,8 +34,9 @@ import pytest
 from hybridfit import gauge
 from hybridfit.dataset import identical_rows
 from hybridfit.gauge import GaugeConstants
-from test_gauge import (gauge_sweep_rows, near_atm_rows, near_critical_rows, tiny_sensor_rows,
-                        wide_rows)
+from hybridfit.tolerances import BRACKET_ULPS
+from test_gauge import (gauge_sweep_rows, near_atm_rows, near_critical_rows, newton_distances,
+                        tiny_sensor_rows, wide_rows)
 
 DEFAULTS = GaugeConstants()
 EXACT = decimal.Context(prec=50, Emax=10**6, Emin=-10**6)
@@ -136,11 +141,34 @@ def root_errors(model, points):
     return errors[i]
 
 
+def huge_supply_rows(rng, n):
+    """Areas log-uniform over 1e-3..1e3 mm^2 each, supplies log-uniform over
+    10^-0.9..1e300 MPa."""
+    return np.column_stack([10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-0.9, 300.0, n),
+                            10.0 ** rng.uniform(-3.0, 3.0, n)])
+
+
+def newton_margin():
+    """Print the largest distance in floats of the adiabatic Newton root from
+    the accepted root on each wide row set, and return the largest."""
+    sets = {"gauge_sweep seeds 1-40": np.vstack([gauge_sweep_rows(seed) for seed in range(1, 41)]),
+            "20000 rows, supplies to 1e300 MPa": huge_supply_rows(np.random.default_rng(6), 20000)}
+    worst = 0
+    for name, points in sets.items():
+        distances = newton_distances(points)
+        print(f"{name}: largest Newton-to-root distance {distances.max()} floats "
+              f"(window {BRACKET_ULPS} each way)")
+        worst = max(worst, int(distances.max()))
+    return worst
+
+
 def main():
     """Print, per theory, the largest distance in ulps of the solver's root
     from the exact root over the script's row set, then the adiabatic one
-    over the first 250 near-critical rows (rng 17); 1 if any of the first
-    exceeds K_ULPS or the last NEAR_CRITICAL_ULPS."""
+    over the first 250 near-critical rows (rng 17), then the Newton-to-root
+    distances of :func:`newton_margin`; 1 if any of the first exceeds
+    K_ULPS, the second NEAR_CRITICAL_ULPS, or a Newton root is BRACKET_ULPS
+    floats or more from its root."""
     rng = np.random.default_rng(29)
     sweep = gauge_sweep_rows(29)
     points = np.vstack([sweep[identical_rows(sweep)[0]][:100], near_atm_rows(rng, 50),
@@ -148,7 +176,8 @@ def main():
     worst = max(root_errors(model, points) for model in ("adiabatic", "isochoric"))
     print("near-critical rows:", end=" ")
     near = root_errors("adiabatic", near_critical_rows(np.random.default_rng(17), 2000)[:250])
-    return 0 if worst <= K_ULPS and near <= NEAR_CRITICAL_ULPS else 1
+    newton = newton_margin()
+    return 0 if worst <= K_ULPS and near <= NEAR_CRITICAL_ULPS and newton < BRACKET_ULPS else 1
 
 
 if __name__ == "__main__":

@@ -135,13 +135,10 @@ def reference_bisect(residual, lo, hi):
         np.copyto(lo, mid, where=active & ~below)
 
 
-def reference_bracket(a, ps, b, k, residual):
-    """Each row's bracket before the bisection, at areas a, b over the larger
-    of them: gauge._NEWTON_STEPS Newton steps from the isochoric root, each
-    clamped to [p_atm, ps], a step that is not finite leaving its row in
-    place; then BRACKET_ULPS floats each way of that root, within
-    [p_atm, ps], where the residual is >= 0 at the lower end and <= 0 at the
-    upper, else [p_atm, ps]."""
+def reference_newton(a, ps, b, k):
+    """Each row's Newton root, at areas a, b over the larger of them:
+    gauge._NEWTON_STEPS Newton steps from the isochoric root, each clamped
+    to [p_atm, ps], a step that is not finite leaving its row in place."""
     p = np.fmin(np.fmax(gauge._isochoric_root(ps, a, b, k.p_atm), k.p_atm), ps)
     for _ in range(gauge._NEWTON_STEPS):
         (f_orifice, f_sensor), (s_orifice, s_sensor) = reference_factor_and_slope(
@@ -150,7 +147,18 @@ def reference_bracket(a, ps, b, k, residual):
         slope = b * s_orifice - a * (f_sensor - (k.p_atm / p) * s_sensor)
         step = p - value / slope
         p = np.where(np.isfinite(step), np.fmin(np.fmax(step, k.p_atm), ps), p)
-    bits = p.view(np.int64)
+    return p
+
+
+def reference_bracket(a, ps, b, k, residual):
+    """Each row's bracket before the bisection, at areas a, b over the larger
+    of them: BRACKET_ULPS floats each way of its Newton root, within
+    [p_atm, ps], where the residual is >= 0 at the lower end and <= 0 at the
+    upper, else [p_atm, ps].  The solver checks no end up front: it bisects
+    every window, then [p_atm, ps] where the window's closed bracket fails
+    the acceptance rule; on the row sets of TestAgainstReference both end in
+    the same final brackets."""
+    bits = reference_newton(a, ps, b, k).view(np.int64)
     lo = np.maximum(bits - BRACKET_ULPS, np.array(k.p_atm).view(np.int64)).view(np.float64)
     hi = np.minimum(bits + BRACKET_ULPS, ps.view(np.int64)).view(np.float64)
     narrowed = (residual(lo) >= 0.0) & (residual(hi) <= 0.0)
@@ -192,6 +200,19 @@ def reference_adiabatic(points, k):
     root = np.where(np.abs(r_hi) < np.abs(r_lo), hi, lo)
     certified = np.isfinite(residual(root)) & (r_lo >= 0.0) & (r_hi <= 0.0)
     return lo, hi, root, ~certified
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # as reference_adiabatic
+def newton_distances(points, k=DEFAULTS):
+    """How many floats each row's Newton root (reference_newton's) lies from
+    the root the adiabatic solver accepts: the bisection's window of
+    BRACKET_ULPS floats each way of the first holds the second's sign change
+    where this is below BRACKET_ULPS."""
+    a, ps, b = ([k.c_sensor, 1000.0, k.c_orifice] * points).T
+    larger = np.fmax(a, b)
+    newton = reference_newton(a / larger, ps, b / larger, k)
+    root = gauge.solve_backpressures("adiabatic", points, k)
+    return np.abs(newton.view(np.int64) - root.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +366,8 @@ def solve_one(model, point, k=DEFAULTS):
 
 @pytest.fixture
 def starts(monkeypatch):
-    """The (lo, hi) each adiabatic solve's bisection starts from."""
+    """The (lo, hi) each ``_bisect`` call starts from: one per adiabatic
+    solve, two where a row's window misses its root."""
     ends = []
     bisect = gauge._bisect
 
@@ -359,9 +381,11 @@ def starts(monkeypatch):
 
 @pytest.fixture
 def full_brackets(monkeypatch):
-    """Every adiabatic bisection starts from [p_atm, ps]: the Newton steps
+    """Every adiabatic root is bisected from [p_atm, ps]: the Newton steps
     start at ps, where the orifice's slope is infinite, so they stay there,
-    and the narrow bracket there misses the root (no known row does that)."""
+    the window there misses the root and its closed bracket fails the
+    acceptance rule, so a second bisection starts from [p_atm, ps] (no
+    known row misses its window)."""
     monkeypatch.setattr(gauge, "_isochoric_root", lambda ps, a, b, p_atm: ps)
 
 
@@ -446,7 +470,7 @@ class TestBackpressureSolvers:
         # the bracket's ends sum past the largest double; a midpoint taken on
         # the float order never forms that sum
         p = solve_one("adiabatic", (0.1, 1e305, 0.503))
-        assert starts[0][1][0] == 1e308
+        assert starts[-1][0][0] == DEFAULTS.p_atm and starts[-1][1][0] == 1e308
         assert DEFAULTS.p_atm < p < 1e308
         assert p == pytest.approx(1e5 * solve_one("adiabatic", (0.1, 1e300, 0.503)), rel=1e-12)
 
@@ -635,7 +659,7 @@ class TestAgainstReference:
         lo, hi, root, uncertified = reference_adiabatic(points, DEFAULTS)
         assert not uncertified.any()
         assert np.array_equal(gauge.solve_backpressures("adiabatic", points, DEFAULTS), root)
-        assert np.array_equal(brackets[0][0], lo) and np.array_equal(brackets[0][1], hi)
+        assert np.array_equal(brackets[-1][0], lo) and np.array_equal(brackets[-1][1], hi)
 
 
 @pytest.mark.parametrize("rows", [
@@ -697,8 +721,9 @@ def test_root_depends_on_its_row_alone(model, rows):
 
 
 def test_closed_brackets_stay_closed_behind_an_open_one(starts, monkeypatch):
-    # the leading rows bisect [p_atm, ps] in 62 steps, where the rest close
-    # in 6: a closed bracket is a fixed point of the steps that follow
+    # the leading rows miss their windows and bisect [p_atm, ps] again, in
+    # 62 steps, where the rest closed in 4: a closed bracket is a fixed point
+    # of the steps that follow
     isochoric_root = gauge._isochoric_root
     monkeypatch.setattr(gauge, "_isochoric_root", lambda ps, a, b, p_atm: np.where(
         ps > 1e200, ps, isochoric_root(ps, a, b, p_atm)))
@@ -706,9 +731,32 @@ def test_closed_brackets_stay_closed_behind_an_open_one(starts, monkeypatch):
     roots = gauge.solve_backpressures("adiabatic", points, DEFAULTS)
     behind = gauge.solve_backpressures("adiabatic", np.vstack([LEADING, points]), DEFAULTS)
     assert np.array_equal(roots, behind[3:])
-    (lo, hi), = starts[1:]
+    (_, window_hi), (lo, hi) = starts[1:]
+    assert np.array_equal(window_hi[:3], LEADING[:, 1] * 1000.0)
     assert np.array_equal(lo[:3], [DEFAULTS.p_atm] * 3)
     assert np.array_equal(hi[:3], LEADING[:, 1] * 1000.0)
+    assert np.all(hi[3:].view(np.int64) - lo[3:].view(np.int64) <= 1)
+
+
+NEWTON_ROW_SETS = {
+    "sweep1_3_7_11": lambda: np.vstack([gauge_sweep_rows(seed) for seed in (1, 3, 7, 11)]),
+    "wide": lambda: wide_rows(np.random.default_rng(17), 6000),
+    "near_critical": lambda: near_critical_rows(np.random.default_rng(17), 2000),
+    "area_scaled": area_scaled_rows,
+    "near_atm": lambda: near_atm_rows(np.random.default_rng(17), 300),
+    "tiny_sensor": lambda: tiny_sensor_rows(np.random.default_rng(17), 300),
+    "wide20000": lambda: wide_rows(np.random.default_rng(6), 20000),
+    "leading": lambda: np.vstack([LEADING, gauge_sweep_rows(7)[:600]]),
+}
+
+
+@pytest.mark.parametrize("rows", NEWTON_ROW_SETS.values(), ids=NEWTON_ROW_SETS.keys())
+def test_newton_root_lies_well_inside_its_window(rows):
+    """On these rows Newton's root lies within BRACKET_ULPS // 2 floats of
+    the accepted root (4 at most), so every window holds its root with room
+    to spare and no row bisects [p_atm, ps].  ``python
+    tests/test_exact_roots.py`` prints the distances on wider row sets."""
+    assert newton_distances(rows()).max() <= BRACKET_ULPS // 2
 
 
 class TestBisectionSteps:
@@ -760,7 +808,7 @@ class TestBisectionSteps:
     @pytest.mark.parametrize("seed", [1, 3, 7, 11])
     def test_narrowed_brackets_close_in_a_few_steps(self, steps, seed):
         # Newton's root widened by BRACKET_ULPS floats each way holds the
-        # sign change on every row, and 2 BRACKET_ULPS floats close in 6
+        # sign change on every row, and 2 BRACKET_ULPS floats close in 4
         # steps, where [p_atm, ps] takes 53
         points = gauge_sweep_rows(seed)
         gauge.solve_backpressures("adiabatic", points[identical_rows(points)[0]], DEFAULTS)
@@ -777,13 +825,14 @@ class TestBisectionSteps:
         assert 0 < solver <= math.ceil(math.log2(2 * BRACKET_ULPS))
 
     def test_full_bracket_where_newton_does_not_narrow_it(self, full_brackets, starts):
-        # Newton stays at ps and its bracket misses the root: both rows
-        # bisect [p_atm, ps], and both roots are accepted
+        # Newton stays at ps and its window misses the root: both rows
+        # bisect [p_atm, ps] next, and both roots are accepted
         rows = np.array([(0.1, 1e305, 0.503), (0.6175, 3.45e299, 658.63)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             roots = gauge.solve_backpressures("adiabatic", rows, DEFAULTS)
-        (lo, hi), = starts
+        (_, window_hi), (lo, hi) = starts
+        assert np.array_equal(window_hi, rows[:, 1] * 1000.0)
         assert np.array_equal(lo, [DEFAULTS.p_atm] * 2)
         assert np.array_equal(hi, rows[:, 1] * 1000.0)
         assert np.all((DEFAULTS.p_atm < roots) & (roots < hi))
@@ -791,6 +840,21 @@ class TestBisectionSteps:
     def test_no_midpoint_without_an_open_bracket(self, steps):
         assert gauge.solve_backpressures("adiabatic", np.empty((0, 3)), DEFAULTS).shape == (0,)
         assert steps == [(0, 0)]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_flow_factor_passes_per_solve(self, seed, monkeypatch):
+        # _NEWTON_STEPS Newton steps, ceil(log2(2 BRACKET_ULPS)) bisection
+        # steps and one acceptance pass over both ends: no pass checks the
+        # window's ends before the bisection
+        calls = []
+
+        def counted(*args, factor=gauge._adiabatic_factor, **kwargs):
+            calls.append(None)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(gauge, "_adiabatic_factor", counted)
+        gauge.solve_backpressures("adiabatic", gauge_sweep_rows(seed), DEFAULTS)
+        assert len(calls) == gauge._NEWTON_STEPS + math.ceil(math.log2(2 * BRACKET_ULPS)) + 1 == 9
 
 
 def choke_boundary_rows(rng, n):
