@@ -49,7 +49,7 @@ class Analysis(NamedTuple):
     # term, F(p+1, n-rank).
     regression: inference.FTest
     theory_gain: inference.FTest | None  # hybrid, when the theory adds rank
-    lack_of_fit: inference.FTest | None  # None without replicate scatter
+    lack_of_fit: inference.FTest | None  # None where it tests nothing; see lack_of_fit_missing
     box_wetz: tuple[float, bool] | None  # margin and verdict, when F_lof > 0
     # gauge constants and the keys that fell back to defaults, when the
     # theory column was simulated
@@ -86,6 +86,26 @@ class Analysis(NamedTuple):
     def r2_max(self) -> float:
         """The R-squared left after pure error, which no model explains."""
         return 1.0 - self.pure_error.ss_pure_error / self.ss_about_mean
+
+    @property
+    def lack_of_fit_missing(self) -> str | None:
+        """Why :func:`analyze` built no lack-of-fit test (None where it did),
+        the first of: zero replicate scatter; the model fits every distinct
+        run (0 df); runs share coded settings but not theory values; no replicates."""
+        if self.lack_of_fit is not None:
+            return None
+        pe = self.pure_error
+        if pe.df_pure_error > 0 and pe.ss_pure_error == 0.0:
+            return f"the replicates have zero scatter: pure error 0 on {pe.df_pure_error} df"
+        if pe.df_lack_of_fit == 0:
+            return (f"the model's rank {self.system.rank} equals the number of "
+                    "distinct runs: lack of fit has 0 df")
+        counts = np.bincount(dataset.identical_rows(self.system.design.values)[1])
+        shared = counts[counts > 1]
+        if not shared.size:
+            return "no replicate runs"
+        return (f"{shared.sum()} runs share coded settings but not theory values, "
+                f"on {shared.size} setting{'s' * (shared.size > 1)}")
 
     @property
     def residual_sample_sd(self) -> float:
@@ -195,7 +215,7 @@ def analyze(
         theory_gain = None
 
     lack_of_fit, box_wetz = None, None
-    if pe.df_pure_error > 0 and pe.ss_pure_error > 0.0:
+    if pe.df_pure_error > 0 and pe.ss_pure_error > 0.0 and pe.df_lack_of_fit > 0:
         lack_of_fit = inference.f_test(
             pe.ss_lack_of_fit, pe.df_lack_of_fit,
             pe.ss_pure_error, pe.df_pure_error, alpha,

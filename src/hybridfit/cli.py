@@ -136,10 +136,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import validation
 
-    # an empty value is a flag given, refused before any file is read
-    for flag, value in (("--data-dir", args.data_dir), ("--out", args.out)):
-        if value == "":
-            raise AnalysisError(f"{flag} needs a directory, got an empty value")
     result = validation.run_validation(args.data_dir)
     text = validation.render_validation_report(result)
     print(text, end="")
@@ -212,6 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # an empty path is a flag given, refused before any command runs
+        for flag, kind in (("--data", "file"), ("--spec", "file"),
+                           ("--out", "directory"), ("--data-dir", "directory")):
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise AnalysisError(f"{flag} needs a {kind}, got an empty value")
         return args.func(args)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,15 +124,10 @@ def f_test(
     ss_num: float, df_num: int, ss_den: float, df_den: int, alpha: float
 ) -> FTest:
     """F test of the mean square ``ss_num / df_num`` against
-    ``ss_den / df_den`` at level ``alpha``.
-
-    A numerator without degrees of freedom tests nothing (for lack of fit:
-    the model fits every distinct setting exactly); it is reported as F = 0
-    with p = 1, against the critical value for one numerator df.
+    ``ss_den / df_den`` at level ``alpha``.  Each df must be at least 1:
+    :func:`f_critical` raises :class:`AnalysisError` for fewer.
     """
-    critical = f_critical(alpha, max(df_num, 1), df_den)
-    if df_num == 0:
-        return FTest(0.0, 0, df_den, 1.0, critical)
+    critical = f_critical(alpha, df_num, df_den)
     f = (ss_num / df_num) / (ss_den / df_den)
     return FTest(f, df_num, df_den, f_sf(f, df_num, df_den), critical)
 

@@ -8,9 +8,10 @@ Every function here returns text and touches no file: the CLI's
 
 Rendering computes nothing statistical: sums of squares come from the
 analysis's solved fit and pure-error split, degrees of freedom from its
-system, every F and p from its :class:`~hybridfit.inference.FTest` results;
-the tables only divide each sum of squares by its degrees of freedom for the
-MS column.
+system, every F and p from its :class:`~hybridfit.inference.FTest` results,
+and why a lack-of-fit test is missing from its ``lack_of_fit_missing``; the
+tables only divide each sum of squares by its degrees of freedom for the MS
+column.  No module of the package is imported here at run time.
 
 All output is plain text with fixed float formatting, so identical analyses
 produce byte-identical files.  Text tables print sums of squares and mean
@@ -27,8 +28,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-from .dataset import identical_rows
 
 if TYPE_CHECKING:  # annotations only: rendering needs none of these layers
     from .analysis import Analysis
@@ -232,7 +231,7 @@ def summary_text(a: Analysis, data: str | Path, spec: str | Path) -> str:
     ]
     lof = a.lack_of_fit
     if lof is None:
-        lines.append(f"lack of fit: test unavailable ({_no_lack_of_fit(a)})")
+        lines.append(f"lack of fit: test unavailable ({a.lack_of_fit_missing})")
     else:
         lines += [
             _f_line("lack of fit", lof, a.alpha, with_p=True),
@@ -249,20 +248,6 @@ def summary_text(a: Analysis, data: str | Path, spec: str | Path) -> str:
     if a.constants is not None:
         lines.append(constants_line(*a.constants))
     return "\n".join(lines) + "\n"
-
-
-def _no_lack_of_fit(a: Analysis) -> str:
-    """Why ``a`` has no lack-of-fit test: replicates with zero scatter, or
-    none, where runs may share coded settings (design rows) but not z."""
-    df = a.pure_error.df_pure_error
-    if df > 0:
-        return f"the replicates have zero scatter: pure error 0 on {df} df"
-    counts = np.bincount(identical_rows(a.system.design.values)[1])
-    shared = counts[counts > 1]
-    if not shared.size:
-        return "no replicate runs"
-    return (f"{shared.sum()} runs share coded settings but not theory values, "
-            f"on {shared.size} setting{'s' * (shared.size > 1)}")
 
 
 def render_coefficients(

@@ -484,8 +484,10 @@ class TestFit:
         assert "no replicate runs" not in summary
 
     # The bundled factorial, with a column z1 = 1, edited so that a verdict
-    # goes missing: (the edit of row i's cells, model, theory, the summary
-    # line that says why).  Rows 8-10 are the three center runs.
+    # goes missing: (the edit of row i's cells, or None to drop the row,
+    # model, theory, the summary line that says why).  Rows 0-7 are the
+    # corners, row i at A, Ps, B high where bit 0, 1, 2 of i is set; rows 8-10
+    # are the three center runs.
     MISSING_VERDICTS = {
         # their theory values differ in the last printed digit
         "theory_values_differ": (
@@ -503,13 +505,22 @@ class TestFit:
         "theory_adds_no_rank": (
             lambda i, cells: cells, "hybrid", "column:z1",
             "theory correction: no test: the theory column adds no rank to the design"),
+        # the half fraction B = A * Ps, each corner run twice: 4 distinct
+        # settings for 4 coefficients
+        "lack_of_fit_has_no_df": (
+            lambda i, cells: None if i >= 8 else
+            cells[:2] + [("0.503", "1.131")[i & 1 == i >> 1 & 1]] + cells[3:],
+            "mlr1", None,
+            "lack of fit: test unavailable (the model's rank 4 equals the number of "
+            "distinct runs: lack of fit has 0 df)"),
     }
 
     @pytest.mark.parametrize("case", MISSING_VERDICTS.values(), ids=MISSING_VERDICTS.keys())
     def test_missing_verdict_says_why(self, case, data_dir, tmp_path):
         edit, model, theory, reason = case
         header, *rows = (data_dir / "gauge_factorial.tsv").read_text().splitlines()
-        rows = ["\t".join(edit(i, ln.split("\t") + ["1"])) for i, ln in enumerate(rows)]
+        rows = [edit(i, ln.split("\t") + ["1"]) for i, ln in enumerate(rows)]
+        rows = ["\t".join(cells) for cells in rows if cells is not None]
         data = tmp_path / "edited.tsv"
         data.write_text("\n".join([header + "\tz1"] + rows) + "\n")
         rc = main(["fit", "--data", str(data), "--spec", str(data_dir / "gauge_factorial_spec.txt"),
@@ -867,16 +878,6 @@ class TestValidate:
         a = (tmp_path / "a" / "validation_report.txt").read_bytes()
         b = (tmp_path / "b" / "validation_report.txt").read_bytes()
         assert a == b
-
-    @pytest.mark.parametrize("flag", ["--data-dir", "--out"])
-    def test_empty_flag_value_is_given(self, flag, tmp_path, monkeypatch, capsys):
-        # an empty value is a flag given, not one left out: refused before
-        # any table is read or any report written
-        monkeypatch.chdir(tmp_path)
-        rc = main(["validate", flag, ""])
-        assert rc == 1
-        assert capsys.readouterr() == ("", f"error: {flag} needs a directory, got an empty value\n")
-        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         rc = main(["validate", "--data-dir", str(tmp_path)])
@@ -1285,6 +1286,42 @@ class TestOutputDirectory:
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot write {out / name}: No space left on device"
         ]
+
+
+class TestEmptyPathFlags:
+    """An empty path is a flag given, not one left out: for every command it
+    is one error line and exit status 1, with every other flag valid, before
+    any table is read or any file written (an empty --out would write into
+    the working directory)."""
+
+    CASES = [
+        (command, flag, "file" if flag in ("--data", "--spec") else "directory")
+        for command, flags in (
+            ("fit", ("--data", "--spec", "--out")),
+            ("simulate", ("--data", "--spec", "--out")),
+            ("validate", ("--data-dir", "--out")),
+        )
+        for flag in flags
+    ]
+
+    @pytest.mark.parametrize("command, flag, kind", CASES, ids=[c + f for c, f, _ in CASES])
+    def test_refused_before_the_command_runs(
+        self, command, flag, kind, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        paths = {
+            "--data": str(data_dir / "gauge_factorial.tsv"),
+            "--spec": str(data_dir / "gauge_factorial_spec.txt"),
+            "--data-dir": str(data_dir),
+            "--out": "out",
+            flag: "",
+        }
+        extra = {"fit": ["--model", "mlr1"], "simulate": ["--theory", "adiabatic"]}
+        names = [f for c, f, _ in self.CASES if c == command]
+        rc = main([command, *extra.get(command, []), *(a for n in names for a in (n, paths[n]))])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {flag} needs a {kind}, got an empty value\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_is_built_once_per_process(data_dir, tmp_path, monkeypatch):

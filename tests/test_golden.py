@@ -14,9 +14,16 @@ both theories (``tests/golden/simulate_<theory>/``).  The points print at six
 decimals and the circles at two, and every value sits at least 8e-4 of a
 last printed digit from a rounding tie, far beyond what a BLAS build moves.
 
+``validate``'s ``validation_report.txt`` is pinned whole
+(``tests/golden/validate/``).  It prints each computed value at eight
+significant digits; the one nearest a rounding tie is ``mlr2.f_lack_of_fit``
+(85.80904), 0.031 of a last printed digit from it, far beyond what a BLAS
+build moves.
+
 To regenerate after an intended change of output, run each ``fit`` below
 and copy the files named here, with the two header lines reduced to file
-names, and run ``simulate`` on the factorial design for each theory.
+names, run ``simulate`` on the factorial design for each theory, and run
+``validate --data-dir data --out tests/golden/validate``.
 """
 
 from pathlib import Path
@@ -108,3 +115,9 @@ def test_simulated_table_matches_golden(theory, data_dir, tmp_path):
     assert rc == 0
     golden = GOLDEN_DIR / f"simulate_{theory}" / "simulated.tsv"
     assert (tmp_path / "simulated.tsv").read_bytes() == golden.read_bytes()
+
+
+def test_validation_report_matches_golden(data_dir, tmp_path):
+    assert main(["validate", "--data-dir", str(data_dir), "--out", str(tmp_path)]) == 0
+    golden = GOLDEN_DIR / "validate" / "validation_report.txt"
+    assert (tmp_path / "validation_report.txt").read_bytes() == golden.read_bytes()

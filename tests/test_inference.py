@@ -124,10 +124,11 @@ class TestFStatistics:
     def test_identity_theory_gain_is_zero(self, factorial, factorial_design):
         sys = hybrid.assemble(factorial_design, np.ones(11))
         fit = hybrid.solve(sys, factorial.response)
-        f = residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
         assert fit.ss_excess == pytest.approx(0.0, abs=1e-6)
-        assert f.f == 0.0
-        assert f.p == 1.0
+        # a gain on 0 df tests nothing: f_test refuses it like any df below 1
+        assert sys.df_theory_gain == 0
+        with pytest.raises(AnalysisError, match="^degrees of freedom must be >= 1, got 0, 7$"):
+            residual_f(sys, fit, fit.ss_excess, sys.df_theory_gain)
 
     def test_saturated_raises(self):
         # four runs, rank 4: two design columns plus two excess columns

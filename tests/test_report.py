@@ -1,6 +1,6 @@
 """Report writers: SVG axis labels and escaping, the byte contract of the
 column-wise point, circle and table writers, the digits of the ANOVA
-cells, and a renderer that touches no file."""
+cells, and a renderer that touches no file and imports no layer."""
 
 import ast
 import math
@@ -45,6 +45,28 @@ def test_report_touches_no_file():
         if arg.arg == "out_dir"
     )
     assert (calls, params) == ([], [])
+
+
+def test_report_imports_no_layer_at_run_time():
+    # what report prints is computed before it is called: the package's
+    # modules are imported only under TYPE_CHECKING, for annotations
+    tree = ast.parse(Path(report.__file__).read_text(encoding="utf-8"))
+    annotations_only = {
+        id(node)
+        for block in tree.body
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    imported = []
+    for node in ast.walk(tree):
+        if id(node) in annotations_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert annotations_only
+    assert [m for m in imported if m.startswith((".", "hybridfit"))] == []
 
 
 def test_symmetric_points_label_the_middle_tick_zero():
